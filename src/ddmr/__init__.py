@@ -9,6 +9,7 @@ from .conflicts import (
     Variant,
     build_conflict_index,
     cautiously_conflicts,
+    conflicts,
     simply_conflicts,
 )
 from .engine import (
@@ -78,6 +79,7 @@ __all__ = [
     "check_equivalence",
     "complement",
     "compute_extension",
+    "conflicts",
     "content_equal",
     "diff_variants",
     "extended_superiority",

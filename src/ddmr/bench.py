@@ -1,7 +1,7 @@
 """Benchmark harness: generate theory families, time the engine, emit CSV.
 
-Timing covers the extension computation only -- generation and parsing are
-kept outside the clock, since the object under measurement is the engine.
+Timing covers ``compute_extension``: validation plus the engine run.
+Generation and parsing are kept outside the clock.
 Rows come out in deterministic (family, size, variant) order.
 """
 
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import time
 from dataclasses import dataclass
 
@@ -83,8 +84,6 @@ def loglog_slope(points) -> float:
     The growth exponent witnessed by a benchmark series; the engine's
     worst-case bound is degree five, so measured slopes must stay below it.
     """
-    import math
-
     xs = [math.log(size) for size, _ in points]
     ys = [math.log(max(ms, 1e-6)) for _, ms in points]
     n = len(points)

@@ -9,6 +9,7 @@ Exit codes are script-friendly and stable:
     4  query answered Undetermined
     5  --oracle cross-check found a mismatch
     6  query subject unknown to the theory
+    7  internal error (a defect in ddmr; one line on stderr, no traceback)
 
 The oracle size cap defaults to 200 and can be overridden through the
 DDMR_ORACLE_BUDGET environment variable.
@@ -48,6 +49,7 @@ EXIT_REFUTED = 3
 EXIT_UNDETERMINED = 4
 EXIT_ORACLE_MISMATCH = 5
 EXIT_UNKNOWN_SUBJECT = 6
+EXIT_INTERNAL = 7
 
 
 def _oracle_budget() -> int:
@@ -234,7 +236,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:  # SystemExit and KeyboardInterrupt pass through
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

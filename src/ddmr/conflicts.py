@@ -1,4 +1,4 @@
-"""Conflict relations between rules and the opposition index built from them.
+"""Conflict relations between rules and the conflict index built from them.
 
 Two rules can clash in two senses:
 
@@ -15,10 +15,9 @@ Every simple conflict is a cautious conflict.  Both relations are symmetric
 and irreflexive; a rule never conflicts with a content-identical copy of
 itself of the same polarity.
 
-``build_conflict_index`` precomputes, per rule appearing in a theory, who
-produces it, who opposes it and who can come to its defence, for either
-variant.  The index is immutable once built; the inference engine keeps its
-own mutable record of defeated opposers.
+``build_conflict_index`` precomputes, for every rule appearing in a theory,
+the conflict relation under one variant and who concludes each rule
+expression.  The index is immutable once built.
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ from .model import (
     RuleRef,
     Theory,
     content_key,
+    item_key,
 )
 
 
@@ -52,40 +52,54 @@ def _as_expr(x) -> RuleExpression:
     return x
 
 
-def _chain_elements_conflict(a: RuleExpression, b: RuleExpression, variant: Variant) -> bool:
-    if variant is Variant.SIMPLE:
-        return simply_conflicts(a, b)
-    return cautiously_conflicts(a, b)
+def _antecedent_key(rule: Rule) -> frozenset:
+    return frozenset(map(item_key, rule.antecedent))
 
 
-def _recursive_chain_clash(x: Rule, y: Rule, variant: Variant) -> bool:
-    """Meta-rules clash when some chain elements of theirs do, at any indices."""
-    if not (x.is_meta() and y.is_meta()):
-        return False
-    for ex in x.consequent:
-        if not isinstance(ex, RuleExpression):
-            continue
-        for ey in y.consequent:
-            if isinstance(ey, RuleExpression) and _chain_elements_conflict(
-                ex, ey, variant
-            ):
-                return True
-    return False
+def conflicts(a, b, variant: Variant) -> bool:
+    """Whether two rules or rule expressions clash under ``variant``.
 
-
-def simply_conflicts(a, b) -> bool:
-    """One side is the negation of a rule with the other's exact content.
-
-    Accepts rules or rule expressions.  For two positive meta-rules the
-    check recurses into their chains: conflicting rule expressions at any
-    positions make the meta-rules conflict.
+    Opposite polarities clash exactly when the rules share their content
+    (labels are free); two negated expressions never clash.  Two positive
+    rules clash, under the cautious variant, when their antecedents are
+    equal and their conclusions incompatible (``_content_clash``), and,
+    under either variant, when they are meta-rules some of whose chain
+    elements clash, at any pair of positions.
     """
     ea, eb = _as_expr(a), _as_expr(b)
     if ea.positive != eb.positive:
         return content_key(ea.rule) == content_key(eb.rule)
-    if ea.positive:
-        return _recursive_chain_clash(ea.rule, eb.rule, Variant.SIMPLE)
-    return False
+    if not ea.positive:
+        return False
+    x, y = ea.rule, eb.rule
+    if (
+        variant is Variant.CAUTIOUS
+        and _content_clash(x, y)
+        and _antecedent_key(x) == _antecedent_key(y)
+    ):
+        return True
+    return _recursive_chain_clash(x, y, variant)
+
+
+def simply_conflicts(a, b) -> bool:
+    """``conflicts`` under the simple variant."""
+    return conflicts(a, b, Variant.SIMPLE)
+
+
+def cautiously_conflicts(a, b) -> bool:
+    """``conflicts`` under the cautious variant."""
+    return conflicts(a, b, Variant.CAUTIOUS)
+
+
+def _recursive_chain_clash(x: Rule, y: Rule, variant: Variant) -> bool:
+    """Meta-rules clash when some chain elements of theirs do, at any indices."""
+    return any(
+        conflicts(ex, ey, variant)
+        for ex in x.consequent
+        if isinstance(ex, RuleExpression)
+        for ey in y.consequent
+        if isinstance(ey, RuleExpression)
+    )
 
 
 def _elements_equal(x, y) -> bool:
@@ -108,90 +122,32 @@ def _elements_complementary(x, y) -> bool:
     return False
 
 
-def _obligation_chains_clash(x: Rule, y: Rule) -> bool:
-    """Same-antecedent defeasible obligation rules with incompatible chains.
+def _content_clash(x: Rule, y: Rule) -> bool:
+    """Cautious clash of two positive rules, antecedent equality aside.
 
-    Incompatible means: equal up to some position where the elements are
-    complementary, or one chain is a proper prefix of the other.
+    Under one arrow: complementary single conclusions under one mode or
+    under O against P, or -- for defeasible obligation rules -- chains
+    equal up to a position where the elements are complementary, or one
+    chain a proper prefix of the other.  Never true of content-equal rules.
     """
-    if not (
-        x.mode is Mode.O
-        and y.mode is Mode.O
-        and x.arrow is Arrow.DEFEASIBLE
-        and y.arrow is Arrow.DEFEASIBLE
-    ):
-        return False
-    if frozenset(map(_hashable_item, x.antecedent)) != frozenset(
-        map(_hashable_item, y.antecedent)
-    ):
+    if x.arrow is not y.arrow:
         return False
     cx, cy = x.consequent, y.consequent
+    if (
+        len(cx) == 1
+        and len(cy) == 1
+        and (x.mode is y.mode or {x.mode, y.mode} == {Mode.O, Mode.P})
+        and _elements_complementary(cx[0], cy[0])
+    ):
+        return True
+    if not (x.mode is Mode.O and y.mode is Mode.O and x.arrow is Arrow.DEFEASIBLE):
+        return False
     for i in range(min(len(cx), len(cy))):
         if _elements_complementary(cx[i], cy[i]):
             return True
         if not _elements_equal(cx[i], cy[i]):
             return False
     return len(cx) != len(cy)
-
-
-def _hashable_item(item):
-    from .model import _item_key
-
-    return _item_key(item)
-
-
-def _same_antecedent(x: Rule, y: Rule) -> bool:
-    return frozenset(map(_hashable_item, x.antecedent)) == frozenset(
-        map(_hashable_item, y.antecedent)
-    )
-
-
-def cautiously_conflicts(a, b) -> bool:
-    """The simple-conflict shape, plus content-level incompatibility.
-
-    Content clashes only arise between positive rules: same antecedent with
-    complementary single conclusions under one mode and arrow, an O rule
-    against a P rule for the complement, or incompatible obligation chains.
-    Meta-rule chains are compared element-wise, at any pair of positions.
-    """
-    ea, eb = _as_expr(a), _as_expr(b)
-    if ea.positive != eb.positive:
-        return content_key(ea.rule) == content_key(eb.rule)
-    if not ea.positive:
-        return False
-    x, y = ea.rule, eb.rule
-    if content_key(x) == content_key(y):
-        # identical content never clashes with itself, but a reparation
-        # chain carrying two mutually conflicting expressions makes the
-        # rule (and its content twins) self-conflicting
-        return _recursive_chain_clash(x, y, Variant.CAUTIOUS)
-    if (
-        x.mode is y.mode
-        and x.arrow is y.arrow
-        and len(x.consequent) == 1
-        and len(y.consequent) == 1
-        and _same_antecedent(x, y)
-        and _elements_complementary(x.consequent[0], y.consequent[0])
-    ):
-        return True
-    if (
-        {x.mode, y.mode} == {Mode.O, Mode.P}
-        and x.arrow is y.arrow
-        and len(x.consequent) == 1
-        and len(y.consequent) == 1
-        and _same_antecedent(x, y)
-        and _elements_complementary(x.consequent[0], y.consequent[0])
-    ):
-        return True
-    if _obligation_chains_clash(x, y):
-        return True
-    return _recursive_chain_clash(x, y, Variant.CAUTIOUS)
-
-
-def conflicts(a, b, variant: Variant) -> bool:
-    if variant is Variant.SIMPLE:
-        return simply_conflicts(a, b)
-    return cautiously_conflicts(a, b)
 
 
 @dataclass
@@ -209,49 +165,13 @@ class ConflictIndex:
     variant: Variant
     conflicting: dict = field(default_factory=dict)  # RuleRef -> set[RuleRef]
     producers: dict = field(default_factory=dict)  # RuleRef -> set[(label, index)]
-    by_content: dict = field(default_factory=dict)  # (ckey, pos) -> [(label, elem_label, index)]
-    modes: dict = field(default_factory=dict)  # label -> Mode
-    infd: dict = field(default_factory=dict)  # (Mode, label) -> set[label], engine-owned
-
-    _OPP_MODES = {
-        Mode.C: (Mode.C,),
-        Mode.O: (Mode.O, Mode.P),
-        Mode.P: (Mode.O,),
-    }
-    _SUPP_MODES = {Mode.C: (Mode.C,), Mode.O: (Mode.O,), Mode.P: (Mode.O, Mode.P)}
+    by_content: dict = field(default_factory=dict)  # (ckey, positive) -> [(label, elem_label, index)]
 
     def rule_level(self, label: str) -> set:
         """Labels of rules conflicting with the positive rule ``label``."""
         return {
             ref.label for ref in self.conflicting.get(RuleRef(label), ()) if ref.positive
         }
-
-    def meta_producers(self, label: str) -> set:
-        """Rules concluding the positive expression of ``label``."""
-        return {who for who, _ in self.producers.get(RuleRef(label), ())}
-
-    def _opp_modes(self, mode: Mode):
-        if self.variant is Variant.CAUTIOUS and mode is Mode.P:
-            return (Mode.O, Mode.P)
-        return self._OPP_MODES[mode]
-
-    def opp(self, label: str, mode: Mode) -> set:
-        """Rules whose conclusions conflict with ``label``, filtered by the
-        modes that may oppose a conclusion of the given mode."""
-        return {
-            g
-            for g in self.rule_level(label)
-            if self.modes[g] in self._opp_modes(mode)
-        }
-
-    def supp(self, label: str, mode: Mode) -> set:
-        """Other rules concluding something in conflict with an opposer."""
-        out: set = set()
-        for g in self.opp(label, mode):
-            for z in self.rule_level(g):
-                if z != label and self.modes[z] in self._SUPP_MODES[mode]:
-                    out.add(z)
-        return out
 
 
 def build_conflict_index(theory: Theory, variant: Variant) -> ConflictIndex:
@@ -272,18 +192,12 @@ def build_conflict_index(theory: Theory, variant: Variant) -> ConflictIndex:
         index.conflicting[RuleRef(label, False)] = set()
         index.producers.setdefault(RuleRef(label, True), set())
         index.producers.setdefault(RuleRef(label, False), set())
-        index.modes[label] = by_label[label].mode
-        for mode in Mode:
-            index.infd[(mode, label)] = set()
 
-    member_of: dict = {}  # chain element RuleRef -> set[(meta label, index)]
     for label in labels:
         rule = by_label[label]
         for pos, elem in enumerate(rule.consequent, start=1):
             if isinstance(elem, RuleExpression):
-                ref = RuleRef(elem.rule.label, elem.positive)
-                index.producers[ref].add((label, pos))
-                member_of.setdefault(ref, set()).add((label, pos))
+                index.producers[elem.ref].add((label, pos))
                 key = (ckeys[elem.rule.label], elem.positive)
                 index.by_content.setdefault(key, []).append(
                     (label, elem.rule.label, pos)
@@ -306,8 +220,7 @@ def build_conflict_index(theory: Theory, variant: Variant) -> ConflictIndex:
     if variant is Variant.CAUTIOUS:
         ant_groups: dict = {}
         for label in labels:
-            key = frozenset(map(_hashable_item, by_label[label].antecedent))
-            ant_groups.setdefault(key, []).append(label)
+            ant_groups.setdefault(_antecedent_key(by_label[label]), []).append(label)
         for group in ant_groups.values():
             for i, u in enumerate(group):
                 for v in group[i + 1 :]:
@@ -318,43 +231,14 @@ def build_conflict_index(theory: Theory, variant: Variant) -> ConflictIndex:
     element_pairs = [
         (a, b)
         for a, others in index.conflicting.items()
-        if a in member_of
+        if index.producers[a]
         for b in others
-        if b in member_of
+        if index.producers[b]
     ]
     for a, b in element_pairs:
-        for meta_a, _ in member_of[a]:
-            for meta_b, _ in member_of[b]:
+        for meta_a, _ in index.producers[a]:
+            for meta_b, _ in index.producers[b]:
                 connect(RuleRef(meta_a, True), RuleRef(meta_b, True))
 
     return index
 
-
-def _content_clash(x: Rule, y: Rule) -> bool:
-    """Cautious positive-pair clash, antecedent equality already established."""
-    if (
-        len(x.consequent) == 1
-        and len(y.consequent) == 1
-        and x.arrow is y.arrow
-        and (x.mode is y.mode or {x.mode, y.mode} == {Mode.O, Mode.P})
-        and _elements_complementary(x.consequent[0], y.consequent[0])
-    ):
-        return True
-    return _obligation_chains_clash_same_antecedent(x, y)
-
-
-def _obligation_chains_clash_same_antecedent(x: Rule, y: Rule) -> bool:
-    if not (
-        x.mode is Mode.O
-        and y.mode is Mode.O
-        and x.arrow is Arrow.DEFEASIBLE
-        and y.arrow is Arrow.DEFEASIBLE
-    ):
-        return False
-    cx, cy = x.consequent, y.consequent
-    for i in range(min(len(cx), len(cy))):
-        if _elements_complementary(cx[i], cy[i]):
-            return True
-        if not _elements_equal(cx[i], cy[i]):
-            return False
-    return len(cx) != len(cy)

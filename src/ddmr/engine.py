@@ -25,23 +25,25 @@ iteration order.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 
 from .conflicts import ConflictIndex, Variant, build_conflict_index
 from .model import (
-    Arrow,
     DeonticRuleExpression,
     Extension,
     Literal,
     ModalLiteral,
     Mode,
-    Rule,
     RuleExpression,
     RuleRef,
     Sign,
     TaggedFormula,
     Theory,
+    concluded_labels,
+    content_key,
     herbrand_base,
+    item_key,
     validate,
 )
 
@@ -113,16 +115,14 @@ class EngineState:
         self.sup = t.superiority
         self.facts = t.facts
 
-        for subject in herbrand_base(t):
-            if isinstance(subject, RuleExpression):
-                subject = RuleRef(subject.rule.label, subject.positive)
+        for subject in map(_normalize, herbrand_base(t)):
             for mode in Mode:
                 self.mhb.add((mode, subject))
 
         for label, rule in self.by_label.items():
             self.live_ants[label] = set(rule.antecedent)
             for item in rule.antecedent:
-                self.item_index.setdefault(_item_watch_key(item), []).append(
+                self.item_index.setdefault(item_key(item), []).append(
                     (label, item)
                 )
             if rule.mode is Mode.O:
@@ -139,7 +139,7 @@ class EngineState:
             if label not in self.top and label not in produced:
                 continue  # appears only inside antecedents; can never take effect
             for pos, elem in enumerate(rule.consequent, start=1):
-                subject = _element_subject(elem)
+                subject = _normalize(elem)
                 self.supports.setdefault((rule.mode, subject), set()).add((label, pos))
 
         top_refs = {RuleRef(lab, True) for lab in self.top}
@@ -156,8 +156,6 @@ class EngineState:
             self.iterations += 1
             batch = sorted(self.dirty & self.mhb, key=_subject_sort_key)
             if self.order_seed is not None:
-                import random
-
                 random.Random(self.order_seed + self.iterations).shuffle(batch)
             self.dirty.clear()
             for mode, subject in batch:
@@ -173,13 +171,7 @@ class EngineState:
                         self.deps.setdefault(label, set()).add((mode, subject))
 
     def extension(self) -> Extension:
-        ext = Extension()
-        for (mode, lit), positive in self.lit_tags.items():
-            ext.literals[(Sign.PLUS if positive else Sign.MINUS, mode)].add(lit)
-        for (mode, ref), positive in self.rule_tags.items():
-            ext.rules[(Sign.PLUS if positive else Sign.MINUS, mode)].add(ref)
-        ext.undetermined = set(self.mhb)
-        return ext
+        return Extension.from_tags(self.lit_tags, self.rule_tags, self.mhb)
 
     # ------------------------------------------------------------ rule state
 
@@ -215,17 +207,11 @@ class EngineState:
 
     def _fallback_stronger(self, a: str, b: str) -> bool:
         """Superiority inherited from the rules two meta-rules conclude."""
-        for u in self._concluded(a):
-            for v in self._concluded(b):
+        for u in concluded_labels(self.by_label[a]):
+            for v in concluded_labels(self.by_label[b]):
                 if (u, v) in self.sup:
                     return True
         return False
-
-    def _concluded(self, label: str):
-        return [
-            self.by_label[label].consequent[pos - 1].rule.label
-            for pos in self.expr_positions[label]
-        ]
 
     # -------------------------------------------------------------- decisions
 
@@ -345,24 +331,18 @@ class EngineState:
             return False
         if self.variant is Variant.SIMPLE:
             return all(
-                self._settled(mode, ref.label, glabel, self._defeated_simple(mode, ref, glabel, gref))
+                self._defeated_simple(mode, ref, glabel, gref)
                 for glabel, gref, gpos in self._rule_attackers_simple(mode, ref)
                 if self._not_discarded(glabel, gpos)
             )
         return any(
             all(
-                self._settled(mode, ref.label, glabel, self._defeated_cautious(mode, glabel))
+                self._defeated_cautious(mode, glabel)
                 for glabel in self._rule_attackers_cautious(mode, wlabel)
                 if self._attacker_alive(glabel)
             )
             for wlabel, wpos in witnesses
         )
-
-    def _settled(self, mode: Mode, subject_label: str, glabel: str, defeated: bool) -> bool:
-        if defeated:
-            # applicability and superiority never retract, so defeats are final
-            self.index.infd[(mode, subject_label)].add(glabel)
-        return defeated
 
     def _refutable_rule(self, mode: Mode, ref: RuleRef, supporters) -> bool:
         if self.variant is Variant.SIMPLE:
@@ -422,10 +402,7 @@ class EngineState:
     def _simple_defenders(self, mode: Mode, ref: RuleRef, attacked_label: str):
         """Conclusions with the subject's content and polarity, named after
         the subject or after the attacking expression."""
-        rule = self.by_label[ref.label]
-        from .model import content_key
-
-        key = (content_key(rule), ref.positive)
+        key = (content_key(self.by_label[ref.label]), ref.positive)
         for zlabel, elem_label, zpos in self.index.by_content.get(key, ()):
             if elem_label in (ref.label, attacked_label) and self.by_label[
                 zlabel
@@ -491,13 +468,13 @@ class EngineState:
 
         satisfied, falsified = _moved_items(mode, subject, positive, self.by_label)
         for item in satisfied:
-            for label, original in self.item_index.get(_item_watch_key(item), ()):
+            for label, original in self.item_index.get(item_key(item), ()):
                 if original == item and original in self.live_ants[label]:
                     self.live_ants[label].discard(original)
                     if not self.live_ants[label]:
                         self._mark_rule(label)
         for item in falsified:
-            for label, original in self.item_index.get(_item_watch_key(item), ()):
+            for label, original in self.item_index.get(item_key(item), ()):
                 if original == item and label not in self.dead:
                     self._kill(label)
 
@@ -519,7 +496,7 @@ class EngineState:
         self.dead.add(label)
         rule = self.by_label[label]
         for pos, elem in enumerate(rule.consequent, start=1):
-            self.supports.get((rule.mode, _element_subject(elem)), set()).discard(
+            self.supports.get((rule.mode, _normalize(elem)), set()).discard(
                 (label, pos)
             )
         self._mark_rule(label)
@@ -555,22 +532,10 @@ class EngineState:
         rule = self.by_label[label]
         for k in range(pos + 1, len(rule.consequent) + 1):
             elem = rule.consequent[k - 1]
-            self.supports.get((rule.mode, _element_subject(elem)), set()).discard(
+            self.supports.get((rule.mode, _normalize(elem)), set()).discard(
                 (label, k)
             )
         self._mark_rule(label)
-
-
-def _element_subject(elem):
-    if isinstance(elem, Literal):
-        return elem
-    return RuleRef(elem.rule.label, elem.positive)
-
-
-def _item_watch_key(item):
-    from .model import _item_key
-
-    return _item_key(item)
 
 
 def _moved_items(mode: Mode, subject, positive: bool, by_label):
@@ -639,8 +604,9 @@ def query(theory: Theory, variant: Variant, formula: TaggedFormula, extension: E
 
 
 def _normalize(subject):
+    """A literal or rule expression as a derivation subject."""
     if isinstance(subject, RuleExpression):
-        return RuleRef(subject.rule.label, subject.positive)
+        return subject.ref
     return subject
 
 

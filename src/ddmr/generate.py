@@ -30,6 +30,7 @@ from .model import (
     Rule,
     RuleExpression,
     Theory,
+    _has_cycle,
     extended_superiority,
     theory_size,
     validate,
@@ -294,18 +295,12 @@ class _RandomBuilder:
             if self.acyclic and labels.index(a) >= labels.index(b):
                 a, b = b, a
             candidate = pairs | {(a, b)}
-            if self.acyclic and _cyclic(
+            if self.acyclic and _has_cycle(
                 extended_superiority(Theory.build(facts, rules, candidate))
             ):
                 continue
             pairs = candidate
         return Theory.build(facts, rules, pairs)
-
-
-def _cyclic(pairs) -> bool:
-    from .model import _has_cycle
-
-    return _has_cycle(pairs)
 
 
 def random_theory(seed: int, size: int, acyclic: bool = False) -> Theory:

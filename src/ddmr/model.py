@@ -104,6 +104,11 @@ class RuleExpression:
     def label(self) -> str:
         return self.rule.label
 
+    @property
+    def ref(self) -> "RuleRef":
+        """The expression by name, as a derivation subject."""
+        return RuleRef(self.rule.label, self.positive)
+
     def __str__(self) -> str:
         neg = "" if self.positive else "~"
         return f"{neg}({self.rule})"
@@ -201,14 +206,15 @@ def content_key(rule: Rule):
     the rules they mention are the same rules, not merely lookalikes.
     """
     return (
-        frozenset(_item_key(i) for i in rule.antecedent),
+        frozenset(item_key(i) for i in rule.antecedent),
         rule.arrow,
         rule.mode,
         tuple(_element_key(e) for e in rule.consequent),
     )
 
 
-def _item_key(item: AntecedentItem):
+def item_key(item: AntecedentItem):
+    """Hashable canonical form of an antecedent item; nested rules by content."""
     if isinstance(item, Literal):
         return ("lit", item.atom, item.positive)
     if isinstance(item, ModalLiteral):
@@ -433,14 +439,14 @@ class Extension:
     def negative_rules(self, mode: Mode):
         return self.rules[(Sign.MINUS, mode)]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Extension):
-            return NotImplemented
-        return (
-            self.literals == other.literals
-            and self.rules == other.rules
-            and self.undetermined == other.undetermined
-        )
+    @classmethod
+    def from_tags(cls, lit_tags: dict, rule_tags: dict, undetermined) -> "Extension":
+        """Sort (mode, subject) -> sign stores (True for +) into tag sets."""
+        ext = cls(undetermined=set(undetermined))
+        for table, tags in ((ext.literals, lit_tags), (ext.rules, rule_tags)):
+            for (mode, subject), positive in tags.items():
+                table[(Sign.PLUS if positive else Sign.MINUS, mode)].add(subject)
+        return ext
 
 
 def _has_cycle(pairs) -> bool:

@@ -70,13 +70,9 @@ def _item_condition(item):
     if isinstance(item, ModalLiteral):
         return (item.mode, item.inner, not item.negated)
     if isinstance(item, RuleExpression):
-        return (Mode.C, RuleRef(item.rule.label, item.positive), True)
+        return (Mode.C, item.ref, True)
     if isinstance(item, DeonticRuleExpression):
-        return (
-            item.mode,
-            RuleRef(item.expr.rule.label, item.expr.positive),
-            not item.negated,
-        )
+        return (item.mode, item.expr.ref, not item.negated)
     raise TypeError(repr(item))
 
 
@@ -100,7 +96,7 @@ def applicable(theory: Theory, store: TagStore, rule: Rule, index: int = 1) -> b
             ):
                 return False
         else:
-            ref = RuleRef(elem.rule.label, elem.positive)
+            ref = elem.ref
             if not (store.holds(Mode.O, ref, True) and store.holds(Mode.C, ref, False)):
                 return False
     return True
@@ -124,7 +120,7 @@ def discarded(theory: Theory, store: TagStore, rule: Rule, index: int = 1) -> bo
             ):
                 return True
         else:
-            ref = RuleRef(elem.rule.label, elem.positive)
+            ref = elem.ref
             if store.holds(Mode.O, ref, False) or store.holds(Mode.C, ref, True):
                 return True
     return False
@@ -396,7 +392,7 @@ def step(theory: Theory, store: TagStore, variant: Variant) -> TagStore:
     out = TagStore(dict(store.lit), dict(store.rule))
     for subject in sorted(herbrand_base(theory), key=str):
         if isinstance(subject, RuleExpression):
-            subject = RuleRef(subject.rule.label, subject.positive)
+            subject = subject.ref
         for mode in Mode:
             if store.get(mode, subject) is not None:
                 continue
@@ -429,18 +425,14 @@ def oracle_extension(
             break
         store = nxt
 
-    ext = Extension()
-    for (mode, lit), positive in store.lit.items():
-        ext.literals[(Sign.PLUS if positive else Sign.MINUS, mode)].add(lit)
-    for (mode, ref), positive in store.rule.items():
-        ext.rules[(Sign.PLUS if positive else Sign.MINUS, mode)].add(ref)
+    undetermined = set()
     for subject in herbrand_base(theory):
         if isinstance(subject, RuleExpression):
-            subject = RuleRef(subject.rule.label, subject.positive)
+            subject = subject.ref
         for mode in Mode:
             if store.get(mode, subject) is None:
-                ext.undetermined.add((mode, subject))
-    return ext
+                undetermined.add((mode, subject))
+    return Extension.from_tags(store.lit, store.rule, undetermined)
 
 
 def check_equivalence(

@@ -23,7 +23,6 @@ from ddmr.model import (
     RuleRef,
     Theory,
 )
-from ddmr.text import parse_theory
 
 from .conftest import load_fixture
 from .strategies import any_rules
@@ -182,33 +181,47 @@ def test_chain_internal_clash_makes_a_rule_self_conflicting():
     assert cautiously_conflicts(m, m)
 
 
+def _rules_of_modes(index, by_label, label, modes) -> set:
+    """Rules clashing with ``label`` whose mode is one of ``modes``."""
+    return {g for g in index.rule_level(label) if by_label[g].mode in modes}
+
+
+def _producer_labels(index, label) -> set:
+    return {who for who, _ in index.producers[RuleRef(label)]}
+
+
 def test_index_no_meta_rules_is_empty():
     theory = load_fixture("example1")
     for variant in Variant:
         index = build_conflict_index(theory, variant)
         for label in theory.rules_by_label():
-            assert index.meta_producers(label) == set()
-            for mode in Mode:
-                assert index.opp(label, mode) == set()
-                assert index.supp(label, mode) == set()
-                assert index.infd[(mode, label)] == set()
+            assert _producer_labels(index, label) == set()
+            assert index.rule_level(label) == set()
 
 
 def test_index_execution2_opposition_and_support():
     theory = load_fixture("execution2")
+    by_label = theory.rules_by_label()
     index = build_conflict_index(theory, Variant.CAUTIOUS)
-    assert index.opp("alpha", Mode.O) == {"beta", "lam"}
-    assert index.supp("alpha", Mode.O) == {"gamma"}
+    opposers = _rules_of_modes(index, by_label, "alpha", (Mode.O, Mode.P))
+    assert opposers == {"beta", "lam"}
+    supporters = {
+        z
+        for g in opposers
+        for z in _rules_of_modes(index, by_label, g, (Mode.O,))
+        if z != "alpha"
+    }
+    assert supporters == {"gamma"}
     simple = build_conflict_index(theory, Variant.SIMPLE)
-    assert "beta" not in simple.opp("alpha", Mode.O)
+    assert "beta" not in _rules_of_modes(simple, by_label, "alpha", (Mode.O, Mode.P))
 
 
-def test_index_meta_producers():
+def test_index_producers_of_rule_expressions():
     theory = load_fixture("execution1")
     index = build_conflict_index(theory, Variant.CAUTIOUS)
-    assert index.meta_producers("gamma") == {"beta"}
-    assert index.meta_producers("kappa") == {"zeta"}
-    assert index.meta_producers("nu") == set()
+    assert _producer_labels(index, "gamma") == {"beta"}
+    assert _producer_labels(index, "kappa") == {"zeta"}
+    assert _producer_labels(index, "nu") == set()
 
 
 @given(st.integers(min_value=0, max_value=100_000))

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from ddmr.bench import loglog_slope, run_benchmarks, to_csv
-from ddmr.cli import main
+from ddmr.cli import EXIT_INTERNAL, main
 from ddmr.conflicts import Variant
 from ddmr.engine import compute_extension
 from ddmr.generate import FAMILIES, generate_theory, random_theory
@@ -216,6 +216,18 @@ def test_cli_oracle_budget_env(tmp_path, capsys, monkeypatch):
         run_cli("extension", str(FIXTURES / "execution1.ddl"), "--oracle")
     assert exc.value.code == 1
     assert "budget" in capsys.readouterr().err
+
+
+def test_cli_internal_error_is_one_line_and_exit_7(capsys, monkeypatch):
+    def broken(theory, variant):
+        raise RuntimeError("planted defect")
+
+    monkeypatch.setattr("ddmr.cli.compute_extension", broken)
+    code = run_cli("extension", str(FIXTURES / "execution1.ddl"))
+    err = capsys.readouterr().err
+    assert code == EXIT_INTERNAL == 7
+    assert err.splitlines() == ["internal error: RuntimeError: planted defect"]
+    assert "Traceback" not in err
 
 
 def test_cli_bench_csv(tmp_path, capsys):

@@ -1,0 +1,51 @@
+"""The benchmark's tracer wraps ddmr's layer boundaries from outside.
+
+``perfbench/spans.py`` replaces module-level names that ddmr looks up at
+call time.  This test keeps those names in place, and looked up at call
+time, so that ``perfbench/run.py --trace 1`` resolves every layer.
+"""
+
+from __future__ import annotations
+
+import sys
+
+import ddmr
+import ddmr.cli
+
+from .conftest import FIXTURES
+
+LAYERS = {
+    "text.parse_theory",
+    "model.validate",
+    "model.extended_superiority",
+    "model.herbrand_base",
+    "conflicts.build_conflict_index",
+    "engine.compute_extension",
+    "engine.run_engine",
+    "engine.prepare",
+    "engine.run",
+    "engine.extension",
+    "oracle.check_equivalence",
+    "oracle.oracle_extension",
+    "oracle.step",
+    "text.render_extension",
+}
+
+
+def test_tracer_wraps_every_layer_and_restores_it(monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(FIXTURES.parent / "perfbench"))
+    monkeypatch.delitem(sys.modules, "spans", raising=False)
+    import spans
+
+    original = ddmr.engine.EngineState.extension
+    tracer = spans.Tracer()
+    tracer.install(ddmr)
+    try:
+        tracer.request = 0
+        argv = ["extension", str(FIXTURES / "execution2.ddl"), "--oracle", "--format", "json"]
+        assert ddmr.cli.main(argv) == 0
+    finally:
+        tracer.request = None
+        tracer.uninstall()
+    assert LAYERS <= {span[0] for span in tracer.spans}
+    assert ddmr.engine.EngineState.extension is original
