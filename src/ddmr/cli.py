@@ -4,7 +4,8 @@ Exit codes are script-friendly and stable:
 
     0  success (for query: Proved)
     1  validation errors
-    2  parse errors / unreadable input
+    2  parse errors / unreadable input (a non-integer DDMR_ORACLE_BUDGET
+       under --oracle included)
     3  query answered Refuted
     4  query answered Undetermined
     5  --oracle cross-check found a mismatch
@@ -59,7 +60,8 @@ def _oracle_budget() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise SystemExit(f"DDMR_ORACLE_BUDGET must be an integer, got {raw!r}")
+        print(f"DDMR_ORACLE_BUDGET must be an integer, got {raw!r}", file=sys.stderr)
+        raise SystemExit(EXIT_PARSE)
 
 
 def _load_theory(path: str):

@@ -34,6 +34,7 @@ from .model import (
     RuleRef,
     Theory,
     content_key,
+    element_key,
     item_key,
 )
 
@@ -41,6 +42,8 @@ from .model import (
 class Variant(enum.Enum):
     SIMPLE = "simple"
     CAUTIOUS = "cautious"
+
+    __hash__ = object.__hash__  # identity, as for the model's enums
 
     def __str__(self) -> str:
         return self.value
@@ -102,18 +105,6 @@ def _recursive_chain_clash(x: Rule, y: Rule, variant: Variant) -> bool:
     )
 
 
-def _elements_equal(x, y) -> bool:
-    if isinstance(x, Literal) and isinstance(y, Literal):
-        return x == y
-    if isinstance(x, RuleExpression) and isinstance(y, RuleExpression):
-        return (
-            x.positive == y.positive
-            and x.rule.label == y.rule.label
-            and content_key(x.rule) == content_key(y.rule)
-        )
-    return False
-
-
 def _elements_complementary(x, y) -> bool:
     if isinstance(x, Literal) and isinstance(y, Literal):
         return x == y.complement()
@@ -145,7 +136,7 @@ def _content_clash(x: Rule, y: Rule) -> bool:
     for i in range(min(len(cx), len(cy))):
         if _elements_complementary(cx[i], cy[i]):
             return True
-        if not _elements_equal(cx[i], cy[i]):
+        if element_key(cx[i]) != element_key(cy[i]):
             return False
     return len(cx) != len(cy)
 
@@ -160,12 +151,14 @@ class ConflictIndex:
     conclude it, with the 1-based position it occupies in the producer's
     chain.  ``by_content`` supports the simple variant's defence lookup:
     rules concluding an element with a given content and polarity.
+    ``content_keys`` holds the ``content_key`` of every rule, by label.
     """
 
     variant: Variant
     conflicting: dict = field(default_factory=dict)  # RuleRef -> set[RuleRef]
     producers: dict = field(default_factory=dict)  # RuleRef -> set[(label, index)]
     by_content: dict = field(default_factory=dict)  # (ckey, positive) -> [(label, elem_label, index)]
+    content_keys: dict = field(default_factory=dict)  # label -> content_key
 
     def rule_level(self, label: str) -> set:
         """Labels of rules conflicting with the positive rule ``label``."""
@@ -177,15 +170,19 @@ class ConflictIndex:
 def build_conflict_index(theory: Theory, variant: Variant) -> ConflictIndex:
     """Precompute the conflict relation and conclusion lookups for a theory.
 
-    Pair generation is bucketed -- by content for negation clashes and by
-    antecedent for content clashes -- so only candidate pairs ever reach the
-    full predicates; meta-rule chain clashes are joined through the element
-    pairs found first.  The outcome matches the pairwise predicates exactly.
+    Pair generation is bucketed so only candidate pairs ever reach the full
+    predicates.  Negation clashes are bucketed by content.  Content clashes
+    are bucketed by antecedent, arrow and head: every shape of
+    ``_content_clash`` needs one arrow and first chain elements that are
+    equal or complementary, so the head key is the atom of a literal and
+    the content of a rule expression (polarity and label aside).  Meta-rule
+    chain clashes are joined through the element pairs found first.  The
+    outcome matches the pairwise predicates exactly.
     """
     index = ConflictIndex(variant)
     by_label = theory.rules_by_label()
     labels = sorted(by_label)
-    ckeys = {label: content_key(by_label[label]) for label in labels}
+    ckeys = index.content_keys = {label: content_key(by_label[label]) for label in labels}
 
     for label in labels:
         index.conflicting[RuleRef(label, True)] = set()
@@ -216,12 +213,19 @@ def build_conflict_index(theory: Theory, variant: Variant) -> ConflictIndex:
             for v in group:
                 connect(RuleRef(u, True), RuleRef(v, False))
 
-    # Cautious content clashes need equal antecedents, so bucket on those.
+    # Cautious content clashes need equal antecedents, one arrow and first
+    # elements that are equal or complementary, so bucket on those.
     if variant is Variant.CAUTIOUS:
-        ant_groups: dict = {}
+        clash_groups: dict = {}
         for label in labels:
-            ant_groups.setdefault(_antecedent_key(by_label[label]), []).append(label)
-        for group in ant_groups.values():
+            rule = by_label[label]
+            head = rule.consequent[0]
+            head_key = (
+                (head.atom,) if isinstance(head, Literal) else ckeys[head.rule.label]
+            )
+            key = (_antecedent_key(rule), rule.arrow, head_key)
+            clash_groups.setdefault(key, []).append(label)
+        for group in clash_groups.values():
             for i, u in enumerate(group):
                 for v in group[i + 1 :]:
                     if _content_clash(by_label[u], by_label[v]):

@@ -14,7 +14,10 @@ Every decision simplifies the theory in place: proved items vanish from
 antecedents, rules whose antecedents turned false are deleted together
 with their entries in all indexes, and obligation chains record, per
 position, whether the obligation is in force and whether it was violated,
-which is what lets a chain hand over to its reparation.
+which is what lets a chain hand over to its reparation.  Each antecedent
+item is filed under the (mode, subject) whose decision settles it, with
+the sign that satisfies it, so a decision finds the items it settles in
+one lookup.
 
 A subject never decided by the fixpoint is reported as undetermined; loops
 such as ``x => C x`` are the typical cause.  The engine never decides a
@@ -30,7 +33,6 @@ from dataclasses import dataclass, field
 
 from .conflicts import ConflictIndex, Variant, build_conflict_index
 from .model import (
-    DeonticRuleExpression,
     Extension,
     Literal,
     ModalLiteral,
@@ -41,9 +43,7 @@ from .model import (
     TaggedFormula,
     Theory,
     concluded_labels,
-    content_key,
     herbrand_base,
-    item_key,
     validate,
 )
 
@@ -79,6 +79,9 @@ class EngineState:
     keeps, per obligation rule, the in-force and violated verdicts for
     each chain position (None until decided).  ``lit_tags``/``rule_tags``
     collect the decisions; ``mhb`` shrinks in lock step with them.
+    ``live_ants`` counts each rule's antecedent items not yet satisfied:
+    in a valid theory the items of one rule have distinct ``_watch_key``s
+    and every subject is decided once, so no item is counted off twice.
     """
 
     theory: Theory
@@ -91,8 +94,8 @@ class EngineState:
     mhb: set = field(default_factory=set)
     lit_tags: dict = field(default_factory=dict)
     rule_tags: dict = field(default_factory=dict)
-    live_ants: dict = field(default_factory=dict)
-    item_index: dict = field(default_factory=dict)
+    live_ants: dict = field(default_factory=dict)  # label -> unsatisfied item count
+    watch: dict = field(default_factory=dict)  # (mode, subject) -> [(label, satisfying sign)]
     dead: set = field(default_factory=set)
     effective: set = field(default_factory=set)
     supports: dict = field(default_factory=dict)
@@ -120,11 +123,10 @@ class EngineState:
                 self.mhb.add((mode, subject))
 
         for label, rule in self.by_label.items():
-            self.live_ants[label] = set(rule.antecedent)
+            self.live_ants[label] = len(rule.antecedent)
             for item in rule.antecedent:
-                self.item_index.setdefault(item_key(item), []).append(
-                    (label, item)
-                )
+                decision, positive = _watch_key(item)
+                self.watch.setdefault(decision, []).append((label, positive))
             if rule.mode is Mode.O:
                 n = len(rule.consequent)
                 self.matrix[label] = [[None] * n, [None] * n]
@@ -244,8 +246,8 @@ class EngineState:
             return False
         return None
 
-    def _entries(self, mode: Mode, subject) -> list:
-        entries = sorted(self.supports.get((mode, subject), ()))
+    def _entries(self, mode: Mode, subject) -> tuple:
+        entries = tuple(self.supports.get((mode, subject), ()))
         self._touched.update(label for label, _ in entries)
         return entries
 
@@ -402,7 +404,7 @@ class EngineState:
     def _simple_defenders(self, mode: Mode, ref: RuleRef, attacked_label: str):
         """Conclusions with the subject's content and polarity, named after
         the subject or after the attacking expression."""
-        key = (content_key(self.by_label[ref.label]), ref.positive)
+        key = (self.index.content_keys[ref.label], ref.positive)
         for zlabel, elem_label, zpos in self.index.by_content.get(key, ()):
             if elem_label in (ref.label, attacked_label) and self.by_label[
                 zlabel
@@ -466,17 +468,13 @@ class EngineState:
         if mode is Mode.O:
             self.dirty.add((Mode.P, subject))
 
-        satisfied, falsified = _moved_items(mode, subject, positive, self.by_label)
-        for item in satisfied:
-            for label, original in self.item_index.get(item_key(item), ()):
-                if original == item and original in self.live_ants[label]:
-                    self.live_ants[label].discard(original)
-                    if not self.live_ants[label]:
-                        self._mark_rule(label)
-        for item in falsified:
-            for label, original in self.item_index.get(item_key(item), ()):
-                if original == item and label not in self.dead:
-                    self._kill(label)
+        for label, satisfied_by in self.watch.get(key, ()):
+            if satisfied_by != positive:
+                self._kill(label)
+            else:
+                self.live_ants[label] -= 1
+                if not self.live_ants[label]:
+                    self._mark_rule(label)
 
         if isinstance(subject, RuleRef) and subject.positive and mode is Mode.C:
             if positive:
@@ -519,7 +517,7 @@ class EngineState:
                 self._set_cells(Mode.O, subject, 1, not positive)
 
     def _set_cells(self, mode: Mode, subject, row: int, value: bool) -> None:
-        for label, pos in sorted(self.supports.get((mode, subject), ())):
+        for label, pos in tuple(self.supports.get((mode, subject), ())):
             cells = self.matrix.get(label)
             if cells is None or cells[row][pos - 1] is not None:
                 continue
@@ -538,21 +536,19 @@ class EngineState:
         self._mark_rule(label)
 
 
-def _moved_items(mode: Mode, subject, positive: bool, by_label):
-    """Antecedent items settled by a decision: (satisfied, falsified)."""
-    if isinstance(subject, Literal):
-        if mode is Mode.C:
-            return ([subject], []) if positive else ([], [subject])
-        plain = ModalLiteral(mode, subject, False)
-        negated = ModalLiteral(mode, subject, True)
-        return ([plain], [negated]) if positive else ([negated], [plain])
-    rule = by_label[subject.label]
-    expr = RuleExpression(rule, subject.positive)
-    if mode is Mode.C:
-        return ([expr], []) if positive else ([], [expr])
-    plain = DeonticRuleExpression(mode, expr, False)
-    negated = DeonticRuleExpression(mode, expr, True)
-    return ([plain], [negated]) if positive else ([negated], [plain])
+def _watch_key(item):
+    """The decision that settles an antecedent item, and the sign satisfying it.
+
+    Returns ((mode, subject), positive): the item holds once the subject is
+    decided with that sign under that mode, and fails on the other sign.
+    """
+    if isinstance(item, Literal):
+        return (Mode.C, item), True
+    if isinstance(item, ModalLiteral):
+        return (item.mode, item.inner), not item.negated
+    if isinstance(item, RuleExpression):
+        return (Mode.C, item.ref), True
+    return (item.mode, item.expr.ref), not item.negated
 
 
 def run_engine(

@@ -32,6 +32,7 @@ from .model import (
     Theory,
     _has_cycle,
     extended_superiority,
+    rule_size,
     theory_size,
     validate,
 )
@@ -86,30 +87,28 @@ def _team(size: int, seed: int) -> Theory:
     rng = random.Random(seed)
     facts, rules, sup = [], [], []
     block = 0
+    achieved = 0  # theory_size of what is built so far; facts are all distinct
     # a block: k supporters against k opposers of one contested literal, one
     # fact per rule, pairwise superiority favouring the supporting team
-    while True:
-        achieved = theory_size(Theory.build(facts, rules, sup))
-        if achieved >= size * 0.9:
-            break
+    while achieved < size * 0.9:
         members = min(rng.choice((1, 2, 3)), max(1, (size - achieved) // 10))
         lit = Literal(f"l{block}")
         for i in range(members):
             pro, con = Literal(f"p{block}_{i}"), Literal(f"c{block}_{i}")
             facts += [pro, con]
-            rules.append(
-                Rule(f"for{block}_{i}", frozenset([pro]), Arrow.DEFEASIBLE, Mode.C, (lit,))
-            )
-            rules.append(
+            pair = (
+                Rule(f"for{block}_{i}", frozenset([pro]), Arrow.DEFEASIBLE, Mode.C, (lit,)),
                 Rule(
                     f"against{block}_{i}",
                     frozenset([con]),
                     Arrow.DEFEASIBLE,
                     Mode.C,
                     (lit.complement(),),
-                )
+                ),
             )
+            rules.extend(pair)
             sup.append((f"for{block}_{i}", f"against{block}_{i}"))
+            achieved += 2 + sum(map(rule_size, pair)) + 2  # facts, rules, pair
         block += 1
     return Theory.build(facts, rules, sup)
 
@@ -119,12 +118,10 @@ def _meta_chain(size: int) -> Theory:
         return Theory.build()
     facts = [Literal("b0")]
     rules = []
+    achieved = len(facts)  # theory_size of what is built so far
     i = 0
     # each link: a meta-rule deriving the rule that produces the next literal
-    while (
-        theory_size(Theory.build(facts, rules)) < 0.9 * size
-        and theory_size(Theory.build(facts, rules)) + 5 <= 1.1 * size
-    ):
+    while achieved < 0.9 * size and achieved + 5 <= 1.1 * size:
         i += 1
         inner = Rule(
             f"s{i}",
@@ -142,6 +139,7 @@ def _meta_chain(size: int) -> Theory:
                 (RuleExpression(inner, True),),
             )
         )
+        achieved += rule_size(rules[-1])
     return Theory.build(facts, rules)
 
 
@@ -262,23 +260,23 @@ class _RandomBuilder:
         lo, hi = 0.9 * self.size, 1.1 * self.size
 
         achieved = 0
+        rules_size = 0  # sum of rule_size over rules
         stalls = 0
         while achieved < lo and stalls < 50:
             roll = rng.random()
             if roll < 0.25:
                 added_fact = self.literal()
                 facts.add(added_fact)
-            elif roll < 0.62:
-                rules.append(self.standard_rule())
             else:
-                rules.append(self.meta_rule())
-            new_size = theory_size(Theory.build(facts, rules))
+                rules.append(self.standard_rule() if roll < 0.62 else self.meta_rule())
+                rules_size += rule_size(rules[-1])
+            new_size = len(facts) + rules_size
             if new_size > hi:
                 # undo the overshooting step and retry with something smaller
                 if roll < 0.25:
                     facts.discard(added_fact)
                 else:
-                    rules.pop()
+                    rules_size -= rule_size(rules.pop())
                 stalls += 1
                 continue
             achieved = new_size

@@ -34,6 +34,10 @@ class Mode(enum.Enum):
     O = "O"
     P = "P"
 
+    # Members are singletons compared by identity; the identity hash runs in
+    # C, where Enum's own hashes the member name in Python.
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:
         return self.value
 
@@ -44,6 +48,8 @@ DEONTIC_MODES = (Mode.O, Mode.P)
 class Arrow(enum.Enum):
     DEFEASIBLE = "=>"
     DEFEATER = "~>"
+
+    __hash__ = object.__hash__  # see Mode
 
     def __str__(self) -> str:
         return self.value
@@ -209,7 +215,7 @@ def content_key(rule: Rule):
         frozenset(item_key(i) for i in rule.antecedent),
         rule.arrow,
         rule.mode,
-        tuple(_element_key(e) for e in rule.consequent),
+        tuple(element_key(e) for e in rule.consequent),
     )
 
 
@@ -233,7 +239,8 @@ def item_key(item: AntecedentItem):
     raise TypeError(f"not an antecedent item: {item!r}")
 
 
-def _element_key(elem: ChainElement):
+def element_key(elem: ChainElement):
+    """Hashable canonical form of a chain element; nested rules by label and content."""
     if isinstance(elem, Literal):
         return ("lit", elem.atom, elem.positive)
     if isinstance(elem, RuleExpression):
@@ -300,13 +307,14 @@ def _rule_occurrences(rule: Rule) -> int:
     return n
 
 
+def rule_size(rule: Rule) -> int:
+    """A top-level rule's share of ``theory_size``: its literal and rule occurrences."""
+    return sum(1 for _ in _literal_occurrences(rule)) + _rule_occurrences(rule)
+
+
 def theory_size(t: Theory) -> int:
     """Occurrences of literals, plus occurrences of rules, plus 2 per superiority pair."""
-    n = len(t.facts)
-    for rule in t.rules:
-        n += sum(1 for _ in _literal_occurrences(rule))
-        n += _rule_occurrences(rule)
-    return n + 2 * len(t.superiority)
+    return len(t.facts) + sum(map(rule_size, t.rules)) + 2 * len(t.superiority)
 
 
 def herbrand_base(t: Theory):
@@ -348,24 +356,34 @@ def extended_superiority(t: Theory):
 
     When two rules conclude rule expressions whose embedded labels are
     ordered by the superiority relation, the concluding rules inherit that
-    ordering unless the relation already speaks about them.
+    ordering.  Inheritance is one step from ``t.superiority``: inherited
+    pairs are not inherited again.  On a theory that validates this is the
+    whole closure, since a concluded rule is never a meta-rule and so never
+    takes part in an inherited pair.
+
+    Rules are indexed by the labels they conclude and superiority pairs by
+    their winner, so the cost is linear in the theory plus the pairs added.
     """
     sup = set(t.superiority)
-    rules = [r for r in t.rules_by_label().values() if concluded_labels(r)]
-    for a in rules:
-        for b in rules:
-            if a.label == b.label or (a.label, b.label) in sup:
-                continue
-            for u in concluded_labels(a):
-                if any((u, v) in sup for v in concluded_labels(b)):
-                    sup.add((a.label, b.label))
-                    break
+    concluders: dict = {}  # concluded label -> labels of the rules concluding it
+    for rule in t.rules_by_label().values():
+        for u in concluded_labels(rule):
+            concluders.setdefault(u, set()).add(rule.label)
+    beats: dict = {}  # label -> labels it is superior to
+    for u, v in t.superiority:
+        beats.setdefault(u, []).append(v)
+    for u, winners in concluders.items():
+        for v in beats.get(u, ()):
+            for b in concluders.get(v, ()):
+                sup.update((a, b) for a in winners if a != b)
     return sup
 
 
 class Sign(enum.Enum):
     PLUS = "+"
     MINUS = "-"
+
+    __hash__ = object.__hash__  # see Mode
 
     def __str__(self) -> str:
         return self.value
@@ -493,7 +511,7 @@ def validate(t: Theory) -> ValidationReport:
                 f"label {rule.label} is used for two rules with different content"
             )
         seen[rule.label] = key
-        if len(set(_element_key(e) for e in rule.consequent)) != len(rule.consequent):
+        if len(set(element_key(e) for e in rule.consequent)) != len(rule.consequent):
             report.errors.append(f"rule {rule.label}: duplicate chain elements")
         for nested in rule.nested_rules():
             if nested.is_meta():

@@ -224,14 +224,11 @@ def test_index_producers_of_rule_expressions():
     assert _producer_labels(index, "nu") == set()
 
 
-@given(st.integers(min_value=0, max_value=100_000))
-@settings(max_examples=60, deadline=None)
-def test_index_matches_pairwise_predicates(seed):
-    theory = random_theory(seed, 40)
+def _assert_index_matches_pairwise(theory):
     by_label = theory.rules_by_label()
+    labels = sorted(by_label)
     for variant in Variant:
         index = build_conflict_index(theory, variant)
-        labels = sorted(by_label)
         for la in labels:
             for lb in labels:
                 for pa in (True, False):
@@ -243,6 +240,68 @@ def test_index_matches_pairwise_predicates(seed):
                         )
                         got = RuleRef(lb, pb) in index.conflicting[RuleRef(la, pa)]
                         assert got == expected, (variant, la, pa, lb, pb)
+
+
+@given(st.integers(min_value=0, max_value=100_000))
+@settings(max_examples=60, deadline=None)
+def test_index_matches_pairwise_predicates(seed):
+    _assert_index_matches_pairwise(random_theory(seed, 40))
+
+
+def test_index_matches_pairwise_predicates_at_bucket_edges():
+    # The cautious index buckets rules by antecedent, arrow and head (atom
+    # of a literal, content of a rule expression); each group below sits on
+    # one edge of that key.
+    inner = rule("s1", [c], Mode.C, [d])
+    twin = rule("t1", [c], Mode.C, [d])  # content twin of s1 under another label
+    pos, neg_twin = RuleExpression(inner, True), neg(twin)
+    rules = [
+        # same antecedent and head atom, different arrows
+        rule("arrow1", [a], Mode.O, [b]),
+        rule("arrow2", [a], Mode.O, [nb], arrow=Arrow.DEFEATER),
+        rule("arrow3", [a], Mode.P, [nb]),
+        # rule-expression heads that are content twins under different labels
+        rule("rex1", [b], Mode.C, [pos]),
+        rule("rex2", [b], Mode.C, [neg_twin]),
+        rule("rex3", [b], Mode.O, [RuleExpression(twin, True), c]),
+        rule("rex4", [b], Mode.O, [pos, c.complement()]),
+        rule("rex5", [b], Mode.O, [pos, c]),
+        # chains with equal, complementary and unrelated first elements
+        rule("chain1", [d], Mode.O, [b, c]),
+        rule("chain2", [d], Mode.O, [b, c.complement()]),
+        rule("chain3", [d], Mode.O, [nb, c]),
+        rule("chain4", [d], Mode.O, [c, b]),
+        rule("chain5", [d], Mode.O, [b]),
+        # a literal head and a rule-expression head under one antecedent
+        rule("mixed1", [c], Mode.O, [d]),
+        rule("mixed2", [c], Mode.O, [pos]),
+    ]
+    theory = Theory.build([], rules)
+    _assert_index_matches_pairwise(theory)
+    cautious = build_conflict_index(theory, Variant.CAUTIOUS)
+    clashes = {
+        frozenset((r.label, y)) for r in rules for y in cautious.rule_level(r.label)
+    }
+    assert clashes == {
+        frozenset(p)
+        for p in (
+            ("arrow1", "arrow3"),
+            ("rex1", "rex2"),
+            ("rex4", "rex5"),
+            # rex2's head negates the content every other rex head carries,
+            # so it clashes through the chains whatever the antecedent
+            ("rex2", "rex3"),
+            ("rex2", "rex4"),
+            ("rex2", "rex5"),
+            ("rex2", "mixed2"),
+            ("chain1", "chain2"),
+            ("chain1", "chain3"),
+            ("chain2", "chain3"),
+            ("chain1", "chain5"),
+            ("chain2", "chain5"),
+            ("chain3", "chain5"),
+        )
+    }
 
 
 def test_index_independent_of_rule_order():

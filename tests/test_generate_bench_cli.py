@@ -216,6 +216,14 @@ def test_cli_oracle_budget_env(tmp_path, capsys, monkeypatch):
         run_cli("extension", str(FIXTURES / "execution1.ddl"), "--oracle")
     assert exc.value.code == 1
     assert "budget" in capsys.readouterr().err
+    monkeypatch.setenv("DDMR_ORACLE_BUDGET", "x")
+    path = str(FIXTURES / "example1.ddl")
+    for args in (("extension", path), ("query", path, "+dO a")):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*args, "--oracle")
+        assert exc.value.code == 2, args
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["DDMR_ORACLE_BUDGET must be an integer, got 'x'"]
 
 
 def test_cli_internal_error_is_one_line_and_exit_7(capsys, monkeypatch):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ddmr.generate import generate_theory, random_theory
 from ddmr.model import (
     Arrow,
     Literal,
@@ -14,6 +15,7 @@ from ddmr.model import (
     RuleRef,
     Theory,
     complement,
+    concluded_labels,
     content_equal,
     extended_superiority,
     herbrand_base,
@@ -25,7 +27,7 @@ from ddmr.text import parse_theory
 
 from .strategies import any_rules, literals, modal_literals, rule_expressions
 
-from .conftest import load_fixture
+from .conftest import FIXTURES, load_fixture
 
 
 def rule(label, items, mode, chain, arrow=Arrow.DEFEASIBLE):
@@ -149,6 +151,38 @@ def test_extended_superiority_inherits_from_concluded_rules():
     assert ("beta2", "alpha2") in extra
     # the inherited pairs close a cycle with alpha1 > beta1
     assert ("alpha1", "beta1") in extended_superiority(theory)
+
+
+def _pairwise_extended_superiority(t):
+    """The all-pairs definition of extended superiority, as a reference."""
+    sup = set(t.superiority)
+    rules = [r for r in t.rules_by_label().values() if concluded_labels(r)]
+    for x in rules:
+        for y in rules:
+            if x.label == y.label or (x.label, y.label) in sup:
+                continue
+            for u in concluded_labels(x):
+                if any((u, v) in sup for v in concluded_labels(y)):
+                    sup.add((x.label, y.label))
+                    break
+    return sup
+
+
+def test_extended_superiority_matches_pairwise_definition():
+    theories = [load_fixture(path.stem) for path in sorted(FIXTURES.glob("*.ddl"))]
+    theories += [generate_theory("meta-chain", size) for size in (50, 400)]
+    theories += [
+        random_theory(seed, size, acyclic=acyclic)
+        for seed in range(25)
+        for size in (60, 300)
+        for acyclic in (False, True)
+    ]
+    inherited = 0
+    for theory in theories:
+        expected = _pairwise_extended_superiority(theory)
+        assert extended_superiority(theory) == expected
+        inherited += len(expected - theory.superiority)
+    assert inherited  # the sample exercises inheritance, not just copying
 
 
 def test_extended_superiority_is_superset():
