@@ -19,6 +19,18 @@ item is filed under the (mode, subject) whose decision settles it, with
 the sign that satisfies it, so a decision finds the items it settles in
 one lookup.
 
+``prepare`` compiles the theory to integer ids and the fixpoint runs on
+those alone.  Rules are numbered in label order.  The Herbrand base is
+sorted by (kind, name, polarity): literals before rule references, then
+by atom or label, the positive one first.  So ``base[2k]`` is positive,
+``base[2k + 1]`` is its complement, complementing a base index is
+``b ^ 1``, and the rule with id ``r`` sits at ``n_lits + 2r`` (positive)
+and ``n_lits + 2r + 1`` (negated).  The (mode, subject) pair with base
+index ``b`` has the subject id ``3b + m``, with ``m`` 0, 1, 2 for C, O, P,
+so ids sort exactly as the pairs do: literals before rules, then name,
+positive first, then C/O/P.  ``extension`` decodes ids to literals and
+rule references once, at the end.
+
 A subject never decided by the fixpoint is reported as undetermined; loops
 such as ``x => C x`` are the typical cause.  The engine never decides a
 subject twice, so the result is coherent by construction, and decisions
@@ -29,9 +41,8 @@ iteration order.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
-from .conflicts import ConflictIndex, Variant, build_conflict_index
+from .conflicts import Variant, build_conflict_index
 from .model import (
     Extension,
     Literal,
@@ -47,142 +58,194 @@ from .model import (
     validate,
 )
 
-_MODE_ORDER = {Mode.C: 0, Mode.O: 1, Mode.P: 2}
+# A mode's offset in a subject id.
+C, O, P = 0, 1, 2
+_MODES = (Mode.C, Mode.O, Mode.P)
+_MODE_ORDER = {mode: m for m, mode in enumerate(_MODES)}
 
 # Who may attack / defend a conclusion of each mode.  Obligations are
 # attacked by obligations and permissions but reinstated only by
 # obligations; permissions are attacked by obligations (and, for rule
 # subjects under the cautious variant, by permissions as well) and
 # defended by either deontic mode.
-_ATTACK_MODES = {Mode.C: (Mode.C,), Mode.O: (Mode.O, Mode.P), Mode.P: (Mode.O,)}
-_DEFEND_MODES = {Mode.C: (Mode.C,), Mode.O: (Mode.O,), Mode.P: (Mode.O, Mode.P)}
+_ATTACK_MODES = ((C,), (O, P), (O,))
+_DEFEND_MODES = ((C,), (O,), (O, P))
 
 
-def _subject_sort_key(entry):
-    mode, subject = entry
-    if isinstance(subject, Literal):
-        return (0, subject.atom, not subject.positive, _MODE_ORDER[mode])
-    return (1, subject.label, not subject.positive, _MODE_ORDER[mode])
+def complement_id(s: int) -> int:
+    """The subject id of the same mode over the complementary subject."""
+    return 3 * ((s // 3) ^ 1) + s % 3
 
 
 class IncoherenceError(AssertionError):
     """Both signs derived for one subject; indicates an engine defect."""
 
 
-@dataclass
 class EngineState:
-    """Mutable run state: remaining subjects, live rules and their indexes.
+    """Mutable run state over the compiled theory.
 
-    ``supports[(mode, subject)]`` holds (label, position) pairs for the
-    rules that can still conclude the subject; entries disappear when a
-    rule dies or its chain is blocked before the position.  ``matrix``
-    keeps, per obligation rule, the in-force and violated verdicts for
-    each chain position (None until decided).  ``lit_tags``/``rule_tags``
-    collect the decisions; ``mhb`` shrinks in lock step with them.
-    ``live_ants`` counts each rule's antecedent items not yet satisfied:
+    ``supports[s]`` holds (rule, position) pairs for the rules that can
+    still conclude subject ``s``; entries disappear when a rule dies or its
+    chain is blocked before the position.  ``matrix[r]`` keeps, for an
+    obligation rule, the in-force and violated verdicts for each chain
+    position (None until decided).  ``lit_tags``/``rule_tags`` map decided
+    subject ids to their sign; ``mhb`` holds the undecided ids and shrinks
+    in lock step with them.  ``dead`` holds the ids of deleted rules.
+    ``live_ants[r]`` counts the rule's antecedent items not yet satisfied:
     in a valid theory the items of one rule have distinct ``_watch_key``s
     and every subject is decided once, so no item is counted off twice.
     """
 
-    theory: Theory
-    variant: Variant
-    index: ConflictIndex = None
-    by_label: dict = field(default_factory=dict)
-    top: set = field(default_factory=set)
-    sup: frozenset = frozenset()
-    facts: frozenset = frozenset()
-    mhb: set = field(default_factory=set)
-    lit_tags: dict = field(default_factory=dict)
-    rule_tags: dict = field(default_factory=dict)
-    live_ants: dict = field(default_factory=dict)  # label -> unsatisfied item count
-    watch: dict = field(default_factory=dict)  # (mode, subject) -> [(label, satisfying sign)]
-    dead: set = field(default_factory=set)
-    effective: set = field(default_factory=set)
-    supports: dict = field(default_factory=dict)
-    matrix: dict = field(default_factory=dict)
-    blocked_c: set = field(default_factory=set)
-    expr_positions: dict = field(default_factory=dict)
-    deps: dict = field(default_factory=dict)  # label -> subjects that consulted it
-    dirty: set = field(default_factory=set)
-    iterations: int = 0
-    order_seed: int = None  # shuffle scan order instead of sorting, for testing
-    _touched: set = field(default_factory=set)
+    def __init__(self, theory: Theory, variant: Variant, order_seed: int = None):
+        self.theory = theory
+        self.variant = variant
+        self.order_seed = order_seed  # shuffle scan order instead of sorting, for testing
+        self.iterations = 0
+        self.lit_tags: dict = {}
+        self.rule_tags: dict = {}
+        self.watch: dict = {}  # subject id -> [(rule, satisfying sign)]
+        self.dead: set = set()
+        self.effective: set = set()
+        self.supports: dict = {}
+        self.deps: dict = {}  # rule -> subject ids that consulted it
+        self._touched: set = set()
 
     # ------------------------------------------------------------------ setup
 
     def prepare(self) -> None:
+        """Compile the theory to ids (see the module docstring) and seed the run.
+
+        Per rule id: its mode offset, whether it is defeasible, the subject
+        ids its chain concludes, its rule-expression positions, the rules
+        it concludes and the rules it clashes with as a whole rule; and
+        the superiority pairs as pairs of rule ids.
+        """
         t = self.theory
-        self.index = build_conflict_index(t, self.variant)
-        self.by_label = t.rules_by_label()
-        self.top = t.top_labels()
-        self.sup = t.superiority
-        self.facts = t.facts
+        index = build_conflict_index(t, self.variant)
+        by_label = t.rules_by_label()
+        self.labels = sorted(by_label)
+        rid = {label: r for r, label in enumerate(self.labels)}
+        rules = [by_label[label] for label in self.labels]
+        refs = [RuleRef(label, positive) for label in self.labels for positive in (True, False)]
+        lits = sorted(
+            {s for s in herbrand_base(t) if isinstance(s, Literal)},
+            key=lambda lit: (lit.atom, not lit.positive),
+        )
+        self.n_lits, self.n_lit_ids = len(lits), 3 * len(lits)
+        self.base = lits + refs
+        self.base_ids = {subject: b for b, subject in enumerate(self.base)}
 
-        for subject in map(_normalize, herbrand_base(t)):
-            for mode in Mode:
-                self.mhb.add((mode, subject))
-
-        for label, rule in self.by_label.items():
-            self.live_ants[label] = len(rule.antecedent)
+        self.rule_mode = [_MODE_ORDER[rule.mode] for rule in rules]
+        self.defeasible = [rule.is_defeasible for rule in rules]
+        self.concludes = [
+            tuple(self.subject_id(rule.mode, e) for e in rule.consequent) for rule in rules
+        ]
+        self.expr_positions = [
+            [i for i, e in enumerate(rule.consequent, start=1) if isinstance(e, RuleExpression)]
+            for rule in rules
+        ]
+        self.concluded = [[rid[u] for u in concluded_labels(rule)] for rule in rules]
+        self.clashes = [sorted(rid[u] for u in index.rule_level(label)) for label in self.labels]
+        self.sup = {(rid[a], rid[b]) for a, b in t.superiority if a in rid and b in rid}
+        self.matrix = [
+            [[None] * len(rule.consequent), [None] * len(rule.consequent)]
+            if rule.mode is Mode.O
+            else None
+            for rule in rules
+        ]
+        self.live_ants = [len(rule.antecedent) for rule in rules]
+        for r, rule in enumerate(rules):
             for item in rule.antecedent:
-                decision, positive = _watch_key(item)
-                self.watch.setdefault(decision, []).append((label, positive))
-            if rule.mode is Mode.O:
-                n = len(rule.consequent)
-                self.matrix[label] = [[None] * n, [None] * n]
-            self.expr_positions[label] = [
-                pos
-                for pos, e in enumerate(rule.consequent, start=1)
-                if isinstance(e, RuleExpression)
+                mode, subject, positive = _watch_key(item)
+                self.watch.setdefault(self.subject_id(mode, subject), []).append((r, positive))
+
+        if self.variant is Variant.SIMPLE:
+            # per rule reference, by base index - n_lits: the rules concluding
+            # a clashing expression as (rule, position, rule named there),
+            # and the conclusions sharing the reference's content and polarity
+            self.simple_attackers = [
+                sorted(
+                    (rid[g], gpos, rid[other.label])
+                    for other in index.conflicting[ref]
+                    for g, gpos in index.producers[other]
+                )
+                for ref in refs
+            ]
+            same = {
+                key: [(rid[z], rid[e], zpos) for z, e, zpos in entries]
+                for key, entries in index.by_content.items()
+            }
+            self.same_content = [
+                same.get((index.content_keys[ref.label], ref.positive), ()) for ref in refs
             ]
 
-        produced = {ref.label for ref, who in self.index.producers.items() if who and ref.positive}
-        for label, rule in self.by_label.items():
-            if label not in self.top and label not in produced:
-                continue  # appears only inside antecedents; can never take effect
-            for pos, elem in enumerate(rule.consequent, start=1):
-                subject = _normalize(elem)
-                self.supports.setdefault((rule.mode, subject), set()).add((label, pos))
-
-        top_refs = {RuleRef(lab, True) for lab in self.top}
-        for ref in self.index.conflicting:
-            if self.index.conflicting[ref] & top_refs:
-                self.blocked_c.add(ref)
-
+        top = {rid[rule.label] for rule in t.rules}
+        produced = {rid[ref.label] for ref, who in index.producers.items() if who and ref.positive}
+        for r in top | produced:
+            for pos, s in enumerate(self.concludes[r], start=1):
+                self.supports.setdefault(s, []).append((r, pos))
+        # decided before any evidence: facts and the given rules hold, the
+        # complements of facts fail, and so do expressions clashing with a
+        # given rule; where both apply (contradictory facts, clashing given
+        # rules), holding wins
+        top_refs = {refs[2 * r] for r in top}
+        facts = [self.base_ids[f] for f in t.facts if f in self.base_ids]
+        self.seeded = {3 * (b ^ 1): False for b in facts}
+        self.seeded.update(
+            (self.subject_id(Mode.C, ref), False)
+            for ref, others in index.conflicting.items()
+            if others & top_refs
+        )
+        self.seeded.update((3 * b, True) for b in facts)
+        self.seeded.update((self.subject_id(Mode.C, ref), True) for ref in top_refs)
+        del index  # the run reads only the compiled tables; free it before the subject sets
+        self.mhb = set(range(3 * len(self.base)))
         self.dirty = set(self.mhb)
+
+    def subject_id(self, mode: Mode, subject) -> int:
+        """The id of a (mode, literal or rule expression) pair of the base."""
+        if isinstance(subject, RuleExpression):
+            subject = subject.ref
+        return 3 * self.base_ids[subject] + _MODE_ORDER[mode]
+
+    def pair(self, s: int):
+        """The (mode, subject) pair a subject id stands for."""
+        return _MODES[s % 3], self.base[s // 3]
 
     # ------------------------------------------------------------------- run
 
     def run(self) -> None:
         while self.dirty:
             self.iterations += 1
-            batch = sorted(self.dirty & self.mhb, key=_subject_sort_key)
+            batch = sorted(self.dirty & self.mhb)
             if self.order_seed is not None:
                 random.Random(self.order_seed + self.iterations).shuffle(batch)
             self.dirty.clear()
-            for mode, subject in batch:
-                if (mode, subject) not in self.mhb:
+            for s in batch:
+                if s not in self.mhb:
                     continue
                 self._touched = set()
-                verdict = self._decide(mode, subject)
+                verdict = self._decide(s)
                 if verdict is not None:
-                    self._apply(mode, subject, verdict)
+                    self._apply(s, verdict)
                 else:
                     # undecided: re-examine when any consulted rule moves
-                    for label in self._touched:
-                        self.deps.setdefault(label, set()).add((mode, subject))
+                    for r in self._touched:
+                        self.deps.setdefault(r, set()).add(s)
 
     def extension(self) -> Extension:
-        return Extension.from_tags(self.lit_tags, self.rule_tags, self.mhb)
+        pair = self.pair
+        return Extension.from_tags(
+            ((pair(s), positive) for s, positive in self.lit_tags.items()),
+            ((pair(s), positive) for s, positive in self.rule_tags.items()),
+            map(pair, self.mhb),
+        )
 
     # ------------------------------------------------------------ rule state
 
-    def _alive(self, label: str) -> bool:
-        return label not in self.dead
-
-    def _prefix_open(self, label: str, pos: int) -> bool:
+    def _prefix_open(self, r: int, pos: int) -> bool:
         """No chain cell before ``pos`` has been decided against the rule."""
-        cells = self.matrix.get(label)
+        cells = self.matrix[r]
         if cells is None or pos <= 1:
             return True
         row1, row2 = cells
@@ -190,365 +253,305 @@ class EngineState:
             row1[j] is not False and row2[j] is not False for j in range(pos - 1)
         )
 
-    def _applicable(self, label: str, pos: int) -> bool:
-        if label in self.dead or label not in self.effective:
+    def _applicable(self, r: int, pos: int) -> bool:
+        if r in self.dead or r not in self.effective or self.live_ants[r]:
             return False
-        if self.live_ants[label]:
-            return False
-        cells = self.matrix.get(label)
+        cells = self.matrix[r]
         if cells is None or pos <= 1:
             return True
         row1, row2 = cells
         return all(row1[j] is True and row2[j] is True for j in range(pos - 1))
 
-    def _not_discarded(self, label: str, pos: int) -> bool:
-        return self._alive(label) and self._prefix_open(label, pos)
+    def _not_discarded(self, r: int, pos: int) -> bool:
+        return r not in self.dead and self._prefix_open(r, pos)
 
-    def _stronger(self, a: str, b: str) -> bool:
+    def _stronger(self, a: int, b: int) -> bool:
         return (a, b) in self.sup
 
-    def _fallback_stronger(self, a: str, b: str) -> bool:
+    def _fallback_stronger(self, a: int, b: int) -> bool:
         """Superiority inherited from the rules two meta-rules conclude."""
-        for u in concluded_labels(self.by_label[a]):
-            for v in concluded_labels(self.by_label[b]):
-                if (u, v) in self.sup:
-                    return True
-        return False
+        return any(
+            self._stronger(u, v) for u in self.concluded[a] for v in self.concluded[b]
+        )
 
     # -------------------------------------------------------------- decisions
 
-    def _decide(self, mode: Mode, subject):
-        if isinstance(subject, Literal):
-            return self._decide_literal(mode, subject)
-        return self._decide_rule(mode, subject)
-
-    def _decide_literal(self, mode: Mode, lit: Literal):
-        comp = lit.complement()
-        if mode is Mode.C:
-            if lit in self.facts:
-                return True
-            if comp in self.facts:
-                return False
-            supporters = self._entries(Mode.C, lit)
-            if self._provable_literal(mode, lit, supporters):
-                return True
-            if self._refutable_literal(mode, lit, supporters):
-                return False
-            return None
-        if mode is Mode.P and self.lit_tags.get((Mode.O, lit)) is True:
+    def _decide(self, s: int):
+        verdict = self.seeded.get(s)
+        if verdict is not None:
+            return verdict
+        mode = s % 3
+        if s < self.n_lit_ids:
+            tags, provable, refutable = (
+                self.lit_tags, self._provable_literal, self._refutable_literal
+            )
+        else:
+            tags, provable, refutable = (
+                self.rule_tags, self._provable_rule, self._refutable_rule
+            )
+        if mode == P and tags.get(s - 1) is True:
             return True
-        supporters = self._entries(mode, lit)
-        if self._provable_literal(mode, lit, supporters):
+        supporters = self._entries(s)
+        if provable(s, supporters):
             return True
-        if mode is Mode.P and self.lit_tags.get((Mode.O, lit)) is not False:
+        if mode == P and tags.get(s - 1) is not False:
             return None  # a permission cannot be rejected before the obligation is
-        if self._refutable_literal(mode, lit, supporters):
+        if refutable(s, supporters):
             return False
         return None
 
-    def _entries(self, mode: Mode, subject) -> tuple:
-        entries = tuple(self.supports.get((mode, subject), ()))
-        self._touched.update(label for label, _ in entries)
+    def _entries(self, s: int):
+        entries = self.supports.get(s, ())
+        self._touched.update(r for r, _ in entries)
         return entries
 
-    def _attack_entries(self, mode: Mode, subject) -> list:
-        comp = subject.complement()
-        out = []
-        for amode in _ATTACK_MODES[mode]:
-            out.extend(self._entries(amode, comp))
-        return out
+    def _attack_entries(self, s: int) -> list:
+        comp = complement_id(s) - s % 3
+        return [e for m in _ATTACK_MODES[s % 3] for e in self._entries(comp + m)]
 
-    def _defend_entries(self, mode: Mode, subject) -> list:
-        out = []
-        for dmode in _DEFEND_MODES[mode]:
-            out.extend(self._entries(dmode, subject))
-        return out
+    def _defend_entries(self, s: int) -> list:
+        return [e for m in _DEFEND_MODES[s % 3] for e in self._entries(s - s % 3 + m)]
 
-    def _provable_literal(self, mode: Mode, lit: Literal, supporters) -> bool:
+    def _provable_literal(self, s: int, supporters) -> bool:
         witness = any(
-            self.by_label[label].is_defeasible and self._applicable(label, pos)
-            for label, pos in supporters
+            self.defeasible[r] and self._applicable(r, pos) for r, pos in supporters
         )
         if not witness:
             return False
-        defenders = self._defend_entries(mode, lit)
-        for glabel, gpos in self._attack_entries(mode, lit):
+        defenders = self._defend_entries(s)
+        for g, gpos in self._attack_entries(s):
             if not any(
-                self._applicable(zlabel, zpos) and self._stronger(zlabel, glabel)
-                for zlabel, zpos in defenders
+                self._applicable(z, zpos) and self._stronger(z, g)
+                for z, zpos in defenders
             ):
                 return False
         return True
 
-    def _refutable_literal(self, mode: Mode, lit: Literal, supporters) -> bool:
-        attackers = [
-            (g, gp)
-            for g, gp in self._attack_entries(mode, lit)
-            if self._applicable(g, gp)
-        ]
-        defenders = self._defend_entries(mode, lit)
-        for blabel, bpos in supporters:
-            if not self.by_label[blabel].is_defeasible:
+    def _refutable_literal(self, s: int, supporters) -> bool:
+        attackers = [g for g, gpos in self._attack_entries(s) if self._applicable(g, gpos)]
+        defenders = self._defend_entries(s)
+        for r, _ in supporters:
+            if not self.defeasible[r]:
                 continue
             if not any(
-                all(
-                    not self._stronger(zlabel, glabel)
-                    for zlabel, zpos in defenders
-                )
-                for glabel, gpos in attackers
+                all(not self._stronger(z, g) for z, zpos in defenders)
+                for g in attackers
             ):
                 return False
         return True
 
     # Rule subjects ---------------------------------------------------------
 
-    def _decide_rule(self, mode: Mode, ref: RuleRef):
-        if mode is Mode.C and ref.positive and ref.label in self.top:
-            return True
-        if mode is Mode.P and self.rule_tags.get((Mode.O, ref)) is True:
-            return True
-        supporters = self._entries(mode, ref)
-        if mode is Mode.C and ref in self.blocked_c:
-            return False
-        if self._provable_rule(mode, ref, supporters):
-            return True
-        if mode is Mode.P and self.rule_tags.get((Mode.O, ref)) is not False:
-            return None
-        if self._refutable_rule(mode, ref, supporters):
-            return False
-        return None
-
-    def _rule_attack_modes(self, mode: Mode):
-        if self.variant is Variant.CAUTIOUS and mode is Mode.P:
-            return (Mode.O, Mode.P)
+    def _rule_attack_modes(self, mode: int):
+        if self.variant is Variant.CAUTIOUS and mode == P:
+            return (O, P)
         return _ATTACK_MODES[mode]
 
-    def _provable_rule(self, mode: Mode, ref: RuleRef, supporters) -> bool:
+    def _provable_rule(self, s: int, supporters) -> bool:
         witnesses = [
-            (label, pos)
-            for label, pos in supporters
-            if self.by_label[label].is_defeasible and self._applicable(label, pos)
+            r for r, pos in supporters if self.defeasible[r] and self._applicable(r, pos)
         ]
         if not witnesses:
             return False
         if self.variant is Variant.SIMPLE:
             return all(
-                self._defeated_simple(mode, ref, glabel, gref)
-                for glabel, gref, gpos in self._rule_attackers_simple(mode, ref)
-                if self._not_discarded(glabel, gpos)
+                self._defeated_simple(s, g, named)
+                for g, gpos, named in self._rule_attackers_simple(s)
+                if self._not_discarded(g, gpos)
             )
+        mode = s % 3
         return any(
             all(
-                self._defeated_cautious(mode, glabel)
-                for glabel in self._rule_attackers_cautious(mode, wlabel)
-                if self._attacker_alive(glabel)
+                self._defeated_cautious(mode, g)
+                for g in self._rule_attackers_cautious(mode, w)
+                if self._attacker_alive(g)
             )
-            for wlabel, wpos in witnesses
+            for w in witnesses
         )
 
-    def _refutable_rule(self, mode: Mode, ref: RuleRef, supporters) -> bool:
+    def _refutable_rule(self, s: int, supporters) -> bool:
         if self.variant is Variant.SIMPLE:
             attackers = [
-                (glabel, gref)
-                for glabel, gref, gpos in self._rule_attackers_simple(mode, ref)
-                if self._applicable(glabel, gpos)
+                (g, named)
+                for g, gpos, named in self._rule_attackers_simple(s)
+                if self._applicable(g, gpos)
             ]
-            for blabel, bpos in supporters:
-                if not self.by_label[blabel].is_defeasible:
+            for r, _ in supporters:
+                if not self.defeasible[r]:
                     continue
                 if not any(
-                    self._unblocked_simple(mode, ref, glabel, gref)
-                    for glabel, gref in attackers
+                    self._unblocked_simple(s, g, named) for g, named in attackers
                 ):
                     return False
             return True
-        for blabel, bpos in supporters:
-            if not self.by_label[blabel].is_defeasible:
+        mode = s % 3
+        for r, _ in supporters:
+            if not self.defeasible[r]:
                 continue
             if not any(
-                self._unblocked_cautious(mode, glabel)
-                for glabel in self._rule_attackers_cautious(mode, blabel)
-                if self._attacker_applicable(glabel)
+                self._unblocked_cautious(mode, g)
+                for g in self._rule_attackers_cautious(mode, r)
+                if self._attacker_applicable(g)
             ):
                 return False
         return True
 
-    def _rule_attackers_simple(self, mode: Mode, ref: RuleRef):
-        """Rules concluding an expression that clashes with the subject."""
-        out = []
-        for other in self.index.conflicting.get(ref, ()):
-            for glabel, gpos in self.index.producers.get(other, ()):
-                if self.by_label[glabel].mode in self._rule_attack_modes(mode):
-                    out.append((glabel, other, gpos))
+    def _rule_attackers_simple(self, s: int):
+        """Rules concluding an expression that clashes with the subject, with
+        the position and the rule the expression names."""
+        modes = self._rule_attack_modes(s % 3)
+        out = [
+            e for e in self.simple_attackers[s // 3 - self.n_lits]
+            if self.rule_mode[e[0]] in modes
+        ]
         self._touched.update(e[0] for e in out)
-        return sorted(out, key=lambda e: (e[0], e[2]))
+        return out
 
-    def _rule_attackers_cautious(self, mode: Mode, anchor_label: str):
+    def _rule_attackers_cautious(self, mode: int, anchor: int):
         """Rules clashing, as whole rules, with the supporter under attack."""
-        out = sorted(
-            g
-            for g in self.index.rule_level(anchor_label)
-            if self.by_label[g].mode in self._rule_attack_modes(mode)
-        )
+        modes = self._rule_attack_modes(mode)
+        out = [g for g in self.clashes[anchor] if self.rule_mode[g] in modes]
         self._touched.update(out)
         return out
 
-    def _attacker_alive(self, label: str) -> bool:
-        return self._alive(label) and any(
-            self._prefix_open(label, pos) for pos in self.expr_positions[label]
+    def _attacker_alive(self, r: int) -> bool:
+        return r not in self.dead and any(
+            self._prefix_open(r, pos) for pos in self.expr_positions[r]
         )
 
-    def _attacker_applicable(self, label: str) -> bool:
-        return any(self._applicable(label, pos) for pos in self.expr_positions[label])
+    def _attacker_applicable(self, r: int) -> bool:
+        return any(self._applicable(r, pos) for pos in self.expr_positions[r])
 
-    def _simple_defenders(self, mode: Mode, ref: RuleRef, attacked_label: str):
-        """Conclusions with the subject's content and polarity, named after
-        the subject or after the attacking expression."""
-        key = (self.index.content_keys[ref.label], ref.positive)
-        for zlabel, elem_label, zpos in self.index.by_content.get(key, ()):
-            if elem_label in (ref.label, attacked_label) and self.by_label[
-                zlabel
-            ].mode in _DEFEND_MODES[mode]:
-                self._touched.add(zlabel)
-                yield zlabel, zpos
+    def _simple_defenders(self, s: int, attacked: int):
+        """Conclusions with the subject's content and polarity, naming the
+        subject's rule or the attacking expression's."""
+        k = s // 3 - self.n_lits
+        modes = _DEFEND_MODES[s % 3]
+        for z, named, zpos in self.same_content[k]:
+            if named in (k >> 1, attacked) and self.rule_mode[z] in modes:
+                self._touched.add(z)
+                yield z, zpos
 
-    def _defeated_simple(self, mode: Mode, ref: RuleRef, glabel: str, gref: RuleRef) -> bool:
+    def _defeated_simple(self, s: int, g: int, attacked: int) -> bool:
         return any(
-            self._applicable(zlabel, zpos) and self._stronger(zlabel, glabel)
-            for zlabel, zpos in self._simple_defenders(mode, ref, gref.label)
+            self._applicable(z, zpos) and self._stronger(z, g)
+            for z, zpos in self._simple_defenders(s, attacked)
         )
 
-    def _unblocked_simple(self, mode: Mode, ref: RuleRef, glabel: str, gref: RuleRef) -> bool:
+    def _unblocked_simple(self, s: int, g: int, attacked: int) -> bool:
         return not any(
-            self._not_discarded(zlabel, zpos) and self._stronger(zlabel, glabel)
-            for zlabel, zpos in self._simple_defenders(mode, ref, gref.label)
+            self._not_discarded(z, zpos) and self._stronger(z, g)
+            for z, zpos in self._simple_defenders(s, attacked)
         )
 
-    def _cautious_defenders(self, mode: Mode, glabel: str):
-        for zlabel in self._rule_attackers_cautious_any(glabel):
-            if self.by_label[zlabel].mode in _DEFEND_MODES[mode]:
-                for zpos in self.expr_positions[zlabel]:
-                    yield zlabel, zpos
+    def _cautious_defenders(self, mode: int, g: int):
+        clashes = self.clashes[g]
+        self._touched.update(clashes)
+        for z in clashes:
+            if self.rule_mode[z] in _DEFEND_MODES[mode]:
+                for zpos in self.expr_positions[z]:
+                    yield z, zpos
 
-    def _rule_attackers_cautious_any(self, label: str):
-        out = sorted(self.index.rule_level(label))
-        self._touched.update(out)
-        return out
-
-    def _overrules(self, zlabel: str, glabel: str) -> bool:
-        if self._stronger(zlabel, glabel):
+    def _overrules(self, z: int, g: int) -> bool:
+        if self._stronger(z, g):
             return True
-        return not self._stronger(glabel, zlabel) and self._fallback_stronger(
-            zlabel, glabel
-        )
+        return not self._stronger(g, z) and self._fallback_stronger(z, g)
 
-    def _defeated_cautious(self, mode: Mode, glabel: str) -> bool:
+    def _defeated_cautious(self, mode: int, g: int) -> bool:
         return any(
-            self._applicable(zlabel, zpos) and self._overrules(zlabel, glabel)
-            for zlabel, zpos in self._cautious_defenders(mode, glabel)
+            self._applicable(z, zpos) and self._overrules(z, g)
+            for z, zpos in self._cautious_defenders(mode, g)
         )
 
-    def _unblocked_cautious(self, mode: Mode, glabel: str) -> bool:
+    def _unblocked_cautious(self, mode: int, g: int) -> bool:
         return not any(
-            self._not_discarded(zlabel, zpos) and self._overrules(zlabel, glabel)
-            for zlabel, zpos in self._cautious_defenders(mode, glabel)
+            self._not_discarded(z, zpos) and self._overrules(z, g)
+            for z, zpos in self._cautious_defenders(mode, g)
         )
 
     # ------------------------------------------------------------ mutation
 
-    def _apply(self, mode: Mode, subject, positive: bool) -> None:
-        key = (mode, subject)
-        if key not in self.mhb:
-            raise IncoherenceError(f"double decision on {mode} {subject}")
-        self.mhb.discard(key)
-        if isinstance(subject, Literal):
-            self.lit_tags[key] = positive
-        else:
-            self.rule_tags[key] = positive
-        if mode is Mode.O:
-            self.dirty.add((Mode.P, subject))
-
-        for label, satisfied_by in self.watch.get(key, ()):
-            if satisfied_by != positive:
-                self._kill(label)
-            else:
-                self.live_ants[label] -= 1
-                if not self.live_ants[label]:
-                    self._mark_rule(label)
-
-        if isinstance(subject, RuleRef) and subject.positive and mode is Mode.C:
-            if positive:
-                self.effective.add(subject.label)
-                self._mark_rule(subject.label)
-            else:
-                self._kill(subject.label)
-
-        self._update_matrices(mode, subject, positive)
-
-    def _mark_rule(self, label: str) -> None:
-        self.dirty.update(self.deps.pop(label, ()))
-
-    def _kill(self, label: str) -> None:
-        if label in self.dead:
-            return
-        self.dead.add(label)
-        rule = self.by_label[label]
-        for pos, elem in enumerate(rule.consequent, start=1):
-            self.supports.get((rule.mode, _normalize(elem)), set()).discard(
-                (label, pos)
-            )
-        self._mark_rule(label)
-
-    def _update_matrices(self, mode: Mode, subject, positive: bool) -> None:
-        """Record per-chain verdicts for every obligation rule carrying the
+    def _apply(self, s: int, positive: bool) -> None:
+        """Record a decision, settle the antecedent items it decides, and
+        record per-chain verdicts for every obligation rule carrying the
         subject: row one tracks the obligation being in force, row two the
         violation evidence.  A rule element is violated by being refuted
         from the rule system, a literal element by its complement holding.
         """
-        if isinstance(subject, Literal):
-            if mode is Mode.O:
-                self._set_cells(Mode.O, subject, 0, positive)
-            elif mode is Mode.C:
-                self._set_cells(Mode.O, subject.complement(), 1, positive)
-        else:
-            if mode is Mode.O:
-                self._set_cells(Mode.O, subject, 0, positive)
-            elif mode is Mode.C:
-                self._set_cells(Mode.O, subject, 1, not positive)
+        if s not in self.mhb:
+            mode, subject = self.pair(s)
+            raise IncoherenceError(f"double decision on {mode} {subject}")
+        self.mhb.discard(s)
+        mode = s % 3
+        literal = s < self.n_lit_ids
+        (self.lit_tags if literal else self.rule_tags)[s] = positive
+        if mode == O:
+            self.dirty.add(s + 1)
 
-    def _set_cells(self, mode: Mode, subject, row: int, value: bool) -> None:
-        for label, pos in tuple(self.supports.get((mode, subject), ())):
-            cells = self.matrix.get(label)
-            if cells is None or cells[row][pos - 1] is not None:
+        for r, satisfied_by in self.watch.get(s, ()):
+            if satisfied_by != positive:
+                self._kill(r)
+            else:
+                self.live_ants[r] -= 1
+                if not self.live_ants[r]:
+                    self._mark_rule(r)
+
+        k = s // 3 - self.n_lits
+        if not literal and mode == C and not k & 1:
+            if positive:
+                self.effective.add(k >> 1)
+                self._mark_rule(k >> 1)
+            else:
+                self._kill(k >> 1)
+
+        if mode == O:
+            self._set_cells(s, 0, positive)
+        elif mode == C and literal:
+            self._set_cells(complement_id(s) + O, 1, positive)
+        elif mode == C:
+            self._set_cells(s + O, 1, not positive)
+
+    def _mark_rule(self, r: int) -> None:
+        self.dirty.update(self.deps.pop(r, ()))
+
+    def _kill(self, r: int) -> None:
+        if r in self.dead:
+            return
+        self.dead.add(r)
+        self._block_after(r, 0)
+
+    def _set_cells(self, s: int, row: int, value: bool) -> None:
+        for r, pos in tuple(self.supports.get(s, ())):
+            cells = self.matrix[r]
+            if cells[row][pos - 1] is not None:
                 continue
             cells[row][pos - 1] = value
             if value is False:
-                self._block_after(label, pos)
-            self._mark_rule(label)
+                self._block_after(r, pos)
+            self._mark_rule(r)
 
-    def _block_after(self, label: str, pos: int) -> None:
-        rule = self.by_label[label]
-        for k in range(pos + 1, len(rule.consequent) + 1):
-            elem = rule.consequent[k - 1]
-            self.supports.get((rule.mode, _normalize(elem)), set()).discard(
-                (label, k)
-            )
-        self._mark_rule(label)
+    def _block_after(self, r: int, pos: int) -> None:
+        chain = self.concludes[r]
+        for k in range(pos, len(chain)):
+            entries = self.supports.get(chain[k], ())
+            if (r, k + 1) in entries:
+                entries.remove((r, k + 1))
+        self._mark_rule(r)
 
 
 def _watch_key(item):
     """The decision that settles an antecedent item, and the sign satisfying it.
 
-    Returns ((mode, subject), positive): the item holds once the subject is
+    Returns (mode, subject, positive): the item holds once the subject is
     decided with that sign under that mode, and fails on the other sign.
     """
     if isinstance(item, Literal):
-        return (Mode.C, item), True
+        return Mode.C, item, True
     if isinstance(item, ModalLiteral):
-        return (item.mode, item.inner), not item.negated
+        return item.mode, item.inner, not item.negated
     if isinstance(item, RuleExpression):
-        return (Mode.C, item.ref), True
-    return (item.mode, item.expr.ref), not item.negated
+        return Mode.C, item.ref, True
+    return item.mode, item.expr.ref, not item.negated
 
 
 def run_engine(
@@ -580,30 +583,22 @@ def query(theory: Theory, variant: Variant, formula: TaggedFormula, extension: E
 
     Proved means the queried tag (sign included) is established, Refuted
     that the opposite sign is, Undetermined that the fixpoint settled
-    neither.  Subjects the theory never mentions are flagged apart.
+    neither.  Subjects the theory never mentions are flagged apart: decided
+    and undetermined subjects partition the modal Herbrand base, so those
+    are the subjects in none of the extension's sets for the mode.
     """
     if extension is None:
         extension = compute_extension(theory, variant)
     subject = formula.subject
-    known = {_normalize(s) for s in herbrand_base(theory)}
-    if _normalize(subject) not in known:
-        return UNKNOWN_SUBJECT
     table = extension.rules if formula.meta else extension.literals
-    same = table[(formula.sign, formula.mode)]
     flip = Sign.MINUS if formula.sign is Sign.PLUS else Sign.PLUS
-    other = table[(flip, formula.mode)]
-    if subject in same:
+    if subject in table[(formula.sign, formula.mode)]:
         return PROVED
-    if subject in other:
+    if subject in table[(flip, formula.mode)]:
         return REFUTED
-    return UNDETERMINED
-
-
-def _normalize(subject):
-    """A literal or rule expression as a derivation subject."""
-    if isinstance(subject, RuleExpression):
-        return subject.ref
-    return subject
+    if (formula.mode, subject) in extension.undetermined:
+        return UNDETERMINED
+    return UNKNOWN_SUBJECT
 
 
 def diff_variants(theory: Theory) -> list:

@@ -20,6 +20,7 @@ superiority pair).
 from __future__ import annotations
 
 import random
+from itertools import chain
 
 from .model import (
     Arrow,
@@ -30,8 +31,8 @@ from .model import (
     Rule,
     RuleExpression,
     Theory,
-    _has_cycle,
-    extended_superiority,
+    concluders,
+    inherited_pairs,
     rule_size,
     theory_size,
     validate,
@@ -280,25 +281,58 @@ class _RandomBuilder:
                 stalls += 1
                 continue
             achieved = new_size
+        budget = max(0, int(hi) - achieved) // 2
+        return Theory.build(facts, rules, self.superiority(facts, rules, budget))
 
-        # superiority over any labels appearing in the theory
+    def superiority(self, facts, rules, budget: int) -> set:
+        """Up to ``budget`` superiority pairs over any labels in the theory.
+
+        With ``acyclic`` a pair goes from the earlier label to the later one,
+        and is refused when it would close a cycle in the extended
+        relation: the pair and the pairs it makes inherit
+        (``model.extended_superiority``) join that relation, kept by winner,
+        only when no new edge's loser reaches its winner.
+        """
         theory = Theory.build(facts, rules)
         labels = sorted(theory.rules_by_label())
+        if self.acyclic:
+            order = {label: i for i, label in enumerate(labels)}
+            by_concluded = concluders(theory)
+            extended: dict = {}  # the extended relation of ``pairs``, winner -> losers
         pairs: set = set()
-        budget = max(0, int(hi) - achieved) // 2
         attempts = 0
         while len(pairs) < budget and attempts < budget * 8 + 8 and len(labels) > 1:
             attempts += 1
             a, b = self.rng.sample(labels, 2)
-            if self.acyclic and labels.index(a) >= labels.index(b):
-                a, b = b, a
-            candidate = pairs | {(a, b)}
-            if self.acyclic and _has_cycle(
-                extended_superiority(Theory.build(facts, rules, candidate))
-            ):
-                continue
-            pairs = candidate
-        return Theory.build(facts, rules, pairs)
+            if self.acyclic:
+                if order[a] >= order[b]:
+                    a, b = b, a
+                edges = {(a, b)} | inherited_pairs(by_concluded, a, b)
+                if _closes_cycle(extended, edges):
+                    continue
+                for x, y in edges:
+                    extended.setdefault(x, set()).add(y)
+            pairs.add((a, b))
+        return pairs
+
+
+def _closes_cycle(graph: dict, edges) -> bool:
+    """Whether adding ``edges`` to the acyclic ``graph`` (node -> successors)
+    closes a cycle: some new edge's target reaches its source."""
+    added: dict = {}
+    for u, v in edges:
+        added.setdefault(u, set()).add(v)
+    for u, v in edges:
+        seen, stack = {v}, [v]
+        while stack:
+            node = stack.pop()
+            if node == u:
+                return True
+            for succ in chain(graph.get(node, ()), added.get(node, ())):
+                if succ not in seen:
+                    seen.add(succ)
+                    stack.append(succ)
+    return False
 
 
 def random_theory(seed: int, size: int, acyclic: bool = False) -> Theory:

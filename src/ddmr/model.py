@@ -351,6 +351,24 @@ def concluded_labels(rule: Rule):
     return [e.rule.label for e in rule.consequent if isinstance(e, RuleExpression)]
 
 
+def concluders(t: Theory) -> dict:
+    """Label -> labels of the rules concluding it (under negation too)."""
+    out: dict = {}
+    for rule in t.rules_by_label().values():
+        for u in concluded_labels(rule):
+            out.setdefault(u, set()).add(rule.label)
+    return out
+
+
+def inherited_pairs(by_concluded: dict, u: str, v: str) -> set:
+    """The pairs the rules concluding ``u`` and ``v`` inherit from ``u`` > ``v``.
+
+    ``by_concluded`` is ``concluders`` of the theory.
+    """
+    winners, losers = by_concluded.get(u, ()), by_concluded.get(v, ())
+    return {(a, b) for a in winners for b in losers if a != b}
+
+
 def extended_superiority(t: Theory):
     """The superiority relation plus pairs inherited from concluded rules.
 
@@ -361,21 +379,13 @@ def extended_superiority(t: Theory):
     whole closure, since a concluded rule is never a meta-rule and so never
     takes part in an inherited pair.
 
-    Rules are indexed by the labels they conclude and superiority pairs by
-    their winner, so the cost is linear in the theory plus the pairs added.
+    Rules are indexed by the labels they conclude, so the cost is linear in
+    the theory plus the pairs added.
     """
+    by_concluded = concluders(t)
     sup = set(t.superiority)
-    concluders: dict = {}  # concluded label -> labels of the rules concluding it
-    for rule in t.rules_by_label().values():
-        for u in concluded_labels(rule):
-            concluders.setdefault(u, set()).add(rule.label)
-    beats: dict = {}  # label -> labels it is superior to
     for u, v in t.superiority:
-        beats.setdefault(u, []).append(v)
-    for u, winners in concluders.items():
-        for v in beats.get(u, ()):
-            for b in concluders.get(v, ()):
-                sup.update((a, b) for a in winners if a != b)
+        sup |= inherited_pairs(by_concluded, u, v)
     return sup
 
 
@@ -458,11 +468,14 @@ class Extension:
         return self.rules[(Sign.MINUS, mode)]
 
     @classmethod
-    def from_tags(cls, lit_tags: dict, rule_tags: dict, undetermined) -> "Extension":
-        """Sort (mode, subject) -> sign stores (True for +) into tag sets."""
+    def from_tags(cls, lit_tags, rule_tags, undetermined) -> "Extension":
+        """Sort (mode, subject) -> sign stores (True for +) into tag sets.
+
+        A store is a dict or an iterable of its items.
+        """
         ext = cls(undetermined=set(undetermined))
         for table, tags in ((ext.literals, lit_tags), (ext.rules, rule_tags)):
-            for (mode, subject), positive in tags.items():
+            for (mode, subject), positive in tags.items() if isinstance(tags, dict) else tags:
                 table[(Sign.PLUS if positive else Sign.MINUS, mode)].add(subject)
         return ext
 

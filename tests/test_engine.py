@@ -10,6 +10,8 @@ from ddmr.engine import (
     REFUTED,
     UNDETERMINED,
     UNKNOWN_SUBJECT,
+    EngineState,
+    complement_id,
     compute_extension,
     diff_variants,
     query,
@@ -19,13 +21,14 @@ from ddmr.generate import random_theory
 from ddmr.model import (
     Literal,
     Mode,
+    RuleExpression,
     RuleRef,
     Theory,
     modal_herbrand_base,
 )
 from ddmr.text import parse_tagged_formula, parse_theory
 
-from .conftest import load_fixture
+from .conftest import FIXTURES
 
 L = Literal
 
@@ -283,3 +286,31 @@ def test_decided_and_undetermined_partition_the_base(load):
         len(s) for s in ext.rules.values()
     )
     assert decided + len(ext.undetermined) == len(modal_herbrand_base(theory))
+
+
+def _pair_order(pair):
+    """Literals before rules, then name, positive first, then C/O/P."""
+    mode, subject = pair
+    meta = isinstance(subject, RuleRef)
+    name = subject.label if meta else subject.atom
+    return (meta, name, not subject.positive, "COP".index(str(mode)))
+
+
+def test_compile_numbers_the_modal_base_in_order():
+    theories = [(p.stem, parse_theory(p.read_text())) for p in sorted(FIXTURES.glob("*.ddl"))]
+    theories += [(f"random/{seed}", random_theory(seed, 80)) for seed in range(20)]
+    for name, theory in theories:
+        for variant in Variant:
+            state = EngineState(theory, variant)
+            state.prepare()
+            ids = {}
+            for mode, subject in modal_herbrand_base(theory):
+                pair = (mode, subject.ref if isinstance(subject, RuleExpression) else subject)
+                ids[pair] = state.subject_id(mode, subject)
+            assert sorted(ids.values()) == list(range(len(ids))), name
+            assert state.mhb == set(ids.values()), name
+            for (mode, subject), s in ids.items():
+                assert state.pair(s) == (mode, subject), name
+                assert state.pair(complement_id(s)) == (mode, subject.complement()), name
+            ordered = [state.pair(s) for s in sorted(ids.values())]
+            assert ordered == sorted(ids, key=_pair_order), name

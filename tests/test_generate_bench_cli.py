@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 import subprocess
 import sys
 
@@ -10,7 +11,13 @@ from ddmr.bench import loglog_slope, run_benchmarks, to_csv
 from ddmr.cli import EXIT_INTERNAL, main
 from ddmr.conflicts import Variant
 from ddmr.engine import compute_extension
-from ddmr.generate import FAMILIES, generate_theory, random_theory
+from ddmr.generate import (
+    FAMILIES,
+    _closes_cycle,
+    _RandomBuilder,
+    generate_theory,
+    random_theory,
+)
 from ddmr.model import (
     Literal,
     Mode,
@@ -67,6 +74,50 @@ def test_random_acyclic_keeps_extended_superiority_acyclic():
     for seed in range(20):
         theory = random_theory(seed, 60, acyclic=True)
         assert not _has_cycle(extended_superiority(theory))
+
+
+class _RebuildingBuilder(_RandomBuilder):
+    """Reference for ``superiority``: rebuild the theory and re-check the
+    whole extended relation for every candidate pair (quadratic)."""
+
+    def superiority(self, facts, rules, budget: int) -> set:
+        labels = sorted(Theory.build(facts, rules).rules_by_label())
+        pairs: set = set()
+        attempts = 0
+        while len(pairs) < budget and attempts < budget * 8 + 8 and len(labels) > 1:
+            attempts += 1
+            a, b = self.rng.sample(labels, 2)
+            if self.acyclic and labels.index(a) >= labels.index(b):
+                a, b = b, a
+            candidate = pairs | {(a, b)}
+            if self.acyclic and _has_cycle(
+                extended_superiority(Theory.build(facts, rules, candidate))
+            ):
+                continue
+            pairs = candidate
+        return pairs
+
+
+def test_incremental_superiority_matches_rebuilding_reference():
+    inherited = 0
+    for size in (30, 120, 600):
+        for seed in range(30):
+            for acyclic in (True, False):
+                theory = random_theory(seed, size, acyclic=acyclic)
+                reference = _RebuildingBuilder(random.Random(seed), size, acyclic).build()
+                assert render_theory(theory) == render_theory(reference), (size, seed, acyclic)
+                inherited += acyclic and extended_superiority(theory) != theory.superiority
+    assert inherited  # some acyclic theories inherit pairs, so the check is exercised
+
+
+def test_closes_cycle_through_old_and_new_edges():
+    graph = {"a": {"b"}, "b": {"c"}}
+    assert _closes_cycle(graph, {("c", "a")})
+    assert not _closes_cycle(graph, {("a", "c"), ("d", "a")})
+    # the cycle needs two of the new edges
+    assert _closes_cycle(graph, {("c", "d"), ("d", "a")})
+    assert _closes_cycle({}, {("x", "y"), ("y", "x")})
+    assert graph == {"a": {"b"}, "b": {"c"}}
 
 
 def test_unknown_family_rejected():

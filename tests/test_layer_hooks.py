@@ -11,8 +11,9 @@ import sys
 
 import ddmr
 import ddmr.cli
+from ddmr.model import modal_herbrand_base
 
-from .conftest import FIXTURES
+from .conftest import FIXTURES, load_fixture
 
 LAYERS = {
     "text.parse_theory",
@@ -49,3 +50,11 @@ def test_tracer_wraps_every_layer_and_restores_it(monkeypatch, capsys):
         tracer.uninstall()
     assert LAYERS <= {span[0] for span in tracer.spans}
     assert ddmr.engine.EngineState.extension is original
+    # the counters read the engine state: every run decides or leaves
+    # undetermined each pair of the modal base (``--oracle`` runs it twice)
+    runs = sum(span[0] == "engine.run_engine" for span in tracer.spans)
+    assert runs == 2
+    count = tracer.counters
+    base = len(modal_herbrand_base(load_fixture("execution2")))
+    assert count["decisions"] + count["undetermined"] == runs * base
+    assert count["iterations"] >= runs
