@@ -3,7 +3,7 @@
 Exit codes are script-friendly and stable:
 
     0  success (for query: Proved)
-    1  validation errors
+    1  validation errors; under --oracle, a theory above the oracle budget
     2  parse errors / unreadable input (a non-integer DDMR_ORACLE_BUDGET
        under --oracle included)
     3  query answered Refuted
@@ -13,7 +13,8 @@ Exit codes are script-friendly and stable:
     7  internal error (a defect in ddmr; one line on stderr, no traceback)
 
 The oracle size cap defaults to 200 and can be overridden through the
-DDMR_ORACLE_BUDGET environment variable.
+DDMR_ORACLE_BUDGET environment variable.  Under --oracle, a theory above
+the cap prints one ``oracle: ...`` line on stderr and exits 1.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .engine import (
     query,
 )
 from .generate import FAMILIES
-from .model import validate
+from .model import ValidationReport, validate
 from .oracle import DEFAULT_BUDGET, OracleBudgetError, check_equivalence
 from .text import (
     TheorySyntaxError,
@@ -79,7 +80,8 @@ def _load_theory(path: str):
         raise SystemExit(EXIT_PARSE)
 
 
-def _check_valid(theory) -> None:
+def _check_valid(theory) -> ValidationReport:
+    """Print the warnings; on errors print them and exit ``EXIT_INVALID``."""
     report = validate(theory)
     for warning in report.warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -87,6 +89,7 @@ def _check_valid(theory) -> None:
         for error in report.errors:
             print(f"error: {error}", file=sys.stderr)
         raise SystemExit(EXIT_INVALID)
+    return report
 
 
 def _cross_check(theory, variant) -> None:
@@ -108,9 +111,9 @@ def _cross_check(theory, variant) -> None:
 
 def cmd_extension(args) -> int:
     theory = _load_theory(args.path)
-    _check_valid(theory)
+    report = _check_valid(theory)
     variant = Variant(args.variant)
-    extension = compute_extension(theory, variant)
+    extension = compute_extension(theory, variant, report)
     if args.oracle:
         _cross_check(theory, variant)
     sys.stdout.write(render_extension(extension, args.format))
@@ -119,7 +122,7 @@ def cmd_extension(args) -> int:
 
 def cmd_query(args) -> int:
     theory = _load_theory(args.path)
-    _check_valid(theory)
+    report = _check_valid(theory)
     variant = Variant(args.variant)
     try:
         formula = parse_tagged_formula(args.formula)
@@ -128,7 +131,7 @@ def cmd_query(args) -> int:
         return EXIT_PARSE
     if args.oracle:
         _cross_check(theory, variant)
-    answer = query(theory, variant, formula)
+    answer = query(theory, variant, formula, compute_extension(theory, variant, report))
     print(answer)
     return {
         PROVED: EXIT_OK,
@@ -152,8 +155,7 @@ def cmd_validate(args) -> int:
 
 def cmd_diff(args) -> int:
     theory = _load_theory(args.path)
-    _check_valid(theory)
-    rows = diff_variants(theory)
+    rows = diff_variants(theory, _check_valid(theory))
     for mode, meta, subject, simple, cautious in rows:
         level = "rule" if meta else "literal"
         print(f"{level} {mode} {subject}: simple={simple} cautious={cautious}")

@@ -19,17 +19,28 @@ item is filed under the (mode, subject) whose decision settles it, with
 the sign that satisfies it, so a decision finds the items it settles in
 one lookup.
 
+A subject that no defeasible rule supports is decided without the proof
+conditions.  Proving needs an applicable defeasible supporter, and
+refuting only asks that every defeasible supporter be beaten, so such a
+C or O subject is refuted at once, and a P subject takes its
+obligation's sign once that is decided (O implies P; a refuted O leaves
+nothing to prove the P).  ``prepare`` fixes the set of supported
+subjects: supports only shrink during the run, so a subject without a
+defeasible supporter never gains one.
+
 ``prepare`` compiles the theory to integer ids and the fixpoint runs on
-those alone.  Rules are numbered in label order.  The Herbrand base is
-sorted by (kind, name, polarity): literals before rule references, then
-by atom or label, the positive one first.  So ``base[2k]`` is positive,
-``base[2k + 1]`` is its complement, complementing a base index is
-``b ^ 1``, and the rule with id ``r`` sits at ``n_lits + 2r`` (positive)
-and ``n_lits + 2r + 1`` (negated).  The (mode, subject) pair with base
-index ``b`` has the subject id ``3b + m``, with ``m`` 0, 1, 2 for C, O, P,
-so ids sort exactly as the pairs do: literals before rules, then name,
-positive first, then C/O/P.  ``extension`` decodes ids to literals and
-rule references once, at the end.
+those alone.  Atoms are numbered in sorted order, and so are rule
+labels.  The literal over atom ``a`` has the base index ``2a`` when
+positive and ``2a + 1`` when negated; the reference to rule ``r`` has
+``n_lits + 2r`` and ``n_lits + 2r + 1``.  So the base runs literals
+before rule references, then by atom or label, the positive one first;
+complementing a base index is ``b ^ 1``.  Both numberings are keyed on
+strings, so the compile hashes no literal or rule objects.  The
+(mode, subject) pair with base index ``b`` has the subject id ``3b + m``,
+with ``m`` 0, 1, 2 for C, O, P, so ids sort exactly as the pairs do:
+literals before rules, then name, positive first, then C/O/P.
+``extension`` decodes ids to literals and rule references once, at the
+end.
 
 A subject never decided by the fixpoint is reported as undetermined; loops
 such as ``x => C x`` are the typical cause.  The engine never decides a
@@ -53,8 +64,10 @@ from .model import (
     Sign,
     TaggedFormula,
     Theory,
+    ValidationReport,
+    atoms,
     concluded_labels,
-    herbrand_base,
+    herbrand_base,  # noqa: F401 -- not called here; perfbench/spans.py wraps this name
     validate,
 )
 
@@ -124,16 +137,15 @@ class EngineState:
         index = build_conflict_index(t, self.variant)
         by_label = t.rules_by_label()
         self.labels = sorted(by_label)
-        rid = {label: r for r, label in enumerate(self.labels)}
+        self.atom_ids = {atom: a for a, atom in enumerate(sorted(atoms(t)))}
+        self.rule_ids = rid = {label: r for r, label in enumerate(self.labels)}
         rules = [by_label[label] for label in self.labels]
         refs = [RuleRef(label, positive) for label in self.labels for positive in (True, False)]
-        lits = sorted(
-            {s for s in herbrand_base(t) if isinstance(s, Literal)},
-            key=lambda lit: (lit.atom, not lit.positive),
-        )
-        self.n_lits, self.n_lit_ids = len(lits), 3 * len(lits)
-        self.base = lits + refs
-        self.base_ids = {subject: b for b, subject in enumerate(self.base)}
+        self.n_lits = 2 * len(self.atom_ids)
+        self.n_lit_ids = 3 * self.n_lits
+        self.base = [
+            Literal(atom, positive) for atom in self.atom_ids for positive in (True, False)
+        ] + refs
 
         self.rule_mode = [_MODE_ORDER[rule.mode] for rule in rules]
         self.defeasible = [rule.is_defeasible for rule in rules]
@@ -181,32 +193,37 @@ class EngineState:
 
         top = {rid[rule.label] for rule in t.rules}
         produced = {rid[ref.label] for ref, who in index.producers.items() if who and ref.positive}
+        self.supported = set()  # subject ids with a defeasible supporter
         for r in top | produced:
             for pos, s in enumerate(self.concludes[r], start=1):
                 self.supports.setdefault(s, []).append((r, pos))
+            if self.defeasible[r]:
+                self.supported.update(self.concludes[r])
         # decided before any evidence: facts and the given rules hold, the
         # complements of facts fail, and so do expressions clashing with a
         # given rule; where both apply (contradictory facts, clashing given
         # rules), holding wins
         top_refs = {refs[2 * r] for r in top}
-        facts = [self.base_ids[f] for f in t.facts if f in self.base_ids]
-        self.seeded = {3 * (b ^ 1): False for b in facts}
+        facts = [self.subject_id(Mode.C, f) for f in t.facts]
+        self.seeded = {complement_id(s): False for s in facts}
         self.seeded.update(
             (self.subject_id(Mode.C, ref), False)
             for ref, others in index.conflicting.items()
             if others & top_refs
         )
-        self.seeded.update((3 * b, True) for b in facts)
+        self.seeded.update((s, True) for s in facts)
         self.seeded.update((self.subject_id(Mode.C, ref), True) for ref in top_refs)
         del index  # the run reads only the compiled tables; free it before the subject sets
         self.mhb = set(range(3 * len(self.base)))
         self.dirty = set(self.mhb)
 
     def subject_id(self, mode: Mode, subject) -> int:
-        """The id of a (mode, literal or rule expression) pair of the base."""
-        if isinstance(subject, RuleExpression):
-            subject = subject.ref
-        return 3 * self.base_ids[subject] + _MODE_ORDER[mode]
+        """The id of a (mode, literal, rule expression or rule reference) pair."""
+        if isinstance(subject, Literal):
+            b = 2 * self.atom_ids[subject.atom]
+        else:
+            b = self.n_lits + 2 * self.rule_ids[subject.label]
+        return 3 * (b + (not subject.positive)) + _MODE_ORDER[mode]
 
     def pair(self, s: int):
         """The (mode, subject) pair a subject id stands for."""
@@ -281,16 +298,24 @@ class EngineState:
         if verdict is not None:
             return verdict
         mode = s % 3
-        if s < self.n_lit_ids:
-            tags, provable, refutable = (
-                self.lit_tags, self._provable_literal, self._refutable_literal
-            )
-        else:
-            tags, provable, refutable = (
-                self.rule_tags, self._provable_rule, self._refutable_rule
-            )
+        literal = s < self.n_lit_ids
+        tags = self.lit_tags if literal else self.rule_tags
         if mode == P and tags.get(s - 1) is True:
             return True
+        if s not in self.supported:
+            # no defeasible supporter now or later: C and O fail, P
+            # follows O; an open P consults its defeaters as the full
+            # conditions do, so it is re-examined at the same points
+            if mode != P:
+                return False
+            verdict = tags.get(s - 1)
+            if verdict is None:
+                self._entries(s)
+            return verdict
+        if literal:
+            provable, refutable = self._provable_literal, self._refutable_literal
+        else:
+            provable, refutable = self._provable_rule, self._refutable_rule
         supporters = self._entries(s)
         if provable(s, supporters):
             return True
@@ -555,10 +580,18 @@ def _watch_key(item):
 
 
 def run_engine(
-    theory: Theory, variant: Variant = Variant.CAUTIOUS, order_seed: int = None
+    theory: Theory,
+    variant: Variant = Variant.CAUTIOUS,
+    order_seed: int = None,
+    report: ValidationReport = None,
 ) -> EngineState:
-    """Validate, run the fixpoint, and return the final engine state."""
-    report = validate(theory)
+    """Validate, run the fixpoint, and return the final engine state.
+
+    ``report`` is the theory's ``validate`` result when the caller already
+    holds it; the theory is validated here otherwise.
+    """
+    if report is None:
+        report = validate(theory)
     if not report.ok:
         raise ValueError("invalid theory: " + "; ".join(report.errors))
     state = EngineState(theory, variant, order_seed=order_seed)
@@ -567,9 +600,14 @@ def run_engine(
     return state
 
 
-def compute_extension(theory: Theory, variant: Variant = Variant.CAUTIOUS) -> Extension:
-    """Run the fixpoint and return the twelve tag sets plus the residue."""
-    return run_engine(theory, variant).extension()
+def compute_extension(
+    theory: Theory, variant: Variant = Variant.CAUTIOUS, report: ValidationReport = None
+) -> Extension:
+    """Run the fixpoint and return the twelve tag sets plus the residue.
+
+    ``report`` is as for ``run_engine``.
+    """
+    return run_engine(theory, variant, report=report).extension()
 
 
 PROVED = "Proved"
@@ -601,14 +639,17 @@ def query(theory: Theory, variant: Variant, formula: TaggedFormula, extension: E
     return UNKNOWN_SUBJECT
 
 
-def diff_variants(theory: Theory) -> list:
+def diff_variants(theory: Theory, report: ValidationReport = None) -> list:
     """Subjects decided differently under the two conflict readings.
 
     Returns (mode, meta, subject, simple outcome, cautious outcome) tuples,
-    sorted; outcomes are Proved/Refuted/Undetermined.
+    sorted; outcomes are Proved/Refuted/Undetermined.  ``report`` is as for
+    ``run_engine``.
     """
-    simple = compute_extension(theory, Variant.SIMPLE)
-    cautious = compute_extension(theory, Variant.CAUTIOUS)
+    if report is None:
+        report = validate(theory)
+    simple = compute_extension(theory, Variant.SIMPLE, report)
+    cautious = compute_extension(theory, Variant.CAUTIOUS, report)
 
     def outcomes(ext: Extension):
         out = {}

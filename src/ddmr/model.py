@@ -317,21 +317,21 @@ def theory_size(t: Theory) -> int:
     return len(t.facts) + sum(map(rule_size, t.rules)) + 2 * len(t.superiority)
 
 
+def atoms(t: Theory) -> set:
+    """The atoms of every literal occurring anywhere in the theory."""
+    out = {fact.atom for fact in t.facts}
+    for rule in t.rules:
+        out.update(lit.atom for lit in _literal_occurrences(rule))
+    return out
+
+
 def herbrand_base(t: Theory):
     """All literals and rule expressions the theory can speak about.
 
     Closed under complement: contains l and ~l for every literal occurring
     anywhere, and both polarities of every rule appearing in the theory.
     """
-    literals: set = set()
-    for fact in t.facts:
-        literals.add(fact)
-    for rule in t.rules:
-        literals.update(_literal_occurrences(rule))
-    lit_base = set()
-    for lit in literals:
-        lit_base.add(lit)
-        lit_base.add(lit.complement())
+    lit_base = {Literal(atom, positive) for atom in atoms(t) for positive in (True, False)}
     rule_base = set()
     for rule in t.all_rules():
         expr = RuleExpression(rule, True)

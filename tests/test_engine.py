@@ -314,3 +314,43 @@ def test_compile_numbers_the_modal_base_in_order():
                 assert state.pair(complement_id(s)) == (mode, subject.complement()), name
             ordered = [state.pair(s) for s in sorted(ids.values())]
             assert ordered == sorted(ids, key=_pair_order), name
+
+
+class _Recording(EngineState):
+    """Logs each decision with the iteration that makes it."""
+
+    def prepare(self) -> None:
+        super().prepare()
+        self.log = []
+
+    def _apply(self, s: int, positive: bool) -> None:
+        self.log.append((self.iterations, s, positive))
+        super()._apply(s, positive)
+
+
+# P b has only a defeater and O b never settles.  The full conditions
+# consult the defeater while P b waits, so its moving in iteration two
+# re-examines P b in a third iteration.
+DEFEATER_ONLY = """
+r0: => C c.
+r1: c ~> P b.
+r2: d => O b.
+x: d => C d.
+"""
+
+
+def test_unsupported_subjects_are_decided_as_by_the_proof_conditions():
+    theories = [(p.stem, parse_theory(p.read_text())) for p in sorted(FIXTURES.glob("*.ddl"))]
+    theories += [(f"random/{seed}", random_theory(seed, 80)) for seed in range(20)]
+    theories.append(("defeater-only", parse_theory(DEFEATER_ONLY)))
+    for name, theory in theories:
+        for variant in Variant:
+            fast = _Recording(theory, variant)
+            fast.prepare()
+            full = _Recording(theory, variant)
+            full.prepare()
+            full.supported = range(len(full.mhb))  # every subject runs the conditions
+            fast.run()
+            full.run()
+            assert fast.log == full.log, (name, variant)
+            assert fast.iterations == full.iterations, (name, variant)

@@ -277,8 +277,30 @@ def test_cli_oracle_budget_env(tmp_path, capsys, monkeypatch):
         assert err.splitlines() == ["DDMR_ORACLE_BUDGET must be an integer, got 'x'"]
 
 
+def test_cli_validates_once_per_request(monkeypatch, capsys):
+    calls = []
+
+    def counting(theory):
+        calls.append(theory)
+        return validate(theory)
+
+    monkeypatch.setattr("ddmr.cli.validate", counting)
+    monkeypatch.setattr("ddmr.engine.validate", counting)
+    path = str(FIXTURES / "execution1.ddl")
+    for args, expected in (
+        (("extension", path), 1),
+        (("query", path, "+dO a"), 1),
+        (("diff", path), 1),
+        (("extension", path, "--oracle"), 2),  # the cross-check runs the engine again
+        (("query", path, "+dO a", "--oracle"), 2),
+    ):
+        calls.clear()
+        assert run_cli(*args) == 0, args
+        assert len(calls) == expected, args
+
+
 def test_cli_internal_error_is_one_line_and_exit_7(capsys, monkeypatch):
-    def broken(theory, variant):
+    def broken(*args):
         raise RuntimeError("planted defect")
 
     monkeypatch.setattr("ddmr.cli.compute_extension", broken)
