@@ -5,13 +5,7 @@ under the simple or cautious conflict reading, and cross-check the engine
 against a direct evaluator of the proof conditions.
 """
 
-from .conflicts import (
-    Variant,
-    build_conflict_index,
-    cautiously_conflicts,
-    conflicts,
-    simply_conflicts,
-)
+from .conflicts import Variant, cautiously_conflicts, simply_conflicts
 from .engine import (
     PROVED,
     REFUTED,
@@ -74,12 +68,10 @@ __all__ = [
     "UNDETERMINED",
     "UNKNOWN_SUBJECT",
     "Variant",
-    "build_conflict_index",
     "cautiously_conflicts",
     "check_equivalence",
     "complement",
     "compute_extension",
-    "conflicts",
     "content_equal",
     "diff_variants",
     "extended_superiority",

@@ -92,9 +92,9 @@ def _check_valid(theory) -> ValidationReport:
     return report
 
 
-def _cross_check(theory, variant) -> None:
+def _cross_check(theory, variant, extension) -> None:
     try:
-        diffs = check_equivalence(theory, variant, budget=_oracle_budget())
+        diffs = check_equivalence(theory, variant, _oracle_budget(), extension)
     except OracleBudgetError as exc:
         print(f"oracle: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_INVALID)
@@ -115,7 +115,7 @@ def cmd_extension(args) -> int:
     variant = Variant(args.variant)
     extension = compute_extension(theory, variant, report)
     if args.oracle:
-        _cross_check(theory, variant)
+        _cross_check(theory, variant, extension)
     sys.stdout.write(render_extension(extension, args.format))
     return EXIT_OK
 
@@ -129,9 +129,10 @@ def cmd_query(args) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_PARSE
+    extension = compute_extension(theory, variant, report)
     if args.oracle:
-        _cross_check(theory, variant)
-    answer = query(theory, variant, formula, compute_extension(theory, variant, report))
+        _cross_check(theory, variant, extension)
+    answer = query(theory, variant, formula, extension)
     print(answer)
     return {
         PROVED: EXIT_OK,

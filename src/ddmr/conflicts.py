@@ -1,4 +1,4 @@
-"""Conflict relations between rules and the conflict index built from them.
+"""Conflict relations between rules, and their compile to rule ids.
 
 Two rules can clash in two senses:
 
@@ -15,15 +15,16 @@ Every simple conflict is a cautious conflict.  Both relations are symmetric
 and irreflexive; a rule never conflicts with a content-identical copy of
 itself of the same polarity.
 
-``build_conflict_index`` precomputes, for every rule appearing in a theory,
+The predicates take rules and rule expressions and serve the oracle.
+``build_conflict_index`` compiles, for every rule appearing in a theory,
 the conflict relation under one variant and who concludes each rule
-expression.  The index is immutable once built.
+expression, over the integer ids the engine runs on.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .model import (
     Arrow,
@@ -31,7 +32,6 @@ from .model import (
     Mode,
     Rule,
     RuleExpression,
-    RuleRef,
     Theory,
     content_key,
     element_key,
@@ -141,34 +141,26 @@ def _content_clash(x: Rule, y: Rule) -> bool:
     return len(cx) != len(cy)
 
 
-@dataclass
-class ConflictIndex:
-    """A theory's conflict relation over signed rule labels, plus lookups.
+class ConflictTables(NamedTuple):
+    """A theory's conflict relation over reference ids; see ``build_conflict_index``."""
 
-    ``conflicting`` maps each RuleRef (a rule label with a polarity) to the
-    set of RuleRefs it clashes with under the chosen variant; the relation
-    is symmetric.  ``producers`` maps a RuleRef to the (meta-)rules that
-    conclude it, with the 1-based position it occupies in the producer's
-    chain.  ``by_content`` supports the simple variant's defence lookup:
-    rules concluding an element with a given content and polarity.
-    ``content_keys`` holds the ``content_key`` of every rule, by label.
-    """
-
-    variant: Variant
-    conflicting: dict = field(default_factory=dict)  # RuleRef -> set[RuleRef]
-    producers: dict = field(default_factory=dict)  # RuleRef -> set[(label, index)]
-    by_content: dict = field(default_factory=dict)  # (ckey, positive) -> [(label, elem_label, index)]
-    content_keys: dict = field(default_factory=dict)  # label -> content_key
-
-    def rule_level(self, label: str) -> set:
-        """Labels of rules conflicting with the positive rule ``label``."""
-        return {
-            ref.label for ref in self.conflicting.get(RuleRef(label), ()) if ref.positive
-        }
+    conflicting: dict  # reference id -> set of reference ids
+    producers: list  # reference id -> [(rule id, position)]
+    content_group: list  # rule id -> content group number
 
 
-def build_conflict_index(theory: Theory, variant: Variant) -> ConflictIndex:
-    """Precompute the conflict relation and conclusion lookups for a theory.
+def build_conflict_index(theory: Theory, variant: Variant, rule_ids: dict) -> ConflictTables:
+    """Compile the conflict relation and conclusion lookups of a theory to ids.
+
+    ``rule_ids`` numbers every rule appearing in the theory from 0.  The
+    reference to rule ``r`` has the reference id ``2r`` when positive and
+    ``2r + 1`` when negated.  ``conflicting`` maps a reference id to the
+    set of reference ids it clashes with under ``variant``; the relation is
+    symmetric, and every reference clashes with its own negation.
+    ``producers[k]`` lists the (rule id, 1-based position) pairs at which
+    chains conclude the reference ``k``, in id order.  ``content_group[r]``
+    numbers rule ``r``'s content: two rules share a number exactly when
+    they share content.
 
     Pair generation is bucketed so only candidate pairs ever reach the full
     predicates.  Negation clashes are bucketed by content.  Content clashes
@@ -179,70 +171,61 @@ def build_conflict_index(theory: Theory, variant: Variant) -> ConflictIndex:
     chain clashes are joined through the element pairs found first.  The
     outcome matches the pairwise predicates exactly.
     """
-    index = ConflictIndex(variant)
-    by_label = theory.rules_by_label()
-    labels = sorted(by_label)
-    ckeys = index.content_keys = {label: content_key(by_label[label]) for label in labels}
+    rules = sorted(theory.rules_by_label().values(), key=lambda rule: rule_ids[rule.label])
+    groups: dict = {}  # content_key -> group number
+    content_group = [groups.setdefault(content_key(rule), len(groups)) for rule in rules]
 
-    for label in labels:
-        index.conflicting[RuleRef(label, True)] = set()
-        index.conflicting[RuleRef(label, False)] = set()
-        index.producers.setdefault(RuleRef(label, True), set())
-        index.producers.setdefault(RuleRef(label, False), set())
-
-    for label in labels:
-        rule = by_label[label]
+    producers = [[] for _ in range(2 * len(rules))]
+    for r, rule in enumerate(rules):
         for pos, elem in enumerate(rule.consequent, start=1):
             if isinstance(elem, RuleExpression):
-                index.producers[elem.ref].add((label, pos))
-                key = (ckeys[elem.rule.label], elem.positive)
-                index.by_content.setdefault(key, []).append(
-                    (label, elem.rule.label, pos)
-                )
+                producers[2 * rule_ids[elem.rule.label] + (not elem.positive)].append((r, pos))
 
-    def connect(a: RuleRef, b: RuleRef) -> None:
-        index.conflicting[a].add(b)
-        index.conflicting[b].add(a)
+    conflicting: dict = {}
+
+    def connect(a: int, b: int) -> None:
+        conflicting.setdefault(a, set()).add(b)
+        conflicting.setdefault(b, set()).add(a)
 
     # Negation clashes: same content, opposite polarity.
-    content_groups: dict = {}
-    for label in labels:
-        content_groups.setdefault(ckeys[label], []).append(label)
-    for group in content_groups.values():
+    members = [[] for _ in groups]
+    for r, g in enumerate(content_group):
+        members[g].append(r)
+    for group in members:
         for u in group:
             for v in group:
-                connect(RuleRef(u, True), RuleRef(v, False))
+                connect(2 * u, 2 * v + 1)
 
     # Cautious content clashes need equal antecedents, one arrow and first
     # elements that are equal or complementary, so bucket on those.
     if variant is Variant.CAUTIOUS:
         clash_groups: dict = {}
-        for label in labels:
-            rule = by_label[label]
+        for r, rule in enumerate(rules):
             head = rule.consequent[0]
             head_key = (
-                (head.atom,) if isinstance(head, Literal) else ckeys[head.rule.label]
+                (head.atom,)
+                if isinstance(head, Literal)
+                else content_group[rule_ids[head.rule.label]]
             )
             key = (_antecedent_key(rule), rule.arrow, head_key)
-            clash_groups.setdefault(key, []).append(label)
+            clash_groups.setdefault(key, []).append(r)
         for group in clash_groups.values():
             for i, u in enumerate(group):
                 for v in group[i + 1 :]:
-                    if _content_clash(by_label[u], by_label[v]):
-                        connect(RuleRef(u, True), RuleRef(v, True))
+                    if _content_clash(rules[u], rules[v]):
+                        connect(2 * u, 2 * v)
 
     # Meta-rule chains clash when elements of theirs do, at any positions.
     element_pairs = [
         (a, b)
-        for a, others in index.conflicting.items()
-        if index.producers[a]
+        for a, others in conflicting.items()
+        if producers[a]
         for b in others
-        if index.producers[b]
+        if producers[b]
     ]
     for a, b in element_pairs:
-        for meta_a, _ in index.producers[a]:
-            for meta_b, _ in index.producers[b]:
-                connect(RuleRef(meta_a, True), RuleRef(meta_b, True))
+        for meta_a, _ in producers[a]:
+            for meta_b, _ in producers[b]:
+                connect(2 * meta_a, 2 * meta_b)
 
-    return index
-
+    return ConflictTables(conflicting, producers, content_group)

@@ -31,9 +31,11 @@ defeasible supporter never gains one.
 ``prepare`` compiles the theory to integer ids and the fixpoint runs on
 those alone.  Atoms are numbered in sorted order, and so are rule
 labels.  The literal over atom ``a`` has the base index ``2a`` when
-positive and ``2a + 1`` when negated; the reference to rule ``r`` has
-``n_lits + 2r`` and ``n_lits + 2r + 1``.  So the base runs literals
-before rule references, then by atom or label, the positive one first;
+positive and ``2a + 1`` when negated.  The reference to rule ``r`` has
+the reference id ``k = 2r + (not positive)``, the numbering in which
+``build_conflict_index`` writes the conflict relation, and the base
+index ``n_lits + k``.  So the base runs literals before rule
+references, then by atom or label, the positive one first;
 complementing a base index is ``b ^ 1``.  Both numberings are keyed on
 strings, so the compile hashes no literal or rule objects.  The
 (mode, subject) pair with base index ``b`` has the subject id ``3b + m``,
@@ -130,22 +132,23 @@ class EngineState:
 
         Per rule id: its mode offset, whether it is defeasible, the subject
         ids its chain concludes, its rule-expression positions, the rules
-        it concludes and the rules it clashes with as a whole rule; and
-        the superiority pairs as pairs of rule ids.
+        it concludes and, under the cautious variant, the rules it clashes
+        with as a whole rule; per reference id, under the simple variant,
+        its attackers and the conclusions sharing its content; and the
+        superiority pairs as pairs of rule ids.
         """
         t = self.theory
-        index = build_conflict_index(t, self.variant)
         by_label = t.rules_by_label()
         self.labels = sorted(by_label)
         self.atom_ids = {atom: a for a, atom in enumerate(sorted(atoms(t)))}
         self.rule_ids = rid = {label: r for r, label in enumerate(self.labels)}
+        conflicting, producers, group = build_conflict_index(t, self.variant, rid)
         rules = [by_label[label] for label in self.labels]
-        refs = [RuleRef(label, positive) for label in self.labels for positive in (True, False)]
         self.n_lits = 2 * len(self.atom_ids)
         self.n_lit_ids = 3 * self.n_lits
         self.base = [
             Literal(atom, positive) for atom in self.atom_ids for positive in (True, False)
-        ] + refs
+        ] + [RuleRef(label, positive) for label in self.labels for positive in (True, False)]
 
         self.rule_mode = [_MODE_ORDER[rule.mode] for rule in rules]
         self.defeasible = [rule.is_defeasible for rule in rules]
@@ -157,7 +160,6 @@ class EngineState:
             for rule in rules
         ]
         self.concluded = [[rid[u] for u in concluded_labels(rule)] for rule in rules]
-        self.clashes = [sorted(rid[u] for u in index.rule_level(label)) for label in self.labels]
         self.sup = {(rid[a], rid[b]) for a, b in t.superiority if a in rid and b in rid}
         self.matrix = [
             [[None] * len(rule.consequent), [None] * len(rule.consequent)]
@@ -171,28 +173,33 @@ class EngineState:
                 mode, subject, positive = _watch_key(item)
                 self.watch.setdefault(self.subject_id(mode, subject), []).append((r, positive))
 
+        refs = range(len(producers))  # reference ids
         if self.variant is Variant.SIMPLE:
-            # per rule reference, by base index - n_lits: the rules concluding
-            # a clashing expression as (rule, position, rule named there),
-            # and the conclusions sharing the reference's content and polarity
+            # per reference id: the rules concluding a clashing expression as
+            # (rule, position, rule named there), and the conclusions sharing
+            # its content and polarity as (rule, rule named there, position)
             self.simple_attackers = [
                 sorted(
-                    (rid[g], gpos, rid[other.label])
-                    for other in index.conflicting[ref]
-                    for g, gpos in index.producers[other]
+                    (g, gpos, x >> 1) for x in conflicting[k] for g, gpos in producers[x]
                 )
-                for ref in refs
+                for k in refs
             ]
-            same = {
-                key: [(rid[z], rid[e], zpos) for z, e, zpos in entries]
-                for key, entries in index.by_content.items()
-            }
-            self.same_content = [
-                same.get((index.content_keys[ref.label], ref.positive), ()) for ref in refs
+            same: dict = {}
+            for k in refs:
+                if producers[k]:
+                    same.setdefault((group[k >> 1], k & 1), []).extend(
+                        (z, k >> 1, zpos) for z, zpos in producers[k]
+                    )
+            for entries in same.values():
+                entries.sort()
+            self.same_content = [same.get((group[k >> 1], k & 1), ()) for k in refs]
+        else:
+            self.clashes = [
+                sorted(x >> 1 for x in conflicting[k] if not x & 1) for k in refs[::2]
             ]
 
         top = {rid[rule.label] for rule in t.rules}
-        produced = {rid[ref.label] for ref, who in index.producers.items() if who and ref.positive}
+        produced = {k >> 1 for k in refs[::2] if producers[k]}
         self.supported = set()  # subject ids with a defeasible supporter
         for r in top | produced:
             for pos, s in enumerate(self.concludes[r], start=1):
@@ -203,17 +210,17 @@ class EngineState:
         # complements of facts fail, and so do expressions clashing with a
         # given rule; where both apply (contradictory facts, clashing given
         # rules), holding wins
-        top_refs = {refs[2 * r] for r in top}
+        top_refs = {2 * r for r in top}
         facts = [self.subject_id(Mode.C, f) for f in t.facts]
         self.seeded = {complement_id(s): False for s in facts}
         self.seeded.update(
-            (self.subject_id(Mode.C, ref), False)
-            for ref, others in index.conflicting.items()
-            if others & top_refs
+            (3 * (self.n_lits + k), False)
+            for k, others in conflicting.items()
+            if not others.isdisjoint(top_refs)
         )
         self.seeded.update((s, True) for s in facts)
-        self.seeded.update((self.subject_id(Mode.C, ref), True) for ref in top_refs)
-        del index  # the run reads only the compiled tables; free it before the subject sets
+        self.seeded.update((3 * (self.n_lits + k), True) for k in top_refs)
+        del conflicting, producers  # the run reads only the tables; free these first
         self.mhb = set(range(3 * len(self.base)))
         self.dirty = set(self.mhb)
 

@@ -469,13 +469,10 @@ class Extension:
 
     @classmethod
     def from_tags(cls, lit_tags, rule_tags, undetermined) -> "Extension":
-        """Sort (mode, subject) -> sign stores (True for +) into tag sets.
-
-        A store is a dict or an iterable of its items.
-        """
+        """Sort ((mode, subject), sign) pairs (True for +) into tag sets."""
         ext = cls(undetermined=set(undetermined))
         for table, tags in ((ext.literals, lit_tags), (ext.rules, rule_tags)):
-            for (mode, subject), positive in tags.items() if isinstance(tags, dict) else tags:
+            for (mode, subject), positive in tags:
                 table[(Sign.PLUS if positive else Sign.MINUS, mode)].add(subject)
         return ext
 

@@ -432,20 +432,26 @@ def oracle_extension(
         for mode in Mode:
             if store.get(mode, subject) is None:
                 undetermined.add((mode, subject))
-    return Extension.from_tags(store.lit, store.rule, undetermined)
+    return Extension.from_tags(store.lit.items(), store.rule.items(), undetermined)
 
 
 def check_equivalence(
-    theory: Theory, variant: Variant, budget: int = DEFAULT_BUDGET
+    theory: Theory,
+    variant: Variant,
+    budget: int = DEFAULT_BUDGET,
+    engine_ext: Extension = None,
 ) -> dict:
     """Symmetric differences between the engine and oracle extensions.
 
     Empty dict on agreement; otherwise maps a set name to the pair of
-    subject sets (engine only, oracle only).
+    subject sets (engine only, oracle only).  ``engine_ext`` is the
+    engine's extension of the theory when the caller already holds it; it
+    is computed here otherwise.
     """
-    from .engine import compute_extension
+    if engine_ext is None:
+        from .engine import compute_extension
 
-    engine_ext = compute_extension(theory, variant)
+        engine_ext = compute_extension(theory, variant)
     oracle_ext = oracle_extension(theory, variant, budget)
     diffs: dict = {}
     for sign in Sign:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import types
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,8 +21,8 @@ from ddmr.model import (
     Mode,
     Rule,
     RuleExpression,
-    RuleRef,
     Theory,
+    content_equal,
 )
 
 from .conftest import load_fixture
@@ -39,6 +40,15 @@ nb, nd = b.complement(), d.complement()
 
 def neg(r: Rule) -> RuleExpression:
     return RuleExpression(r, False)
+
+
+def test_ddmr_conflicts_names_the_module():
+    import ddmr.conflicts as m
+    from ddmr import conflicts as n
+
+    assert isinstance(m, types.ModuleType)
+    assert n is m
+    assert m.conflicts is conflicts
 
 
 def test_simple_conflict_same_label():
@@ -181,56 +191,86 @@ def test_chain_internal_clash_makes_a_rule_self_conflicting():
     assert cautiously_conflicts(m, m)
 
 
-def _rules_of_modes(index, by_label, label, modes) -> set:
+def _compile(theory, variant):
+    """The compiled conflict tables, with ids decoded through the sorted labels.
+
+    Returns the clash relation and the producers, both keyed by
+    (label, positive), and the content group of each label.
+    """
+    labels = sorted(theory.rules_by_label())
+    tables = build_conflict_index(theory, variant, {label: r for r, label in enumerate(labels)})
+
+    def ref(k):
+        return labels[k >> 1], not k & 1
+
+    conflicting = {
+        ref(k): {ref(x) for x in tables.conflicting[k]} for k in range(2 * len(labels))
+    }
+    producers = {
+        ref(k): {(labels[r], pos) for r, pos in entries}
+        for k, entries in enumerate(tables.producers)
+    }
+    groups = dict(zip(labels, tables.content_group))
+    return conflicting, producers, groups
+
+
+def _rule_level(conflicting, label) -> set:
+    """Labels of rules clashing with the positive rule ``label``."""
+    return {other for other, positive in conflicting[(label, True)] if positive}
+
+
+def _rules_of_modes(conflicting, by_label, label, modes) -> set:
     """Rules clashing with ``label`` whose mode is one of ``modes``."""
-    return {g for g in index.rule_level(label) if by_label[g].mode in modes}
+    return {g for g in _rule_level(conflicting, label) if by_label[g].mode in modes}
 
 
-def _producer_labels(index, label) -> set:
-    return {who for who, _ in index.producers[RuleRef(label)]}
+def _producer_labels(producers, label) -> set:
+    return {who for who, _ in producers[(label, True)]}
 
 
 def test_index_no_meta_rules_is_empty():
     theory = load_fixture("example1")
     for variant in Variant:
-        index = build_conflict_index(theory, variant)
+        conflicting, producers, _ = _compile(theory, variant)
         for label in theory.rules_by_label():
-            assert _producer_labels(index, label) == set()
-            assert index.rule_level(label) == set()
+            assert _producer_labels(producers, label) == set()
+            assert _rule_level(conflicting, label) == set()
 
 
 def test_index_execution2_opposition_and_support():
     theory = load_fixture("execution2")
     by_label = theory.rules_by_label()
-    index = build_conflict_index(theory, Variant.CAUTIOUS)
-    opposers = _rules_of_modes(index, by_label, "alpha", (Mode.O, Mode.P))
+    conflicting, _, _ = _compile(theory, Variant.CAUTIOUS)
+    opposers = _rules_of_modes(conflicting, by_label, "alpha", (Mode.O, Mode.P))
     assert opposers == {"beta", "lam"}
     supporters = {
         z
         for g in opposers
-        for z in _rules_of_modes(index, by_label, g, (Mode.O,))
+        for z in _rules_of_modes(conflicting, by_label, g, (Mode.O,))
         if z != "alpha"
     }
     assert supporters == {"gamma"}
-    simple = build_conflict_index(theory, Variant.SIMPLE)
+    simple, _, _ = _compile(theory, Variant.SIMPLE)
     assert "beta" not in _rules_of_modes(simple, by_label, "alpha", (Mode.O, Mode.P))
 
 
 def test_index_producers_of_rule_expressions():
     theory = load_fixture("execution1")
-    index = build_conflict_index(theory, Variant.CAUTIOUS)
-    assert _producer_labels(index, "gamma") == {"beta"}
-    assert _producer_labels(index, "kappa") == {"zeta"}
-    assert _producer_labels(index, "nu") == set()
+    _, producers, _ = _compile(theory, Variant.CAUTIOUS)
+    assert _producer_labels(producers, "gamma") == {"beta"}
+    assert _producer_labels(producers, "kappa") == {"zeta"}
+    assert _producer_labels(producers, "nu") == set()
 
 
 def _assert_index_matches_pairwise(theory):
     by_label = theory.rules_by_label()
     labels = sorted(by_label)
     for variant in Variant:
-        index = build_conflict_index(theory, variant)
+        conflicting, _, groups = _compile(theory, variant)
         for la in labels:
             for lb in labels:
+                same = content_equal(by_label[la], by_label[lb])
+                assert (groups[la] == groups[lb]) == same, (la, lb)
                 for pa in (True, False):
                     for pb in (True, False):
                         expected = conflicts(
@@ -238,7 +278,7 @@ def _assert_index_matches_pairwise(theory):
                             RuleExpression(by_label[lb], pb),
                             variant,
                         )
-                        got = RuleRef(lb, pb) in index.conflicting[RuleRef(la, pa)]
+                        got = (lb, pb) in conflicting[(la, pa)]
                         assert got == expected, (variant, la, pa, lb, pb)
 
 
@@ -278,10 +318,8 @@ def test_index_matches_pairwise_predicates_at_bucket_edges():
     ]
     theory = Theory.build([], rules)
     _assert_index_matches_pairwise(theory)
-    cautious = build_conflict_index(theory, Variant.CAUTIOUS)
-    clashes = {
-        frozenset((r.label, y)) for r in rules for y in cautious.rule_level(r.label)
-    }
+    cautious, _, _ = _compile(theory, Variant.CAUTIOUS)
+    clashes = {frozenset((r.label, y)) for r in rules for y in _rule_level(cautious, r.label)}
     assert clashes == {
         frozenset(p)
         for p in (
@@ -310,7 +348,4 @@ def test_index_independent_of_rule_order():
         theory.facts, tuple(reversed(theory.rules)), theory.superiority
     )
     for variant in Variant:
-        i1 = build_conflict_index(theory, variant)
-        i2 = build_conflict_index(reversed_theory, variant)
-        assert i1.conflicting == i2.conflicting
-        assert i1.producers == i2.producers
+        assert _compile(theory, variant) == _compile(reversed_theory, variant)

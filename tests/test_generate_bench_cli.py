@@ -291,8 +291,8 @@ def test_cli_validates_once_per_request(monkeypatch, capsys):
         (("extension", path), 1),
         (("query", path, "+dO a"), 1),
         (("diff", path), 1),
-        (("extension", path, "--oracle"), 2),  # the cross-check runs the engine again
-        (("query", path, "+dO a", "--oracle"), 2),
+        (("extension", path, "--oracle"), 1),  # the cross-check reuses the engine's run
+        (("query", path, "+dO a", "--oracle"), 1),
     ):
         calls.clear()
         assert run_cli(*args) == 0, args

@@ -7,11 +7,13 @@ time, so that ``perfbench/run.py --trace 1`` resolves every layer.
 
 from __future__ import annotations
 
+import itertools
 import sys
 
 import ddmr
 import ddmr.cli
-from ddmr.model import modal_herbrand_base
+from ddmr.conflicts import Variant, conflicts
+from ddmr.model import RuleExpression, modal_herbrand_base
 
 from .conftest import FIXTURES, load_fixture
 
@@ -43,7 +45,15 @@ def test_tracer_wraps_every_layer_and_restores_it(monkeypatch, capsys):
     tracer.install(ddmr)
     try:
         tracer.request = 0
-        argv = ["extension", str(FIXTURES / "execution2.ddl"), "--oracle", "--format", "json"]
+        argv = [
+            "extension",
+            str(FIXTURES / "execution2.ddl"),
+            "--variant",
+            "cautious",
+            "--oracle",
+            "--format",
+            "json",
+        ]
         assert ddmr.cli.main(argv) == 0
     finally:
         tracer.request = None
@@ -51,10 +61,21 @@ def test_tracer_wraps_every_layer_and_restores_it(monkeypatch, capsys):
     assert LAYERS <= {span[0] for span in tracer.spans}
     assert ddmr.engine.EngineState.extension is original
     # the counters read the engine state: every run decides or leaves
-    # undetermined each pair of the modal base (``--oracle`` runs it twice)
+    # undetermined each pair of the modal base (``--oracle`` reuses the run)
     runs = sum(span[0] == "engine.run_engine" for span in tracer.spans)
-    assert runs == 2
+    assert runs == 1
     count = tracer.counters
-    base = len(modal_herbrand_base(load_fixture("execution2")))
+    theory = load_fixture("execution2")
+    base = len(modal_herbrand_base(theory))
     assert count["decisions"] + count["undetermined"] == runs * base
     assert count["iterations"] >= runs
+    # the index counter is the number of clashing pairs of rule references
+    refs = [
+        RuleExpression(rule, positive)
+        for rule in theory.rules_by_label().values()
+        for positive in (True, False)
+    ]
+    clashing = sum(
+        conflicts(x, y, Variant.CAUTIOUS) for x, y in itertools.combinations(refs, 2)
+    )
+    assert count["conflict_edges"] == clashing
