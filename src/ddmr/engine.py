@@ -41,8 +41,17 @@ strings, so the compile hashes no literal or rule objects.  The
 (mode, subject) pair with base index ``b`` has the subject id ``3b + m``,
 with ``m`` 0, 1, 2 for C, O, P, so ids sort exactly as the pairs do:
 literals before rules, then name, positive first, then C/O/P.
-``extension`` decodes ids to literals and rule references once, at the
-end.
+
+The run keeps its decisions in one ``bytearray``, ``tag``, indexed by
+subject id: 0 undecided, 1 proved, 2 refuted.  At the start every id is
+undecided and due for examination, so the first iteration scans the ids
+in order; later iterations examine the sorted undecided ids whose
+evidence moved (``dirty``).  ``extension`` decodes the store once, at
+the end, a set at a time: for each mode it takes that mode's column of
+the store (``tag[m::3]``, one byte per base index), turns it into a 0/1
+mask per sign and picks the subjects out of ``base``, the per-base-index
+literals and rule references ``prepare`` made, with
+``itertools.compress``.
 
 A subject never decided by the fixpoint is reported as undetermined; loops
 such as ``x => C x`` are the typical cause.  The engine never decides a
@@ -54,6 +63,7 @@ iteration order.
 from __future__ import annotations
 
 import random
+from itertools import compress, count, repeat
 
 from .conflicts import Variant, build_conflict_index
 from .model import (
@@ -87,6 +97,12 @@ _ATTACK_MODES = ((C,), (O, P), (O,))
 _DEFEND_MODES = ((C,), (O,), (O, P))
 
 
+# The values of the tag store, and per value a translation table that maps
+# that byte to 1 and every other byte to 0.
+_UNDECIDED, _PROVED, _REFUTED = 0, 1, 2
+_IS = [bytes(int(byte == value) for byte in range(256)) for value in range(3)]
+
+
 def complement_id(s: int) -> int:
     """The subject id of the same mode over the complementary subject."""
     return 3 * ((s // 3) ^ 1) + s % 3
@@ -103,9 +119,12 @@ class EngineState:
     still conclude subject ``s``; entries disappear when a rule dies or its
     chain is blocked before the position.  ``matrix[r]`` keeps, for an
     obligation rule, the in-force and violated verdicts for each chain
-    position (None until decided).  ``lit_tags``/``rule_tags`` map decided
-    subject ids to their sign; ``mhb`` holds the undecided ids and shrinks
-    in lock step with them.  ``dead`` holds the ids of deleted rules.
+    position (None until decided).  ``tag[s]`` is the decision on subject
+    ``s``: 0 undecided, 1 proved, 2 refuted.  ``lit_tags`` and
+    ``rule_tags`` (decided literal and rule subject ids to their sign) and
+    ``mhb`` (the undecided ids) are views computed from ``tag`` on each
+    read; the run itself never builds them.  ``dead`` holds the ids of
+    deleted rules.
     ``live_ants[r]`` counts the rule's antecedent items not yet satisfied:
     in a valid theory the items of one rule have distinct ``_watch_key``s
     and every subject is decided once, so no item is counted off twice.
@@ -116,8 +135,8 @@ class EngineState:
         self.variant = variant
         self.order_seed = order_seed  # shuffle scan order instead of sorting, for testing
         self.iterations = 0
-        self.lit_tags: dict = {}
-        self.rule_tags: dict = {}
+        self.tag = bytearray()
+        self.dirty: set = set()
         self.watch: dict = {}  # subject id -> [(rule, satisfying sign)]
         self.dead: set = set()
         self.effective: set = set()
@@ -221,8 +240,7 @@ class EngineState:
         self.seeded.update((s, True) for s in facts)
         self.seeded.update((3 * (self.n_lits + k), True) for k in top_refs)
         del conflicting, producers  # the run reads only the tables; free these first
-        self.mhb = set(range(3 * len(self.base)))
-        self.dirty = set(self.mhb)
+        self.tag = bytearray(3 * len(self.base))
 
     def subject_id(self, mode: Mode, subject) -> int:
         """The id of a (mode, literal, rule expression or rule reference) pair."""
@@ -236,34 +254,68 @@ class EngineState:
         """The (mode, subject) pair a subject id stands for."""
         return _MODES[s % 3], self.base[s // 3]
 
+    @property
+    def lit_tags(self) -> dict:
+        """Decided literal subject ids -> sign (True for +)."""
+        return self._signs(0, self.n_lit_ids)
+
+    @property
+    def rule_tags(self) -> dict:
+        """Decided rule subject ids -> sign (True for +)."""
+        return self._signs(self.n_lit_ids, len(self.tag))
+
+    @property
+    def mhb(self) -> set:
+        """The undecided subject ids."""
+        return set(compress(count(), self.tag.translate(_IS[_UNDECIDED])))
+
+    def _signs(self, start: int, stop: int) -> dict:
+        tag = self.tag
+        return {s: tag[s] == _PROVED for s in range(start, stop) if tag[s]}
+
     # ------------------------------------------------------------------- run
 
     def run(self) -> None:
-        while self.dirty:
+        tag, dirty, seeded, supported = self.tag, self.dirty, self.seeded, self.supported
+        touched = self._touched
+        batch = range(len(tag)) if tag else None  # first: every id, all undecided
+        while batch is not None:
             self.iterations += 1
-            batch = sorted(self.dirty & self.mhb)
             if self.order_seed is not None:
+                batch = list(batch)
                 random.Random(self.order_seed + self.iterations).shuffle(batch)
-            self.dirty.clear()
             for s in batch:
-                if s not in self.mhb:
+                if tag[s]:
                     continue
-                self._touched = set()
+                if s % 3 != P and s not in supported and s not in seeded:
+                    # no defeasible supporter now or later: _decide's answer
+                    self._apply(s, False)
+                    continue
+                touched.clear()
                 verdict = self._decide(s)
                 if verdict is not None:
                     self._apply(s, verdict)
                 else:
                     # undecided: re-examine when any consulted rule moves
-                    for r in self._touched:
+                    for r in touched:
                         self.deps.setdefault(r, set()).add(s)
+            batch = sorted(s for s in dirty if not tag[s]) if dirty else None
+            dirty.clear()
 
     def extension(self) -> Extension:
-        pair = self.pair
-        return Extension.from_tags(
-            ((pair(s), positive) for s, positive in self.lit_tags.items()),
-            ((pair(s), positive) for s, positive in self.rule_tags.items()),
-            map(pair, self.mhb),
-        )
+        """Decode the tag store into the twelve tag sets and the residue."""
+        n = self.n_lits
+        lits, refs = self.base[:n], self.base[n:]
+        literals, rules, undetermined = {}, {}, set()
+        for m, mode in enumerate(_MODES):
+            column = self.tag[m::3]
+            for sign, value in ((Sign.PLUS, _PROVED), (Sign.MINUS, _REFUTED)):
+                mask = column.translate(_IS[value])
+                literals[(sign, mode)] = set(compress(lits, mask[:n]))
+                rules[(sign, mode)] = set(compress(refs, mask[n:]))
+            undecided = compress(self.base, column.translate(_IS[_UNDECIDED]))
+            undetermined.update(zip(repeat(mode), undecided))
+        return Extension(literals, rules, undetermined)
 
     # ------------------------------------------------------------ rule state
 
@@ -305,9 +357,7 @@ class EngineState:
         if verdict is not None:
             return verdict
         mode = s % 3
-        literal = s < self.n_lit_ids
-        tags = self.lit_tags if literal else self.rule_tags
-        if mode == P and tags.get(s - 1) is True:
+        if mode == P and self.tag[s - 1] == _PROVED:
             return True
         if s not in self.supported:
             # no defeasible supporter now or later: C and O fail, P
@@ -315,18 +365,18 @@ class EngineState:
             # conditions do, so it is re-examined at the same points
             if mode != P:
                 return False
-            verdict = tags.get(s - 1)
-            if verdict is None:
-                self._entries(s)
-            return verdict
-        if literal:
+            if self.tag[s - 1]:
+                return False  # the obligation is refuted
+            self._entries(s)
+            return None
+        if s < self.n_lit_ids:
             provable, refutable = self._provable_literal, self._refutable_literal
         else:
             provable, refutable = self._provable_rule, self._refutable_rule
         supporters = self._entries(s)
         if provable(s, supporters):
             return True
-        if mode == P and tags.get(s - 1) is not False:
+        if mode == P and self.tag[s - 1] != _REFUTED:
             return None  # a permission cannot be rejected before the obligation is
         if refutable(s, supporters):
             return False
@@ -334,7 +384,8 @@ class EngineState:
 
     def _entries(self, s: int):
         entries = self.supports.get(s, ())
-        self._touched.update(r for r, _ in entries)
+        if entries:
+            self._touched.update(r for r, _ in entries)
         return entries
 
     def _attack_entries(self, s: int) -> list:
@@ -510,13 +561,12 @@ class EngineState:
         violation evidence.  A rule element is violated by being refuted
         from the rule system, a literal element by its complement holding.
         """
-        if s not in self.mhb:
+        if self.tag[s]:
             mode, subject = self.pair(s)
             raise IncoherenceError(f"double decision on {mode} {subject}")
-        self.mhb.discard(s)
+        self.tag[s] = _PROVED if positive else _REFUTED
         mode = s % 3
         literal = s < self.n_lit_ids
-        (self.lit_tags if literal else self.rule_tags)[s] = positive
         if mode == O:
             self.dirty.add(s + 1)
 

@@ -469,7 +469,11 @@ class Extension:
 
     @classmethod
     def from_tags(cls, lit_tags, rule_tags, undetermined) -> "Extension":
-        """Sort ((mode, subject), sign) pairs (True for +) into tag sets."""
+        """Sort ((mode, subject), sign) pairs (True for +) into tag sets.
+
+        The oracle's conversion of its tag store; the engine decodes its
+        own store a set at a time (``EngineState.extension``).
+        """
         ext = cls(undetermined=set(undetermined))
         for table, tags in ((ext.literals, lit_tags), (ext.rules, rule_tags)):
             for (mode, subject), positive in tags:
@@ -478,21 +482,29 @@ class Extension:
 
 
 def _has_cycle(pairs) -> bool:
+    """Whether the directed graph with these (from, to) edges has a cycle.
+
+    Kahn's algorithm: repeatedly remove a node no remaining edge enters;
+    the nodes left over lie on a cycle or are reached from one.  It takes no stack depth,
+    however long the chains in the relation are.
+    """
     graph: dict = {}
     for a, b in pairs:
         graph.setdefault(a, set()).add(b)
         graph.setdefault(b, set())
-    state = dict.fromkeys(graph, 0)  # 0 unvisited, 1 on stack, 2 done
-
-    def visit(node) -> bool:
-        state[node] = 1
-        for succ in graph[node]:
-            if state[succ] == 1 or (state[succ] == 0 and visit(succ)):
-                return True
-        state[node] = 2
-        return False
-
-    return any(state[n] == 0 and visit(n) for n in graph)
+    indegree = dict.fromkeys(graph, 0)
+    for succs in graph.values():
+        for b in succs:
+            indegree[b] += 1
+    ready = [node for node, d in indegree.items() if not d]
+    removed = 0
+    while ready:
+        removed += 1
+        for b in graph[ready.pop()]:
+            indegree[b] -= 1
+            if not indegree[b]:
+                ready.append(b)
+    return removed < len(graph)
 
 
 @dataclass

@@ -21,6 +21,7 @@ The theory grammar (the only place it is defined):
 ``~`` is complement everywhere, ``*`` chains obligations, ``#`` starts a
 comment running to the end of the line.  Atoms and labels are ASCII words
 over [A-Za-z0-9_].  Reparation chains are only accepted after ``=> O``.
+Rule expressions nest at most ``MAX_NESTING`` deep.
 
 Parsing is total: any byte input produces either a theory or a list of
 positioned errors, never an exception from inside.  Rendering is
@@ -51,6 +52,11 @@ from .model import (
 )
 
 WORD = re.compile(r"[A-Za-z0-9_]+")
+# Deepest nesting of rule expressions the parser accepts.  Nesting two deep
+# already puts a meta-rule inside a rule expression, which validation
+# rejects, so the bound only keeps the recursive descent (a few frames per
+# level) far from the interpreter's recursion limit.
+MAX_NESTING = 64
 _PUNCT = ("=>", "~>", ":", ".", ",", "*", ">", "(", ")", "[", "]", "~")
 
 
@@ -128,6 +134,7 @@ class _Parser:
         self.lines = source.splitlines() or [""]
         self.tokens, self.errors = _tokenize(source)
         self.pos = 0
+        self.depth = 0  # rule expressions open around the current token
 
     def peek(self, ahead: int = 0) -> _Token:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -279,8 +286,14 @@ class _Parser:
 
     def inline_rule(self) -> Rule:
         label_tok = self.word("a rule label")
-        self.expect(":")
-        return self.rule_tail(label_tok.text)
+        if self.depth == MAX_NESTING:
+            self.fail(label_tok, f"rule expressions nested deeper than {MAX_NESTING}")
+        self.depth += 1
+        try:
+            self.expect(":")
+            return self.rule_tail(label_tok.text)
+        finally:
+            self.depth -= 1
 
     def chain_element(self):
         tok = self.peek()

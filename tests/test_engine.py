@@ -20,6 +20,7 @@ from ddmr.engine import (
 from ddmr.generate import random_theory
 from ddmr.model import (
     Literal,
+    ModalLiteral,
     Mode,
     RuleExpression,
     RuleRef,
@@ -308,7 +309,7 @@ def test_compile_numbers_the_modal_base_in_order():
                 pair = (mode, subject.ref if isinstance(subject, RuleExpression) else subject)
                 ids[pair] = state.subject_id(mode, subject)
             assert sorted(ids.values()) == list(range(len(ids))), name
-            assert state.mhb == set(ids.values()), name
+            assert state.tag == bytearray(len(ids)), name  # one undecided byte per id
             for (mode, subject), s in ids.items():
                 assert state.pair(s) == (mode, subject), name
                 assert state.pair(complement_id(s)) == (mode, subject.complement()), name
@@ -349,8 +350,44 @@ def test_unsupported_subjects_are_decided_as_by_the_proof_conditions():
             fast.prepare()
             full = _Recording(theory, variant)
             full.prepare()
-            full.supported = range(len(full.mhb))  # every subject runs the conditions
+            full.supported = range(len(full.tag))  # every subject runs the conditions
             fast.run()
             full.run()
             assert fast.log == full.log, (name, variant)
             assert fast.iterations == full.iterations, (name, variant)
+
+
+def _fails(item, ext) -> bool:
+    """Whether the extension decides an antecedent item against it."""
+    if isinstance(item, Literal):
+        return item in ext.negative(Mode.C)
+    if isinstance(item, ModalLiteral):
+        table = ext.positive(item.mode) if item.negated else ext.negative(item.mode)
+        return item.inner in table
+    if isinstance(item, RuleExpression):
+        return item.ref in ext.negative_rules(Mode.C)
+    table = ext.positive_rules(item.mode) if item.negated else ext.negative_rules(item.mode)
+    return item.expr.ref in table
+
+
+def test_state_counts_agree_with_the_extension():
+    # the per-layer counters of perfbench/spans.py read these len() values
+    theories = [(p.stem, parse_theory(p.read_text())) for p in sorted(FIXTURES.glob("*.ddl"))]
+    theories += [(f"random/{seed}", random_theory(seed, 80)) for seed in range(20)]
+    for name, theory in theories:
+        for variant in Variant:
+            state = EngineState(theory, variant)
+            state.prepare()
+            state.run()
+            ext = state.extension()
+            assert len(state.lit_tags) == sum(map(len, ext.literals.values())), name
+            assert len(state.rule_tags) == sum(map(len, ext.rules.values())), name
+            assert len(state.mhb) == len(ext.undetermined), name
+            # a rule dies when its rule is refuted or an antecedent item fails
+            killed = {
+                label
+                for label, rule in theory.rules_by_label().items()
+                if RuleRef(label) in ext.negative_rules(Mode.C)
+                or any(_fails(item, ext) for item in rule.antecedent)
+            }
+            assert {state.labels[r] for r in state.dead} == killed, (name, variant)

@@ -19,8 +19,10 @@ from ddmr.generate import (
     random_theory,
 )
 from ddmr.model import (
+    Arrow,
     Literal,
     Mode,
+    Rule,
     Theory,
     extended_superiority,
     theory_size,
@@ -207,6 +209,50 @@ def test_cli_parse_error(tmp_path, capsys):
         run_cli("extension", str(bad))
     assert exc.value.code == 2
     assert "unknown mode" in capsys.readouterr().err
+
+
+def _nested(depth: int) -> str:
+    """A rule whose antecedent nests rule expressions ``depth`` deep."""
+    body = "x => C y"
+    for i in range(depth):
+        body = f"(a{i}: {body}) => C z{i}"
+    return f"r: {body}.\n"
+
+
+def test_cli_deep_nesting_is_a_parse_error(tmp_path, capsys):
+    deep = tmp_path / "deep.ddl"
+    deep.write_text(_nested(3000))
+    with pytest.raises(SystemExit) as exc:
+        run_cli("extension", str(deep))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "nested deeper than" in err and "internal error" not in err
+    assert len([line for line in err.splitlines() if line.startswith(str(deep))]) == 1
+    # shallow nesting parses and fails validation as before
+    shallow = tmp_path / "shallow.ddl"
+    shallow.write_text(_nested(2))
+    with pytest.raises(SystemExit) as exc:
+        run_cli("extension", str(shallow))
+    assert exc.value.code == 1
+    assert "itself a meta-rule" in capsys.readouterr().err
+
+
+def test_cli_extension_on_a_long_superiority_chain(tmp_path, capsys):
+    # lex posterior: r(2k) concludes p(k), r(2k+1) concludes ~p(k), and each
+    # rule beats the one before it along one chain of 6000 rules
+    rules = [
+        Rule(f"r{i}", frozenset(), Arrow.DEFEASIBLE, Mode.C, (Literal(f"p{i // 2}", i % 2 == 0),))
+        for i in range(6000)
+    ]
+    sup = [(f"r{i + 1}", f"r{i}") for i in range(5999)]
+    path = tmp_path / "priority.ddl"
+    path.write_text(render_theory(Theory.build((), rules, sup)))
+    assert run_cli("extension", str(path), "--format", "json") == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    data = json.loads(captured.out)
+    assert data["+dC"] == sorted(f"~p{k}" for k in range(3000))
+    assert data["-dC"] == sorted(f"p{k}" for k in range(3000))
 
 
 def test_cli_validation_error(tmp_path, capsys):

@@ -1,10 +1,14 @@
-"""Metamorphic properties: names and declaration order do not matter.
+"""Metamorphic properties: names, declaration order, unrelated rules and
+the text round trip do not matter.
 
 The engine numbers literals by atom and rules by label, in sorted order, so
 renaming atoms and labels permutes its ids and reordering the theory
 changes the order it meets rules and facts in.  Neither may change the
-extension, beyond mapping it through the renaming.  Each property is
-checked on the engine and on the oracle.
+extension, beyond mapping it through the renaming.  Nor may a rule over
+names the theory does not use change any existing tag.  These properties
+are checked on the engine and on the oracle.  Rendering a theory and
+parsing it back must give the same extension; that one is checked on the
+engine at size 10^3, beyond the oracle's budget.
 """
 
 from __future__ import annotations
@@ -14,12 +18,14 @@ from hypothesis import strategies as st
 
 from ddmr.conflicts import Variant
 from ddmr.engine import compute_extension
-from ddmr.generate import random_theory
+from ddmr.generate import FAMILIES, generate_theory, random_theory
 from ddmr.model import (
+    Arrow,
     DeonticRuleExpression,
     Extension,
     Literal,
     ModalLiteral,
+    Mode,
     Rule,
     RuleExpression,
     RuleRef,
@@ -27,6 +33,7 @@ from ddmr.model import (
     atoms,
 )
 from ddmr.oracle import oracle_extension
+from ddmr.text import parse_theory, render_theory
 
 EVALUATORS = (compute_extension, oracle_extension)
 
@@ -111,5 +118,51 @@ def test_reordering_rules_and_facts_leaves_the_extension_unchanged(seed, size, r
         for variant in Variant:
             assert evaluate(shuffled, variant) == evaluate(theory, variant), (
                 evaluate.__name__,
+                variant,
+            )
+
+
+def _without(ext: Extension, atoms_: set, label: str) -> Extension:
+    """The extension less every subject over the given atoms or label."""
+
+    def kept(subject) -> bool:
+        if isinstance(subject, Literal):
+            return subject.atom not in atoms_
+        return subject.label != label
+
+    return Extension(
+        {key: set(filter(kept, s)) for key, s in ext.literals.items()},
+        {key: set(filter(kept, s)) for key, s in ext.rules.items()},
+        {(mode, s) for mode, s in ext.undetermined if kept(s)},
+    )
+
+
+@given(seeds, sizes, st.sampled_from(list(Mode)), st.sampled_from(list(Arrow)), st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_a_rule_over_fresh_names_leaves_every_existing_tag_unchanged(
+    seed, size, mode, arrow, fired
+):
+    theory = random_theory(seed, size)
+    label, body, head = "fresh", Literal("fresh_a"), Literal("fresh_b", False)
+    assert label not in theory.rules_by_label()
+    assert not {body.atom, head.atom} & atoms(theory)
+    facts = theory.facts | {body} if fired else theory.facts
+    rule = Rule(label, frozenset({body}), arrow, mode, (head,))
+    grown = Theory.build(facts, theory.rules + (rule,), theory.superiority)
+    for evaluate in EVALUATORS:
+        for variant in Variant:
+            ext = evaluate(grown, variant)
+            assert RuleRef(label) in ext.positive_rules(Mode.C)
+            after = _without(ext, {body.atom, head.atom}, label)
+            assert after == evaluate(theory, variant), (evaluate.__name__, variant)
+
+
+def test_render_then_parse_gives_the_same_extension_at_size_1000():
+    for family in FAMILIES:
+        theory = generate_theory(family, 1000, 0)
+        reparsed = parse_theory(render_theory(theory))
+        for variant in Variant:
+            assert compute_extension(reparsed, variant) == compute_extension(theory, variant), (
+                family,
                 variant,
             )

@@ -231,6 +231,24 @@ def test_validate_cyclic_superiority_warns():
     assert any("cyclic superiority" in w for w in report.warnings)
 
 
+def _superiority_chain(pairs: int, closed: bool) -> Theory:
+    """``r(i+1) > r(i)`` over ``pairs + 1`` rules, closed by ``r0 > r(pairs)``."""
+    rules = [rule(f"r{i}", [], Mode.C, [Literal(f"p{i}")]) for i in range(pairs + 1)]
+    sup = [(f"r{i + 1}", f"r{i}") for i in range(pairs)]
+    if closed:
+        sup.append(("r0", f"r{pairs}"))
+    return Theory.build([], rules, sup)
+
+
+def test_validate_long_superiority_chain():
+    # the cycle check walks the chain without recursing along it
+    report = validate(_superiority_chain(10_000, closed=False))
+    assert report.ok and not report.warnings
+    report = validate(_superiority_chain(10_000, closed=True))
+    assert report.ok
+    assert report.warnings == ["cyclic superiority relation"]
+
+
 def test_validate_cyclic_extended_superiority_warns():
     report = validate(load_fixture("example8"))
     assert report.ok

@@ -22,6 +22,7 @@ from ddmr.model import (
     theory_size,
 )
 from ddmr.text import (
+    MAX_NESTING,
     TheorySyntaxError,
     extension_dict,
     parse_tagged_formula,
@@ -97,6 +98,23 @@ def test_parse_errors_have_positions_and_recover():
 def test_missing_dot_is_reported():
     with pytest.raises(TheorySyntaxError):
         parse_theory("alpha: a => C l")
+
+
+def test_rule_expression_nesting_is_bounded():
+    def nested(depth):  # rule expressions nested through the heads
+        head = "x"
+        for i in range(depth):
+            head = f"(a{i}: => C {head})"
+        return f"r: => C {head}."
+
+    assert render_theory(parse_theory(nested(MAX_NESTING))) == nested(MAX_NESTING) + "\n"
+    with pytest.raises(TheorySyntaxError) as exc:
+        parse_theory(nested(MAX_NESTING + 1))
+    [error] = exc.value.errors
+    # it points at the label of the innermost rule expression, one past the bound
+    assert error.line == 1
+    assert nested(MAX_NESTING + 1)[error.column - 1 :].startswith("a0:")
+    assert error.message == f"rule expressions nested deeper than {MAX_NESTING}"
 
 
 @given(st.text(max_size=80))
