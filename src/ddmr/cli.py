@@ -4,8 +4,8 @@ Exit codes are script-friendly and stable:
 
     0  success (for query: Proved)
     1  validation errors; under --oracle, a theory above the oracle budget
-    2  parse errors / unreadable input (a non-integer DDMR_ORACLE_BUDGET
-       under --oracle included)
+    2  parse errors / unreadable input (a file that is not UTF-8, and a
+       non-integer DDMR_ORACLE_BUDGET under --oracle, included)
     3  query answered Refuted
     4  query answered Undetermined
     5  --oracle cross-check found a mismatch
@@ -69,7 +69,7 @@ def _load_theory(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             source = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE)
     try:

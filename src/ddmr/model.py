@@ -18,6 +18,11 @@ rest of the package is built on: complements, label-insensitive content
 comparison, Herbrand bases, the size metric, the extended superiority
 relation and theory validation.  Everything here is pure; values can be
 shared freely between threads.
+
+The frozen value classes (``Literal``, ``ModalLiteral``, ``RuleExpression``,
+``DeonticRuleExpression``, ``Rule``, ``Theory``, ``RuleRef`` and
+``TaggedFormula``) are slotted: an instance has no ``__dict__``, which
+keeps the many small objects of a large theory compact.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ class Arrow(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Literal:
     """A propositional atom or its negation."""
 
@@ -69,7 +74,7 @@ class Literal:
         return self.atom if self.positive else "~" + self.atom
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ModalLiteral:
     """O(l) / P(l), possibly under outer negation: ~O(l), ~P(l).
 
@@ -92,7 +97,7 @@ class ModalLiteral:
         return f"{neg}{self.mode}({self.inner})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RuleExpression:
     """A rule or its negation.
 
@@ -120,7 +125,7 @@ class RuleExpression:
         return f"{neg}({self.rule})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeonticRuleExpression:
     """O[...] / P[...] over a rule expression, possibly negated outside."""
 
@@ -144,7 +149,7 @@ AntecedentItem = Union[Literal, ModalLiteral, RuleExpression, DeonticRuleExpress
 ChainElement = Union[Literal, RuleExpression]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rule:
     """A labelled conditional ``label: antecedent arrow_mode consequent``.
 
@@ -253,7 +258,7 @@ def content_equal(a: Rule, b: Rule) -> bool:
     return content_key(a) == content_key(b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Theory:
     """Facts, rules and a superiority relation over rule labels."""
 
@@ -399,7 +404,7 @@ class Sign(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RuleRef:
     """A rule expression by name: a label, or its negation, as a derivation subject."""
 
@@ -413,7 +418,7 @@ class RuleRef:
         return self.label if self.positive else "~" + self.label
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaggedFormula:
     """±mode over a literal, or ±mode over a rule reference (the meta level)."""
 

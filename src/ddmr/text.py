@@ -23,17 +23,30 @@ comment running to the end of the line.  Atoms and labels are ASCII words
 over [A-Za-z0-9_].  Reparation chains are only accepted after ``=> O``.
 Rule expressions nest at most ``MAX_NESTING`` deep.
 
+Tokens come from one regex, ``_TOKEN``: ``findall`` gives the token texts
+as a list of strings (an unexpected character comes out as ""), and the
+parser indexes that list.  Offsets are found only when there is an error,
+by rescanning with ``finditer``; line, column and snippet are computed from
+an offset only as its ``ParseError`` is built.  Lines end at "\n" alone,
+columns count characters from 1, and a comment does not advance the
+column, so the end of a source whose last line is a comment sits at its
+``#``.  Unexpected characters are reported before syntax errors.
+
 Parsing is total: any byte input produces either a theory or a list of
 positioned errors, never an exception from inside.  Rendering is
 canonical -- facts first (sorted), rules in declaration order, superiority
 pairs last -- and parsing a rendered theory reproduces the model exactly.
+Extension JSON is exactly ``json.dumps(extension_dict(ext), indent=2)``,
+written with the C string encoder.
 """
 
 from __future__ import annotations
 
-import json
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
+from json.encoder import encode_basestring_ascii
 
 from .model import (
     Arrow,
@@ -51,13 +64,28 @@ from .model import (
     Theory,
 )
 
-WORD = re.compile(r"[A-Za-z0-9_]+")
 # Deepest nesting of rule expressions the parser accepts.  Nesting two deep
 # already puts a meta-rule inside a rule expression, which validation
 # rejects, so the bound only keeps the recursive descent (a few frames per
 # level) far from the interpreter's recursion limit.
 MAX_NESTING = 64
-_PUNCT = ("=>", "~>", ":", ".", ",", "*", ">", "(", ")", "[", "]", "~")
+
+# Whitespace and comments.  Only "\n" starts a line; "\t" and "\r" are one
+# column each, like every other character.
+_SKIP = r"(?:[ \t\r\n]+|#[^\n]*)*"
+_LEAD = re.compile(_SKIP)
+# One token and the whitespace and comments after it, so matches abut and
+# ``findall`` from the end of ``_LEAD`` never starts inside a comment.  The
+# group is the token text: an arrow, a word or a punctuation character.
+# Any other character is unexpected; it matches outside the group, which
+# ``findall`` reports as "".
+_TOKEN = re.compile(
+    r"(?:(=>|~>|[A-Za-z0-9_]+|[:.,*>()\[\]~])|[^ \t\r\n#])" + _SKIP
+)
+_ARROWS = ("=>", "~>")
+# Texts that are not words; "" is the eof token.
+_NOT_WORD = frozenset(_ARROWS + tuple(":.,*>()[]~") + ("",))
+_MODES = {mode.value: mode for mode in Mode}
 
 
 @dataclass
@@ -77,95 +105,106 @@ class TheorySyntaxError(ValueError):
         super().__init__("\n".join(str(e) for e in self.errors))
 
 
-@dataclass
-class _Token:
-    kind: str  # "word", "punct", "eof"
-    text: str
-    line: int
-    column: int
+class _Lines:
+    """Positions in a source, for its errors.
+
+    Lines end at "\n" only, and a line's text drops one trailing "\r".
+    Columns count characters from the start of the line, from 1.
+    """
+
+    def __init__(self, source: str):
+        texts = source.split("\n")
+        self.starts = list(accumulate((len(t) + 1 for t in texts[:-1]), initial=0))
+        self.texts = [t[:-1] if t.endswith("\r") else t for t in texts]
+
+    def error(self, offset: int, message: str) -> ParseError:
+        line = bisect_right(self.starts, offset)
+        column = offset - self.starts[line - 1] + 1
+        return ParseError(line, column, message, self.texts[line - 1])
 
 
 def _tokenize(source: str):
-    tokens, errors = [], []
-    line, col, i, n = 1, 1, 0, len(source)
-    lines = source.splitlines() or [""]
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        two = source[i : i + 2]
-        if two in ("=>", "~>"):
-            tokens.append(_Token("punct", two, line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in ":.,*>()[]~":
-            tokens.append(_Token("punct", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        m = WORD.match(source, i)
-        if m:
-            tokens.append(_Token("word", m.group(), line, col))
-            col += len(m.group())
-            i = m.end()
-            continue
-        snippet = lines[line - 1] if line - 1 < len(lines) else ""
-        errors.append(ParseError(line, col, f"unexpected character {ch!r}", snippet))
-        i += 1
-        col += 1
-    tokens.append(_Token("eof", "", line, col))
-    return tokens, errors
+    """The token texts, ending in the eof token "", and the offsets of the
+    unexpected characters, found by a second scan only when there are any."""
+    start = _LEAD.match(source).end()
+    texts = _TOKEN.findall(source, start)
+    bad = []
+    if "" in texts:
+        bad = [m.start() for m in _TOKEN.finditer(source, start) if m.lastindex is None]
+        texts = [text for text in texts if text]
+    texts.append("")
+    return texts, bad
+
+
+def _token_offsets(source: str) -> list:
+    """The offset of every token of ``_tokenize(source)``, eof included.
+
+    The eof token of a source whose last line holds a comment sits at the
+    comment's "#": columns do not advance through comments.
+    """
+    start = _LEAD.match(source).end()
+    offsets = [m.start() for m in _TOKEN.finditer(source, start) if m.lastindex]
+    comment = source.find("#", source.rfind("\n") + 1)
+    offsets.append(comment if comment >= 0 else len(source))
+    return offsets
 
 
 class _Parser:
+    """Recursive descent over the token texts.
+
+    Every failure is at the token consumed last, whose index ``fail`` is
+    given; consuming the eof token leaves it current.  Token offsets and
+    line positions are computed at the first error.
+    """
+
     def __init__(self, source: str):
-        self.lines = source.splitlines() or [""]
-        self.tokens, self.errors = _tokenize(source)
+        self.source = source
+        self.toks, bad = _tokenize(source)
+        self.eof = len(self.toks) - 1
         self.pos = 0
         self.depth = 0  # rule expressions open around the current token
+        self.offsets = None
+        self.lines = None
+        self.errors = [
+            self.error_at(offset, f"unexpected character {source[offset]!r}")
+            for offset in bad
+        ]
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def error_at(self, offset: int, message: str) -> ParseError:
+        if self.lines is None:
+            self.lines = _Lines(self.source)
+        return self.lines.error(offset, message)
 
-    def next(self) -> _Token:
-        tok = self.peek()
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+    def take(self) -> int:
+        """Consume the current token and return its index."""
+        i = self.pos
+        if i < self.eof:
+            self.pos = i + 1
+        return i
 
-    def fail(self, tok: _Token, message: str):
-        snippet = self.lines[tok.line - 1] if tok.line - 1 < len(self.lines) else ""
-        raise _Reject(ParseError(tok.line, tok.column, message, snippet))
+    def fail(self, i: int, message: str):
+        if self.offsets is None:
+            self.offsets = _token_offsets(self.source)
+        raise _Reject(self.error_at(self.offsets[i], message))
 
-    def expect(self, text: str) -> _Token:
-        tok = self.next()
-        if tok.text != text:
-            self.fail(tok, f"expected {text!r}, found {tok.text!r}")
-        return tok
+    def expect(self, text: str) -> None:
+        tok = self.toks[self.pos]
+        if tok != text:
+            self.fail(self.take(), f"expected {text!r}, found {tok!r}")
+        self.pos += 1
 
-    def word(self, what: str) -> _Token:
-        tok = self.next()
-        if tok.kind != "word":
-            self.fail(tok, f"expected {what}, found {tok.text!r}")
+    def word(self, what: str) -> str:
+        tok = self.toks[self.pos]
+        if tok in _NOT_WORD:
+            self.fail(self.take(), f"expected {what}, found {tok!r}")
+        self.pos += 1
         return tok
 
     # statements ------------------------------------------------------------
 
     def program(self):
         facts, rules, sups = [], [], []
-        while self.peek().kind != "eof":
+        while self.pos < self.eof:
             try:
                 kind, value = self.statement()
             except _Reject as reject:
@@ -181,103 +220,101 @@ class _Parser:
         return facts, rules, sups
 
     def _resync(self) -> None:
-        while self.peek().kind != "eof":
-            if self.next().text == ".":
+        while self.pos < self.eof:
+            if self.toks[self.take()] == ".":
                 break
 
     def statement(self):
-        tok = self.peek()
-        if tok.kind != "word":
-            self.fail(self.next(), "expected a statement")
-        if tok.text == "fact" and self.peek(1).text != ":":
-            self.next()
+        toks = self.toks
+        tok = toks[self.pos]
+        if tok in _NOT_WORD:
+            self.fail(self.take(), "expected a statement")
+        if tok == "fact" and toks[self.pos + 1] != ":":
+            self.pos += 1
             lit = self.literal()
             self.expect(".")
             return "fact", lit
-        name = self.next().text
-        nxt = self.next()
-        if nxt.text == ":":
+        name = tok
+        self.pos += 1
+        i = self.take()
+        if toks[i] == ":":
             rule = self.rule_tail(name)
             self.expect(".")
             return "rule", rule
-        if nxt.text == ">":
-            weaker = self.word("a rule label").text
+        if toks[i] == ">":
+            weaker = self.word("a rule label")
             self.expect(".")
             return "sup", (name, weaker)
-        self.fail(nxt, f"expected ':' or '>' after {name!r}")
+        self.fail(i, f"expected ':' or '>' after {name!r}")
 
     # rule parts ------------------------------------------------------------
 
     def rule_tail(self, label: str) -> Rule:
+        toks = self.toks
         items = []
-        if self.peek().text not in ("=>", "~>"):
+        if toks[self.pos] not in _ARROWS:
             items.append(self.item())
-            while self.peek().text == ",":
-                self.next()
+            while toks[self.pos] == ",":
+                self.pos += 1
                 items.append(self.item())
-        arrow_tok = self.next()
-        if arrow_tok.text not in ("=>", "~>"):
-            self.fail(arrow_tok, f"expected '=>' or '~>', found {arrow_tok.text!r}")
-        arrow = Arrow.DEFEASIBLE if arrow_tok.text == "=>" else Arrow.DEFEATER
-        mode_tok = self.word("a mode (C, O or P)")
-        try:
-            mode = Mode(mode_tok.text)
-        except ValueError:
-            self.fail(mode_tok, f"unknown mode {mode_tok.text!r}")
+        i = self.take()
+        if toks[i] not in _ARROWS:
+            self.fail(i, f"expected '=>' or '~>', found {toks[i]!r}")
+        arrow = Arrow.DEFEASIBLE if toks[i] == "=>" else Arrow.DEFEATER
+        mode_text = self.word("a mode (C, O or P)")
+        mode = _MODES.get(mode_text)
+        if mode is None:
+            self.fail(self.pos - 1, f"unknown mode {mode_text!r}")
         chain = [self.chain_element()]
-        while self.peek().text == "*":
-            star = self.next()
+        while toks[self.pos] == "*":
+            i = self.take()
             if arrow is not Arrow.DEFEASIBLE or mode is not Mode.O:
-                self.fail(star, "reparation chains require '=> O'")
+                self.fail(i, "reparation chains require '=> O'")
             chain.append(self.chain_element())
         return Rule(label, frozenset(items), arrow, mode, tuple(chain))
 
     def literal(self) -> Literal:
         positive = True
-        if self.peek().text == "~":
-            self.next()
+        if self.toks[self.pos] == "~":
+            self.pos += 1
             positive = False
-        atom = self.word("an atom").text
-        return Literal(atom, positive)
+        return Literal(self.word("an atom"), positive)
 
     def item(self):
+        toks = self.toks
         negated = False
-        if self.peek().text == "~":
-            if self.peek(1).text == "(":
-                self.next()
-                self.next()
+        if toks[self.pos] == "~":
+            if toks[self.pos + 1] == "(":
+                self.pos += 2
                 rule = self.inline_rule()
                 self.expect(")")
                 return RuleExpression(rule, False)
-            self.next()
+            self.pos += 1
             negated = True
-        tok = self.peek()
-        if tok.text == "(" and not negated:
-            self.next()
+        tok = toks[self.pos]
+        if tok == "(" and not negated:
+            self.pos += 1
             rule = self.inline_rule()
             self.expect(")")
             return RuleExpression(rule, True)
-        if tok.kind == "word" and tok.text in ("O", "P"):
-            after = self.peek(1).text
+        if tok == "O" or tok == "P":
+            after = toks[self.pos + 1]
             if after == "(":
-                self.next()
-                self.next()
+                self.pos += 2
                 lit = self.literal()
                 self.expect(")")
-                return ModalLiteral(Mode(tok.text), lit, negated)
+                return ModalLiteral(_MODES[tok], lit, negated)
             if after == "[":
-                self.next()
-                self.next()
+                self.pos += 2
                 expr = self.rule_expression()
                 self.expect("]")
-                return DeonticRuleExpression(Mode(tok.text), expr, negated)
-        atom = self.word("an atom").text
-        return Literal(atom, not negated)
+                return DeonticRuleExpression(_MODES[tok], expr, negated)
+        return Literal(self.word("an atom"), not negated)
 
     def rule_expression(self) -> RuleExpression:
         positive = True
-        if self.peek().text == "~":
-            self.next()
+        if self.toks[self.pos] == "~":
+            self.pos += 1
             positive = False
         self.expect("(")
         rule = self.inline_rule()
@@ -285,19 +322,20 @@ class _Parser:
         return RuleExpression(rule, positive)
 
     def inline_rule(self) -> Rule:
-        label_tok = self.word("a rule label")
+        label = self.word("a rule label")
         if self.depth == MAX_NESTING:
-            self.fail(label_tok, f"rule expressions nested deeper than {MAX_NESTING}")
+            self.fail(self.pos - 1, f"rule expressions nested deeper than {MAX_NESTING}")
         self.depth += 1
         try:
             self.expect(":")
-            return self.rule_tail(label_tok.text)
+            return self.rule_tail(label)
         finally:
             self.depth -= 1
 
     def chain_element(self):
-        tok = self.peek()
-        if tok.text == "(" or (tok.text == "~" and self.peek(1).text == "("):
+        toks = self.toks
+        tok = toks[self.pos]
+        if tok == "(" or (tok == "~" and toks[self.pos + 1] == "("):
             return self.rule_expression()
         return self.literal()
 
@@ -377,10 +415,6 @@ def parse_tagged_formula(text: str) -> TaggedFormula:
 # Extension output ------------------------------------------------------------
 
 
-def _subject_text(subject) -> str:
-    return str(subject)
-
-
 def extension_dict(ext: Extension) -> dict:
     """The extension as a JSON-ready dict with deterministic ordering."""
     out = {}
@@ -389,21 +423,48 @@ def extension_dict(ext: Extension) -> dict:
         meta = "m" in key
         mode = Mode(key[-1])
         table = ext.rules if meta else ext.literals
-        out[key] = sorted(_subject_text(s) for s in table[(sign, mode)])
+        out[key] = sorted(map(str, table[(sign, mode)]))
     out["undetermined"] = [
-        {"mode": str(mode), "subject": _subject_text(subject)}
+        {"mode": str(mode), "subject": str(subject)}
         for mode, subject in sorted(
-            ext.undetermined, key=lambda p: (_subject_text(p[1]), str(p[0]))
+            ext.undetermined, key=lambda p: (str(p[1]), str(p[0]))
         )
     ]
     return out
+
+
+def _json_block(members, indent: str, brackets: str = "[]") -> str:
+    """A JSON array, or object, of encoded members, laid out as ``indent=2`` does."""
+    if not members:
+        return brackets
+    inner = indent + "  "
+    body = f",\n{inner}".join(members)
+    return f"{brackets[0]}\n{inner}{body}\n{indent}{brackets[1]}"
+
+
+def _extension_json(data: dict) -> str:
+    """``json.dumps(data, indent=2)`` for an ``extension_dict``.
+
+    With ``indent`` set, ``json.dumps`` runs its pure-Python encoder; here
+    every string goes through the C encoder instead.
+    """
+    enc = encode_basestring_ascii
+    fields = [
+        f"{enc(key)}: {_json_block(list(map(enc, data[key])), '  ')}" for key in TAG_KEYS
+    ]
+    undetermined = [
+        _json_block([f"{enc(k)}: {enc(v)}" for k, v in entry.items()], "    ", "{}")
+        for entry in data["undetermined"]
+    ]
+    fields.append(f'"undetermined": {_json_block(undetermined, "  ")}')
+    return _json_block(fields, "", "{}")
 
 
 def render_extension(ext: Extension, format: str = "text") -> str:
     """Serialize an extension; JSON is byte-stable across runs."""
     data = extension_dict(ext)
     if format == "json":
-        return json.dumps(data, indent=2) + "\n"
+        return _extension_json(data) + "\n"
     if format != "text":
         raise ValueError(f"unknown format {format!r}")
     width = max(len(k) for k in data)

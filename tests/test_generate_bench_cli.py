@@ -202,6 +202,24 @@ def test_cli_missing_file(capsys):
     assert exc.value.code == 2
 
 
+def test_cli_non_utf8_file_is_unreadable_input(tmp_path, capsys):
+    bad = tmp_path / "bad.ddl"
+    bad.write_bytes(b"fact a\xff.\n")
+    for argv in (
+        ["extension", str(bad)],
+        ["query", str(bad), "+dC a"],
+        ["validate", str(bad)],
+        ["diff", str(bad)],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"cannot read {bad}: ") and "utf-8" in line, argv
+
+
 def test_cli_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.ddl"
     bad.write_text("alpha: a => Q l.")

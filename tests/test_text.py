@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import re
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -10,20 +12,26 @@ from ddmr.conflicts import Variant
 from ddmr.engine import compute_extension
 from ddmr.generate import random_theory
 from ddmr.model import (
+    Arrow,
     DeonticRuleExpression,
     Extension,
     Literal,
     ModalLiteral,
     Mode,
+    Rule,
     RuleExpression,
     RuleRef,
     Sign,
     TaggedFormula,
+    Theory,
     theory_size,
 )
 from ddmr.text import (
     MAX_NESTING,
     TheorySyntaxError,
+    _Lines,
+    _token_offsets,
+    _tokenize,
     extension_dict,
     parse_tagged_formula,
     parse_theory,
@@ -32,6 +40,8 @@ from ddmr.text import (
 )
 
 from .conftest import FIXTURES, load_fixture
+
+FIXTURE_NAMES = sorted(path.stem for path in FIXTURES.glob("*.ddl"))
 
 EXAMPLE1 = (FIXTURES / "example1.ddl").read_text()
 
@@ -206,3 +216,201 @@ def test_text_format_lists_all_keys():
     text = render_extension(ext, "text")
     for key in ("+dC", "-dmP", "undetermined"):
         assert key in text
+
+
+# Positioned errors ------------------------------------------------------------
+
+POSITIONED_ERRORS = [
+    # a trailing unterminated comment: eof sits at its "#"
+    ("fact a # no dot", [(1, 8, "expected '.', found ''", "fact a # no dot")]),
+    # CRLF: the snippet drops the "\r", columns count it
+    (
+        "fact a.\r\nr1: a => Q b.\r\nfact c\r\n",
+        [
+            (2, 10, "unknown mode 'Q'", "r1: a => Q b."),
+            (4, 1, "expected '.', found ''", ""),
+        ],
+    ),
+    # a tab is one column
+    (
+        "\tfact\ta\t?\n",
+        [
+            (1, 9, "unexpected character '?'", "\tfact\ta\t?"),
+            (2, 1, "expected '.', found ''", ""),
+        ],
+    ),
+    # a lone "=" is an unexpected character; tokenizer errors come first
+    (
+        "r: a = C b.",
+        [
+            (1, 6, "unexpected character '='", "r: a = C b."),
+            (1, 8, "expected '=>' or '~>', found 'C'", "r: a = C b."),
+        ],
+    ),
+    # "~=>" lexes as "~", "=>"
+    ("r: a ~=> C b.", [(1, 6, "expected '=>' or '~>', found '~'", "r: a ~=> C b.")]),
+    (
+        "fact é.",
+        [
+            (1, 6, "unexpected character 'é'", "fact é."),
+            (1, 7, "expected an atom, found '.'", "fact é."),
+        ],
+    ),
+    # anything goes inside a comment
+    ("# what? é = \x0c\nfact a.\n", []),
+    (
+        "# header\n\nfact ?.\n",
+        [
+            (3, 6, "unexpected character '?'", "fact ?."),
+            (3, 7, "expected an atom, found '.'", "fact ?."),
+        ],
+    ),
+    ("fact a. # trailing ?\nr: => C", [(2, 8, "expected an atom, found ''", "r: => C")]),
+    ("", []),
+    ("   \n# only a comment", []),
+]
+
+
+def _errors(source):
+    try:
+        parse_theory(source)
+    except TheorySyntaxError as exc:
+        return [(e.line, e.column, e.message, e.snippet) for e in exc.errors]
+    return []
+
+
+@pytest.mark.parametrize("source,expected", POSITIONED_ERRORS)
+def test_positioned_errors(source, expected):
+    assert _errors(source) == expected
+
+
+def test_snippet_is_the_newline_delimited_line():
+    # "\x0c" ends a line for str.splitlines, not for line numbers
+    assert _errors("fact a.\x0cfact b.\n?") == [
+        (1, 8, "unexpected character '\\x0c'", "fact a.\x0cfact b."),
+        (2, 1, "unexpected character '?'", "?"),
+    ]
+
+
+_WORD = re.compile(r"[A-Za-z0-9_]+")
+
+
+@dataclass
+class _Token:
+    kind: str  # "word", "punct", "eof"
+    text: str
+    line: int
+    column: int
+
+
+def _reference_tokenize(source: str):
+    """The character-loop tokenizer the regex one replaced.
+
+    Only the snippet differs from the original, which took the lines of
+    ``source.splitlines()``: a line ends at "\\n", less one trailing "\\r".
+    """
+    tokens, errors = [], []
+    line, col, i, n = 1, 1, 0, len(source)
+    lines = [text.removesuffix("\r") for text in source.split("\n")]
+    while i < n:
+        ch = source[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and source[i] != "\n":
+                i += 1
+            continue
+        two = source[i : i + 2]
+        if two in ("=>", "~>"):
+            tokens.append(_Token("punct", two, line, col))
+            i += 2
+            col += 2
+            continue
+        if ch in ":.,*>()[]~":
+            tokens.append(_Token("punct", ch, line, col))
+            i += 1
+            col += 1
+            continue
+        m = _WORD.match(source, i)
+        if m:
+            tokens.append(_Token("word", m.group(), line, col))
+            col += len(m.group())
+            i = m.end()
+            continue
+        errors.append((line, col, f"unexpected character {ch!r}", lines[line - 1]))
+        i += 1
+        col += 1
+    tokens.append(_Token("eof", "", line, col))
+    return tokens, errors
+
+
+_PIECES = [
+    "fact", "a", "r1", "x_0", "O", "P", "C", ":", "=>", "~>", "~", "(", ")", "[",
+    "]", ".", ",", "*", ">", "=", "#", "# c?\n", " ", "\t", "\n", "\r", "\r\n",
+    "?", "-", "é", "\x0c", "\x85", " ", "\x00",
+]
+_SOURCES = st.one_of(
+    st.lists(st.sampled_from(_PIECES), max_size=40).map("".join),
+    st.text(alphabet="".join(_PIECES), max_size=60),
+)
+
+
+@given(_SOURCES)
+@settings(max_examples=600, deadline=None)
+def test_tokenizer_matches_the_character_loop(source):
+    tokens, errors = _reference_tokenize(source)
+    texts, bad = _tokenize(source)
+    assert texts == [t.text for t in tokens]
+    lines = _Lines(source)
+    positions = [lines.error(offset, "") for offset in _token_offsets(source)]
+    assert [(p.line, p.column) for p in positions] == [(t.line, t.column) for t in tokens]
+    found = [lines.error(o, f"unexpected character {source[o]!r}") for o in bad]
+    assert [(e.line, e.column, e.message, e.snippet) for e in found] == errors
+    # and parse_theory reports the tokenizer's errors first
+    assert _errors(source)[: len(errors)] == errors
+
+
+# JSON output and the model's slots -----------------------------------------------
+
+
+def _extensions():
+    yield Extension()
+    for name in FIXTURE_NAMES:
+        for variant in Variant:
+            yield compute_extension(load_fixture(name), variant)
+    for seed in range(20):
+        for variant in Variant:
+            yield compute_extension(random_theory(seed, 60), variant)
+
+
+def test_json_writer_matches_json_dumps():
+    undetermined = 0
+    for ext in _extensions():
+        data = extension_dict(ext)
+        assert render_extension(ext, "json") == json.dumps(data, indent=2) + "\n"
+        undetermined += bool(data["undetermined"])
+    assert undetermined  # the nested objects are exercised
+
+
+def test_model_objects_are_slotted():
+    lit = Literal("a")
+    rule = Rule("r", frozenset([lit]), Arrow.DEFEASIBLE, Mode.O, (lit,))
+    expr = RuleExpression(rule)
+    for obj in (
+        lit,
+        ModalLiteral(Mode.O, lit),
+        expr,
+        DeonticRuleExpression(Mode.P, expr),
+        rule,
+        Theory.build([lit], [rule]),
+        RuleRef("r"),
+        TaggedFormula(Sign.PLUS, Mode.C, lit),
+    ):
+        assert not hasattr(obj, "__dict__"), type(obj).__name__
