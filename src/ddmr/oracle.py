@@ -1,12 +1,18 @@
 """Literal-minded evaluator of the proof conditions, used as ground truth.
 
-Where the engine maintains live indexes and simplifies the theory as it
-goes, this module re-reads the original theory on every question: which
-rules support a subject, which attack it, which defend it, whether a rule
-is applicable or discarded against the tags established so far.  One
-``step`` adds every tagged conclusion whose full proof condition the
-current tag store satisfies; saturating to a fixpoint yields the
-extension.  Tags never derived stay undetermined.
+Where the engine compiles the theory and simplifies it as it goes, this
+module evaluates the paper's proof conditions as written.  One ``step``
+adds every tagged conclusion whose full proof condition the current tag
+store satisfies; saturating to a fixpoint yields the extension.  Tags
+never derived stay undetermined.
+
+The static domains -- which rules support a subject, which attack it,
+which defend it, which rules clash -- do not depend on the tag store.  Each
+is found by a plain scan of the original theory the first time a
+saturation asks for it and kept until the saturation ends.  The proof
+conditions themselves -- whether a rule is applicable or discarded, and
+whether a subject is proved or refuted -- are evaluated in full against
+the store on every step.
 
 The derivation route is deliberately independent of the engine: no shared
 indexes, no antecedent stripping, no rule deletion, only the conflict
@@ -17,6 +23,7 @@ budget -- and meant for cross-checking the engine at desk scale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from .conflicts import Variant, conflicts
 from .model import (
@@ -126,7 +133,23 @@ def discarded(theory: Theory, store: TagStore, rule: Rule, index: int = 1) -> bo
     return False
 
 
+def _memo(table: dict, scan, *args):
+    """``scan(*args)``, found on the first call with these arguments and kept
+    in ``table`` under them."""
+    try:
+        return table[args]
+    except KeyError:
+        found = table[args] = scan(*args)
+        return found
+
+
 class _Evaluator:
+    """The proof conditions over one theory, for one saturation.
+
+    Each static domain is found by a plain scan of the theory the first
+    time it is asked for, and kept under the exact arguments of its scan.
+    """
+
     def __init__(self, theory: Theory, variant: Variant):
         self.theory = theory
         self.variant = variant
@@ -134,10 +157,24 @@ class _Evaluator:
         self.rules = sorted(self.by_label.values(), key=lambda r: r.label)
         self.top = theory.top_labels()
         self.sup = theory.superiority
+        self.base = [
+            s.ref if isinstance(s, RuleExpression) else s
+            for s in sorted(herbrand_base(theory), key=str)
+        ]
+        self._supporters = {}
+        self._literal_domains = {}
+        self._simple_attackers = {}
+        self._simple_defenders = {}
+        self._clashing = {}
+        self._clashes_given = {}
+        self._content_keys = {}
 
-    # -- static domains, rebuilt by scanning the theory ---------------------
+    # -- static domains, each scanned once ----------------------------------
 
     def supporters(self, mode: Mode, subject):
+        return _memo(self._supporters, self._scan_supporters, mode, subject)
+
+    def _scan_supporters(self, mode: Mode, subject):
         out = []
         for rule in self.rules:
             if rule.mode is not mode:
@@ -153,6 +190,87 @@ class _Evaluator:
                     ):
                         out.append((rule, pos))
         return out
+
+    def literal_domain(self, mode: Mode, lit: Literal):
+        """The supporters, attackers and defenders of ``mode`` ``lit``."""
+        return _memo(self._literal_domains, self._scan_literal_domain, mode, lit)
+
+    def _scan_literal_domain(self, mode: Mode, lit: Literal):
+        comp = lit.complement()
+        attackers = [
+            (g, j)
+            for am in _ATTACK_MODES[mode]
+            for g, j in self.supporters(am, comp)
+        ]
+        defenders = [
+            (z, k)
+            for dm in _DEFEND_MODES[mode]
+            for z, k in self.supporters(dm, lit)
+        ]
+        return self.supporters(mode, lit), attackers, defenders
+
+    def content_key(self, rule: Rule):
+        return _memo(self._content_keys, content_key, rule)
+
+    def simple_attackers(self, mode: Mode, ref: RuleRef):
+        """(rule, attacked label, position) of each simple-variant attacker."""
+        return _memo(self._simple_attackers, self._scan_simple_attackers, mode, ref)
+
+    def _scan_simple_attackers(self, mode: Mode, ref: RuleRef):
+        target_key = self.content_key(self.by_label[ref.label])
+        modes = self._attack_modes(mode)
+        out = []
+        for rule in self.rules:
+            if rule.mode not in modes:
+                continue
+            for pos, elem in enumerate(rule.consequent, start=1):
+                if (
+                    isinstance(elem, RuleExpression)
+                    and elem.positive != ref.positive
+                    and self.content_key(elem.rule) == target_key
+                ):
+                    out.append((rule, elem.rule.label, pos))
+        return out
+
+    def simple_defenders(self, mode: Mode, ref: RuleRef, attacked_label: str):
+        return _memo(
+            self._simple_defenders,
+            self._scan_simple_defenders,
+            mode,
+            ref,
+            attacked_label,
+        )
+
+    def _scan_simple_defenders(self, mode: Mode, ref: RuleRef, attacked_label: str):
+        target_key = self.content_key(self.by_label[ref.label])
+        out = []
+        for rule in self.rules:
+            if rule.mode not in _DEFEND_MODES[mode]:
+                continue
+            for pos, elem in enumerate(rule.consequent, start=1):
+                if (
+                    isinstance(elem, RuleExpression)
+                    and elem.positive == ref.positive
+                    and elem.rule.label in (ref.label, attacked_label)
+                    and self.content_key(elem.rule) == target_key
+                ):
+                    out.append((rule, pos))
+        return out
+
+    def clashing(self, anchor: Rule):
+        """The rules that cautiously conflict with ``anchor``, in label order."""
+        return _memo(self._clashing, self._scan_clashing, anchor)
+
+    def _scan_clashing(self, anchor: Rule):
+        return [r for r in self.rules if conflicts(r, anchor, Variant.CAUTIOUS)]
+
+    def clashes_given(self, ref: RuleRef) -> bool:
+        """Whether the rule expression ``ref`` conflicts with a given rule."""
+        return _memo(self._clashes_given, self._scan_clashes_given, ref)
+
+    def _scan_clashes_given(self, ref: RuleRef) -> bool:
+        expr = self._expr_of(ref)
+        return any(conflicts(self.by_label[t], expr, self.variant) for t in self.top)
 
     def _expr_of(self, ref: RuleRef) -> RuleExpression:
         return RuleExpression(self.by_label[ref.label], ref.positive)
@@ -197,17 +315,7 @@ class _Evaluator:
         if mode is Mode.P:
             if store.holds(Mode.O, lit, True):
                 return True
-        sup = self.supporters(mode, lit)
-        attackers = [
-            (g, j)
-            for am in _ATTACK_MODES[mode]
-            for g, j in self.supporters(am, comp)
-        ]
-        defenders = [
-            (z, k)
-            for dm in _DEFEND_MODES[mode]
-            for z, k in self.supporters(dm, lit)
-        ]
+        sup, attackers, defenders = self.literal_domain(mode, lit)
         if self._positive(store, sup, attackers, defenders, self._beats_plain):
             return True
         if mode is Mode.P and not store.holds(Mode.O, lit, False):
@@ -254,12 +362,10 @@ class _Evaluator:
     # -- rule proof conditions ----------------------------------------------
 
     def decide_rule(self, store: TagStore, mode: Mode, ref: RuleRef):
-        rule = self.by_label[ref.label]
-        expr = self._expr_of(ref)
         if mode is Mode.C:
             if ref.positive and ref.label in self.top:
                 return True
-            if any(conflicts(self.by_label[t], expr, self.variant) for t in self.top):
+            if self.clashes_given(ref):
                 return False
         if mode is Mode.P and store.holds(Mode.O, ref, True):
             return True
@@ -278,34 +384,8 @@ class _Evaluator:
         return _ATTACK_MODES[mode]
 
     def _decide_rule_simple(self, store, mode, ref, sup):
-        target_key = content_key(self.by_label[ref.label])
-        attackers = []  # (rule, elem label, position)
-        for rule in self.rules:
-            if rule.mode not in self._attack_modes(mode):
-                continue
-            for pos, elem in enumerate(rule.consequent, start=1):
-                if (
-                    isinstance(elem, RuleExpression)
-                    and elem.positive != ref.positive
-                    and content_key(elem.rule) == target_key
-                ):
-                    attackers.append((rule, elem.rule.label, pos))
-
-        def defenders(attacked_label):
-            out = []
-            for rule in self.rules:
-                if rule.mode not in _DEFEND_MODES[mode]:
-                    continue
-                for pos, elem in enumerate(rule.consequent, start=1):
-                    if (
-                        isinstance(elem, RuleExpression)
-                        and elem.positive == ref.positive
-                        and elem.rule.label in (ref.label, attacked_label)
-                        and content_key(elem.rule) == target_key
-                    ):
-                        out.append((rule, pos))
-            return out
-
+        attackers = self.simple_attackers(mode, ref)
+        defenders = partial(self.simple_defenders, mode, ref)
         if any(
             b.is_defeasible and applicable(self.theory, store, b, i) for b, i in sup
         ):
@@ -335,23 +415,24 @@ class _Evaluator:
         return False if refutes else None
 
     def _decide_rule_cautious(self, store, mode, ref, sup):
+        attack_modes = self._attack_modes(mode)
+        defend_modes = _DEFEND_MODES[mode]
+
         def attackers(anchor: Rule):
-            out = []
-            for rule in self.rules:
-                if rule.mode not in self._attack_modes(mode):
-                    continue
-                if conflicts(rule, anchor, Variant.CAUTIOUS):
-                    out.extend((rule, j) for j in self.expr_positions(rule))
-            return out
+            return [
+                (rule, j)
+                for rule in self.clashing(anchor)
+                if rule.mode in attack_modes
+                for j in self.expr_positions(rule)
+            ]
 
         def defenders(against: Rule):
-            out = []
-            for rule in self.rules:
-                if rule.mode not in _DEFEND_MODES[mode]:
-                    continue
-                if conflicts(rule, against, Variant.CAUTIOUS):
-                    out.extend((rule, k) for k in self.expr_positions(rule))
-            return out
+            return [
+                (rule, k)
+                for rule in self.clashing(against)
+                if rule.mode in defend_modes
+                for k in self.expr_positions(rule)
+            ]
 
         proved = False
         for b, i in sup:
@@ -386,13 +467,18 @@ class _Evaluator:
         return False if refutes else None
 
 
-def step(theory: Theory, store: TagStore, variant: Variant) -> TagStore:
-    """One saturation round: add every tag whose condition now holds."""
-    ev = _Evaluator(theory, variant)
+def step(
+    theory: Theory, store: TagStore, variant: Variant, ev: _Evaluator = None
+) -> TagStore:
+    """One saturation round: add every tag whose condition now holds.
+
+    ``ev`` is the evaluator of ``theory`` under ``variant`` that earlier
+    rounds of the same saturation used; a fresh one is built without it.
+    """
+    if ev is None:
+        ev = _Evaluator(theory, variant)
     out = TagStore(dict(store.lit), dict(store.rule))
-    for subject in sorted(herbrand_base(theory), key=str):
-        if isinstance(subject, RuleExpression):
-            subject = subject.ref
+    for subject in ev.base:
         for mode in Mode:
             if store.get(mode, subject) is not None:
                 continue
@@ -418,20 +504,20 @@ def oracle_extension(
         raise OracleBudgetError(
             f"theory size {size} exceeds the oracle budget {budget}"
         )
+    ev = _Evaluator(theory, variant)
     store = TagStore()
     while True:
-        nxt = step(theory, store, variant)
+        nxt = step(theory, store, variant, ev)
         if nxt.size() == store.size():
             break
         store = nxt
 
-    undetermined = set()
-    for subject in herbrand_base(theory):
-        if isinstance(subject, RuleExpression):
-            subject = subject.ref
-        for mode in Mode:
-            if store.get(mode, subject) is None:
-                undetermined.add((mode, subject))
+    undetermined = {
+        (mode, subject)
+        for subject in ev.base
+        for mode in Mode
+        if store.get(mode, subject) is None
+    }
     return Extension.from_tags(store.lit.items(), store.rule.items(), undetermined)
 
 

@@ -27,10 +27,12 @@ Tokens come from one regex, ``_TOKEN``: ``findall`` gives the token texts
 as a list of strings (an unexpected character comes out as ""), and the
 parser indexes that list.  Offsets are found only when there is an error,
 by rescanning with ``finditer``; line, column and snippet are computed from
-an offset only as its ``ParseError`` is built.  Lines end at "\n" alone,
-columns count characters from 1, and a comment does not advance the
-column, so the end of a source whose last line is a comment sits at its
-``#``.  Unexpected characters are reported before syntax errors.
+an offset only as its ``ParseError`` is built.  The snippet is the line,
+cut to ``SNIPPET_WIDTH`` characters around the column when it is longer.
+Lines end at "\n" alone, columns count characters from 1, and a comment
+does not advance the column, so the end of a source whose last line is a
+comment sits at its ``#``.  Unexpected characters are reported before
+syntax errors.
 
 Parsing is total: any byte input produces either a theory or a list of
 positioned errors, never an exception from inside.  Rendering is
@@ -86,6 +88,8 @@ _ARROWS = ("=>", "~>")
 # Texts that are not words; "" is the eof token.
 _NOT_WORD = frozenset(_ARROWS + tuple(":.,*>()[]~") + ("",))
 _MODES = {mode.value: mode for mode in Mode}
+# Longest line an error quotes whole; a longer one is cut around the column.
+SNIPPET_WIDTH = 80
 
 
 @dataclass
@@ -120,7 +124,23 @@ class _Lines:
     def error(self, offset: int, message: str) -> ParseError:
         line = bisect_right(self.starts, offset)
         column = offset - self.starts[line - 1] + 1
-        return ParseError(line, column, message, self.texts[line - 1])
+        return ParseError(line, column, message, _snippet(self.texts[line - 1], column))
+
+
+def _snippet(text: str, column: int) -> str:
+    """The line ``text`` itself, or, when it is longer than ``SNIPPET_WIDTH``,
+    that many of its characters around ``column``, with "..." at each cut.
+
+    Every error carries its snippet and the ``TheorySyntaxError`` message
+    joins them, so a fixed width keeps both linear in the number of errors.
+    """
+    if len(text) <= SNIPPET_WIDTH:
+        return text
+    start = max(0, min(column - 1 - SNIPPET_WIDTH // 2, len(text) - SNIPPET_WIDTH))
+    end = start + SNIPPET_WIDTH
+    head = "..." if start else ""
+    tail = "..." if end < len(text) else ""
+    return head + text[start:end] + tail
 
 
 def _tokenize(source: str):

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import ast
+import pathlib
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,9 +12,11 @@ from ddmr.conflicts import Variant
 from ddmr.engine import EngineState, run_engine
 from ddmr.generate import random_theory
 from ddmr.model import Literal, Mode, RuleRef, Sign, Theory
+import ddmr.oracle
 from ddmr.oracle import (
     OracleBudgetError,
     TagStore,
+    _Evaluator,
     applicable,
     check_equivalence,
     discarded,
@@ -177,3 +183,71 @@ def test_broken_team_defeat_is_caught(monkeypatch):
 def test_loop_is_undetermined_for_the_oracle(load):
     ext = oracle_extension(load("loop"), Variant.CAUTIOUS)
     assert (Mode.C, L("x")) in ext.undetermined
+
+
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=60))
+@settings(max_examples=30, deadline=None)
+def test_shared_evaluator_steps_like_a_fresh_one(seed, size):
+    theory = random_theory(seed, size)
+    for variant in Variant:
+        ev = _Evaluator(theory, variant)
+        fresh = shared = TagStore()
+        for _ in range(60):
+            nxt_fresh = step(theory, fresh, variant)
+            nxt_shared = step(theory, shared, variant, ev)
+            assert nxt_shared == nxt_fresh
+            if nxt_fresh.size() == fresh.size():
+                break
+            fresh, shared = nxt_fresh, nxt_shared
+        else:
+            raise AssertionError("no fixpoint within the iteration budget")
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_each_static_domain_is_scanned_once_per_saturation(monkeypatch, variant):
+    # execution2 takes six rounds; an evaluator rebuilt per round rescans
+    # supporters and, under cautious, calls conflicts on the same pair again
+    scans = Counter()
+    rounds = []
+
+    def counted_scan(name, scan):
+        def counting(ev, *args):
+            scans[(name, *args)] += 1
+            return scan(ev, *args)
+
+        return counting
+
+    def counted_conflicts(a, b, variant):
+        scans[("conflicts", a, b, variant)] += 1
+        return conflicts(a, b, variant)
+
+    def counted_step(*args):
+        rounds.append(args)
+        return step(*args)
+
+    for name in [n for n in vars(_Evaluator) if n.startswith("_scan_")]:
+        monkeypatch.setattr(_Evaluator, name, counted_scan(name, getattr(_Evaluator, name)))
+    conflicts = ddmr.oracle.conflicts
+    monkeypatch.setattr(ddmr.oracle, "conflicts", counted_conflicts)
+    monkeypatch.setattr(ddmr.oracle, "step", counted_step)
+
+    oracle_extension(load_fixture("execution2"), variant)
+    assert len(rounds) >= 3
+    assert {"_scan_supporters", "conflicts"} <= {key[0] for key in scans}
+    assert max(scans.values()) == 1
+
+
+def test_the_oracle_imports_nothing_of_the_engine_but_compute_extension():
+    path = pathlib.Path(ddmr.oracle.__file__)
+    source = path.read_text()
+    tree = ast.parse(source)
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            assert "engine" not in (node.module or ""), ast.unparse(node)
+        if isinstance(node, ast.Import):
+            assert all("engine" not in a.name for a in node.names), ast.unparse(node)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and "engine" in (node.module or ""):
+            assert [a.name for a in node.names] == ["compute_extension"]
+    for name in ("EngineState", "build_conflict_index", "ConflictTables"):
+        assert name not in source

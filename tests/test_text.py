@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import re
+import time
 from dataclasses import dataclass
 
 import pytest
@@ -28,6 +29,7 @@ from ddmr.model import (
 )
 from ddmr.text import (
     MAX_NESTING,
+    SNIPPET_WIDTH,
     TheorySyntaxError,
     _Lines,
     _token_offsets,
@@ -292,6 +294,37 @@ def test_snippet_is_the_newline_delimited_line():
     ]
 
 
+def test_a_long_line_is_quoted_around_the_column():
+    assert SNIPPET_WIDTH == 80
+    x = "x" * 100
+    assert _errors("?" + "x" * 79)[0][3] == "?" + "x" * 79
+    assert _errors(x + "?" + x)[0] == (
+        1,
+        101,
+        "unexpected character '?'",
+        "..." + "x" * 40 + "?" + "x" * 39 + "...",
+    )
+    assert _errors("?" + x)[0][3] == "?" + "x" * 79 + "..."
+    assert _errors(x + "?")[0][3] == "..." + "x" * 79 + "?"
+    # the eof error sits one past the end of the line
+    assert _errors("fact " + x)[0] == (1, 106, "expected '.', found ''", "..." + x[20:])
+
+
+def test_errors_on_one_long_line_cost_linear_time_and_space():
+    # each error used to quote the whole line: 4 s and a message of about
+    # 2.5e9 characters for this source
+    n = 50_000
+    start = time.perf_counter()
+    with pytest.raises(TheorySyntaxError) as info:
+        parse_theory("?" * n)
+    elapsed = time.perf_counter() - start
+    assert [(e.line, e.column) for e in info.value.errors] == [
+        (1, column) for column in range(1, n + 1)
+    ]
+    assert len(str(info.value)) < 8_000_000
+    assert elapsed < 1.0
+
+
 _WORD = re.compile(r"[A-Za-z0-9_]+")
 
 
@@ -307,7 +340,8 @@ def _reference_tokenize(source: str):
     """The character-loop tokenizer the regex one replaced.
 
     Only the snippet differs from the original, which took the lines of
-    ``source.splitlines()``: a line ends at "\\n", less one trailing "\\r".
+    ``source.splitlines()``: a line ends at "\\n", less one trailing "\\r",
+    and one longer than 80 characters is quoted as the 80 around the column.
     """
     tokens, errors = [], []
     line, col, i, n = 1, 1, 0, len(source)
@@ -344,7 +378,15 @@ def _reference_tokenize(source: str):
             col += len(m.group())
             i = m.end()
             continue
-        errors.append((line, col, f"unexpected character {ch!r}", lines[line - 1]))
+        text = lines[line - 1]
+        if len(text) > 80:
+            first = min(max(col - 41, 0), len(text) - 80)
+            text = (
+                ("..." if first else "")
+                + text[first : first + 80]
+                + ("..." if first + 80 < len(text) else "")
+            )
+        errors.append((line, col, f"unexpected character {ch!r}", text))
         i += 1
         col += 1
     tokens.append(_Token("eof", "", line, col))
