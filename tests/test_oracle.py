@@ -185,7 +185,9 @@ def test_loop_is_undetermined_for_the_oracle(load):
     assert (Mode.C, L("x")) in ext.undetermined
 
 
-@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=60))
+@given(
+    st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=60)
+)
 @settings(max_examples=30, deadline=None)
 def test_shared_evaluator_steps_like_a_fresh_one(seed, size):
     theory = random_theory(seed, size)
@@ -217,16 +219,17 @@ def test_each_static_domain_is_scanned_once_per_saturation(monkeypatch, variant)
 
         return counting
 
-    def counted_conflicts(a, b, variant):
-        scans[("conflicts", a, b, variant)] += 1
-        return conflicts(a, b, variant)
+    def counted_conflicts(a, b, v):
+        scans[("conflicts", a, b, v)] += 1
+        return conflicts(a, b, v)
 
     def counted_step(*args):
         rounds.append(args)
         return step(*args)
 
     for name in [n for n in vars(_Evaluator) if n.startswith("_scan_")]:
-        monkeypatch.setattr(_Evaluator, name, counted_scan(name, getattr(_Evaluator, name)))
+        scan = getattr(_Evaluator, name)
+        monkeypatch.setattr(_Evaluator, name, counted_scan(name, scan))
     conflicts = ddmr.oracle.conflicts
     monkeypatch.setattr(ddmr.oracle, "conflicts", counted_conflicts)
     monkeypatch.setattr(ddmr.oracle, "step", counted_step)
