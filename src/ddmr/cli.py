@@ -12,6 +12,10 @@ Exit codes are script-friendly and stable:
     6  query subject unknown to the theory
     7  internal error (a defect in ddmr; one line on stderr, no traceback)
 
+A file with parse errors prints the first ``MAX_PARSE_ERRORS`` (20) of
+them, each as ``PATH:LINE:COLUMN: message`` and its source line, then, if
+there are more, one ``PATH: N more errors`` line.
+
 The oracle size cap defaults to 200 and can be overridden through the
 DDMR_ORACLE_BUDGET environment variable.  Under --oracle, a theory above
 the cap prints one ``oracle: ...`` line on stderr and exits 1.
@@ -53,6 +57,8 @@ EXIT_ORACLE_MISMATCH = 5
 EXIT_UNKNOWN_SUBJECT = 6
 EXIT_INTERNAL = 7
 
+MAX_PARSE_ERRORS = 20
+
 
 def _oracle_budget() -> int:
     raw = os.environ.get("DDMR_ORACLE_BUDGET")
@@ -75,8 +81,10 @@ def _load_theory(path: str):
     try:
         return parse_theory(source)
     except TheorySyntaxError as exc:
-        for error in exc.errors:
+        for error in exc.errors[:MAX_PARSE_ERRORS]:
             print(f"{path}:{error}", file=sys.stderr)
+        if len(exc.errors) > MAX_PARSE_ERRORS:
+            print(f"{path}: {len(exc.errors) - MAX_PARSE_ERRORS} more errors", file=sys.stderr)
         raise SystemExit(EXIT_PARSE)
 
 

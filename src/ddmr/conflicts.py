@@ -27,6 +27,7 @@ import enum
 from typing import NamedTuple
 
 from .model import (
+    ATTACK_MODES,
     Arrow,
     Literal,
     Mode,
@@ -47,6 +48,15 @@ class Variant(enum.Enum):
 
     def __str__(self) -> str:
         return self.value
+
+
+# Who may attack a conclusion of each mode over a rule, per variant: as for
+# literals, except that under the cautious reading a permission over a rule
+# is attacked by permissions as well.
+RULE_ATTACK_MODES = {
+    Variant.SIMPLE: ATTACK_MODES,
+    Variant.CAUTIOUS: {**ATTACK_MODES, Mode.P: (Mode.O, Mode.P)},
+}
 
 
 def _as_expr(x) -> RuleExpression:

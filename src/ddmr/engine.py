@@ -4,11 +4,25 @@ The computation follows a forward-chaining fixpoint.  Seeding establishes
 facts as constitutive conclusions and the given rules as constitutively
 held, and rejects rule expressions the given rules clash with.  The main
 loop then repeatedly picks subjects from the modal Herbrand base whose
-evidence changed and decides them -- positively when an applicable
-defeasible supporter survives every live opposer (team defeat: any
-applicable supporter may beat an opposer), negatively when every defeasible
-supporter is discarded or outgunned by some applicable opposer that no
-live defender overrules.
+evidence changed and decides them.
+
+Every subject is decided by one schema.  Its supporters form teams, each
+team faces attackers, and each attacker faces the subject's defenders.  The
+subject is proved when some team has an applicable defeasible member and an
+applicable defender beats every live (not discarded) attacker of the team,
+and refuted when every team with a defeasible member meets an applicable
+attacker that no live defender beats.  For a literal, and for a rule
+subject under the simple reading, all supporters form one team (team
+defeat) and beating is superiority; a literal's attackers support its
+complement, a rule subject's conclude its content with the other polarity,
+and the defenders conclude the subject (for a rule subject, naming its rule
+or the attacked one).  Under the cautious reading each supporter of a rule
+subject is a team of its own, attacked by the rules clashing with it as
+whole rules and defended by those clashing with the attacker; a defender
+also beats an attacker whose concluded rules its own are superior to,
+unless the attacker is superior to it.  ``model.ATTACK_MODES``,
+``model.DEFEND_MODES`` and ``conflicts.RULE_ATTACK_MODES`` say which modes
+attack and defend.
 
 Every decision simplifies the theory in place: proved items vanish from
 antecedents, rules whose antecedents turned false are deleted together
@@ -65,8 +79,10 @@ from __future__ import annotations
 import random
 from itertools import compress, count, repeat
 
-from .conflicts import Variant, build_conflict_index
+from .conflicts import RULE_ATTACK_MODES, Variant, build_conflict_index
 from .model import (
+    ATTACK_MODES,
+    DEFEND_MODES,
     Extension,
     Literal,
     ModalLiteral,
@@ -88,14 +104,15 @@ C, O, P = 0, 1, 2
 _MODES = (Mode.C, Mode.O, Mode.P)
 _MODE_ORDER = {mode: m for m, mode in enumerate(_MODES)}
 
-# Who may attack / defend a conclusion of each mode.  Obligations are
-# attacked by obligations and permissions but reinstated only by
-# obligations; permissions are attacked by obligations (and, for rule
-# subjects under the cautious variant, by permissions as well) and
-# defended by either deontic mode.
-_ATTACK_MODES = ((C,), (O, P), (O,))
-_DEFEND_MODES = ((C,), (O,), (O, P))
 
+def _offsets(table: dict) -> tuple:
+    """A table of modes per mode, as offsets indexed by the mode's offset."""
+    return tuple(tuple(_MODE_ORDER[m] for m in table[mode]) for mode in _MODES)
+
+
+# Who may attack and defend, from ``model`` and ``conflicts``.
+_ATTACK, _DEFEND = _offsets(ATTACK_MODES), _offsets(DEFEND_MODES)
+_RULE_ATTACK = {variant: _offsets(table) for variant, table in RULE_ATTACK_MODES.items()}
 
 # The values of the tag store, and per value a translation table that maps
 # that byte to 1 and every other byte to 0.
@@ -319,16 +336,6 @@ class EngineState:
 
     # ------------------------------------------------------------ rule state
 
-    def _prefix_open(self, r: int, pos: int) -> bool:
-        """No chain cell before ``pos`` has been decided against the rule."""
-        cells = self.matrix[r]
-        if cells is None or pos <= 1:
-            return True
-        row1, row2 = cells
-        return all(
-            row1[j] is not False and row2[j] is not False for j in range(pos - 1)
-        )
-
     def _applicable(self, r: int, pos: int) -> bool:
         if r in self.dead or r not in self.effective or self.live_ants[r]:
             return False
@@ -339,16 +346,17 @@ class EngineState:
         return all(row1[j] is True and row2[j] is True for j in range(pos - 1))
 
     def _not_discarded(self, r: int, pos: int) -> bool:
-        return r not in self.dead and self._prefix_open(r, pos)
+        """Not deleted, and no chain cell before ``pos`` decided against the rule."""
+        if r in self.dead:
+            return False
+        cells = self.matrix[r]
+        if cells is None or pos <= 1:
+            return True
+        row1, row2 = cells
+        return all(row1[j] is not False and row2[j] is not False for j in range(pos - 1))
 
     def _stronger(self, a: int, b: int) -> bool:
         return (a, b) in self.sup
-
-    def _fallback_stronger(self, a: int, b: int) -> bool:
-        """Superiority inherited from the rules two meta-rules conclude."""
-        return any(
-            self._stronger(u, v) for u in self.concluded[a] for v in self.concluded[b]
-        )
 
     # -------------------------------------------------------------- decisions
 
@@ -360,27 +368,65 @@ class EngineState:
         if mode == P and self.tag[s - 1] == _PROVED:
             return True
         if s not in self.supported:
-            # no defeasible supporter now or later: C and O fail, P
-            # follows O; an open P consults its defeaters as the full
-            # conditions do, so it is re-examined at the same points
-            if mode != P:
-                return False
+            # a P (``run`` refutes C and O) follows its obligation; while
+            # that is open it consults its defeaters as the full conditions
+            # do, so it is re-examined at the same points
             if self.tag[s - 1]:
                 return False  # the obligation is refuted
             self._entries(s)
             return None
-        if s < self.n_lit_ids:
-            provable, refutable = self._provable_literal, self._refutable_literal
-        else:
-            provable, refutable = self._provable_rule, self._refutable_rule
+        # attackers are consulted (``_touched``) when listed, after a witness
+        # is found; simple and cautious defenders as they are walked
         supporters = self._entries(s)
-        if provable(s, supporters):
-            return True
+        if s < self.n_lit_ids:
+            attackers, beats, teams = self._literal_attackers, self._stronger, (supporters,)
+        elif self.variant is Variant.SIMPLE:
+            attackers, beats, teams = self._simple_attackers, self._stronger, (supporters,)
+        else:
+            attackers, beats = self._cautious_attackers, self._overrules
+            teams = [(e,) for e in supporters]
+        for team in teams:
+            if self._prevails(s, team, attackers, beats):
+                return True
         if mode == P and self.tag[s - 1] != _REFUTED:
             return None  # a permission cannot be rejected before the obligation is
-        if refutable(s, supporters):
+        for team in teams:
+            if not self._defeated(s, team, attackers, beats):
+                return None
+        return False
+
+    def _prevails(self, s: int, team, attackers, beats) -> bool:
+        """Some defeasible member of the team is applicable, and every live
+        attacker of the team is beaten by an applicable defender."""
+        for r, pos in team:
+            if self.defeasible[r] and self._applicable(r, pos):
+                break
+        else:
             return False
-        return None
+        for g, gpos, defenders in attackers(s, team):
+            for z, zpos in defenders:
+                if self._applicable(z, zpos) and beats(z, g):
+                    break
+            else:
+                return False
+        return True
+
+    def _defeated(self, s: int, team, attackers, beats) -> bool:
+        """The team has no defeasible member, or an applicable attacker of
+        the team that no live defender beats."""
+        for r, _ in team:
+            if self.defeasible[r]:
+                break
+        else:
+            return True
+        for g, gpos, defenders in attackers(s, team):
+            if self._applicable(g, gpos):
+                for z, zpos in defenders:
+                    if self._not_discarded(z, zpos) and beats(z, g):
+                        break
+                else:
+                    return True
+        return False
 
     def _entries(self, s: int):
         entries = self.supports.get(s, ())
@@ -388,168 +434,68 @@ class EngineState:
             self._touched.update(r for r, _ in entries)
         return entries
 
-    def _attack_entries(self, s: int) -> list:
-        comp = complement_id(s) - s % 3
-        return [e for m in _ATTACK_MODES[s % 3] for e in self._entries(comp + m)]
-
-    def _defend_entries(self, s: int) -> list:
-        return [e for m in _DEFEND_MODES[s % 3] for e in self._entries(s - s % 3 + m)]
-
-    def _provable_literal(self, s: int, supporters) -> bool:
-        witness = any(
-            self.defeasible[r] and self._applicable(r, pos) for r, pos in supporters
-        )
-        if not witness:
-            return False
-        defenders = self._defend_entries(s)
-        for g, gpos in self._attack_entries(s):
-            if not any(
-                self._applicable(z, zpos) and self._stronger(z, g)
-                for z, zpos in defenders
-            ):
-                return False
-        return True
-
-    def _refutable_literal(self, s: int, supporters) -> bool:
-        attackers = [g for g, gpos in self._attack_entries(s) if self._applicable(g, gpos)]
-        defenders = self._defend_entries(s)
-        for r, _ in supporters:
-            if not self.defeasible[r]:
-                continue
-            if not any(
-                all(not self._stronger(z, g) for z, zpos in defenders)
-                for g in attackers
-            ):
-                return False
-        return True
-
-    # Rule subjects ---------------------------------------------------------
-
-    def _rule_attack_modes(self, mode: int):
-        if self.variant is Variant.CAUTIOUS and mode == P:
-            return (O, P)
-        return _ATTACK_MODES[mode]
-
-    def _provable_rule(self, s: int, supporters) -> bool:
-        witnesses = [
-            r for r, pos in supporters if self.defeasible[r] and self._applicable(r, pos)
+    def _literal_attackers(self, s: int, team) -> list:
+        """The supporters of the complement in an attacking mode, each with
+        the supporters of the subject in a defending mode.  Supports hold
+        only live entries."""
+        mode, base = s % 3, s - s % 3
+        comp = complement_id(s) - mode
+        defenders = [e for m in _DEFEND[mode] for e in self._entries(base + m)]
+        return [
+            (g, gpos, defenders) for m in _ATTACK[mode] for g, gpos in self._entries(comp + m)
         ]
-        if not witnesses:
-            return False
-        if self.variant is Variant.SIMPLE:
-            return all(
-                self._defeated_simple(s, g, named)
-                for g, gpos, named in self._rule_attackers_simple(s)
-                if self._not_discarded(g, gpos)
-            )
-        mode = s % 3
-        return any(
-            all(
-                self._defeated_cautious(mode, g)
-                for g in self._rule_attackers_cautious(mode, w)
-                if self._attacker_alive(g)
-            )
-            for w in witnesses
-        )
 
-    def _refutable_rule(self, s: int, supporters) -> bool:
-        if self.variant is Variant.SIMPLE:
-            attackers = [
-                (g, named)
-                for g, gpos, named in self._rule_attackers_simple(s)
-                if self._applicable(g, gpos)
-            ]
-            for r, _ in supporters:
-                if not self.defeasible[r]:
-                    continue
-                if not any(
-                    self._unblocked_simple(s, g, named) for g, named in attackers
-                ):
-                    return False
-            return True
-        mode = s % 3
-        for r, _ in supporters:
-            if not self.defeasible[r]:
-                continue
-            if not any(
-                self._unblocked_cautious(mode, g)
-                for g in self._rule_attackers_cautious(mode, r)
-                if self._attacker_applicable(g)
-            ):
-                return False
-        return True
-
-    def _rule_attackers_simple(self, s: int):
-        """Rules concluding an expression that clashes with the subject, with
-        the position and the rule the expression names."""
-        modes = self._rule_attack_modes(s % 3)
-        out = [
-            e for e in self.simple_attackers[s // 3 - self.n_lits]
-            if self.rule_mode[e[0]] in modes
-        ]
+    def _simple_attackers(self, s: int, team):
+        """Rules concluding an expression that clashes with the subject, each
+        with the conclusions sharing the subject's content and polarity that
+        name the subject's rule or the attacking expression's."""
+        k = s // 3 - self.n_lits
+        modes = _RULE_ATTACK[self.variant][s % 3]
+        out = [e for e in self.simple_attackers[k] if self.rule_mode[e[0]] in modes]
         self._touched.update(e[0] for e in out)
-        return out
-
-    def _rule_attackers_cautious(self, mode: int, anchor: int):
-        """Rules clashing, as whole rules, with the supporter under attack."""
-        modes = self._rule_attack_modes(mode)
-        out = [g for g in self.clashes[anchor] if self.rule_mode[g] in modes]
-        self._touched.update(out)
-        return out
-
-    def _attacker_alive(self, r: int) -> bool:
-        return r not in self.dead and any(
-            self._prefix_open(r, pos) for pos in self.expr_positions[r]
+        return (
+            (g, gpos, self._simple_defenders(s, named))
+            for g, gpos, named in out
+            if self._not_discarded(g, gpos)
         )
-
-    def _attacker_applicable(self, r: int) -> bool:
-        return any(self._applicable(r, pos) for pos in self.expr_positions[r])
 
     def _simple_defenders(self, s: int, attacked: int):
-        """Conclusions with the subject's content and polarity, naming the
-        subject's rule or the attacking expression's."""
         k = s // 3 - self.n_lits
-        modes = _DEFEND_MODES[s % 3]
+        modes = _DEFEND[s % 3]
         for z, named, zpos in self.same_content[k]:
             if named in (k >> 1, attacked) and self.rule_mode[z] in modes:
                 self._touched.add(z)
                 yield z, zpos
 
-    def _defeated_simple(self, s: int, g: int, attacked: int) -> bool:
-        return any(
-            self._applicable(z, zpos) and self._stronger(z, g)
-            for z, zpos in self._simple_defenders(s, attacked)
-        )
-
-    def _unblocked_simple(self, s: int, g: int, attacked: int) -> bool:
-        return not any(
-            self._not_discarded(z, zpos) and self._stronger(z, g)
-            for z, zpos in self._simple_defenders(s, attacked)
+    def _cautious_attackers(self, s: int, team):
+        """Rules clashing, as whole rules, with the team's one member, each
+        with the rules clashing with the attacker."""
+        ((r, _),) = team
+        modes = _RULE_ATTACK[self.variant][s % 3]
+        out = [g for g in self.clashes[r] if self.rule_mode[g] in modes]
+        self._touched.update(out)
+        return (
+            (g, gpos, self._cautious_defenders(s % 3, g))
+            for g in out
+            for gpos in self.expr_positions[g]
+            if self._not_discarded(g, gpos)
         )
 
     def _cautious_defenders(self, mode: int, g: int):
         clashes = self.clashes[g]
         self._touched.update(clashes)
         for z in clashes:
-            if self.rule_mode[z] in _DEFEND_MODES[mode]:
+            if self.rule_mode[z] in _DEFEND[mode]:
                 for zpos in self.expr_positions[z]:
                     yield z, zpos
 
     def _overrules(self, z: int, g: int) -> bool:
+        """Superiority, or else superiority inherited from the rules the two
+        rules conclude."""
         if self._stronger(z, g):
             return True
-        return not self._stronger(g, z) and self._fallback_stronger(z, g)
-
-    def _defeated_cautious(self, mode: int, g: int) -> bool:
-        return any(
-            self._applicable(z, zpos) and self._overrules(z, g)
-            for z, zpos in self._cautious_defenders(mode, g)
-        )
-
-    def _unblocked_cautious(self, mode: int, g: int) -> bool:
-        return not any(
-            self._not_discarded(z, zpos) and self._overrules(z, g)
-            for z, zpos in self._cautious_defenders(mode, g)
+        return not self._stronger(g, z) and any(
+            self._stronger(u, v) for u in self.concluded[z] for v in self.concluded[g]
         )
 
     # ------------------------------------------------------------ mutation

@@ -49,6 +49,14 @@ class Mode(enum.Enum):
 
 DEONTIC_MODES = (Mode.O, Mode.P)
 
+# Who may attack and who may defend a conclusion of each mode.  Obligations
+# are attacked by obligations and permissions but reinstated only by
+# obligations; permissions are attacked by obligations and defended by
+# either deontic mode.  ``conflicts.RULE_ATTACK_MODES`` adds the one
+# exception for conclusions over rules.
+ATTACK_MODES = {Mode.C: (Mode.C,), Mode.O: (Mode.O, Mode.P), Mode.P: (Mode.O,)}
+DEFEND_MODES = {Mode.C: (Mode.C,), Mode.O: (Mode.O,), Mode.P: (Mode.O, Mode.P)}
+
 
 class Arrow(enum.Enum):
     DEFEASIBLE = "=>"
@@ -197,12 +205,12 @@ class Rule:
                 yield elem.rule
 
     def __str__(self) -> str:
-        body = ", ".join(sorted(str(i) for i in self.antecedent))
-        head = " * ".join(str(e) for e in self.consequent)
-        sep = ", " if body else ""
-        return f"{self.label}: {body}{sep}{self.arrow} {self.mode} {head}".replace(
-            ":  ", ": "
-        )
+        """The rule in ``.ddl`` form, antecedent items sorted, without the
+        closing full stop: ``r: O(b), a => C x``, ``s: => C y``."""
+        body = ", ".join(sorted(map(str, self.antecedent)))
+        head = " * ".join(map(str, self.consequent))
+        lead = f"{self.label}: {body}" if body else f"{self.label}:"
+        return f"{lead} {self.arrow} {self.mode} {head}"
 
 
 def complement(x):

@@ -6,13 +6,26 @@ adds every tagged conclusion whose full proof condition the current tag
 store satisfies; saturating to a fixpoint yields the extension.  Tags
 never derived stay undetermined.
 
+One condition decides every subject.  Its supporters form teams, each
+team faces attackers, and each attacker faces defenders that may beat it.
+A subject is proved when some team has an applicable defeasible member and
+every attacker of it is discarded or beaten by an applicable defender.  It
+is refuted when, in every team, each defeasible member not discarded meets
+an applicable attacker that every defender is discarded for or fails to
+beat.  For literals and, under the simple reading, for rule subjects, all
+supporters form one team and beating is superiority.  Under the cautious
+reading each supporter of a rule subject is a team alone, attacked by the
+rules that clash with it and defended against an attacker by the rules
+that clash with that attacker; a defender beats an attacker it is superior
+to or, unless the attacker is superior to it, one whose concluded rules
+its own concluded rules are superior to.
+
 The static domains -- which rules support a subject, which attack it,
 which defend it, which rules clash -- do not depend on the tag store.  Each
 is found by a plain scan of the original theory the first time a
-saturation asks for it and kept until the saturation ends.  The proof
-conditions themselves -- whether a rule is applicable or discarded, and
-whether a subject is proved or refuted -- are evaluated in full against
-the store on every step.
+saturation asks for it and kept until the saturation ends.  Whether a rule
+is applicable or discarded, and whether a subject is proved or refuted,
+is evaluated in full against the store on every step.
 
 The derivation route is deliberately independent of the engine: no shared
 indexes, no antecedent stripping, no rule deletion, only the conflict
@@ -25,8 +38,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 
-from .conflicts import Variant, conflicts
+from .conflicts import RULE_ATTACK_MODES, Variant, conflicts
 from .model import (
+    ATTACK_MODES,
+    DEFEND_MODES,
     DeonticRuleExpression,
     Extension,
     Literal,
@@ -41,9 +56,6 @@ from .model import (
     herbrand_base,
     theory_size,
 )
-
-_ATTACK_MODES = {Mode.C: (Mode.C,), Mode.O: (Mode.O, Mode.P), Mode.P: (Mode.O,)}
-_DEFEND_MODES = {Mode.C: (Mode.C,), Mode.O: (Mode.O,), Mode.P: (Mode.O, Mode.P)}
 
 DEFAULT_BUDGET = 200
 
@@ -163,6 +175,7 @@ class _Evaluator:
         ]
         self._supporters = {}
         self._literal_domains = {}
+        self._cautious_attackers = {}
         self._simple_attackers = {}
         self._simple_defenders = {}
         self._clashing = {}
@@ -197,28 +210,21 @@ class _Evaluator:
 
     def _scan_literal_domain(self, mode: Mode, lit: Literal):
         comp = lit.complement()
-        attackers = [
-            (g, j)
-            for am in _ATTACK_MODES[mode]
-            for g, j in self.supporters(am, comp)
-        ]
-        defenders = [
-            (z, k)
-            for dm in _DEFEND_MODES[mode]
-            for z, k in self.supporters(dm, lit)
-        ]
+        attackers = [e for am in ATTACK_MODES[mode] for e in self.supporters(am, comp)]
+        defenders = [e for dm in DEFEND_MODES[mode] for e in self.supporters(dm, lit)]
         return self.supporters(mode, lit), attackers, defenders
 
     def content_key(self, rule: Rule):
         return _memo(self._content_keys, content_key, rule)
 
     def simple_attackers(self, mode: Mode, ref: RuleRef):
-        """(rule, attacked label, position) of each simple-variant attacker."""
+        """(rule, position) of each rule concluding, at that position, an
+        expression with the content of ``ref`` and the other polarity."""
         return _memo(self._simple_attackers, self._scan_simple_attackers, mode, ref)
 
     def _scan_simple_attackers(self, mode: Mode, ref: RuleRef):
         target_key = self.content_key(self.by_label[ref.label])
-        modes = self._attack_modes(mode)
+        modes = RULE_ATTACK_MODES[Variant.SIMPLE][mode]
         out = []
         for rule in self.rules:
             if rule.mode not in modes:
@@ -229,23 +235,20 @@ class _Evaluator:
                     and elem.positive != ref.positive
                     and self.content_key(elem.rule) == target_key
                 ):
-                    out.append((rule, elem.rule.label, pos))
+                    out.append((rule, pos))
         return out
 
-    def simple_defenders(self, mode: Mode, ref: RuleRef, attacked_label: str):
-        return _memo(
-            self._simple_defenders,
-            self._scan_simple_defenders,
-            mode,
-            ref,
-            attacked_label,
-        )
+    def simple_defenders(self, mode: Mode, ref: RuleRef, attacker: Rule, j: int):
+        """(rule, position) of each conclusion with the content and polarity
+        of ``ref`` naming its rule or the one ``attacker`` concludes at ``j``."""
+        attacked = attacker.consequent[j - 1].label
+        return _memo(self._simple_defenders, self._scan_simple_defenders, mode, ref, attacked)
 
     def _scan_simple_defenders(self, mode: Mode, ref: RuleRef, attacked_label: str):
         target_key = self.content_key(self.by_label[ref.label])
         out = []
         for rule in self.rules:
-            if rule.mode not in _DEFEND_MODES[mode]:
+            if rule.mode not in DEFEND_MODES[mode]:
                 continue
             for pos, elem in enumerate(rule.consequent, start=1):
                 if (
@@ -256,6 +259,32 @@ class _Evaluator:
                 ):
                     out.append((rule, pos))
         return out
+
+    def cautious_attackers(self, mode: Mode, team):
+        """(rule, position) of each rule expression concluded by a rule that
+        clashes with the team's one member and may attack a ``mode`` rule."""
+        ((anchor, _),) = team
+        return _memo(self._cautious_attackers, self._scan_cautious_attackers, mode, anchor)
+
+    def _scan_cautious_attackers(self, mode: Mode, anchor: Rule):
+        modes = RULE_ATTACK_MODES[Variant.CAUTIOUS][mode]
+        return [
+            (rule, j)
+            for rule in self.clashing(anchor)
+            if rule.mode in modes
+            for j in self.expr_positions(rule)
+        ]
+
+    def cautious_defenders(self, mode: Mode, attacker: Rule, j: int):
+        """(rule, position) of each rule expression concluded by a rule that
+        clashes with ``attacker`` (at any position) and may defend a ``mode``
+        rule."""
+        return [
+            (rule, k)
+            for rule in self.clashing(attacker)
+            if rule.mode in DEFEND_MODES[mode]
+            for k in self.expr_positions(rule)
+        ]
 
     def clashing(self, anchor: Rule):
         """The rules that cautiously conflict with ``anchor``, in label order."""
@@ -269,11 +298,8 @@ class _Evaluator:
         return _memo(self._clashes_given, self._scan_clashes_given, ref)
 
     def _scan_clashes_given(self, ref: RuleRef) -> bool:
-        expr = self._expr_of(ref)
+        expr = RuleExpression(self.by_label[ref.label], ref.positive)
         return any(conflicts(self.by_label[t], expr, self.variant) for t in self.top)
-
-    def _expr_of(self, ref: RuleRef) -> RuleExpression:
-        return RuleExpression(self.by_label[ref.label], ref.positive)
 
     def expr_positions(self, rule: Rule):
         return [
@@ -285,7 +311,13 @@ class _Evaluator:
     def stronger(self, a: Rule, b: Rule) -> bool:
         return (a.label, b.label) in self.sup
 
-    def fallback_stronger(self, a: Rule, b: Rule) -> bool:
+    def overrules(self, a: Rule, b: Rule) -> bool:
+        """``a`` is superior to ``b`` or, unless ``b`` is superior to ``a``,
+        some rule ``a`` concludes is superior to some rule ``b`` concludes."""
+        if self.stronger(a, b):
+            return True
+        if self.stronger(b, a):
+            return False
         for ea in a.consequent:
             if not isinstance(ea, RuleExpression):
                 continue
@@ -296,70 +328,18 @@ class _Evaluator:
                     return True
         return False
 
-    def overrules(self, a: Rule, b: Rule) -> bool:
-        if self.variant is Variant.SIMPLE:
-            return self.stronger(a, b)
-        return self.stronger(a, b) or (
-            not self.stronger(b, a) and self.fallback_stronger(a, b)
-        )
-
-    # -- literal proof conditions -------------------------------------------
+    # -- proof conditions ---------------------------------------------------
 
     def decide_literal(self, store: TagStore, mode: Mode, lit: Literal):
-        comp = lit.complement()
         if mode is Mode.C:
             if lit in self.theory.facts:
                 return True
-            if comp in self.theory.facts:
+            if lit.complement() in self.theory.facts:
                 return False
-        if mode is Mode.P:
-            if store.holds(Mode.O, lit, True):
-                return True
         sup, attackers, defenders = self.literal_domain(mode, lit)
-        if self._positive(store, sup, attackers, defenders, self._beats_plain):
-            return True
-        if mode is Mode.P and not store.holds(Mode.O, lit, False):
-            return None
-        if self._negative(store, sup, attackers, defenders, self._beats_plain):
-            return False
-        return None
-
-    def _beats_plain(self, z: Rule, g: Rule) -> bool:
-        return self.stronger(z, g)
-
-    def _positive(self, store, sup, attackers, defenders, beats) -> bool:
-        if not any(
-            b.is_defeasible and applicable(self.theory, store, b, i) for b, i in sup
-        ):
-            return False
-        for g, j in attackers:
-            if discarded(self.theory, store, g, j):
-                continue
-            if not any(
-                applicable(self.theory, store, z, k) and beats(z, g)
-                for z, k in defenders
-            ):
-                return False
-        return True
-
-    def _negative(self, store, sup, attackers, defenders, beats) -> bool:
-        for b, i in sup:
-            if not b.is_defeasible:
-                continue
-            if discarded(self.theory, store, b, i):
-                continue
-            if not any(
-                applicable(self.theory, store, g, j)
-                and all(
-                    discarded(self.theory, store, z, k) or not beats(z, g)
-                    for z, k in defenders
-                )
-                for g, j in attackers
-            ):
-                return False
-        return True
-
-    # -- rule proof conditions ----------------------------------------------
+        return self._decide(
+            store, mode, lit, [sup], lambda _: attackers, lambda g, j: defenders, self.stronger
+        )
 
     def decide_rule(self, store: TagStore, mode: Mode, ref: RuleRef):
         if mode is Mode.C:
@@ -367,104 +347,52 @@ class _Evaluator:
                 return True
             if self.clashes_given(ref):
                 return False
-        if mode is Mode.P and store.holds(Mode.O, ref, True):
-            return True
         sup = self.supporters(mode, ref)
         if self.variant is Variant.SIMPLE:
-            verdict = self._decide_rule_simple(store, mode, ref, sup)
-        else:
-            verdict = self._decide_rule_cautious(store, mode, ref, sup)
-        if verdict is False and mode is Mode.P and not store.holds(Mode.O, ref, False):
-            return None
-        return verdict
+            attackers = self.simple_attackers(mode, ref)
+            defenders = partial(self.simple_defenders, mode, ref)
+            return self._decide(
+                store, mode, ref, [sup], lambda _: attackers, defenders, self.stronger
+            )
+        attackers = partial(self.cautious_attackers, mode)
+        defenders = partial(self.cautious_defenders, mode)
+        teams = [[entry] for entry in sup]
+        return self._decide(store, mode, ref, teams, attackers, defenders, self.overrules)
 
-    def _attack_modes(self, mode: Mode):
-        if self.variant is Variant.CAUTIOUS and mode is Mode.P:
-            return (Mode.O, Mode.P)
-        return _ATTACK_MODES[mode]
-
-    def _decide_rule_simple(self, store, mode, ref, sup):
-        attackers = self.simple_attackers(mode, ref)
-        defenders = partial(self.simple_defenders, mode, ref)
-        if any(
-            b.is_defeasible and applicable(self.theory, store, b, i) for b, i in sup
-        ):
-            if all(
-                discarded(self.theory, store, g, j)
-                or any(
-                    applicable(self.theory, store, z, k) and self.stronger(z, g)
-                    for z, k in defenders(glabel)
-                )
-                for g, glabel, j in attackers
-            ):
-                return True
-        refutes = True
-        for b, i in sup:
-            if not b.is_defeasible or discarded(self.theory, store, b, i):
-                continue
-            if not any(
-                applicable(self.theory, store, g, j)
-                and all(
-                    discarded(self.theory, store, z, k) or not self.stronger(z, g)
-                    for z, k in defenders(glabel)
-                )
-                for g, glabel, j in attackers
-            ):
-                refutes = False
-                break
-        return False if refutes else None
-
-    def _decide_rule_cautious(self, store, mode, ref, sup):
-        attack_modes = self._attack_modes(mode)
-        defend_modes = _DEFEND_MODES[mode]
-
-        def attackers(anchor: Rule):
-            return [
-                (rule, j)
-                for rule in self.clashing(anchor)
-                if rule.mode in attack_modes
-                for j in self.expr_positions(rule)
-            ]
-
-        def defenders(against: Rule):
-            return [
-                (rule, k)
-                for rule in self.clashing(against)
-                if rule.mode in defend_modes
-                for k in self.expr_positions(rule)
-            ]
-
-        proved = False
-        for b, i in sup:
-            if not b.is_defeasible or not applicable(self.theory, store, b, i):
-                continue
-            if all(
-                discarded(self.theory, store, g, j)
-                or any(
-                    applicable(self.theory, store, z, k) and self.overrules(z, g)
-                    for z, k in defenders(g)
-                )
-                for g, j in attackers(b)
-            ):
-                proved = True
-                break
-        if proved:
+    def _decide(self, store, mode, subject, teams, attackers, defenders, beats):
+        """The verdict on ``mode`` ``subject``, None while undecided: the
+        (rule, position) conclusions ``attackers(team)`` attack a team of
+        supporters, ``defenders(g, j)`` defend against ``g`` at ``j``."""
+        if mode is Mode.P and store.holds(Mode.O, subject, True):
             return True
-        refutes = True
-        for b, i in sup:
-            if not b.is_defeasible or discarded(self.theory, store, b, i):
-                continue
-            if not any(
-                applicable(self.theory, store, g, j)
-                and all(
-                    discarded(self.theory, store, z, k) or not self.overrules(z, g)
-                    for z, k in defenders(g)
+        th = self.theory
+        if any(
+            any(b.is_defeasible and applicable(th, store, b, i) for b, i in team)
+            and all(
+                discarded(th, store, g, j)
+                or any(
+                    applicable(th, store, z, k) and beats(z, g) for z, k in defenders(g, j)
                 )
-                for g, j in attackers(b)
-            ):
-                refutes = False
-                break
-        return False if refutes else None
+                for g, j in attackers(team)
+            )
+            for team in teams
+        ):
+            return True
+        if mode is Mode.P and not store.holds(Mode.O, subject, False):
+            return None
+        if all(
+            all(not b.is_defeasible or discarded(th, store, b, i) for b, i in team)
+            or any(
+                applicable(th, store, g, j)
+                and all(
+                    discarded(th, store, z, k) or not beats(z, g) for z, k in defenders(g, j)
+                )
+                for g, j in attackers(team)
+            )
+            for team in teams
+        ):
+            return False
+        return None
 
 
 def step(

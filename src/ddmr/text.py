@@ -377,36 +377,13 @@ def parse_theory(source: str) -> Theory:
 # Rendering -----------------------------------------------------------------
 
 
-def _render_item(item) -> str:
-    if isinstance(item, Literal):
-        return str(item)
-    if isinstance(item, ModalLiteral):
-        neg = "~" if item.negated else ""
-        return f"{neg}{item.mode}({item.inner})"
-    if isinstance(item, RuleExpression):
-        neg = "" if item.positive else "~"
-        return f"{neg}({_render_rule_body(item.rule)})"
-    if isinstance(item, DeonticRuleExpression):
-        neg = "~" if item.negated else ""
-        return f"{neg}{item.mode}[{_render_item(item.expr)}]"
-    raise TypeError(repr(item))
-
-
-def _render_rule_body(rule: Rule) -> str:
-    items = sorted(_render_item(i) for i in rule.antecedent)
-    body = ", ".join(items)
-    head = " * ".join(_render_item(e) for e in rule.consequent)
-    lead = f"{rule.label}: {body}" if body else f"{rule.label}:"
-    return f"{lead} {rule.arrow.value} {rule.mode} {head}"
-
-
 def render_theory(theory: Theory) -> str:
     """Canonical text: sorted facts, rules in declaration order, sorted pairs."""
     out = []
     for fact in sorted(theory.facts, key=lambda l: (l.atom, not l.positive)):
         out.append(f"fact {fact}.")
     for rule in theory.rules:
-        out.append(_render_rule_body(rule) + ".")
+        out.append(f"{rule}.")
     for a, b in sorted(theory.superiority):
         out.append(f"{a} > {b}.")
     return "\n".join(out) + ("\n" if out else "")

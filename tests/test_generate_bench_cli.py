@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from ddmr.bench import loglog_slope, run_benchmarks, to_csv
-from ddmr.cli import EXIT_INTERNAL, main
+from ddmr.cli import EXIT_INTERNAL, MAX_PARSE_ERRORS, main
 from ddmr.conflicts import Variant
 from ddmr.engine import compute_extension
 from ddmr.generate import (
@@ -29,7 +29,7 @@ from ddmr.model import (
     validate,
 )
 from ddmr.model import _has_cycle
-from ddmr.text import render_theory
+from ddmr.text import TheorySyntaxError, parse_theory, render_theory
 
 from .conftest import FIXTURES
 
@@ -227,6 +227,31 @@ def test_cli_parse_error(tmp_path, capsys):
         run_cli("extension", str(bad))
     assert exc.value.code == 2
     assert "unknown mode" in capsys.readouterr().err
+
+
+def test_cli_parse_errors_are_capped(tmp_path, capsys):
+    bad = tmp_path / "bad.ddl"
+    bad.write_text("?" * 50_000)
+    with pytest.raises(SystemExit) as exc:
+        run_cli("extension", str(bad))
+    assert exc.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) <= 2 * MAX_PARSE_ERRORS + 1
+    assert lines[-1] == f"{bad}: {50_000 - MAX_PARSE_ERRORS} more errors"
+
+
+def test_cli_prints_up_to_the_cap_in_full(tmp_path, capsys):
+    for count in (1, MAX_PARSE_ERRORS):
+        bad = tmp_path / f"bad{count}.ddl"
+        bad.write_text("?" * count)
+        with pytest.raises(TheorySyntaxError) as parsed:
+            parse_theory(bad.read_text())
+        assert len(parsed.value.errors) == count
+        with pytest.raises(SystemExit) as exc:
+            run_cli("extension", str(bad))
+        assert exc.value.code == 2
+        expected = "".join(f"{bad}:{error}\n" for error in parsed.value.errors)
+        assert capsys.readouterr().err == expected
 
 
 def _nested(depth: int) -> str:

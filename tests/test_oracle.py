@@ -180,6 +180,58 @@ def test_broken_team_defeat_is_caught(monkeypatch):
     assert diffs
 
 
+# Rule subject r has three defeasible supporters.  m1 and g share their
+# antecedent and m1's chain extends g's, so under the cautious reading they
+# clash with each other, while m2 clashes with no rule.
+SPLIT_TEAMS = """
+fact a. fact b.
+m1: a => O (r: => C x) * (s: => C y).
+g:  a => O (r: => C x).
+m2: b => O (r: => C x).
+"""
+
+
+def test_each_cautious_supporter_is_a_team_of_its_own():
+    theory = parse_theory(SPLIT_TEAMS)
+    r, s = RuleRef("r"), RuleRef("s")
+    cautious = run_engine(theory, Variant.CAUTIOUS).extension()
+    # m2 faces no clashing rule; s's only supporter m1 faces g unbeaten
+    assert r in cautious.positive_rules(Mode.O)
+    assert s in cautious.negative_rules(Mode.O)
+    simple = run_engine(theory, Variant.SIMPLE).extension()
+    assert {r, s} <= simple.positive_rules(Mode.O)
+    for variant in Variant:
+        assert check_equivalence(theory, variant) == {}, variant
+
+
+def test_dropped_simple_defenders_are_caught(monkeypatch):
+    monkeypatch.setattr(EngineState, "_simple_defenders", lambda self, s, attacked: iter(()))
+    assert check_equivalence(load_fixture("example4"), Variant.SIMPLE)
+
+
+def test_dropped_cautious_defenders_are_caught(monkeypatch):
+    monkeypatch.setattr(EngineState, "_cautious_defenders", lambda self, mode, g: iter(()))
+    for name in ("example4", "example8", "execution2"):
+        assert check_equivalence(load_fixture(name), Variant.CAUTIOUS), name
+
+
+def test_overruling_without_inherited_superiority_is_caught(monkeypatch):
+    monkeypatch.setattr(EngineState, "_overrules", lambda self, z, g: self._stronger(z, g))
+    assert check_equivalence(load_fixture("example8"), Variant.CAUTIOUS)
+
+
+def test_one_cautious_team_for_all_supporters_is_caught(monkeypatch):
+    # every team faces the rules clashing with the subject's first
+    # supporter, as if all supporters formed one team
+    attackers = EngineState._cautious_attackers
+    monkeypatch.setattr(
+        EngineState,
+        "_cautious_attackers",
+        lambda self, s, team: attackers(self, s, self.supports[s][:1]),
+    )
+    assert check_equivalence(parse_theory(SPLIT_TEAMS), Variant.CAUTIOUS)
+
+
 def test_loop_is_undetermined_for_the_oracle(load):
     ext = oracle_extension(load("loop"), Variant.CAUTIOUS)
     assert (Mode.C, L("x")) in ext.undetermined

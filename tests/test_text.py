@@ -165,6 +165,21 @@ def test_round_trip_on_random_theories(seed):
     assert parse_theory(rendered) == theory
 
 
+def test_str_of_a_rule_parses_back_to_the_rule():
+    theories = [load_fixture(p.stem) for p in sorted(FIXTURES.glob("*.ddl"))]
+    theories += [random_theory(seed, 60) for seed in range(20)]
+    for theory in theories:
+        for rule in theory.rules:
+            assert parse_theory(f"{rule}.").rules == (rule,), str(rule)
+
+
+def test_str_of_a_rule_is_the_ddl_form():
+    (rule,) = parse_theory("r: a, O(b) => C x.").rules
+    assert str(rule) == "r: O(b), a => C x"
+    (rule,) = parse_theory("s: => C y.").rules
+    assert str(rule) == "s: => C y"
+
+
 def test_render_empty_theory():
     from ddmr.model import Theory
 

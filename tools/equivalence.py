@@ -1,0 +1,99 @@
+"""Compare what two ddmr checkouts compute on the benchmark inputs.
+
+    python tools/equivalence.py PARENT_ROOT CHANGE_ROOT
+
+Each root's ddmr runs in a subprocess of its own over the fixtures and
+every pool member of the ``deep``, ``wide`` and ``oracle-small`` workloads,
+found through that root's ``perfbench/inputs.py``; the CLI workloads'
+theories go through ``render_theory`` and ``parse_theory`` as the
+benchmark's ``.ddl`` files do.  Per input and variant it digests the
+engine's decision log (iteration, subject id, sign), ``iterations``, dead
+rules and JSON extension, and for ``oracle-small`` and the fixtures the
+``oracle_extension`` JSON.  Prints every result that differs; exits 1 if
+any does.  Standard library only.
+"""
+
+import hashlib
+import importlib
+import json
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
+VARIANTS = ("simple", "cautious")
+
+
+def _digest(*parts) -> str:
+    return hashlib.sha256(repr(parts).encode("utf-8")).hexdigest()
+
+
+def _inputs(root: str, inputs, D):
+    """(name, theory, whether the oracle runs on it) for every input."""
+    for workload in ("deep", "wide", "oracle-small"):
+        for key in dict.fromkeys(inputs.pool(workload)):
+            theory = inputs.build_theory(D, key)
+            if workload != "wide":
+                theory = D.text.parse_theory(D.text.render_theory(theory))
+            yield key, theory, workload == "oracle-small"
+    for name in inputs.FIXTURES:
+        path = os.path.join(root, "fixtures", f"{name}.ddl")
+        with open(path, encoding="utf-8") as handle:
+            yield f"fixture/{name}", D.text.parse_theory(handle.read()), True
+
+
+def _digests(root: str) -> dict:
+    sys.path.insert(0, os.path.join(root, "perfbench"))
+    inputs = importlib.import_module("inputs")
+    D = inputs.load_ddmr(root)
+
+    class Recording(D.engine.EngineState):
+        def _apply(self, s: int, positive: bool) -> None:
+            self.log.append((self.iterations, s, positive))
+            super()._apply(s, positive)
+
+    out = {}
+    for key, theory, oracle in _inputs(root, inputs, D):
+        for name in VARIANTS:
+            variant = D.conflicts.Variant(name)
+            state = Recording(theory, variant)
+            state.log = []
+            state.prepare()
+            state.run()
+            ext = D.text.render_extension(state.extension(), "json")
+            out[f"{key}/{name}"] = _digest(state.log, state.iterations, sorted(state.dead), ext)
+            if oracle:
+                ext = D.oracle.oracle_extension(theory, variant, budget=None)
+                out[f"{key}/{name}/oracle"] = _digest(D.text.render_extension(ext, "json"))
+    return out
+
+
+def _run(root: str) -> dict:
+    args = [sys.executable, os.path.abspath(__file__), "--digests", root]
+    done = subprocess.run(args, capture_output=True, text=True)
+    if done.returncode:
+        raise SystemExit(f"{root}: worker failed\n{done.stderr}")
+    return json.loads(done.stdout)
+
+
+def main(argv) -> int:
+    if len(argv) == 2 and argv[0] == "--digests":
+        json.dump(_digests(os.path.abspath(argv[1])), sys.stdout)
+        return 0
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    with ThreadPoolExecutor(2) as pool:
+        parent, change = pool.map(_run, [os.path.abspath(root) for root in argv])
+    names = sorted(parent.keys() | change.keys())
+    differ = [name for name in names if parent.get(name) != change.get(name)]
+    for name in differ:
+        print(f"differs: {name}")
+    oracle = sum(name.endswith("/oracle") for name in names)
+    engine = len(names) - oracle
+    print(f"{len(differ)} of {len(names)} results differ ({engine} engine, {oracle} oracle)")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
