@@ -4,8 +4,9 @@ Exit codes are script-friendly and stable:
 
     0  success (for query: Proved)
     1  validation errors; under --oracle, a theory above the oracle budget
-    2  parse errors / unreadable input (a file that is not UTF-8, and a
-       non-integer DDMR_ORACLE_BUDGET under --oracle, included)
+    2  parse errors / unreadable input / bad arguments (a file that is not
+       UTF-8, a non-integer DDMR_ORACLE_BUDGET under --oracle, and a bench
+       --out that cannot be written, included)
     3  query answered Refuted
     4  query answered Undetermined
     5  --oracle cross-check found a mismatch
@@ -26,6 +27,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import nullcontext
 
 from .bench import run_benchmarks, to_csv
 from .conflicts import Variant
@@ -173,17 +175,25 @@ def cmd_diff(args) -> int:
     return EXIT_OK
 
 
+def _sizes(text: str) -> list:
+    """The ``--sizes`` value: comma-separated non-negative integers, "" for none."""
+    parts = text.split(",") if text else []
+    if not all(part.isdecimal() for part in parts):
+        raise argparse.ArgumentTypeError(f"not comma-separated non-negative integers: {text!r}")
+    return list(map(int, parts))
+
+
 def cmd_bench(args) -> int:
     families = args.family or list(FAMILIES)
-    sizes = [int(s) for s in args.sizes.split(",")] if args.sizes else []
     variants = [Variant(args.variant)] if args.variant_only else list(Variant)
-    records = run_benchmarks(families, sizes, seed=args.seed, variants=variants)
-    text = to_csv(records)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    try:
+        out = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
+    except OSError as exc:
+        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    with out as handle:
+        records = run_benchmarks(families, args.sizes, seed=args.seed, variants=variants)
+        handle.write(to_csv(records))
     return EXIT_OK
 
 
@@ -229,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="generate, run and time theory families")
     p_bench.add_argument("--family", action="append", choices=FAMILIES)
-    p_bench.add_argument("--sizes", default="", help="comma-separated size targets")
+    p_bench.add_argument("--sizes", type=_sizes, default=[], help="comma-separated size targets")
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument(
         "--variant",

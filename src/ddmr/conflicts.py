@@ -3,7 +3,8 @@
 Two rules can clash in two senses:
 
 * **simple** -- one concludes, or is, the negation of a rule with exactly
-  the other's content (labels are free), recursively through the reparation
+  the other's content (``Rule.content``: its own label is free, those of
+  the rules it mentions are not), recursively through the reparation
   chains of meta-rules;
 * **cautious** -- additionally, rules with the same antecedent whose
   conclusions are incompatible: complementary heads under one mode, an
@@ -34,9 +35,6 @@ from .model import (
     Rule,
     RuleExpression,
     Theory,
-    content_key,
-    element_key,
-    item_key,
 )
 
 
@@ -65,10 +63,6 @@ def _as_expr(x) -> RuleExpression:
     return x
 
 
-def _antecedent_key(rule: Rule) -> frozenset:
-    return frozenset(map(item_key, rule.antecedent))
-
-
 def conflicts(a, b, variant: Variant) -> bool:
     """Whether two rules or rule expressions clash under ``variant``.
 
@@ -81,14 +75,14 @@ def conflicts(a, b, variant: Variant) -> bool:
     """
     ea, eb = _as_expr(a), _as_expr(b)
     if ea.positive != eb.positive:
-        return content_key(ea.rule) == content_key(eb.rule)
+        return ea.rule.content == eb.rule.content
     if not ea.positive:
         return False
     x, y = ea.rule, eb.rule
     if (
         variant is Variant.CAUTIOUS
         and _content_clash(x, y)
-        and _antecedent_key(x) == _antecedent_key(y)
+        and x.antecedent == y.antecedent
     ):
         return True
     return _recursive_chain_clash(x, y, variant)
@@ -119,7 +113,7 @@ def _elements_complementary(x, y) -> bool:
     if isinstance(x, Literal) and isinstance(y, Literal):
         return x == y.complement()
     if isinstance(x, RuleExpression) and isinstance(y, RuleExpression):
-        return x.positive != y.positive and content_key(x.rule) == content_key(y.rule)
+        return x.positive != y.positive and x.rule.content == y.rule.content
     return False
 
 
@@ -146,7 +140,7 @@ def _content_clash(x: Rule, y: Rule) -> bool:
     for i in range(min(len(cx), len(cy))):
         if _elements_complementary(cx[i], cy[i]):
             return True
-        if element_key(cx[i]) != element_key(cy[i]):
+        if cx[i] != cy[i]:
             return False
     return len(cx) != len(cy)
 
@@ -182,8 +176,8 @@ def build_conflict_index(theory: Theory, variant: Variant, rule_ids: dict) -> Co
     outcome matches the pairwise predicates exactly.
     """
     rules = sorted(theory.rules_by_label().values(), key=lambda rule: rule_ids[rule.label])
-    groups: dict = {}  # content_key -> group number
-    content_group = [groups.setdefault(content_key(rule), len(groups)) for rule in rules]
+    groups: dict = {}  # content -> group number
+    content_group = [groups.setdefault(rule.content, len(groups)) for rule in rules]
 
     producers = [[] for _ in range(2 * len(rules))]
     for r, rule in enumerate(rules):
@@ -217,7 +211,7 @@ def build_conflict_index(theory: Theory, variant: Variant, rule_ids: dict) -> Co
                 if isinstance(head, Literal)
                 else content_group[rule_ids[head.rule.label]]
             )
-            key = (_antecedent_key(rule), rule.arrow, head_key)
+            key = (rule.antecedent, rule.arrow, head_key)
             clash_groups.setdefault(key, []).append(r)
         for group in clash_groups.values():
             for i, u in enumerate(group):

@@ -15,9 +15,10 @@ inside another rule.
 
 This module holds the immutable data types plus the structural helpers the
 rest of the package is built on: complements, label-insensitive content
-comparison, Herbrand bases, the size metric, the extended superiority
-relation and theory validation.  Everything here is pure; values can be
-shared freely between threads.
+comparison (``Rule.content``: the frozen classes compare class, then
+fields, so a rule's fields bar its label are its content), Herbrand bases,
+the size metric, the extended superiority relation and theory validation.
+Everything here is pure; values can be shared freely between threads.
 
 The frozen value classes (``Literal``, ``ModalLiteral``, ``RuleExpression``,
 ``DeonticRuleExpression``, ``Rule``, ``Theory``, ``RuleRef`` and
@@ -94,8 +95,8 @@ class ModalLiteral:
     negated: bool = False
 
     def __post_init__(self) -> None:
-        if self.mode not in DEONTIC_MODES:
-            raise ValueError("modal literals take mode O or P")
+        if self.mode not in DEONTIC_MODES or not isinstance(self.inner, Literal):
+            raise ValueError("modal literals take mode O or P and a literal")
 
     def complement(self) -> "ModalLiteral":
         return ModalLiteral(self.mode, self.inner, not self.negated)
@@ -115,6 +116,10 @@ class RuleExpression:
 
     rule: "Rule"
     positive: bool = True
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.rule, Rule):
+            raise ValueError(f"rule expressions take a rule, not {self.rule!r}")
 
     def complement(self) -> "RuleExpression":
         return RuleExpression(self.rule, not self.positive)
@@ -142,8 +147,8 @@ class DeonticRuleExpression:
     negated: bool = False
 
     def __post_init__(self) -> None:
-        if self.mode not in DEONTIC_MODES:
-            raise ValueError("deontic rule expressions take mode O or P")
+        if self.mode not in DEONTIC_MODES or not isinstance(self.expr, RuleExpression):
+            raise ValueError("deontic rule expressions take mode O or P and a rule expression")
 
     def complement(self) -> "DeonticRuleExpression":
         return DeonticRuleExpression(self.mode, self.expr, not self.negated)
@@ -153,8 +158,8 @@ class DeonticRuleExpression:
         return f"{neg}{self.mode}[{self.expr}]"
 
 
-AntecedentItem = Union[Literal, ModalLiteral, RuleExpression, DeonticRuleExpression]
-ChainElement = Union[Literal, RuleExpression]
+_ANTECEDENT_ITEMS = (Literal, ModalLiteral, RuleExpression, DeonticRuleExpression)
+_CHAIN_ELEMENTS = (Literal, RuleExpression)
 
 
 @dataclass(frozen=True, slots=True)
@@ -164,7 +169,8 @@ class Rule:
     The consequent is stored as a non-empty tuple of chain elements; it has
     length one except for defeasible obligation rules, which may carry a
     reparation chain.  Chain elements are plain literals or rule
-    expressions, never modal literals.
+    expressions, never modal literals.  Antecedent items are literals,
+    modal literals, rule expressions or deontic rule expressions.
     """
 
     label: str
@@ -182,6 +188,18 @@ class Rule:
             raise ValueError(
                 f"rule {self.label}: chains are restricted to defeasible obligation rules"
             )
+        for item in self.antecedent:
+            if not isinstance(item, _ANTECEDENT_ITEMS):
+                raise ValueError(f"rule {self.label}: not an antecedent item: {item!r}")
+        for elem in self.consequent:
+            if not isinstance(elem, _CHAIN_ELEMENTS):
+                raise ValueError(f"rule {self.label}: not a chain element: {elem!r}")
+
+    @property
+    def content(self) -> tuple:
+        """The rule bar its own label: ``(antecedent, arrow, mode, consequent)``.
+        Nested rules keep theirs, so lookalikes of them are other content."""
+        return (self.antecedent, self.arrow, self.mode, self.consequent)
 
     @property
     def is_defeasible(self) -> bool:
@@ -189,10 +207,7 @@ class Rule:
 
     def is_meta(self) -> bool:
         """True when some antecedent item or conclusion element mentions a rule."""
-        for item in self.antecedent:
-            if isinstance(item, (RuleExpression, DeonticRuleExpression)):
-                return True
-        return any(isinstance(e, RuleExpression) for e in self.consequent)
+        return any(True for _ in self.nested_rules())
 
     def nested_rules(self) -> Iterator["Rule"]:
         for item in self.antecedent:
@@ -218,52 +233,9 @@ def complement(x):
     return x.complement()
 
 
-def content_key(rule: Rule):
-    """Canonical form of a rule ignoring its own label.
-
-    Nested rules keep their labels: two meta-rules only share content when
-    the rules they mention are the same rules, not merely lookalikes.
-    """
-    return (
-        frozenset(item_key(i) for i in rule.antecedent),
-        rule.arrow,
-        rule.mode,
-        tuple(element_key(e) for e in rule.consequent),
-    )
-
-
-def item_key(item: AntecedentItem):
-    """Hashable canonical form of an antecedent item; nested rules by content."""
-    if isinstance(item, Literal):
-        return ("lit", item.atom, item.positive)
-    if isinstance(item, ModalLiteral):
-        return ("mod", item.mode, item.negated, item.inner.atom, item.inner.positive)
-    if isinstance(item, RuleExpression):
-        return ("rex", item.positive, item.rule.label, content_key(item.rule))
-    if isinstance(item, DeonticRuleExpression):
-        return (
-            "drex",
-            item.mode,
-            item.negated,
-            item.expr.positive,
-            item.expr.rule.label,
-            content_key(item.expr.rule),
-        )
-    raise TypeError(f"not an antecedent item: {item!r}")
-
-
-def element_key(elem: ChainElement):
-    """Hashable canonical form of a chain element; nested rules by label and content."""
-    if isinstance(elem, Literal):
-        return ("lit", elem.atom, elem.positive)
-    if isinstance(elem, RuleExpression):
-        return ("rex", elem.positive, elem.rule.label, content_key(elem.rule))
-    raise TypeError(f"not a chain element: {elem!r}")
-
-
 def content_equal(a: Rule, b: Rule) -> bool:
     """Label-insensitive rule equality: same antecedent set, arrow, mode and chain."""
-    return content_key(a) == content_key(b)
+    return a.content == b.content
 
 
 @dataclass(frozen=True, slots=True)
@@ -297,20 +269,15 @@ class Theory:
 
 
 def _literal_occurrences(rule: Rule) -> Iterator[Literal]:
+    """Every literal occurring in the rule and the rules nested in it, in no set order."""
     for item in rule.antecedent:
         if isinstance(item, Literal):
             yield item
         elif isinstance(item, ModalLiteral):
             yield item.inner
-        elif isinstance(item, RuleExpression):
-            yield from _literal_occurrences(item.rule)
-        elif isinstance(item, DeonticRuleExpression):
-            yield from _literal_occurrences(item.expr.rule)
-    for elem in rule.consequent:
-        if isinstance(elem, Literal):
-            yield elem
-        else:
-            yield from _literal_occurrences(elem.rule)
+    yield from (elem for elem in rule.consequent if isinstance(elem, Literal))
+    for nested in rule.nested_rules():
+        yield from _literal_occurrences(nested)
 
 
 def _rule_occurrences(rule: Rule) -> int:
@@ -540,13 +507,13 @@ def validate(t: Theory) -> ValidationReport:
     report = ValidationReport()
     seen: dict = {}
     for rule in t.all_rules():
-        key = content_key(rule)
-        if rule.label in seen and seen[rule.label] != key:
+        content = rule.content
+        if rule.label in seen and seen[rule.label] != content:
             report.errors.append(
                 f"label {rule.label} is used for two rules with different content"
             )
-        seen[rule.label] = key
-        if len(set(element_key(e) for e in rule.consequent)) != len(rule.consequent):
+        seen[rule.label] = content
+        if len(set(rule.consequent)) != len(rule.consequent):
             report.errors.append(f"rule {rule.label}: duplicate chain elements")
         for nested in rule.nested_rules():
             if nested.is_meta():

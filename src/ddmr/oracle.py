@@ -42,7 +42,6 @@ from .conflicts import RULE_ATTACK_MODES, Variant, conflicts
 from .model import (
     ATTACK_MODES,
     DEFEND_MODES,
-    DeonticRuleExpression,
     Extension,
     Literal,
     ModalLiteral,
@@ -52,7 +51,6 @@ from .model import (
     RuleRef,
     Sign,
     Theory,
-    content_key,
     herbrand_base,
     theory_size,
 )
@@ -90,12 +88,10 @@ def _item_condition(item):
         return (item.mode, item.inner, not item.negated)
     if isinstance(item, RuleExpression):
         return (Mode.C, item.ref, True)
-    if isinstance(item, DeonticRuleExpression):
-        return (item.mode, item.expr.ref, not item.negated)
-    raise TypeError(repr(item))
+    return (item.mode, item.expr.ref, not item.negated)
 
 
-def applicable(theory: Theory, store: TagStore, rule: Rule, index: int = 1) -> bool:
+def applicable(store: TagStore, rule: Rule, index: int = 1) -> bool:
     """Every antecedent item established, the rule itself constitutively held,
     and each chain element before the index in force and violated."""
     if index > 1 and rule.mode is not Mode.O:
@@ -121,7 +117,7 @@ def applicable(theory: Theory, store: TagStore, rule: Rule, index: int = 1) -> b
     return True
 
 
-def discarded(theory: Theory, store: TagStore, rule: Rule, index: int = 1) -> bool:
+def discarded(store: TagStore, rule: Rule, index: int = 1) -> bool:
     """The strong-negation dual of applicability: some condition refuted."""
     if index > 1 and rule.mode is not Mode.O:
         raise ValueError("chain index on a non-obligation rule")
@@ -180,7 +176,6 @@ class _Evaluator:
         self._simple_defenders = {}
         self._clashing = {}
         self._clashes_given = {}
-        self._content_keys = {}
 
     # -- static domains, each scanned once ----------------------------------
 
@@ -214,16 +209,13 @@ class _Evaluator:
         defenders = [e for dm in DEFEND_MODES[mode] for e in self.supporters(dm, lit)]
         return self.supporters(mode, lit), attackers, defenders
 
-    def content_key(self, rule: Rule):
-        return _memo(self._content_keys, content_key, rule)
-
     def simple_attackers(self, mode: Mode, ref: RuleRef):
         """(rule, position) of each rule concluding, at that position, an
         expression with the content of ``ref`` and the other polarity."""
         return _memo(self._simple_attackers, self._scan_simple_attackers, mode, ref)
 
     def _scan_simple_attackers(self, mode: Mode, ref: RuleRef):
-        target_key = self.content_key(self.by_label[ref.label])
+        target = self.by_label[ref.label].content
         modes = RULE_ATTACK_MODES[Variant.SIMPLE][mode]
         out = []
         for rule in self.rules:
@@ -233,7 +225,7 @@ class _Evaluator:
                 if (
                     isinstance(elem, RuleExpression)
                     and elem.positive != ref.positive
-                    and self.content_key(elem.rule) == target_key
+                    and elem.rule.content == target
                 ):
                     out.append((rule, pos))
         return out
@@ -245,7 +237,7 @@ class _Evaluator:
         return _memo(self._simple_defenders, self._scan_simple_defenders, mode, ref, attacked)
 
     def _scan_simple_defenders(self, mode: Mode, ref: RuleRef, attacked_label: str):
-        target_key = self.content_key(self.by_label[ref.label])
+        target = self.by_label[ref.label].content
         out = []
         for rule in self.rules:
             if rule.mode not in DEFEND_MODES[mode]:
@@ -255,7 +247,7 @@ class _Evaluator:
                     isinstance(elem, RuleExpression)
                     and elem.positive == ref.positive
                     and elem.rule.label in (ref.label, attacked_label)
-                    and self.content_key(elem.rule) == target_key
+                    and elem.rule.content == target
                 ):
                     out.append((rule, pos))
         return out
@@ -365,13 +357,12 @@ class _Evaluator:
         supporters, ``defenders(g, j)`` defend against ``g`` at ``j``."""
         if mode is Mode.P and store.holds(Mode.O, subject, True):
             return True
-        th = self.theory
         if any(
-            any(b.is_defeasible and applicable(th, store, b, i) for b, i in team)
+            any(b.is_defeasible and applicable(store, b, i) for b, i in team)
             and all(
-                discarded(th, store, g, j)
+                discarded(store, g, j)
                 or any(
-                    applicable(th, store, z, k) and beats(z, g) for z, k in defenders(g, j)
+                    applicable(store, z, k) and beats(z, g) for z, k in defenders(g, j)
                 )
                 for g, j in attackers(team)
             )
@@ -381,11 +372,11 @@ class _Evaluator:
         if mode is Mode.P and not store.holds(Mode.O, subject, False):
             return None
         if all(
-            all(not b.is_defeasible or discarded(th, store, b, i) for b, i in team)
+            all(not b.is_defeasible or discarded(store, b, i) for b, i in team)
             or any(
-                applicable(th, store, g, j)
+                applicable(store, g, j)
                 and all(
-                    discarded(th, store, z, k) or not beats(z, g) for z, k in defenders(g, j)
+                    discarded(store, z, k) or not beats(z, g) for z, k in defenders(g, j)
                 )
                 for g, j in attackers(team)
             )

@@ -104,9 +104,14 @@ class ParseError:
 
 
 class TheorySyntaxError(ValueError):
+    """Every error of a source; the message joins them only when asked for."""
+
     def __init__(self, errors):
         self.errors = list(errors)
-        super().__init__("\n".join(str(e) for e in self.errors))
+        super().__init__(self.errors)
+
+    def __str__(self) -> str:
+        return "\n".join(map(str, self.errors))
 
 
 class _Lines:

@@ -422,6 +422,35 @@ def test_cli_bench_csv(tmp_path, capsys):
     assert len(lines) == 3
 
 
+def _exit_code(*argv):
+    try:
+        return run_cli(*argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("sizes", ["x", "3,", "-5"])
+def test_cli_bench_bad_sizes_exit_2(sizes, capsys):
+    assert _exit_code("bench", "--family", "chain", "--sizes", sizes) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--sizes" in captured.err
+    assert "internal error" not in captured.err
+
+
+def test_cli_bench_unwritable_out_exits_2_before_running(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("benchmarks ran before --out was opened")
+
+    monkeypatch.setattr("ddmr.cli.run_benchmarks", never)
+    out = tmp_path / "missing" / "x.csv"
+    assert _exit_code("bench", "--family", "chain", "--sizes", "3", "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"cannot write {out}: ")
+
+
 def test_console_script_installed():
     proc = subprocess.run(
         [sys.executable, "-m", "ddmr.cli", "--help"], capture_output=True, text=True

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ddmr.conflicts import simply_conflicts
 from ddmr.generate import generate_theory, random_theory
 from ddmr.model import (
     Arrow,
+    DeonticRuleExpression,
     Literal,
     ModalLiteral,
     Mode,
@@ -68,9 +72,23 @@ def test_content_equal_with_modal_antecedents_across_labels():
     assert content_equal(r1, r2)
 
 
+def test_content_equal_keeps_nested_labels():
+    inner1 = rule("gamma", [a], Mode.C, [b])
+    inner2 = rule("delta", [a], Mode.C, [b])
+    m1 = rule("m1", [l], Mode.C, [RuleExpression(inner1, True)])
+    m2 = rule("m2", [l], Mode.C, [RuleExpression(inner2, True)])
+    assert content_equal(inner1, inner2)
+    assert not content_equal(m1, m2)
+    assert not simply_conflicts(m1, RuleExpression(m2, False))
+    relabelled = rule("m3", [l], Mode.C, [RuleExpression(inner1, True)])
+    assert content_equal(m1, relabelled)
+    assert simply_conflicts(m1, RuleExpression(relabelled, False))
+
+
 @given(any_rules, any_rules, any_rules)
 def test_content_equal_is_an_equivalence(x, y, z):
     assert content_equal(x, x)
+    assert content_equal(x, dataclasses.replace(x, label="fresh"))
     assert content_equal(x, y) == content_equal(y, x)
     if content_equal(x, y) and content_equal(y, z):
         assert content_equal(x, z)
@@ -270,3 +288,31 @@ def test_chain_restrictions_enforced_at_construction():
         rule("bad", [a], Mode.O, [b, l], arrow=Arrow.DEFEATER)
     # singleton chains are fine everywhere
     rule("ok", [a], Mode.P, [b], arrow=Arrow.DEFEATER)
+
+
+@pytest.mark.parametrize(
+    "element",
+    [
+        ModalLiteral(Mode.O, b),
+        DeonticRuleExpression(Mode.O, RuleExpression(rule("inner", [a], Mode.C, [b]))),
+        "b",
+    ],
+    ids=["modal-literal", "deontic-rule-expression", "str"],
+)
+def test_chain_element_types_enforced_at_construction(element):
+    with pytest.raises(ValueError, match="not a chain element"):
+        rule("bad", [a], Mode.O, [element])
+
+
+def test_antecedent_item_types_enforced_at_construction():
+    with pytest.raises(ValueError, match="not an antecedent item"):
+        rule("bad", ["a"], Mode.C, [b])
+
+
+def test_nested_part_types_enforced_at_construction():
+    with pytest.raises(ValueError):
+        ModalLiteral(Mode.O, "b")
+    with pytest.raises(ValueError):
+        RuleExpression("alpha")
+    with pytest.raises(ValueError):
+        DeonticRuleExpression(Mode.O, rule("inner", [a], Mode.C, [b]))

@@ -39,9 +39,9 @@ def test_applicable_requires_the_rule_to_be_held():
     theory = parse_theory("r: => C b.")
     (rule,) = theory.rules
     store = TagStore()
-    assert not applicable(theory, store, rule)
+    assert not applicable(store, rule)
     tag(store, Mode.C, RuleRef("r"), True)
-    assert applicable(theory, store, rule)
+    assert applicable(store, rule)
 
 
 def test_applicable_with_negated_modal_antecedent():
@@ -49,10 +49,10 @@ def test_applicable_with_negated_modal_antecedent():
     (rule,) = theory.rules
     store = TagStore()
     tag(store, Mode.C, RuleRef("nu"), True)
-    assert not applicable(theory, store, rule)
+    assert not applicable(store, rule)
     tag(store, Mode.O, L("q"), False)
-    assert applicable(theory, store, rule)
-    assert not discarded(theory, store, rule)
+    assert applicable(store, rule)
+    assert not discarded(store, rule)
 
 
 def test_chain_applicability_needs_violation_evidence():
@@ -61,22 +61,22 @@ def test_chain_applicability_needs_violation_evidence():
     store = TagStore()
     tag(store, Mode.C, RuleRef("mu"), True)
     tag(store, Mode.C, L("f2"), True)
-    assert applicable(theory, store, mu, 1)
-    assert not applicable(theory, store, mu, 2)
+    assert applicable(store, mu, 1)
+    assert not applicable(store, mu, 2)
     tag(store, Mode.O, L("a"), True)
     tag(store, Mode.C, L("a", False), True)
-    assert applicable(theory, store, mu, 2)
+    assert applicable(store, mu, 2)
     # complying with b discards the rule at index 3
     tag(store, Mode.O, L("b"), True)
     tag(store, Mode.C, L("b", False), False)
-    assert not applicable(theory, store, mu, 3)
-    assert discarded(theory, store, mu, 3)
+    assert not applicable(store, mu, 3)
+    assert discarded(store, mu, 3)
 
 
 def test_chain_index_rejected_for_non_obligation_rules():
     theory = parse_theory("r: a => C b.")
     with pytest.raises(ValueError):
-        applicable(theory, TagStore(), theory.rules[0], 2)
+        applicable(TagStore(), theory.rules[0], 2)
 
 
 def test_discarded_by_refuted_antecedent():
@@ -84,7 +84,7 @@ def test_discarded_by_refuted_antecedent():
     (chi,) = theory.rules
     store = TagStore()
     tag(store, Mode.C, L("g"), False)
-    assert discarded(theory, store, chi)
+    assert discarded(store, chi)
 
 
 def test_rule_expression_items_wait_for_meta_tags():
@@ -92,13 +92,13 @@ def test_rule_expression_items_wait_for_meta_tags():
     alpha = theory.rules[0]
     store = TagStore()
     tag(store, Mode.C, RuleRef("alpha"), True)
-    assert not applicable(theory, store, alpha)
+    assert not applicable(store, alpha)
     tag(store, Mode.C, RuleRef("gamma"), True)
-    assert applicable(theory, store, alpha)
+    assert applicable(store, alpha)
     store2 = TagStore()
     tag(store2, Mode.C, RuleRef("alpha"), True)
     tag(store2, Mode.C, RuleRef("gamma"), False)
-    assert discarded(theory, store2, alpha)
+    assert discarded(store2, alpha)
 
 
 def test_step_seeds_facts_and_rules():
