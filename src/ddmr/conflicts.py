@@ -57,12 +57,6 @@ RULE_ATTACK_MODES = {
 }
 
 
-def _as_expr(x) -> RuleExpression:
-    if isinstance(x, Rule):
-        return RuleExpression(x, True)
-    return x
-
-
 def conflicts(a, b, variant: Variant) -> bool:
     """Whether two rules or rule expressions clash under ``variant``.
 
@@ -71,14 +65,15 @@ def conflicts(a, b, variant: Variant) -> bool:
     rules clash, under the cautious variant, when their antecedents are
     equal and their conclusions incompatible (``_content_clash``), and,
     under either variant, when they are meta-rules some of whose chain
-    elements clash, at any pair of positions.
+    elements clash, at any pair of positions.  A rule stands for its
+    positive expression.
     """
-    ea, eb = _as_expr(a), _as_expr(b)
-    if ea.positive != eb.positive:
-        return ea.rule.content == eb.rule.content
-    if not ea.positive:
+    x, positive = (a.rule, a.positive) if isinstance(a, RuleExpression) else (a, True)
+    y, other = (b.rule, b.positive) if isinstance(b, RuleExpression) else (b, True)
+    if positive != other:
+        return x.content == y.content
+    if not positive:
         return False
-    x, y = ea.rule, eb.rule
     if (
         variant is Variant.CAUTIOUS
         and _content_clash(x, y)

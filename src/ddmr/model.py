@@ -29,6 +29,7 @@ keeps the many small objects of a large theory compact.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field
 from typing import Iterator, Union
 
@@ -487,6 +488,26 @@ def _has_cycle(pairs) -> bool:
     return removed < len(graph)
 
 
+_WORD = re.compile(r"[A-Za-z0-9_]*")
+
+
+def _bad_names(names) -> list:
+    """The names that are not non-empty words over [A-Za-z0-9_], sorted.
+
+    All names are checked at once, joined; they are scanned one by one only
+    when that check fails.
+    """
+    try:
+        if _WORD.fullmatch("".join(names)) and "" not in names:
+            return []
+    except TypeError:  # some name is not a string
+        pass
+    return sorted(
+        (name for name in names if not (isinstance(name, str) and name and _WORD.fullmatch(name))),
+        key=repr,
+    )
+
+
 @dataclass
 class ValidationReport:
     errors: list = field(default_factory=list)
@@ -500,12 +521,15 @@ class ValidationReport:
 def validate(t: Theory) -> ValidationReport:
     """Structural checks.  Never raises; malformed theories come back as errors.
 
-    Errors make a theory unusable for the reasoner; warnings flag shapes the
+    Errors make a theory unusable for the reasoner, or unwritable as ``.ddl``
+    (atoms and labels must be words over [A-Za-z0-9_]); warnings flag shapes the
     reasoner accepts but that signal an inconsistent rule corpus (clashing
     facts, cycles in the plain or extended superiority relation).
     """
     report = ValidationReport()
     seen: dict = {}
+    atom_names = {fact.atom for fact in t.facts if isinstance(fact, Literal)}
+    add = atom_names.add
     for rule in t.all_rules():
         content = rule.content
         if rule.label in seen and seen[rule.label] != content:
@@ -513,8 +537,17 @@ def validate(t: Theory) -> ValidationReport:
                 f"label {rule.label} is used for two rules with different content"
             )
         seen[rule.label] = content
-        if len(set(rule.consequent)) != len(rule.consequent):
+        chain = set(rule.consequent)
+        if len(chain) != len(rule.consequent):
             report.errors.append(f"rule {rule.label}: duplicate chain elements")
+        for elem in chain:
+            if isinstance(elem, Literal):
+                add(elem.atom)
+        for item in rule.antecedent:
+            if isinstance(item, Literal):
+                add(item.atom)
+            elif isinstance(item, ModalLiteral):
+                add(item.inner.atom)
         for nested in rule.nested_rules():
             if nested.is_meta():
                 report.errors.append(
@@ -523,6 +556,9 @@ def validate(t: Theory) -> ValidationReport:
     for fact in t.facts:
         if not isinstance(fact, Literal):
             report.errors.append(f"fact {fact} is not a plain literal")
+    for kind, group in (("atom", atom_names), ("rule label", seen)):
+        for name in _bad_names(group):
+            report.errors.append(f"{kind} {name!r} is not a word over [A-Za-z0-9_]")
     for a, b in sorted(t.superiority):
         for lab in (a, b):
             if lab not in seen:

@@ -21,16 +21,20 @@ to or, unless the attacker is superior to it, one whose concluded rules
 its own concluded rules are superior to.
 
 The static domains -- which rules support a subject, which attack it,
-which defend it, which rules clash -- do not depend on the tag store.  Each
-is found by a plain scan of the original theory the first time a
-saturation asks for it and kept until the saturation ends.  Whether a rule
-is applicable or discarded, and whether a subject is proved or refuted,
-is evaluated in full against the store on every step.
+which defend it, which rules clash -- do not depend on the tag store.  The
+first time a saturation asks, one pass over every rule's conclusions
+groups them by (mode, subject) and each rule expression among them by the
+content of the rule it names: supporters are a lookup, and the simple
+reading's attackers and defenders filter one content group.  Which rules
+clash is asked of ``conflicts`` once per rule.  All of it is kept until the
+saturation ends.  Whether a rule is applicable or discarded, and whether a
+subject is proved or refuted, is evaluated in full against the store on
+every step.
 
-The derivation route is deliberately independent of the engine: no shared
-indexes, no antecedent stripping, no rule deletion, only the conflict
-predicates and the data model are common.  Slow by design -- use the size
-budget -- and meant for cross-checking the engine at desk scale.
+The derivation route is deliberately independent of the engine: no table
+is shared with it, no antecedent stripping, no rule deletion, only the
+conflict predicates and the data model are common.  Slow by design -- use
+the size budget -- and meant for cross-checking the engine at desk scale.
 """
 
 from __future__ import annotations
@@ -56,6 +60,8 @@ from .model import (
 )
 
 DEFAULT_BUDGET = 200
+
+_MODES = tuple(Mode)
 
 
 class OracleBudgetError(ValueError):
@@ -141,6 +147,13 @@ def discarded(store: TagStore, rule: Rule, index: int = 1) -> bool:
     return False
 
 
+def _subject_order(subject):
+    """Literals, then rule references, by name, the positive one first."""
+    if isinstance(subject, Literal):
+        return (0, subject.atom, not subject.positive)
+    return (1, subject.label, not subject.positive)
+
+
 def _memo(table: dict, scan, *args):
     """``scan(*args)``, found on the first call with these arguments and kept
     in ``table`` under them."""
@@ -154,8 +167,9 @@ def _memo(table: dict, scan, *args):
 class _Evaluator:
     """The proof conditions over one theory, for one saturation.
 
-    Each static domain is found by a plain scan of the theory the first
-    time it is asked for, and kept under the exact arguments of its scan.
+    The static domains come from one grouping pass over every rule's
+    conclusions and from ``conflicts``, each run the first time it is asked
+    for; nothing is shared with the engine.
     """
 
     def __init__(self, theory: Theory, variant: Variant):
@@ -165,39 +179,39 @@ class _Evaluator:
         self.rules = sorted(self.by_label.values(), key=lambda r: r.label)
         self.top = theory.top_labels()
         self.sup = theory.superiority
-        self.base = [
-            s.ref if isinstance(s, RuleExpression) else s
-            for s in sorted(herbrand_base(theory), key=str)
-        ]
-        self._supporters = {}
+        self.base = sorted(
+            (s.ref if isinstance(s, RuleExpression) else s for s in herbrand_base(theory)),
+            key=_subject_order,
+        )
+        self._groups = {}
         self._literal_domains = {}
         self._cautious_attackers = {}
-        self._simple_attackers = {}
-        self._simple_defenders = {}
         self._clashing = {}
         self._clashes_given = {}
 
-    # -- static domains, each scanned once ----------------------------------
+    # -- static domains, each found once ------------------------------------
+
+    def _scan_supporters(self):
+        """Every conclusion, in label and position order: (rule, position) by
+        (mode, subject), and (rule, position, expression) of each rule
+        expression by the content of the rule it names."""
+        by_subject, by_content = {}, {}
+        for rule in self.rules:
+            for pos, elem in enumerate(rule.consequent, start=1):
+                if isinstance(elem, RuleExpression):
+                    by_content.setdefault(elem.rule.content, []).append((rule, pos, elem))
+                    elem = elem.ref
+                by_subject.setdefault((rule.mode, elem), []).append((rule, pos))
+        return by_subject, by_content
 
     def supporters(self, mode: Mode, subject):
-        return _memo(self._supporters, self._scan_supporters, mode, subject)
+        return _memo(self._groups, self._scan_supporters)[0].get((mode, subject), [])
 
-    def _scan_supporters(self, mode: Mode, subject):
-        out = []
-        for rule in self.rules:
-            if rule.mode is not mode:
-                continue
-            for pos, elem in enumerate(rule.consequent, start=1):
-                if isinstance(subject, Literal):
-                    if elem == subject:
-                        out.append((rule, pos))
-                elif isinstance(elem, RuleExpression):
-                    if (
-                        elem.rule.label == subject.label
-                        and elem.positive == subject.positive
-                    ):
-                        out.append((rule, pos))
-        return out
+    def _same_content(self, ref: RuleRef):
+        """(rule, position, expression) of each conclusion naming a rule with
+        the content of ``ref``'s."""
+        by_content = _memo(self._groups, self._scan_supporters)[1]
+        return by_content.get(self.by_label[ref.label].content, ())
 
     def literal_domain(self, mode: Mode, lit: Literal):
         """The supporters, attackers and defenders of ``mode`` ``lit``."""
@@ -212,57 +226,36 @@ class _Evaluator:
     def simple_attackers(self, mode: Mode, ref: RuleRef):
         """(rule, position) of each rule concluding, at that position, an
         expression with the content of ``ref`` and the other polarity."""
-        return _memo(self._simple_attackers, self._scan_simple_attackers, mode, ref)
-
-    def _scan_simple_attackers(self, mode: Mode, ref: RuleRef):
-        target = self.by_label[ref.label].content
         modes = RULE_ATTACK_MODES[Variant.SIMPLE][mode]
-        out = []
-        for rule in self.rules:
-            if rule.mode not in modes:
-                continue
-            for pos, elem in enumerate(rule.consequent, start=1):
-                if (
-                    isinstance(elem, RuleExpression)
-                    and elem.positive != ref.positive
-                    and elem.rule.content == target
-                ):
-                    out.append((rule, pos))
-        return out
+        return [
+            (rule, pos)
+            for rule, pos, elem in self._same_content(ref)
+            if rule.mode in modes and elem.positive != ref.positive
+        ]
 
     def simple_defenders(self, mode: Mode, ref: RuleRef, attacker: Rule, j: int):
         """(rule, position) of each conclusion with the content and polarity
         of ``ref`` naming its rule or the one ``attacker`` concludes at ``j``."""
-        attacked = attacker.consequent[j - 1].label
-        return _memo(self._simple_defenders, self._scan_simple_defenders, mode, ref, attacked)
-
-    def _scan_simple_defenders(self, mode: Mode, ref: RuleRef, attacked_label: str):
-        target = self.by_label[ref.label].content
-        out = []
-        for rule in self.rules:
-            if rule.mode not in DEFEND_MODES[mode]:
-                continue
-            for pos, elem in enumerate(rule.consequent, start=1):
-                if (
-                    isinstance(elem, RuleExpression)
-                    and elem.positive == ref.positive
-                    and elem.rule.label in (ref.label, attacked_label)
-                    and elem.rule.content == target
-                ):
-                    out.append((rule, pos))
-        return out
+        labels = (ref.label, attacker.consequent[j - 1].label)
+        return [
+            (rule, pos)
+            for rule, pos, elem in self._same_content(ref)
+            if rule.mode in DEFEND_MODES[mode]
+            and elem.positive == ref.positive
+            and elem.rule.label in labels
+        ]
 
     def cautious_attackers(self, mode: Mode, team):
         """(rule, position) of each rule expression concluded by a rule that
         clashes with the team's one member and may attack a ``mode`` rule."""
         ((anchor, _),) = team
-        return _memo(self._cautious_attackers, self._scan_cautious_attackers, mode, anchor)
+        return _memo(self._cautious_attackers, self._scan_cautious_attackers, mode, anchor.label)
 
-    def _scan_cautious_attackers(self, mode: Mode, anchor: Rule):
+    def _scan_cautious_attackers(self, mode: Mode, label: str):
         modes = RULE_ATTACK_MODES[Variant.CAUTIOUS][mode]
         return [
             (rule, j)
-            for rule in self.clashing(anchor)
+            for rule in self.clashing(self.by_label[label])
             if rule.mode in modes
             for j in self.expr_positions(rule)
         ]
@@ -280,9 +273,10 @@ class _Evaluator:
 
     def clashing(self, anchor: Rule):
         """The rules that cautiously conflict with ``anchor``, in label order."""
-        return _memo(self._clashing, self._scan_clashing, anchor)
+        return _memo(self._clashing, self._scan_clashing, anchor.label)
 
-    def _scan_clashing(self, anchor: Rule):
+    def _scan_clashing(self, label: str):
+        anchor = self.by_label[label]
         return [r for r in self.rules if conflicts(r, anchor, Variant.CAUTIOUS)]
 
     def clashes_given(self, ref: RuleRef) -> bool:
@@ -398,16 +392,16 @@ def step(
         ev = _Evaluator(theory, variant)
     out = TagStore(dict(store.lit), dict(store.rule))
     for subject in ev.base:
-        for mode in Mode:
-            if store.get(mode, subject) is not None:
+        if isinstance(subject, Literal):
+            decide, known, table = ev.decide_literal, store.lit, out.lit
+        else:
+            decide, known, table = ev.decide_rule, store.rule, out.rule
+        for mode in _MODES:
+            key = (mode, subject)
+            if key in known:
                 continue
-            if isinstance(subject, Literal):
-                verdict = ev.decide_literal(store, mode, subject)
-            else:
-                verdict = ev.decide_rule(store, mode, subject)
+            verdict = decide(store, mode, subject)
             if verdict is not None:
-                key = (mode, subject)
-                table = out.rule if isinstance(subject, RuleRef) else out.lit
                 if key in table and table[key] != verdict:
                     raise AssertionError(f"incoherent oracle step at {key}")
                 table[key] = verdict
@@ -434,7 +428,7 @@ def oracle_extension(
     undetermined = {
         (mode, subject)
         for subject in ev.base
-        for mode in Mode
+        for mode in _MODES
         if store.get(mode, subject) is None
     }
     return Extension.from_tags(store.lit.items(), store.rule.items(), undetermined)

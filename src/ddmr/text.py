@@ -19,7 +19,8 @@ The theory grammar (the only place it is defined):
     sup      := LABEL ">" LABEL "."
 
 ``~`` is complement everywhere, ``*`` chains obligations, ``#`` starts a
-comment running to the end of the line.  Atoms and labels are ASCII words
+comment running to the end of the line.  A statement opening with the word
+``fact`` is a fact unless ``:`` or ``>`` follows, so ``fact`` is a label too.  Atoms and labels are ASCII words
 over [A-Za-z0-9_].  Reparation chains are only accepted after ``=> O``.
 Rule expressions nest at most ``MAX_NESTING`` deep.
 
@@ -254,7 +255,7 @@ class _Parser:
         tok = toks[self.pos]
         if tok in _NOT_WORD:
             self.fail(self.take(), "expected a statement")
-        if tok == "fact" and toks[self.pos + 1] != ":":
+        if tok == "fact" and toks[self.pos + 1] not in (":", ">"):
             self.pos += 1
             lit = self.literal()
             self.expect(".")

@@ -84,3 +84,44 @@ def meta_rules(draw) -> Rule:
 
 
 any_rules = st.one_of(standard_rules(), meta_rules())
+
+
+# Names from a wider alphabet than the grammar's words: empty, spaced,
+# punctuated or keyword-like.
+loose_names = st.one_of(
+    st.text(alphabet="aB1_ ~.:(#", max_size=3), st.sampled_from(["fact", "C", "O", "P"])
+)
+word_names = st.sampled_from(["a", "b", "r1", "_", "fact", "C", "O", "P"])
+
+
+@st.composite
+def loose_rules(draw, names, meta: bool = True) -> Rule:
+    lits = st.builds(Literal, names, st.booleans())
+    items = draw(
+        st.lists(
+            st.one_of(
+                lits,
+                st.builds(ModalLiteral, st.sampled_from([Mode.O, Mode.P]), lits, st.booleans()),
+            ),
+            max_size=2,
+        )
+    )
+    if meta and draw(st.booleans()):
+        head = RuleExpression(draw(loose_rules(names, meta=False)), draw(st.booleans()))
+    else:
+        head = draw(lits)
+    mode = draw(st.sampled_from(list(Mode)))
+    arrow = draw(st.sampled_from(list(Arrow)))
+    return Rule(draw(names), frozenset(items), arrow, mode, (head,))
+
+
+@st.composite
+def loose_theories(draw) -> Theory:
+    """Small theories whose atoms and labels come either all from
+    ``word_names`` or from ``word_names`` and ``loose_names`` both."""
+    names = draw(st.sampled_from([word_names, st.one_of(word_names, loose_names)]))
+    rules = draw(st.lists(loose_rules(names), max_size=4))
+    labels = st.sampled_from([r.label for r in rules] + [draw(names)])
+    sup = draw(st.lists(st.tuples(labels, labels), max_size=3))
+    facts = draw(st.lists(st.builds(Literal, names, st.booleans()), max_size=3))
+    return Theory.build(facts, rules, sup)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import types
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +26,7 @@ from ddmr.model import (
     content_equal,
 )
 
-from .conftest import load_fixture
+from .conftest import FIXTURES, load_fixture
 from .strategies import any_rules
 
 
@@ -189,6 +190,28 @@ def test_chain_internal_clash_makes_a_rule_self_conflicting():
     m = rule("m5", [], Mode.O, [neg(r3), RuleExpression(twin, True)])
     assert simply_conflicts(m, m)
     assert cautiously_conflicts(m, m)
+
+
+def _assert_rules_read_as_positive_expressions(theory):
+    rules = list(theory.rules_by_label().values())
+    for variant in Variant:
+        for x, y in itertools.product(rules, repeat=2):
+            forms = itertools.product((x, RuleExpression(x, True)), (y, RuleExpression(y, True)))
+            answers = {
+                conflicts(u, v, variant) for pair in forms for u, v in (pair, pair[::-1])
+            }
+            assert len(answers) == 1, (x.label, y.label, variant)
+
+
+@pytest.mark.parametrize("name", sorted(path.stem for path in FIXTURES.glob("*.ddl")))
+def test_a_rule_conflicts_as_its_positive_expression_on_fixtures(name):
+    _assert_rules_read_as_positive_expressions(load_fixture(name))
+
+
+@given(st.integers(min_value=0, max_value=100_000), st.integers(min_value=1, max_value=80))
+@settings(max_examples=25, deadline=None)
+def test_a_rule_conflicts_as_its_positive_expression_on_random_theories(seed, size):
+    _assert_rules_read_as_positive_expressions(random_theory(seed, size))
 
 
 def _compile(theory, variant):

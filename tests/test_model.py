@@ -3,7 +3,7 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddmr.conflicts import simply_conflicts
@@ -27,9 +27,9 @@ from ddmr.model import (
     theory_size,
     validate,
 )
-from ddmr.text import parse_theory
+from ddmr.text import parse_theory, render_theory
 
-from .strategies import any_rules, literals, modal_literals, rule_expressions
+from .strategies import any_rules, literals, loose_theories, modal_literals, rule_expressions
 
 from .conftest import FIXTURES, load_fixture
 
@@ -265,6 +265,47 @@ def test_validate_long_superiority_chain():
     report = validate(_superiority_chain(10_000, closed=True))
     assert report.ok
     assert report.warnings == ["cyclic superiority relation"]
+
+
+@pytest.mark.parametrize(
+    "theory, name",
+    [
+        (Theory.build([Literal("")]), "atom ''"),
+        (Theory.build([], [rule("r s", [], Mode.C, [b])]), "rule label 'r s'"),
+        (Theory.build([], [rule("r", [], Mode.C, [Literal("a b")])]), "atom 'a b'"),
+        (
+            Theory.build([], [rule("r", [ModalLiteral(Mode.O, Literal("a."))], Mode.C, [b])]),
+            "atom 'a.'",
+        ),
+        (
+            Theory.build(
+                [],
+                [rule("r", [], Mode.C, [RuleExpression(rule("s:", [], Mode.C, [b]))])],
+            ),
+            "rule label 's:'",
+        ),
+        (Theory.build([Literal(5)]), "atom 5"),
+    ],
+    ids=[
+        "empty-atom", "label-with-space", "atom-with-space", "modal-atom", "nested-label", "int"
+    ],
+)
+def test_validate_reports_names_that_are_not_words(theory, name):
+    assert f"{name} is not a word over [A-Za-z0-9_]" in validate(theory).errors
+
+
+def test_validate_reports_every_bad_name_and_accepts_words():
+    theory = Theory.build([Literal("")], [rule("r s", [], Mode.C, [Literal("a b")])])
+    bad = [e for e in validate(theory).errors if "is not a word" in e]
+    assert len(bad) == 3
+    assert validate(Theory.build([Literal("A_1")], [rule("fact", [], Mode.C, [Literal("O")])])).ok
+
+
+@given(loose_theories())
+@settings(max_examples=200)
+def test_a_theory_that_validates_renders_and_parses_back(theory):
+    if validate(theory).ok:
+        assert parse_theory(render_theory(theory)) == theory
 
 
 def test_validate_cyclic_extended_superiority_warns():

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddmr.conflicts import Variant
+from ddmr.conflicts import RULE_ATTACK_MODES, Variant
 from ddmr.engine import EngineState, run_engine
 from ddmr.generate import random_theory
-from ddmr.model import Literal, Mode, RuleRef, Sign, Theory
+from ddmr.model import DEFEND_MODES, Literal, Mode, RuleExpression, RuleRef, Sign, Theory
 import ddmr.oracle
 from ddmr.oracle import (
     OracleBudgetError,
@@ -25,7 +25,7 @@ from ddmr.oracle import (
 )
 from ddmr.text import parse_theory
 
-from .conftest import load_fixture
+from .conftest import FIXTURES, load_fixture
 
 L = Literal
 
@@ -290,6 +290,127 @@ def test_each_static_domain_is_scanned_once_per_saturation(monkeypatch, variant)
     assert len(rounds) >= 3
     assert {"_scan_supporters", "conflicts"} <= {key[0] for key in scans}
     assert max(scans.values()) == 1
+
+
+# The evaluator's tables against plain per-query scans of the theory.
+
+
+def scan_supporters(ev, mode, subject):
+    out = []
+    for rule in ev.rules:
+        if rule.mode is not mode:
+            continue
+        for pos, elem in enumerate(rule.consequent, start=1):
+            if isinstance(subject, Literal):
+                if elem == subject:
+                    out.append((rule, pos))
+            elif isinstance(elem, RuleExpression):
+                if elem.rule.label == subject.label and elem.positive == subject.positive:
+                    out.append((rule, pos))
+    return out
+
+
+def scan_simple_attackers(ev, mode, ref):
+    target = ev.by_label[ref.label].content
+    modes = RULE_ATTACK_MODES[Variant.SIMPLE][mode]
+    out = []
+    for rule in ev.rules:
+        if rule.mode not in modes:
+            continue
+        for pos, elem in enumerate(rule.consequent, start=1):
+            if (
+                isinstance(elem, RuleExpression)
+                and elem.positive != ref.positive
+                and elem.rule.content == target
+            ):
+                out.append((rule, pos))
+    return out
+
+
+def scan_simple_defenders(ev, mode, ref, attacked_label):
+    target = ev.by_label[ref.label].content
+    out = []
+    for rule in ev.rules:
+        if rule.mode not in DEFEND_MODES[mode]:
+            continue
+        for pos, elem in enumerate(rule.consequent, start=1):
+            if (
+                isinstance(elem, RuleExpression)
+                and elem.positive == ref.positive
+                and elem.rule.label in (ref.label, attacked_label)
+                and elem.rule.content == target
+            ):
+                out.append((rule, pos))
+    return out
+
+
+def table_mismatches(ev):
+    """(query, mode, subject) of each supporters, simple attackers or simple
+    defenders list of ``ev`` that differs from the plain scan's."""
+    concluded = [
+        (rule, pos)
+        for rule in ev.rules
+        for pos, elem in enumerate(rule.consequent, start=1)
+        if isinstance(elem, RuleExpression)
+    ]
+    out = []
+    for subject in ev.base:
+        for mode in Mode:
+            pairs = [
+                ("supporters", ev.supporters(mode, subject), scan_supporters(ev, mode, subject))
+            ]
+            if isinstance(subject, RuleRef):
+                pairs.append(
+                    (
+                        "attackers",
+                        ev.simple_attackers(mode, subject),
+                        scan_simple_attackers(ev, mode, subject),
+                    )
+                )
+                pairs += [
+                    (
+                        f"defenders against {g.label} at {j}",
+                        ev.simple_defenders(mode, subject, g, j),
+                        scan_simple_defenders(ev, mode, subject, g.consequent[j - 1].label),
+                    )
+                    for g, j in concluded
+                ]
+            out += [(query, mode, subject) for query, found, want in pairs if list(found) != want]
+    return out
+
+
+FIXTURE_NAMES = sorted(path.stem for path in FIXTURES.glob("*.ddl"))
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_tables_equal_plain_scans_on_fixtures(name):
+    for variant in Variant:
+        assert table_mismatches(_Evaluator(load_fixture(name), variant)) == []
+
+
+@given(
+    st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=120)
+)
+@settings(max_examples=30, deadline=None)
+def test_tables_equal_plain_scans_on_random_theories(seed, size):
+    theory = random_theory(seed, size)
+    for variant in Variant:
+        assert table_mismatches(_Evaluator(theory, variant)) == []
+
+
+def test_a_grouping_that_skips_later_chain_positions_is_caught(monkeypatch):
+    group = _Evaluator._scan_supporters
+
+    def first_positions_only(ev):
+        return tuple(
+            {key: [e for e in entries if e[1] == 1] for key, entries in table.items()}
+            for table in group(ev)
+        )
+
+    monkeypatch.setattr(_Evaluator, "_scan_supporters", first_positions_only)
+    for name in ("example3", "execution1", "execution2"):
+        assert table_mismatches(_Evaluator(load_fixture(name), Variant.SIMPLE)), name
+    assert table_mismatches(_Evaluator(parse_theory(SPLIT_TEAMS), Variant.SIMPLE))
 
 
 def test_the_oracle_imports_nothing_of_the_engine_but_compute_extension():

@@ -55,6 +55,13 @@ def test_minimal_program():
     assert theory.rules[0].label == "alpha"
 
 
+def test_fact_is_a_label_before_a_colon_or_a_greater_than():
+    theory = parse_theory("fact fact. fact: => C a. b: => C c. fact > b. b > fact.")
+    assert theory.facts == {Literal("fact")}
+    assert [rule.label for rule in theory.rules] == ["fact", "b"]
+    assert theory.superiority == {("fact", "b"), ("b", "fact")}
+
+
 def test_example1_program_size():
     # 5 facts + 12 literal occurrences + 6 rule occurrences + 2 pairs * 2
     assert theory_size(parse_theory(EXAMPLE1)) == 27
