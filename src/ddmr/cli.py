@@ -5,8 +5,9 @@ Exit codes are script-friendly and stable:
     0  success (for query: Proved)
     1  validation errors; under --oracle, a theory above the oracle budget
     2  parse errors / unreadable input / bad arguments (a file that is not
-       UTF-8, a non-integer DDMR_ORACLE_BUDGET under --oracle, and a bench
-       --out that cannot be written, included)
+       UTF-8, a non-integer DDMR_ORACLE_BUDGET under --oracle, a bench
+       --out that cannot be written, and a bench size the family's
+       generator cannot reach within 10 %, included)
     3  query answered Refuted
     4  query answered Undetermined
     5  --oracle cross-check found a mismatch
@@ -192,7 +193,11 @@ def cmd_bench(args) -> int:
         print(f"cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_PARSE
     with out as handle:
-        records = run_benchmarks(families, args.sizes, seed=args.seed, variants=variants)
+        try:
+            records = run_benchmarks(families, args.sizes, seed=args.seed, variants=variants)
+        except ValueError as exc:  # a size the family cannot reach
+            print(f"bench: {exc}", file=sys.stderr)
+            return EXIT_PARSE
         handle.write(to_csv(records))
     return EXIT_OK
 

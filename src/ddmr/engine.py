@@ -25,13 +25,15 @@ unless the attacker is superior to it.  ``model.ATTACK_MODES``,
 attack and defend.
 
 Every decision simplifies the theory in place: proved items vanish from
-antecedents, rules whose antecedents turned false are deleted together
-with their entries in all indexes, and obligation chains record, per
-position, whether the obligation is in force and whether it was violated,
-which is what lets a chain hand over to its reparation.  Each antecedent
-item is filed under the (mode, subject) whose decision settles it, with
-the sign that satisfies it, so a decision finds the items it settles in
-one lookup.
+antecedents, and rules whose antecedents turned false are deleted together
+with their entries in all indexes.  Each antecedent item is filed under
+the (mode, subject) whose decision settles it, with the sign that
+satisfies it (``model.item_condition``), so a decision finds the items it
+settles in one lookup.  An obligation chain hands over to its reparation
+when the earlier elements are in force and violated (``model.violation``);
+those verdicts are read from ``tag`` itself.  A decision that takes an
+element out of force, or complies with it, removes the chain's later
+positions from the indexes.
 
 A subject that no defeasible rule supports is decided without the proof
 conditions.  Proving needs an applicable defeasible supporter, and
@@ -85,7 +87,6 @@ from .model import (
     DEFEND_MODES,
     Extension,
     Literal,
-    ModalLiteral,
     Mode,
     RuleExpression,
     RuleRef,
@@ -96,7 +97,9 @@ from .model import (
     atoms,
     concluded_labels,
     herbrand_base,  # noqa: F401 -- not called here; perfbench/spans.py wraps this name
+    item_condition,
     validate,
+    violation,
 )
 
 # A mode's offset in a subject id.
@@ -134,17 +137,19 @@ class EngineState:
 
     ``supports[s]`` holds (rule, position) pairs for the rules that can
     still conclude subject ``s``; entries disappear when a rule dies or its
-    chain is blocked before the position.  ``matrix[r]`` keeps, for an
-    obligation rule, the in-force and violated verdicts for each chain
-    position (None until decided).  ``tag[s]`` is the decision on subject
-    ``s``: 0 undecided, 1 proved, 2 refuted.  ``lit_tags`` and
+    chain is blocked before the position.  ``tag[s]`` is the decision on
+    subject ``s``: 0 undecided, 1 proved, 2 refuted.  ``chains[r]`` lists,
+    for each chain element of rule ``r`` but the last, its O subject id,
+    the id of the subject that violates it and the tag that does; chain
+    verdicts are read from ``tag`` through these, and the rule is held when
+    ``tag[n_lit_ids + 6 * r]`` is 1.  ``lit_tags`` and
     ``rule_tags`` (decided literal and rule subject ids to their sign) and
     ``mhb`` (the undecided ids) are views computed from ``tag`` on each
     read; the run itself never builds them.  ``dead`` holds the ids of
     deleted rules.
     ``live_ants[r]`` counts the rule's antecedent items not yet satisfied:
-    in a valid theory the items of one rule have distinct ``_watch_key``s
-    and every subject is decided once, so no item is counted off twice.
+    in a valid theory the items of one rule have distinct conditions and
+    every subject is decided once, so no item is counted off twice.
     """
 
     def __init__(self, theory: Theory, variant: Variant, order_seed: int = None):
@@ -156,7 +161,6 @@ class EngineState:
         self.dirty: set = set()
         self.watch: dict = {}  # subject id -> [(rule, satisfying sign)]
         self.dead: set = set()
-        self.effective: set = set()
         self.supports: dict = {}
         self.deps: dict = {}  # rule -> subject ids that consulted it
         self._touched: set = set()
@@ -197,16 +201,21 @@ class EngineState:
         ]
         self.concluded = [[rid[u] for u in concluded_labels(rule)] for rule in rules]
         self.sup = {(rid[a], rid[b]) for a, b in t.superiority if a in rid and b in rid}
-        self.matrix = [
-            [[None] * len(rule.consequent), [None] * len(rule.consequent)]
-            if rule.mode is Mode.O
-            else None
-            for rule in rules
+        self.chains = [
+            [
+                (o, self.subject_id(mode, subject), _PROVED if sign else _REFUTED)
+                for o, (mode, subject, sign) in zip(
+                    self.concludes[r], map(violation, rule.consequent[:-1])
+                )
+            ]
+            if len(rule.consequent) > 1
+            else ()
+            for r, rule in enumerate(rules)
         ]
         self.live_ants = [len(rule.antecedent) for rule in rules]
         for r, rule in enumerate(rules):
             for item in rule.antecedent:
-                mode, subject, positive = _watch_key(item)
+                mode, subject, positive = item_condition(item)
                 self.watch.setdefault(self.subject_id(mode, subject), []).append((r, positive))
 
         refs = range(len(producers))  # reference ids
@@ -337,23 +346,30 @@ class EngineState:
     # ------------------------------------------------------------ rule state
 
     def _applicable(self, r: int, pos: int) -> bool:
-        if r in self.dead or r not in self.effective or self.live_ants[r]:
+        """Held, every antecedent item satisfied, and each chain element
+        before ``pos`` in force and violated.  A deleted rule fails the
+        first two: its held subject is refuted or an item was never
+        counted off."""
+        tag = self.tag
+        if tag[self.n_lit_ids + 6 * r] != _PROVED or self.live_ants[r]:
             return False
-        cells = self.matrix[r]
-        if cells is None or pos <= 1:
-            return True
-        row1, row2 = cells
-        return all(row1[j] is True and row2[j] is True for j in range(pos - 1))
+        if pos > 1:
+            for o, v, violated in self.chains[r][: pos - 1]:
+                if tag[o] != _PROVED or tag[v] != violated:
+                    return False
+        return True
 
     def _not_discarded(self, r: int, pos: int) -> bool:
-        """Not deleted, and no chain cell before ``pos`` decided against the rule."""
+        """Not deleted, and no chain element before ``pos`` out of force or
+        complied with."""
         if r in self.dead:
             return False
-        cells = self.matrix[r]
-        if cells is None or pos <= 1:
-            return True
-        row1, row2 = cells
-        return all(row1[j] is not False and row2[j] is not False for j in range(pos - 1))
+        if pos > 1:
+            tag = self.tag
+            for o, v, violated in self.chains[r][: pos - 1]:
+                if tag[o] == _REFUTED or tag[v] not in (_UNDECIDED, violated):
+                    return False
+        return True
 
     def _stronger(self, a: int, b: int) -> bool:
         return (a, b) in self.sup
@@ -502,10 +518,10 @@ class EngineState:
 
     def _apply(self, s: int, positive: bool) -> None:
         """Record a decision, settle the antecedent items it decides, and
-        record per-chain verdicts for every obligation rule carrying the
-        subject: row one tracks the obligation being in force, row two the
-        violation evidence.  A rule element is violated by being refuted
-        from the rule system, a literal element by its complement holding.
+        move the obligation chains it decides an element of: whether the
+        obligation is in force, or whether it is violated.  A rule element
+        is violated by being refuted from the rule system, a literal
+        element by its complement holding.
         """
         if self.tag[s]:
             mode, subject = self.pair(s)
@@ -527,17 +543,16 @@ class EngineState:
         k = s // 3 - self.n_lits
         if not literal and mode == C and not k & 1:
             if positive:
-                self.effective.add(k >> 1)
                 self._mark_rule(k >> 1)
             else:
                 self._kill(k >> 1)
 
         if mode == O:
-            self._set_cells(s, 0, positive)
+            self._move_chains(s, positive)
         elif mode == C and literal:
-            self._set_cells(complement_id(s) + O, 1, positive)
+            self._move_chains(complement_id(s) + O, positive)
         elif mode == C:
-            self._set_cells(s + O, 1, not positive)
+            self._move_chains(s + O, not positive)
 
     def _mark_rule(self, r: int) -> None:
         self.dirty.update(self.deps.pop(r, ()))
@@ -548,15 +563,14 @@ class EngineState:
         self.dead.add(r)
         self._block_after(r, 0)
 
-    def _set_cells(self, s: int, row: int, value: bool) -> None:
+    def _move_chains(self, s: int, kept: bool) -> None:
+        """Mark each rule still concluding the O subject ``s``; unless the
+        decision keeps its chain going, block the positions after ``s``'s."""
         for r, pos in tuple(self.supports.get(s, ())):
-            cells = self.matrix[r]
-            if cells[row][pos - 1] is not None:
-                continue
-            cells[row][pos - 1] = value
-            if value is False:
+            if kept:
+                self._mark_rule(r)
+            else:
                 self._block_after(r, pos)
-            self._mark_rule(r)
 
     def _block_after(self, r: int, pos: int) -> None:
         chain = self.concludes[r]
@@ -565,21 +579,6 @@ class EngineState:
             if (r, k + 1) in entries:
                 entries.remove((r, k + 1))
         self._mark_rule(r)
-
-
-def _watch_key(item):
-    """The decision that settles an antecedent item, and the sign satisfying it.
-
-    Returns (mode, subject, positive): the item holds once the subject is
-    decided with that sign under that mode, and fails on the other sign.
-    """
-    if isinstance(item, Literal):
-        return Mode.C, item, True
-    if isinstance(item, ModalLiteral):
-        return item.mode, item.inner, not item.negated
-    if isinstance(item, RuleExpression):
-        return Mode.C, item.ref, True
-    return item.mode, item.expr.ref, not item.negated
 
 
 def run_engine(

@@ -14,7 +14,8 @@ Four families:
 All generators are deterministic in (family, size target, seed), produce
 theories that validate without errors, and land within ten percent of the
 requested size metric (literal occurrences + rule occurrences + 2 per
-superiority pair).
+superiority pair); ``generate_theory`` raises ``ValueError`` for a size
+its family cannot reach that closely, as for an unknown family.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ def generate_theory(family: str, size: int, seed: int = 0) -> Theory:
     if size > 0:
         achieved = theory_size(theory)
         if not 0.9 * size <= achieved <= 1.1 * size:
-            raise AssertionError(f"{family}: asked {size}, achieved {achieved}")
+            raise ValueError(f"{family}: size {size} is out of reach, made {achieved}")
     return theory
 
 

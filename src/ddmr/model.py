@@ -229,6 +229,27 @@ class Rule:
         return f"{lead} {self.arrow} {self.mode} {head}"
 
 
+def item_condition(item) -> tuple:
+    """The (mode, subject, sign) an antecedent item waits for: the item holds
+    once the subject is decided under the mode with the sign (True for +),
+    and fails on the other sign."""
+    if isinstance(item, Literal):
+        return Mode.C, item, True
+    if isinstance(item, ModalLiteral):
+        return item.mode, item.inner, not item.negated
+    if isinstance(item, RuleExpression):
+        return Mode.C, item.ref, True
+    return item.mode, item.expr.ref, not item.negated
+
+
+def violation(elem) -> tuple:
+    """The (mode, subject, sign) that violates a chain element: a literal's
+    complement holding, or the rule refuted."""
+    if isinstance(elem, Literal):
+        return Mode.C, elem.complement(), True
+    return Mode.C, elem.ref, False
+
+
 def complement(x):
     """Flip the outermost polarity of a literal, modal literal or rule expression."""
     return x.complement()
@@ -411,12 +432,6 @@ class TaggedFormula:
         return f"{self.sign}d{level}{self.mode} {self.subject}"
 
 
-TAG_KEYS = (
-    "+dC", "-dC", "+dO", "-dO", "+dP", "-dP",
-    "+dmC", "-dmC", "+dmO", "-dmO", "+dmP", "-dmP",
-)
-
-
 @dataclass
 class Extension:
     """The decided tag sets of a theory, plus the subjects left undecided.
@@ -448,17 +463,25 @@ class Extension:
     def negative_rules(self, mode: Mode):
         return self.rules[(Sign.MINUS, mode)]
 
+    def tag_sets(self):
+        """(name, subjects) of the twelve tag sets, ``+dC`` to ``-dmP``:
+        literals before rules, then by mode, ``+`` before ``-``."""
+        for level, table in (("", self.literals), ("m", self.rules)):
+            for mode in Mode:
+                for sign in Sign:
+                    yield f"{sign}d{level}{mode}", table[(sign, mode)]
+
     @classmethod
-    def from_tags(cls, lit_tags, rule_tags, undetermined) -> "Extension":
+    def from_tags(cls, tags, undetermined) -> "Extension":
         """Sort ((mode, subject), sign) pairs (True for +) into tag sets.
 
         The oracle's conversion of its tag store; the engine decodes its
         own store a set at a time (``EngineState.extension``).
         """
         ext = cls(undetermined=set(undetermined))
-        for table, tags in ((ext.literals, lit_tags), (ext.rules, rule_tags)):
-            for (mode, subject), positive in tags:
-                table[(Sign.PLUS if positive else Sign.MINUS, mode)].add(subject)
+        for (mode, subject), positive in tags:
+            table = ext.rules if isinstance(subject, RuleRef) else ext.literals
+            table[(Sign.PLUS if positive else Sign.MINUS, mode)].add(subject)
         return ext
 
 

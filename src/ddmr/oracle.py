@@ -1,10 +1,17 @@
 """Literal-minded evaluator of the proof conditions, used as ground truth.
 
 Where the engine compiles the theory and simplifies it as it goes, this
-module evaluates the paper's proof conditions as written.  One ``step``
-adds every tagged conclusion whose full proof condition the current tag
-store satisfies; saturating to a fixpoint yields the extension.  Tags
-never derived stay undetermined.
+module evaluates the paper's proof conditions as written.  The tag store
+is a plain dict from (mode, subject) to True for + and False for -.  One
+``step`` adds every tagged conclusion whose full proof condition the store
+satisfies; saturating to a fixpoint yields the extension.  Tags never
+derived stay undetermined.
+
+A rule at a chain position is applicable when every one of its
+conditions holds and discarded when one is refuted.  The conditions are
+one list: the rule held, each antecedent item (``model.item_condition``),
+and each earlier chain element obligatory and violated
+(``model.violation``).
 
 One condition decides every subject.  Its supporters form teams, each
 team faces attackers, and each attacker faces defenders that may beat it.
@@ -39,7 +46,6 @@ the size budget -- and meant for cross-checking the engine at desk scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 
 from .conflicts import RULE_ATTACK_MODES, Variant, conflicts
@@ -48,15 +54,15 @@ from .model import (
     DEFEND_MODES,
     Extension,
     Literal,
-    ModalLiteral,
     Mode,
     Rule,
     RuleExpression,
     RuleRef,
-    Sign,
     Theory,
     herbrand_base,
+    item_condition,
     theory_size,
+    violation,
 )
 
 DEFAULT_BUDGET = 200
@@ -68,82 +74,39 @@ class OracleBudgetError(ValueError):
     """Theory too large for exhaustive proof-condition evaluation."""
 
 
-@dataclass
-class TagStore:
-    """Established tags: (mode, subject) -> True for +, False for -."""
-
-    lit: dict = field(default_factory=dict)
-    rule: dict = field(default_factory=dict)
-
-    def get(self, mode: Mode, subject):
-        table = self.rule if isinstance(subject, RuleRef) else self.lit
-        return table.get((mode, subject))
-
-    def holds(self, mode: Mode, subject, positive: bool) -> bool:
-        return self.get(mode, subject) is (True if positive else False)
-
-    def size(self) -> int:
-        return len(self.lit) + len(self.rule)
+def _subject(x):
+    """A literal, or a rule expression by name, as a derivation subject."""
+    return x.ref if isinstance(x, RuleExpression) else x
 
 
-def _item_condition(item):
-    """The (mode, subject, wanted sign) an antecedent item waits for."""
-    if isinstance(item, Literal):
-        return (Mode.C, item, True)
-    if isinstance(item, ModalLiteral):
-        return (item.mode, item.inner, not item.negated)
-    if isinstance(item, RuleExpression):
-        return (Mode.C, item.ref, True)
-    return (item.mode, item.expr.ref, not item.negated)
-
-
-def applicable(store: TagStore, rule: Rule, index: int = 1) -> bool:
-    """Every antecedent item established, the rule itself constitutively held,
-    and each chain element before the index in force and violated."""
+def _conditions(rule: Rule, index: int) -> list:
+    """What applying ``rule`` at chain position ``index`` takes, as (mode,
+    subject, sign) triples: the rule constitutively held, every antecedent
+    item established, and each chain element before the index in force and
+    violated."""
     if index > 1 and rule.mode is not Mode.O:
         raise ValueError("chain index on a non-obligation rule")
-    if not store.holds(Mode.C, RuleRef(rule.label, True), True):
-        return False
-    for item in rule.antecedent:
-        mode, subject, wanted = _item_condition(item)
-        if not store.holds(mode, subject, wanted):
+    conditions = [(Mode.C, RuleRef(rule.label, True), True)]
+    conditions += map(item_condition, rule.antecedent)
+    for elem in rule.consequent[: index - 1]:
+        conditions.append((Mode.O, _subject(elem), True))
+        conditions.append(violation(elem))
+    return conditions
+
+
+def applicable(store: dict, rule: Rule, index: int = 1) -> bool:
+    """Every condition of the rule at the index holds."""
+    for mode, subject, sign in _conditions(rule, index):
+        if store.get((mode, subject)) is not sign:
             return False
-    for j in range(index - 1):
-        elem = rule.consequent[j]
-        if isinstance(elem, Literal):
-            if not (
-                store.holds(Mode.O, elem, True)
-                and store.holds(Mode.C, elem.complement(), True)
-            ):
-                return False
-        else:
-            ref = elem.ref
-            if not (store.holds(Mode.O, ref, True) and store.holds(Mode.C, ref, False)):
-                return False
     return True
 
 
-def discarded(store: TagStore, rule: Rule, index: int = 1) -> bool:
+def discarded(store: dict, rule: Rule, index: int = 1) -> bool:
     """The strong-negation dual of applicability: some condition refuted."""
-    if index > 1 and rule.mode is not Mode.O:
-        raise ValueError("chain index on a non-obligation rule")
-    if store.holds(Mode.C, RuleRef(rule.label, True), False):
-        return True
-    for item in rule.antecedent:
-        mode, subject, wanted = _item_condition(item)
-        if store.holds(mode, subject, not wanted):
+    for mode, subject, sign in _conditions(rule, index):
+        if store.get((mode, subject)) is (not sign):
             return True
-    for j in range(index - 1):
-        elem = rule.consequent[j]
-        if isinstance(elem, Literal):
-            if store.holds(Mode.O, elem, False) or store.holds(
-                Mode.C, elem.complement(), False
-            ):
-                return True
-        else:
-            ref = elem.ref
-            if store.holds(Mode.O, ref, False) or store.holds(Mode.C, ref, True):
-                return True
     return False
 
 
@@ -179,10 +142,7 @@ class _Evaluator:
         self.rules = sorted(self.by_label.values(), key=lambda r: r.label)
         self.top = theory.top_labels()
         self.sup = theory.superiority
-        self.base = sorted(
-            (s.ref if isinstance(s, RuleExpression) else s for s in herbrand_base(theory)),
-            key=_subject_order,
-        )
+        self.base = sorted(map(_subject, herbrand_base(theory)), key=_subject_order)
         self._groups = {}
         self._literal_domains = {}
         self._cautious_attackers = {}
@@ -316,7 +276,7 @@ class _Evaluator:
 
     # -- proof conditions ---------------------------------------------------
 
-    def decide_literal(self, store: TagStore, mode: Mode, lit: Literal):
+    def decide_literal(self, store: dict, mode: Mode, lit: Literal):
         if mode is Mode.C:
             if lit in self.theory.facts:
                 return True
@@ -327,7 +287,7 @@ class _Evaluator:
             store, mode, lit, [sup], lambda _: attackers, lambda g, j: defenders, self.stronger
         )
 
-    def decide_rule(self, store: TagStore, mode: Mode, ref: RuleRef):
+    def decide_rule(self, store: dict, mode: Mode, ref: RuleRef):
         if mode is Mode.C:
             if ref.positive and ref.label in self.top:
                 return True
@@ -349,7 +309,7 @@ class _Evaluator:
         """The verdict on ``mode`` ``subject``, None while undecided: the
         (rule, position) conclusions ``attackers(team)`` attack a team of
         supporters, ``defenders(g, j)`` defend against ``g`` at ``j``."""
-        if mode is Mode.P and store.holds(Mode.O, subject, True):
+        if mode is Mode.P and store.get((Mode.O, subject)) is True:
             return True
         if any(
             any(b.is_defeasible and applicable(store, b, i) for b, i in team)
@@ -363,7 +323,7 @@ class _Evaluator:
             for team in teams
         ):
             return True
-        if mode is Mode.P and not store.holds(Mode.O, subject, False):
+        if mode is Mode.P and store.get((Mode.O, subject)) is not False:
             return None
         if all(
             all(not b.is_defeasible or discarded(store, b, i) for b, i in team)
@@ -380,9 +340,7 @@ class _Evaluator:
         return None
 
 
-def step(
-    theory: Theory, store: TagStore, variant: Variant, ev: _Evaluator = None
-) -> TagStore:
+def step(theory: Theory, store: dict, variant: Variant, ev: _Evaluator = None) -> dict:
     """One saturation round: add every tag whose condition now holds.
 
     ``ev`` is the evaluator of ``theory`` under ``variant`` that earlier
@@ -390,21 +348,15 @@ def step(
     """
     if ev is None:
         ev = _Evaluator(theory, variant)
-    out = TagStore(dict(store.lit), dict(store.rule))
+    out = dict(store)
     for subject in ev.base:
-        if isinstance(subject, Literal):
-            decide, known, table = ev.decide_literal, store.lit, out.lit
-        else:
-            decide, known, table = ev.decide_rule, store.rule, out.rule
+        decide = ev.decide_literal if isinstance(subject, Literal) else ev.decide_rule
         for mode in _MODES:
             key = (mode, subject)
-            if key in known:
-                continue
-            verdict = decide(store, mode, subject)
-            if verdict is not None:
-                if key in table and table[key] != verdict:
-                    raise AssertionError(f"incoherent oracle step at {key}")
-                table[key] = verdict
+            if key not in store:
+                verdict = decide(store, mode, subject)
+                if verdict is not None:
+                    out[key] = verdict
     return out
 
 
@@ -418,20 +370,17 @@ def oracle_extension(
             f"theory size {size} exceeds the oracle budget {budget}"
         )
     ev = _Evaluator(theory, variant)
-    store = TagStore()
+    store = {}
     while True:
         nxt = step(theory, store, variant, ev)
-        if nxt.size() == store.size():
+        if len(nxt) == len(store):
             break
         store = nxt
 
     undetermined = {
-        (mode, subject)
-        for subject in ev.base
-        for mode in _MODES
-        if store.get(mode, subject) is None
+        (mode, subject) for subject in ev.base for mode in _MODES if (mode, subject) not in store
     }
-    return Extension.from_tags(store.lit.items(), store.rule.items(), undetermined)
+    return Extension.from_tags(store.items(), undetermined)
 
 
 def check_equivalence(
@@ -453,22 +402,9 @@ def check_equivalence(
         engine_ext = compute_extension(theory, variant)
     oracle_ext = oracle_extension(theory, variant, budget)
     diffs: dict = {}
-    for sign in Sign:
-        for mode in Mode:
-            for name, a, b in (
-                (
-                    f"{sign}d{mode}",
-                    engine_ext.literals[(sign, mode)],
-                    oracle_ext.literals[(sign, mode)],
-                ),
-                (
-                    f"{sign}dm{mode}",
-                    engine_ext.rules[(sign, mode)],
-                    oracle_ext.rules[(sign, mode)],
-                ),
-            ):
-                if a != b:
-                    diffs[name] = (a - b, b - a)
+    for (name, a), (_, b) in zip(engine_ext.tag_sets(), oracle_ext.tag_sets()):
+        if a != b:
+            diffs[name] = (a - b, b - a)
     if engine_ext.undetermined != oracle_ext.undetermined:
         diffs["undetermined"] = (
             engine_ext.undetermined - oracle_ext.undetermined,

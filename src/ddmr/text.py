@@ -62,7 +62,6 @@ from .model import (
     RuleExpression,
     RuleRef,
     Sign,
-    TAG_KEYS,
     TaggedFormula,
     Theory,
 )
@@ -420,13 +419,7 @@ def parse_tagged_formula(text: str) -> TaggedFormula:
 
 def extension_dict(ext: Extension) -> dict:
     """The extension as a JSON-ready dict with deterministic ordering."""
-    out = {}
-    for key in TAG_KEYS:
-        sign = Sign.PLUS if key[0] == "+" else Sign.MINUS
-        meta = "m" in key
-        mode = Mode(key[-1])
-        table = ext.rules if meta else ext.literals
-        out[key] = sorted(map(str, table[(sign, mode)]))
+    out = {name: sorted(map(str, subjects)) for name, subjects in ext.tag_sets()}
     out["undetermined"] = [
         {"mode": str(mode), "subject": str(subject)}
         for mode, subject in sorted(
@@ -453,7 +446,9 @@ def _extension_json(data: dict) -> str:
     """
     enc = encode_basestring_ascii
     fields = [
-        f"{enc(key)}: {_json_block(list(map(enc, data[key])), '  ')}" for key in TAG_KEYS
+        f"{enc(name)}: {_json_block(list(map(enc, subjects)), '  ')}"
+        for name, subjects in data.items()
+        if name != "undetermined"
     ]
     undetermined = [
         _json_block([f"{enc(k)}: {enc(v)}" for k, v in entry.items()], "    ", "{}")
@@ -471,9 +466,11 @@ def render_extension(ext: Extension, format: str = "text") -> str:
     if format != "text":
         raise ValueError(f"unknown format {format!r}")
     width = max(len(k) for k in data)
-    lines = []
-    for key in TAG_KEYS:
-        lines.append(f"{key:<{width}}  {', '.join(data[key]) or '-'}")
+    lines = [
+        f"{name:<{width}}  {', '.join(subjects) or '-'}"
+        for name, subjects in data.items()
+        if name != "undetermined"
+    ]
     und = ", ".join(f"{u['mode']} {u['subject']}" for u in data["undetermined"])
     lines.append(f"{'undetermined':<{width}}  {und or '-'}")
     return "\n".join(lines) + "\n"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
+from ddmr.generate import FAMILIES
 from ddmr.model import (
     Arrow,
     DeonticRuleExpression,
@@ -125,3 +126,63 @@ def loose_theories(draw) -> Theory:
     sup = draw(st.lists(st.tuples(labels, labels), max_size=3))
     facts = draw(st.lists(st.builds(Literal, names, st.booleans()), max_size=3))
     return Theory.build(facts, rules, sup)
+
+
+# Junk argument values.  A process's argv and environment never hold a NUL
+# or a surrogate (but for one standing in for a byte that is not UTF-8,
+# as in a path the CLI tests pass), so these do not.
+junk = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=6),
+    st.sampled_from(["--help", "--nope", "-x", "-5", "--oracle", "1e3", "é"]),
+)
+
+
+# True one time in eight.
+rarely = st.sampled_from([True] + [False] * 7)
+
+
+COMMANDS = ("extension", "query", "validate", "diff", "bench")
+
+
+@st.composite
+def cli_argvs(draw, command, paths, outs) -> list:
+    """An argv for ``cli.main``: ``command``, or junk when it is None; its
+    positional arguments, paths from ``paths``, rarely one missing; any of
+    its options, with valid or rarely junk values (``bench --out`` from
+    ``outs``, and always ``--sizes``, each at most 200); rarely junk
+    tokens; all in any order."""
+
+    def value(valid):
+        return draw(junk) if draw(rarely) else draw(st.sampled_from(valid))
+
+    if command is None:
+        command = draw(junk)
+    groups = []
+    if command in COMMANDS and command != "bench":
+        groups.append([draw(st.sampled_from(paths))])
+    if command == "query":
+        groups.append([value(["+dO a", "-dC ~l", "+dmC alpha", "-dmP ~beta", "+dX a"])])
+    if groups and draw(rarely):
+        groups.pop()
+    variant = ["--variant", value(["simple", "cautious"])]
+    # small sizes are where a generator may miss its target by over 10 %
+    size = st.integers(0, 200) | st.integers(0, 50)
+    sizes = ",".join(map(str, draw(st.lists(size, max_size=3))))
+    options = {
+        "extension": [variant, ["--oracle"], ["--format", value(["json", "text"])]],
+        "query": [variant, ["--oracle"]],
+        "bench": [
+            ["--family", value(FAMILIES)],
+            ["--family", value(FAMILIES)],
+            ["--seed", value([str(draw(st.integers(-(2**70), 2**70)))])],
+            variant,
+            ["--variant-only"],
+            ["--out", value(outs)],
+        ],
+    }.get(command, [])
+    groups += [option for option in options if draw(st.booleans())]
+    if command == "bench":  # without sizes, bench runs nothing
+        groups.append(["--sizes", value([sizes])])
+    if draw(rarely):
+        groups += [[token] for token in draw(st.lists(junk, min_size=1, max_size=2))]
+    return [command] + [token for group in draw(st.permutations(groups)) for token in group]

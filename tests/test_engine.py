@@ -199,6 +199,49 @@ def test_obligation_of_rule_steps_chain_when_rule_absent(load):
     assert "c" in lits(ext, "+", Mode.O)
 
 
+# mu's chain waits on a violation that a loop leaves open; g's is complied
+# with, so g's second position cannot attack z's conclusion
+OPEN_AND_COMPLIED = """
+fact f.
+mu: f => O a * b.
+loop: ~a => C ~a.
+g: => O x * ~(r: => C y).
+z: => O (r: => C y).
+"""
+
+
+def test_a_chain_position_waits_for_violation_and_falls_with_compliance():
+    for variant in Variant:
+        ext = compute_extension(parse_theory(OPEN_AND_COMPLIED), variant)
+        assert {"a", "x"} <= lits(ext, "+", Mode.O), variant
+        assert (Mode.O, L("b")) in ext.undetermined, variant
+        assert "r" in rules_(ext, "+", Mode.O), variant
+        # violating both obligations hands both chains over
+        violated = parse_theory(OPEN_AND_COMPLIED + "fact ~a. fact ~x.")
+        ext = compute_extension(violated, variant)
+        assert "b" in lits(ext, "+", Mode.O), variant
+        assert "r" in rules_(ext, "-", Mode.O), variant
+
+
+# z defends r against w from its second position, which x's compliance
+# takes out of force; r is examined again once O x is proved
+COMPLIED_DEFENDER = """
+s: => O (r: => C y).
+w: => O ~(r: => C y).
+z: => O x * (r: => C y).
+z > w.
+"""
+
+
+def test_a_complied_chain_position_does_not_defend():
+    for variant in Variant:
+        ext = compute_extension(parse_theory(COMPLIED_DEFENDER), variant)
+        assert "x" in lits(ext, "+", Mode.O), variant
+        assert "r" in rules_(ext, "-", Mode.O), variant
+        violated = parse_theory(COMPLIED_DEFENDER + "fact ~x.")
+        assert "r" in rules_(compute_extension(violated, variant), "+", Mode.O), variant
+
+
 def test_invalid_theory_is_rejected():
     theory = parse_theory("r: a => C b. r: a => C c.")
     with pytest.raises(ValueError, match="invalid theory"):

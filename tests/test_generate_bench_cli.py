@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import io
 import json
+import os
 import random
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddmr.bench import loglog_slope, run_benchmarks, to_csv
 from ddmr.cli import EXIT_INTERNAL, MAX_PARSE_ERRORS, main
@@ -32,6 +37,7 @@ from ddmr.model import _has_cycle
 from ddmr.text import TheorySyntaxError, parse_theory, render_theory
 
 from .conftest import FIXTURES
+from .strategies import COMMANDS, cli_argvs, junk
 
 
 def test_generators_deterministic():
@@ -125,6 +131,14 @@ def test_closes_cycle_through_old_and_new_edges():
 def test_unknown_family_rejected():
     with pytest.raises(ValueError, match="unknown family"):
         generate_theory("nope", 10, 0)
+
+
+@pytest.mark.parametrize(
+    "family, size", [("team", 45), ("chain", 3), ("meta-chain", 9), ("random", 3)]
+)
+def test_a_size_out_of_reach_is_a_value_error(family, size):
+    with pytest.raises(ValueError, match=f"{family}: size {size} is out of reach"):
+        generate_theory(family, size, 0)
 
 
 def test_bench_records_and_csv():
@@ -436,6 +450,57 @@ def test_cli_bench_bad_sizes_exit_2(sizes, capsys):
     assert captured.out == ""
     assert "--sizes" in captured.err
     assert "internal error" not in captured.err
+
+
+def test_cli_bench_size_out_of_reach_exits_2(capsys):
+    assert _exit_code("bench", "--family", "team", "--sizes", "45") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["bench: team: size 45 is out of reach, made 50"]
+
+
+@pytest.fixture(scope="module")
+def argv_paths(tmp_path_factory):
+    """Theory paths that load, fail to parse or validate, are missing, are a
+    directory, are not UTF-8 or are named by bytes that are not UTF-8; and
+    ``bench --out`` targets that can and cannot be written."""
+    root = tmp_path_factory.mktemp("argv")
+    (root / "latin1.ddl").write_bytes(b"fact caf\xe9.\n")
+    (root / "broken.ddl").write_text("r: => X a.\n")
+    (root / "invalid.ddl").write_text("r: => C a.\nr: => C b.\n")
+    paths = [str(path) for path in sorted(FIXTURES.glob("*.ddl"))]
+    paths += [str(root / name) for name in ("latin1.ddl", "broken.ddl", "invalid.ddl", "none.ddl")]
+    paths += [str(root), "\udcff.ddl"]
+    outs = [str(root / "bench.csv"), str(root), str(root / "none" / "bench.csv")]
+    return root, paths, outs
+
+
+@pytest.mark.parametrize("command", [*COMMANDS, None])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_no_argv_is_an_internal_error(argv_paths, command, data):
+    root, paths, outs = argv_paths
+    argv = data.draw(cli_argvs(command, paths, outs), label="argv")
+    budget = data.draw(st.none() | st.sampled_from(["0", "1", "200", "-3"]) | junk, label="budget")
+    saved = os.environ.pop("DDMR_ORACLE_BUDGET", None)
+    cwd = os.getcwd()
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        os.chdir(root)  # a junk --out is a file name relative to it
+        if budget is not None:
+            os.environ["DDMR_ORACLE_BUDGET"] = budget
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code or 0
+    finally:
+        os.chdir(cwd)
+        os.environ.pop("DDMR_ORACLE_BUDGET", None)
+        if saved is not None:
+            os.environ["DDMR_ORACLE_BUDGET"] = saved
+    assert 0 <= code <= 6, (code, err.getvalue())
+    assert "internal error" not in err.getvalue()
 
 
 def test_cli_bench_unwritable_out_exits_2_before_running(tmp_path, capsys, monkeypatch):

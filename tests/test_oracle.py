@@ -15,7 +15,6 @@ from ddmr.model import DEFEND_MODES, Literal, Mode, RuleExpression, RuleRef, Sig
 import ddmr.oracle
 from ddmr.oracle import (
     OracleBudgetError,
-    TagStore,
     _Evaluator,
     applicable,
     check_equivalence,
@@ -30,15 +29,14 @@ from .conftest import FIXTURES, load_fixture
 L = Literal
 
 
-def tag(store: TagStore, mode: Mode, subject, positive: bool) -> None:
-    table = store.rule if isinstance(subject, RuleRef) else store.lit
-    table[(mode, subject)] = positive
+def tag(store: dict, mode: Mode, subject, positive: bool) -> None:
+    store[(mode, subject)] = positive
 
 
 def test_applicable_requires_the_rule_to_be_held():
     theory = parse_theory("r: => C b.")
     (rule,) = theory.rules
-    store = TagStore()
+    store = {}
     assert not applicable(store, rule)
     tag(store, Mode.C, RuleRef("r"), True)
     assert applicable(store, rule)
@@ -47,7 +45,7 @@ def test_applicable_requires_the_rule_to_be_held():
 def test_applicable_with_negated_modal_antecedent():
     theory = parse_theory("nu: ~O(q) => C w.")
     (rule,) = theory.rules
-    store = TagStore()
+    store = {}
     tag(store, Mode.C, RuleRef("nu"), True)
     assert not applicable(store, rule)
     tag(store, Mode.O, L("q"), False)
@@ -58,7 +56,7 @@ def test_applicable_with_negated_modal_antecedent():
 def test_chain_applicability_needs_violation_evidence():
     theory = parse_theory("mu: f2 => O a * b * c.")
     (mu,) = theory.rules
-    store = TagStore()
+    store = {}
     tag(store, Mode.C, RuleRef("mu"), True)
     tag(store, Mode.C, L("f2"), True)
     assert applicable(store, mu, 1)
@@ -76,13 +74,13 @@ def test_chain_applicability_needs_violation_evidence():
 def test_chain_index_rejected_for_non_obligation_rules():
     theory = parse_theory("r: a => C b.")
     with pytest.raises(ValueError):
-        applicable(TagStore(), theory.rules[0], 2)
+        applicable({}, theory.rules[0], 2)
 
 
 def test_discarded_by_refuted_antecedent():
     theory = parse_theory("chi: g => C ~l.")
     (chi,) = theory.rules
-    store = TagStore()
+    store = {}
     tag(store, Mode.C, L("g"), False)
     assert discarded(store, chi)
 
@@ -90,12 +88,12 @@ def test_discarded_by_refuted_antecedent():
 def test_rule_expression_items_wait_for_meta_tags():
     theory = parse_theory("alpha: (gamma: ~f1 => C a) => C b.")
     alpha = theory.rules[0]
-    store = TagStore()
+    store = {}
     tag(store, Mode.C, RuleRef("alpha"), True)
     assert not applicable(store, alpha)
     tag(store, Mode.C, RuleRef("gamma"), True)
     assert applicable(store, alpha)
-    store2 = TagStore()
+    store2 = {}
     tag(store2, Mode.C, RuleRef("alpha"), True)
     tag(store2, Mode.C, RuleRef("gamma"), False)
     assert discarded(store2, alpha)
@@ -103,10 +101,10 @@ def test_rule_expression_items_wait_for_meta_tags():
 
 def test_step_seeds_facts_and_rules():
     theory = load_fixture("example1")
-    store = step(theory, TagStore(), Variant.SIMPLE)
-    assert store.lit[(Mode.C, L("a"))] is True
-    assert store.lit[(Mode.C, L("a", False))] is False
-    assert store.rule[(Mode.C, RuleRef("alpha"))] is True
+    store = step(theory, {}, Variant.SIMPLE)
+    assert store[(Mode.C, L("a"))] is True
+    assert store[(Mode.C, L("a", False))] is False
+    assert store[(Mode.C, RuleRef("alpha"))] is True
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -114,14 +112,12 @@ def test_step_seeds_facts_and_rules():
 def test_step_is_inflationary_and_coherent(seed):
     theory = random_theory(seed, 35)
     for variant in Variant:
-        store = TagStore()
+        store = {}
         for _ in range(60):
             nxt = step(theory, store, variant)
-            for key, value in store.lit.items():
-                assert nxt.lit[key] == value
-            for key, value in store.rule.items():
-                assert nxt.rule[key] == value
-            if nxt.size() == store.size():
+            for key, value in store.items():
+                assert nxt[key] == value
+            if len(nxt) == len(store):
                 break
             store = nxt
         else:
@@ -245,12 +241,12 @@ def test_shared_evaluator_steps_like_a_fresh_one(seed, size):
     theory = random_theory(seed, size)
     for variant in Variant:
         ev = _Evaluator(theory, variant)
-        fresh = shared = TagStore()
+        fresh = shared = {}
         for _ in range(60):
             nxt_fresh = step(theory, fresh, variant)
             nxt_shared = step(theory, shared, variant, ev)
             assert nxt_shared == nxt_fresh
-            if nxt_fresh.size() == fresh.size():
+            if len(nxt_fresh) == len(fresh):
                 break
             fresh, shared = nxt_fresh, nxt_shared
         else:
