@@ -41,7 +41,7 @@ from .engine import (
     diff_variants,
     query,
 )
-from .generate import FAMILIES
+from .generate import FAMILIES, SizeOutOfReach, generate_theory
 from .model import ValidationReport, validate
 from .oracle import DEFAULT_BUDGET, OracleBudgetError, check_equivalence
 from .text import (
@@ -187,17 +187,21 @@ def _sizes(text: str) -> list:
 def cmd_bench(args) -> int:
     families = args.family or list(FAMILIES)
     variants = [Variant(args.variant)] if args.variant_only else list(Variant)
-    try:
-        out = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
-    except OSError as exc:
-        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    with out as handle:
-        try:
-            records = run_benchmarks(families, args.sizes, seed=args.seed, variants=variants)
-        except ValueError as exc:  # a size the family cannot reach
-            print(f"bench: {exc}", file=sys.stderr)
+    if args.out:
+        try:  # opening to append checks that --out can be written and keeps what it holds
+            open(args.out, "a", encoding="utf-8").close()
+        except OSError as exc:
+            print(f"cannot write {args.out}: {exc}", file=sys.stderr)
             return EXIT_PARSE
+    try:  # every size is reachable before a benchmark runs or --out is emptied
+        for family in families:
+            for size in args.sizes:
+                generate_theory(family, size, args.seed)
+    except SizeOutOfReach as exc:
+        print(f"bench: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    records = run_benchmarks(families, args.sizes, seed=args.seed, variants=variants)
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as handle:
         handle.write(to_csv(records))
     return EXIT_OK
 

@@ -14,8 +14,8 @@ Four families:
 All generators are deterministic in (family, size target, seed), produce
 theories that validate without errors, and land within ten percent of the
 requested size metric (literal occurrences + rule occurrences + 2 per
-superiority pair); ``generate_theory`` raises ``ValueError`` for a size
-its family cannot reach that closely, as for an unknown family.
+superiority pair); ``generate_theory`` raises ``SizeOutOfReach``, a
+``ValueError``, for a size its family cannot reach that closely.
 """
 
 from __future__ import annotations
@@ -42,6 +42,10 @@ from .model import (
 FAMILIES = ("chain", "team", "meta-chain", "random")
 
 
+class SizeOutOfReach(ValueError):
+    """A size target that a family's generator cannot reach within 10 %."""
+
+
 def generate_theory(family: str, size: int, seed: int = 0) -> Theory:
     if family == "chain":
         theory = _chain(size)
@@ -59,7 +63,7 @@ def generate_theory(family: str, size: int, seed: int = 0) -> Theory:
     if size > 0:
         achieved = theory_size(theory)
         if not 0.9 * size <= achieved <= 1.1 * size:
-            raise ValueError(f"{family}: size {size} is out of reach, made {achieved}")
+            raise SizeOutOfReach(f"{family}: size {size} is out of reach, made {achieved}")
     return theory
 
 

@@ -18,6 +18,7 @@ from ddmr.conflicts import Variant
 from ddmr.engine import compute_extension
 from ddmr.generate import (
     FAMILIES,
+    SizeOutOfReach,
     _closes_cycle,
     _RandomBuilder,
     generate_theory,
@@ -137,7 +138,7 @@ def test_unknown_family_rejected():
     "family, size", [("team", 45), ("chain", 3), ("meta-chain", 9), ("random", 3)]
 )
 def test_a_size_out_of_reach_is_a_value_error(family, size):
-    with pytest.raises(ValueError, match=f"{family}: size {size} is out of reach"):
+    with pytest.raises(SizeOutOfReach, match=f"{family}: size {size} is out of reach"):
         generate_theory(family, size, 0)
 
 
@@ -457,6 +458,39 @@ def test_cli_bench_size_out_of_reach_exits_2(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == ["bench: team: size 45 is out of reach, made 50"]
+
+
+def test_cli_bench_size_out_of_reach_keeps_out_and_runs_nothing(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("benchmarks ran for a size out of reach")
+
+    monkeypatch.setattr("ddmr.cli.run_benchmarks", never)
+    out = tmp_path / "x.csv"
+    out.write_text("family,size\nkept\n")
+    argv = ("bench", "--family", "team", "--sizes", "30,45", "--out", str(out))
+    assert _exit_code(*argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "bench: team: size 45 is out of reach, made 50"
+    ]
+    assert out.read_text() == "family,size\nkept\n"
+
+
+def test_cli_bench_out_is_replaced_not_appended_to(tmp_path):
+    out = tmp_path / "x.csv"
+    out.write_text("old\n" * 10)
+    assert _exit_code("bench", "--family", "chain", "--sizes", "30", "--out", str(out)) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0].startswith("family,size") and len(lines) == 3
+
+
+@pytest.mark.parametrize("target", ["ddmr.bench.compute_extension", "ddmr.generate._team"])
+def test_cli_bench_value_error_of_a_defect_is_internal(target, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("invalid theory")
+
+    monkeypatch.setattr(target, broken)
+    assert _exit_code("bench", "--family", "team", "--sizes", "30") == EXIT_INTERNAL
+    assert capsys.readouterr().err.splitlines() == ["internal error: ValueError: invalid theory"]
 
 
 @pytest.fixture(scope="module")

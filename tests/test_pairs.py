@@ -49,16 +49,17 @@ def test_a_loss_beyond_the_bound_is_reported(pairs):
 
 
 def test_pairs_alternate_and_write_a_bench_file(pairs, monkeypatch, tmp_path):
-    order = []
+    order, seconds_of_a_run = [], pairs.load_benchmark()["run_seconds"]
 
     def fake_run(root, command, workload, seed, seconds):
         order.append((workload, root))
+        assert seconds == seconds_of_a_run
         p50 = {"value": 1.0 if root == "/p" else 0.5, "unit": "ms"}
         return {"correct": True, "attempted": 1, "failed": 0, "metrics": {"latency_p50_ms": p50}}
 
     monkeypatch.setattr(pairs, "run_once", fake_run)
     out = tmp_path / "BENCH.json"
-    argv = ["/p", "/c", "--seed", "5", "--pairs", "3", "--seconds", "1", "--out", str(out)]
+    argv = ["/p", "/c", "--seed", "5", "--pairs", "3", "--out", str(out)]
     assert pairs.main(argv) == 0
     assert [root for workload, root in order if workload == "deep"] == [
         "/p", "/c", "/c", "/p", "/p", "/c"
@@ -68,5 +69,5 @@ def test_pairs_alternate_and_write_a_bench_file(pairs, monkeypatch, tmp_path):
     assert len(record["runs"]) == 3 * 2 * len(pairs.load_benchmark()["workloads"])
     assert record["runs"][1] == {
         "side": "change", "pair": 1, "workload": "deep", "seed": 5, "trace": 0,
-        "result": fake_run("/c", None, None, None, None),
+        "result": fake_run("/c", None, None, None, seconds_of_a_run),
     }

@@ -4,9 +4,9 @@
     python tools/pairs.py --summarize BENCH_<n>.json
 
 The first form runs ``perfbench/run.py`` (the ``command`` of
-``BENCHMARK.json``) once per side and pair, each in a process of its own
-with that root as the working directory, untraced, for every workload of
-``BENCHMARK.json``: the parent first in odd pairs, the change first in
+``BENCHMARK.json``) for its ``run_seconds`` once per side and pair, each
+in a process of its own with that root as the working directory, untraced,
+for every workload of ``BENCHMARK.json``: the parent first in odd pairs, the change first in
 even ones.  It writes every run to ``--out`` as ``change``, ``command``,
 ``machine``, ``protocol`` and ``runs``, the shape of the committed
 ``BENCH_*.json`` files, then prints the summary.  The second form prints
@@ -49,9 +49,9 @@ def run_once(root: str, command: list, workload: str, seed: int, seconds: float)
     return json.loads(lines[-1])
 
 
-def run_pairs(parent: str, change: str, seed: int, pairs: int, seconds: float, bench: dict):
+def run_pairs(parent: str, change: str, seed: int, pairs: int, bench: dict):
     """Every run, as the ``runs`` entries of a BENCH file."""
-    command = bench["command"]
+    command, seconds = bench["command"], bench["run_seconds"]
     runs = []
     for workload in (w["name"] for w in bench["workloads"]):
         for pair in range(1, pairs + 1):
@@ -127,7 +127,6 @@ def main(argv=None) -> int:
     parser.add_argument("change", nargs="?")
     parser.add_argument("--seed", type=int)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, help="per run (default: BENCHMARK.json)")
     parser.add_argument("--out", help="the BENCH file to write")
     parser.add_argument("--note", default="", help="the file's change text")
     parser.add_argument("--summarize", metavar="FILE", help="summarize a BENCH file and exit")
@@ -139,15 +138,13 @@ def main(argv=None) -> int:
         return 0
     if not (args.parent and args.change and args.seed is not None and args.out):
         parser.error("PARENT, CHANGE, --seed and --out are required unless --summarize")
-    seconds = args.seconds or bench["run_seconds"]
     runs = run_pairs(
-        os.path.abspath(args.parent), os.path.abspath(args.change),
-        args.seed, args.pairs, seconds, bench,
+        os.path.abspath(args.parent), os.path.abspath(args.change), args.seed, args.pairs, bench
     )
     record = {
         "change": args.note,
         "command": " ".join(bench["command"])
-        + f" --workload WORKLOAD --seed {args.seed} --seconds {seconds:g} --trace 0",
+        + f" --workload WORKLOAD --seed {args.seed} --seconds {bench['run_seconds']:g} --trace 0",
         "machine": f"{platform.system()}, {os.cpu_count()} CPUs, "
         f"Python {platform.python_version()}",
         "protocol": "parent and change run alternately, one process each, from separate "
