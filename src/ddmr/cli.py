@@ -18,6 +18,9 @@ A file with parse errors prints the first ``MAX_PARSE_ERRORS`` (20) of
 them, each as ``PATH:LINE:COLUMN: message`` and its source line, then, if
 there are more, one ``PATH: N more errors`` line.
 
+``bench`` runs each reading named by a ``--variant`` (the option may be
+repeated), and both readings when none is named.
+
 The oracle size cap defaults to 200 and can be overridden through the
 DDMR_ORACLE_BUDGET environment variable.  Under --oracle, a theory above
 the cap prints one ``oracle: ...`` line on stderr and exits 1.
@@ -186,7 +189,7 @@ def _sizes(text: str) -> list:
 
 def cmd_bench(args) -> int:
     families = args.family or list(FAMILIES)
-    variants = [Variant(args.variant)] if args.variant_only else list(Variant)
+    variants = [Variant(v) for v in dict.fromkeys(args.variant or ())]  # none: both
     if args.out:
         try:  # opening to append checks that --out can be written and keeps what it holds
             open(args.out, "a", encoding="utf-8").close()
@@ -252,13 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument(
         "--variant",
+        action="append",
         choices=[v.value for v in Variant],
-        default=Variant.CAUTIOUS.value,
-    )
-    p_bench.add_argument(
-        "--variant-only",
-        action="store_true",
-        help="bench only --variant instead of both",
+        help="conflict reading to bench, repeatable (default: both)",
     )
     p_bench.add_argument("--out", help="write CSV here instead of stdout")
     p_bench.set_defaults(func=cmd_bench)

@@ -24,16 +24,17 @@ unless the attacker is superior to it.  ``model.ATTACK_MODES``,
 ``model.DEFEND_MODES`` and ``conflicts.RULE_ATTACK_MODES`` say which modes
 attack and defend.
 
-Every decision simplifies the theory in place: proved items vanish from
-antecedents, and rules whose antecedents turned false are deleted together
-with their entries in all indexes.  Each antecedent item is filed under
-the (mode, subject) whose decision settles it, with the sign that
-satisfies it (``model.item_condition``), so a decision finds the items it
-settles in one lookup.  An obligation chain hands over to its reparation
-when the earlier elements are in force and violated (``model.violation``);
-those verdicts are read from ``tag`` itself.  A decision that takes an
-element out of force, or complies with it, removes the chain's later
-positions from the indexes.
+A rule's conditions are one list, ``model.conditions``: the rule held and
+each antecedent item from chain position 1, and each chain element in
+force and violated from the position after it.  ``prepare`` files every
+condition under the subject whose decision settles it, with the sign that
+meets it, so a decision finds the conditions it settles in one lookup, and
+counts per rule and position the conditions not yet met.  A condition met
+is counted off at every position from its first on; a refuted one
+discards the rule from its first position on, and those positions leave
+the support index.  A rule is applicable at a position once its count
+there is 0.  The subjects that consulted a rule are examined again only
+when its applicability or discarding moves.
 
 A subject that no defeasible rule supports is decided without the proof
 conditions.  Proving needs an applicable defeasible supporter, and
@@ -96,10 +97,9 @@ from .model import (
     ValidationReport,
     atoms,
     concluded_labels,
+    conditions,
     herbrand_base,  # noqa: F401 -- not called here; perfbench/spans.py wraps this name
-    item_condition,
     validate,
-    violation,
 )
 
 # A mode's offset in a subject id.
@@ -136,20 +136,18 @@ class EngineState:
     """Mutable run state over the compiled theory.
 
     ``supports[s]`` holds (rule, position) pairs for the rules that can
-    still conclude subject ``s``; entries disappear when a rule dies or its
-    chain is blocked before the position.  ``tag[s]`` is the decision on
-    subject ``s``: 0 undecided, 1 proved, 2 refuted.  ``chains[r]`` lists,
-    for each chain element of rule ``r`` but the last, its O subject id,
-    the id of the subject that violates it and the tag that does; chain
-    verdicts are read from ``tag`` through these, and the rule is held when
-    ``tag[n_lit_ids + 6 * r]`` is 1.  ``lit_tags`` and
-    ``rule_tags`` (decided literal and rule subject ids to their sign) and
-    ``mhb`` (the undecided ids) are views computed from ``tag`` on each
-    read; the run itself never builds them.  ``dead`` holds the ids of
-    deleted rules.
-    ``live_ants[r]`` counts the rule's antecedent items not yet satisfied:
-    in a valid theory the items of one rule have distinct conditions and
-    every subject is decided once, so no item is counted off twice.
+    still conclude subject ``s``; an entry disappears when its rule is
+    discarded at its position.  ``tag[s]`` is the decision on subject
+    ``s``: 0 undecided, 1 proved, 2 refuted.  ``watch[s]`` lists (rule,
+    first position, sign meeting it) for each condition that deciding ``s``
+    settles.  ``live[r][p]`` counts the conditions of rule ``r`` at
+    position ``p + 1`` not yet met; every subject is decided once, so no
+    condition is counted off twice.  ``cut[r]`` is the first position at
+    which the rule is discarded, one past its chain while it is not, and
+    ``dead`` holds the rules cut at 1.  ``lit_tags`` and ``rule_tags``
+    (decided literal and rule subject ids to their sign) and ``mhb`` (the
+    undecided ids) are views computed from ``tag`` on each read; the run
+    itself never builds them.
     """
 
     def __init__(self, theory: Theory, variant: Variant, order_seed: int = None):
@@ -159,7 +157,7 @@ class EngineState:
         self.iterations = 0
         self.tag = bytearray()
         self.dirty: set = set()
-        self.watch: dict = {}  # subject id -> [(rule, satisfying sign)]
+        self.watch: dict = {}  # subject id -> [(rule, first position, satisfying sign)]
         self.dead: set = set()
         self.supports: dict = {}
         self.deps: dict = {}  # rule -> subject ids that consulted it
@@ -171,11 +169,12 @@ class EngineState:
         """Compile the theory to ids (see the module docstring) and seed the run.
 
         Per rule id: its mode offset, whether it is defeasible, the subject
-        ids its chain concludes, its rule-expression positions, the rules
-        it concludes and, under the cautious variant, the rules it clashes
-        with as a whole rule; per reference id, under the simple variant,
-        its attackers and the conclusions sharing its content; and the
-        superiority pairs as pairs of rule ids.
+        ids its chain concludes, its rule-expression positions, its unmet
+        conditions per position, the rules it concludes and, under the
+        cautious variant, the rules it clashes with as a whole rule; per
+        reference id, under the simple variant, its attackers and the
+        conclusions sharing its content; and the superiority pairs as pairs
+        of rule ids.
         """
         t = self.theory
         by_label = t.rules_by_label()
@@ -201,22 +200,16 @@ class EngineState:
         ]
         self.concluded = [[rid[u] for u in concluded_labels(rule)] for rule in rules]
         self.sup = {(rid[a], rid[b]) for a, b in t.superiority if a in rid and b in rid}
-        self.chains = [
-            [
-                (o, self.subject_id(mode, subject), _PROVED if sign else _REFUTED)
-                for o, (mode, subject, sign) in zip(
-                    self.concludes[r], map(violation, rule.consequent[:-1])
-                )
-            ]
-            if len(rule.consequent) > 1
-            else ()
-            for r, rule in enumerate(rules)
-        ]
-        self.live_ants = [len(rule.antecedent) for rule in rules]
+        self.live = []
         for r, rule in enumerate(rules):
-            for item in rule.antecedent:
-                mode, subject, positive = item_condition(item)
-                self.watch.setdefault(self.subject_id(mode, subject), []).append((r, positive))
+            live = [0] * len(rule.consequent)
+            for first, mode, subject, sign in conditions(rule):
+                live[first - 1] += 1
+                self.watch.setdefault(self.subject_id(mode, subject), []).append((r, first, sign))
+            for p in range(1, len(live)):  # a position has its own and earlier conditions
+                live[p] += live[p - 1]
+            self.live.append(live)
+        self.cut = [len(live) + 1 for live in self.live]
 
         refs = range(len(producers))  # reference ids
         if self.variant is Variant.SIMPLE:
@@ -346,30 +339,12 @@ class EngineState:
     # ------------------------------------------------------------ rule state
 
     def _applicable(self, r: int, pos: int) -> bool:
-        """Held, every antecedent item satisfied, and each chain element
-        before ``pos`` in force and violated.  A deleted rule fails the
-        first two: its held subject is refuted or an item was never
-        counted off."""
-        tag = self.tag
-        if tag[self.n_lit_ids + 6 * r] != _PROVED or self.live_ants[r]:
-            return False
-        if pos > 1:
-            for o, v, violated in self.chains[r][: pos - 1]:
-                if tag[o] != _PROVED or tag[v] != violated:
-                    return False
-        return True
+        """Every condition of the rule at ``pos`` holds."""
+        return not self.live[r][pos - 1]
 
     def _not_discarded(self, r: int, pos: int) -> bool:
-        """Not deleted, and no chain element before ``pos`` out of force or
-        complied with."""
-        if r in self.dead:
-            return False
-        if pos > 1:
-            tag = self.tag
-            for o, v, violated in self.chains[r][: pos - 1]:
-                if tag[o] == _REFUTED or tag[v] not in (_UNDECIDED, violated):
-                    return False
-        return True
+        """No condition of the rule at ``pos`` is refuted."""
+        return pos < self.cut[r]
 
     def _stronger(self, a: int, b: int) -> bool:
         return (a, b) in self.sup
@@ -517,68 +492,38 @@ class EngineState:
     # ------------------------------------------------------------ mutation
 
     def _apply(self, s: int, positive: bool) -> None:
-        """Record a decision, settle the antecedent items it decides, and
-        move the obligation chains it decides an element of: whether the
-        obligation is in force, or whether it is violated.  A rule element
-        is violated by being refuted from the rule system, a literal
-        element by its complement holding.
+        """Record a decision and settle the rule conditions it decides.  A
+        condition met is counted off at every position from its first on; a
+        refuted one discards the rule from its first position on and takes
+        those positions out of ``supports``.  Only a rule whose
+        applicability or discarding moved is marked.
         """
         if self.tag[s]:
             mode, subject = self.pair(s)
             raise IncoherenceError(f"double decision on {mode} {subject}")
         self.tag[s] = _PROVED if positive else _REFUTED
-        mode = s % 3
-        literal = s < self.n_lit_ids
-        if mode == O:
+        if s % 3 == O:
             self.dirty.add(s + 1)
-
-        for r, satisfied_by in self.watch.get(s, ()):
-            if satisfied_by != positive:
-                self._kill(r)
-            else:
-                self.live_ants[r] -= 1
-                if not self.live_ants[r]:
+        for r, first, sign in self.watch.get(s, ()):
+            if sign == positive:
+                live = self.live[r]
+                for p in range(first - 1, len(live)):
+                    live[p] -= 1
+                if not live[first - 1]:  # no count falls below an earlier one
                     self._mark_rule(r)
-
-        k = s // 3 - self.n_lits
-        if not literal and mode == C and not k & 1:
-            if positive:
-                self._mark_rule(k >> 1)
-            else:
-                self._kill(k >> 1)
-
-        if mode == O:
-            self._move_chains(s, positive)
-        elif mode == C and literal:
-            self._move_chains(complement_id(s) + O, positive)
-        elif mode == C:
-            self._move_chains(s + O, not positive)
+            elif first < self.cut[r]:
+                cut, self.cut[r] = self.cut[r], first
+                if first == 1:
+                    self.dead.add(r)
+                chain = self.concludes[r]
+                for pos in range(first, cut):
+                    entries = self.supports.get(chain[pos - 1], ())
+                    if (r, pos) in entries:
+                        entries.remove((r, pos))
+                self._mark_rule(r)
 
     def _mark_rule(self, r: int) -> None:
         self.dirty.update(self.deps.pop(r, ()))
-
-    def _kill(self, r: int) -> None:
-        if r in self.dead:
-            return
-        self.dead.add(r)
-        self._block_after(r, 0)
-
-    def _move_chains(self, s: int, kept: bool) -> None:
-        """Mark each rule still concluding the O subject ``s``; unless the
-        decision keeps its chain going, block the positions after ``s``'s."""
-        for r, pos in tuple(self.supports.get(s, ())):
-            if kept:
-                self._mark_rule(r)
-            else:
-                self._block_after(r, pos)
-
-    def _block_after(self, r: int, pos: int) -> None:
-        chain = self.concludes[r]
-        for k in range(pos, len(chain)):
-            entries = self.supports.get(chain[k], ())
-            if (r, k + 1) in entries:
-                entries.remove((r, k + 1))
-        self._mark_rule(r)
 
 
 def run_engine(

@@ -344,13 +344,9 @@ def random_theory(seed: int, size: int, acyclic: bool = False) -> Theory:
     """A seeded random theory near the requested size.
 
     With ``acyclic`` the superiority relation is kept acyclic and so is the
-    extended relation induced through concluded rules.
+    extended relation induced through concluded rules.  ``generate_theory``
+    validates what it returns; this does not.
     """
     if size <= 0:
         return Theory.build()
-    rng = random.Random(seed)
-    theory = _RandomBuilder(rng, size, acyclic).build()
-    report = validate(theory)
-    if report.errors:
-        raise AssertionError(f"random generator produced errors: {report.errors}")
-    return theory
+    return _RandomBuilder(random.Random(seed), size, acyclic).build()

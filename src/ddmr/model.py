@@ -16,9 +16,11 @@ inside another rule.
 This module holds the immutable data types plus the structural helpers the
 rest of the package is built on: complements, label-insensitive content
 comparison (``Rule.content``: the frozen classes compare class, then
-fields, so a rule's fields bar its label are its content), Herbrand bases,
-the size metric, the extended superiority relation and theory validation.
-Everything here is pure; values can be shared freely between threads.
+fields, so a rule's fields bar its label are its content), the conditions
+of applying a rule at each chain position (``conditions``, the one list
+the engine and the oracle both read), Herbrand bases, the size metric, the
+extended superiority relation and theory validation.  Everything here is
+pure; values can be shared freely between threads.
 
 The frozen value classes (``Literal``, ``ModalLiteral``, ``RuleExpression``,
 ``DeonticRuleExpression``, ``Rule``, ``Theory``, ``RuleRef`` and
@@ -229,25 +231,31 @@ class Rule:
         return f"{lead} {self.arrow} {self.mode} {head}"
 
 
-def item_condition(item) -> tuple:
-    """The (mode, subject, sign) an antecedent item waits for: the item holds
-    once the subject is decided under the mode with the sign (True for +),
-    and fails on the other sign."""
-    if isinstance(item, Literal):
-        return Mode.C, item, True
-    if isinstance(item, ModalLiteral):
-        return item.mode, item.inner, not item.negated
-    if isinstance(item, RuleExpression):
-        return Mode.C, item.ref, True
-    return item.mode, item.expr.ref, not item.negated
-
-
-def violation(elem) -> tuple:
-    """The (mode, subject, sign) that violates a chain element: a literal's
-    complement holding, or the rule refuted."""
-    if isinstance(elem, Literal):
-        return Mode.C, elem.complement(), True
-    return Mode.C, elem.ref, False
+def conditions(rule: Rule) -> list:
+    """Each condition of applying ``rule``, once, as (first position, mode,
+    subject, sign): met once the subject is decided under the mode with the
+    sign (True for +), refuted by the other sign.  From position 1: the
+    rule constitutively held, and each antecedent item.  From position
+    j + 1: chain element j in force (obligatory) and violated, a literal by
+    its complement holding and a rule by being refuted.  The rule is
+    applicable at a position when every condition from that position or
+    before is met, and discarded there when one of them is refuted."""
+    out = [(1, Mode.C, RuleRef(rule.label, True), True)]
+    for item in rule.antecedent:
+        if isinstance(item, Literal):
+            out.append((1, Mode.C, item, True))
+        elif isinstance(item, ModalLiteral):
+            out.append((1, item.mode, item.inner, not item.negated))
+        elif isinstance(item, RuleExpression):
+            out.append((1, Mode.C, item.ref, True))
+        else:
+            out.append((1, item.mode, item.expr.ref, not item.negated))
+    for first, elem in enumerate(rule.consequent[:-1], start=2):
+        if isinstance(elem, Literal):
+            out += [(first, Mode.O, elem, True), (first, Mode.C, elem.complement(), True)]
+        else:
+            out += [(first, Mode.O, elem.ref, True), (first, Mode.C, elem.ref, False)]
+    return out
 
 
 def complement(x):
@@ -262,11 +270,19 @@ def content_equal(a: Rule, b: Rule) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class Theory:
-    """Facts, rules and a superiority relation over rule labels."""
+    """Facts, rules and a superiority relation over rule labels.
+
+    A theory takes only ``Rule`` objects as rules; its facts and labels
+    are checked by ``validate``."""
 
     facts: frozenset
     rules: tuple
     superiority: frozenset = frozenset()
+
+    def __post_init__(self) -> None:
+        for rule in self.rules:
+            if not isinstance(rule, Rule):
+                raise ValueError(f"theories take rules, not {rule!r}")
 
     @staticmethod
     def build(facts=(), rules=(), superiority=()) -> "Theory":
@@ -586,7 +602,7 @@ def validate(t: Theory) -> ValidationReport:
         for lab in (a, b):
             if lab not in seen:
                 report.errors.append(f"superiority names unknown rule label {lab}")
-    facts = set(t.facts)
+    facts = {fact for fact in t.facts if isinstance(fact, Literal)}
     clashing = sorted(str(f) for f in facts if f.complement() in facts and f.positive)
     if clashing:
         report.warnings.append("contradictory facts: " + ", ".join(clashing))

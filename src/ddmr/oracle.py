@@ -8,10 +8,10 @@ satisfies; saturating to a fixpoint yields the extension.  Tags never
 derived stay undetermined.
 
 A rule at a chain position is applicable when every one of its
-conditions holds and discarded when one is refuted.  The conditions are
-one list: the rule held, each antecedent item (``model.item_condition``),
-and each earlier chain element obligatory and violated
-(``model.violation``).
+conditions holds and discarded when one is refuted.  ``model.conditions``
+lists them once, each with the first position it applies to: the rule
+held and each antecedent item from position 1, each chain element
+obligatory and violated from the position after it.
 
 One condition decides every subject.  Its supporters form teams, each
 team faces attackers, and each attacker faces defenders that may beat it.
@@ -59,10 +59,9 @@ from .model import (
     RuleExpression,
     RuleRef,
     Theory,
+    conditions,
     herbrand_base,
-    item_condition,
     theory_size,
-    violation,
 )
 
 DEFAULT_BUDGET = 200
@@ -81,17 +80,11 @@ def _subject(x):
 
 def _conditions(rule: Rule, index: int) -> list:
     """What applying ``rule`` at chain position ``index`` takes, as (mode,
-    subject, sign) triples: the rule constitutively held, every antecedent
-    item established, and each chain element before the index in force and
-    violated."""
+    subject, sign) triples: the conditions of ``model.conditions`` whose
+    first position is at most the index."""
     if index > 1 and rule.mode is not Mode.O:
         raise ValueError("chain index on a non-obligation rule")
-    conditions = [(Mode.C, RuleRef(rule.label, True), True)]
-    conditions += map(item_condition, rule.antecedent)
-    for elem in rule.consequent[: index - 1]:
-        conditions.append((Mode.O, _subject(elem), True))
-        conditions.append(violation(elem))
-    return conditions
+    return [condition[1:] for condition in conditions(rule) if condition[0] <= index]
 
 
 def applicable(store: dict, rule: Rule, index: int = 1) -> bool:

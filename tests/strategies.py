@@ -128,6 +128,63 @@ def loose_theories(draw) -> Theory:
     return Theory.build(facts, rules, sup)
 
 
+# True one time in eight.
+rarely = st.sampled_from([True] + [False] * 7)
+
+
+_ITEM_KINDS = (Literal, ModalLiteral, RuleExpression, DeonticRuleExpression, Rule)
+
+
+@st.composite
+def model_items(draw, names, depth: int = 5, kinds=_ITEM_KINDS):
+    """An object of one of ``kinds`` whose slots hold model items again,
+    ``depth`` constructor levels at most (so rules nest two deep under a
+    rule).  A slot holds a type it accepts or, as often, any type; a part
+    that its constructor rejects becomes a literal."""
+
+    def part(*accepted):
+        return draw(
+            st.one_of(
+                model_items(names, depth - 1, accepted), model_items(names, depth - 1)
+            )
+        )
+
+    literal = st.builds(Literal, names, st.booleans())
+    kind = draw(st.sampled_from(kinds)) if depth else Literal
+    modes = st.sampled_from(list(Mode))
+    try:
+        if kind is Literal:
+            return draw(literal)
+        if kind is Rule:
+            mode, arrow = draw(modes), draw(st.sampled_from(list(Arrow)))
+            chained = mode is Mode.O and arrow is Arrow.DEFEASIBLE
+            # a length the rule accepts, or rarely any
+            length = st.integers(0, 3) if draw(rarely) else st.integers(1, 3 if chained else 1)
+            items = frozenset(part(*_ITEM_KINDS[:4]) for _ in range(draw(st.integers(0, 2))))
+            chain = tuple(part(Literal, RuleExpression) for _ in range(draw(length)))
+            return Rule(draw(names), items, arrow, mode, chain)
+        if kind is RuleExpression:
+            return RuleExpression(part(Rule), draw(st.booleans()))
+        inner = part(Literal) if kind is ModalLiteral else part(RuleExpression)
+        return kind(draw(modes), inner, draw(st.booleans()))
+    except ValueError:
+        return draw(literal)
+
+
+@st.composite
+def model_theories(draw) -> Theory:
+    """Theories built from ``model_items``: facts of any item type, the rules
+    that their constructor accepted (a theory takes only rules), and
+    superiority pairs over the rules' labels and unknown ones."""
+    names = draw(st.sampled_from([word_names, st.one_of(word_names, loose_names)]))
+    rules = draw(st.lists(model_items(names, kinds=(Rule,)), max_size=4))
+    rules = [r for r in rules if isinstance(r, Rule)]
+    labels = st.sampled_from([r.label for r in rules] + [draw(names)])
+    sup = draw(st.lists(st.tuples(labels, labels), max_size=3))
+    fact = st.one_of(st.builds(Literal, names, st.booleans()), model_items(names))
+    return Theory.build(draw(st.lists(fact, max_size=3)), rules, sup)
+
+
 # Junk argument values.  A process's argv and environment never hold a NUL
 # or a surrogate (but for one standing in for a byte that is not UTF-8,
 # as in a path the CLI tests pass), so these do not.
@@ -135,10 +192,6 @@ junk = st.one_of(
     st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=6),
     st.sampled_from(["--help", "--nope", "-x", "-5", "--oracle", "1e3", "é"]),
 )
-
-
-# True one time in eight.
-rarely = st.sampled_from([True] + [False] * 7)
 
 
 COMMANDS = ("extension", "query", "validate", "diff", "bench")
@@ -176,7 +229,7 @@ def cli_argvs(draw, command, paths, outs) -> list:
             ["--family", value(FAMILIES)],
             ["--seed", value([str(draw(st.integers(-(2**70), 2**70)))])],
             variant,
-            ["--variant-only"],
+            ["--variant", value(["simple", "cautious"])],
             ["--out", value(outs)],
         ],
     }.get(command, [])

@@ -18,6 +18,7 @@ from ddmr.engine import (
     run_engine,
 )
 from ddmr.generate import random_theory
+from ddmr.oracle import applicable, discarded
 from ddmr.model import (
     Literal,
     ModalLiteral,
@@ -398,6 +399,37 @@ def test_unsupported_subjects_are_decided_as_by_the_proof_conditions():
             full.run()
             assert fast.log == full.log, (name, variant)
             assert fast.iterations == full.iterations, (name, variant)
+
+
+class _Checked(EngineState):
+    """After each decision, compares every rule at every chain position with
+    the oracle's reading of the same decisions."""
+
+    def prepare(self) -> None:
+        super().prepare()
+        self.store = {}  # the decisions as the oracle's tag store
+        self.rules = [self.theory.rules_by_label()[label] for label in self.labels]
+
+    def _apply(self, s: int, positive: bool) -> None:
+        super()._apply(s, positive)
+        self.store[self.pair(s)] = positive
+        for r, rule in enumerate(self.rules):
+            for pos in range(1, len(rule.consequent) + 1):
+                where = (self.pair(s), rule.label, pos)
+                assert self._applicable(r, pos) == applicable(self.store, rule, pos), where
+                assert self._not_discarded(r, pos) != discarded(self.store, rule, pos), where
+
+
+def test_rule_state_agrees_with_the_oracle_after_every_decision():
+    theories = [(p.stem, parse_theory(p.read_text())) for p in sorted(FIXTURES.glob("*.ddl"))]
+    theories += [(f"random/{seed}", random_theory(seed, 80)) for seed in range(20)]
+    theories += [(source, parse_theory(source)) for source in (OPEN_AND_COMPLIED, COMPLIED_DEFENDER)]
+    for name, theory in theories:
+        for variant in Variant:
+            state = _Checked(theory, variant)
+            state.prepare()
+            state.run()
+            assert state.store, (name, variant)
 
 
 def _fails(item, ext) -> bool:

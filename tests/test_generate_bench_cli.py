@@ -427,14 +427,18 @@ def test_cli_bench_csv(tmp_path, capsys):
         "2",
         "--variant",
         "cautious",
-        "--variant-only",
         "--out",
         str(out),
     )
     assert code == 0
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("family,size")
-    assert len(lines) == 3
+    assert [line.split(",")[2] for line in lines[1:]] == ["cautious", "cautious"]
+    # without --variant both readings run; a repeated one runs once
+    for argv, variants in (((), {"simple", "cautious"}), (("--variant", "simple") * 2, {"simple"})):
+        assert run_cli("bench", "--family", "chain", "--sizes", "30", *argv, "--out", str(out)) == 0
+        rows = out.read_text().strip().splitlines()[1:]
+        assert sorted(row.split(",")[2] for row in rows) == sorted(variants)
 
 
 def _exit_code(*argv):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddmr.conflicts import simply_conflicts
+from ddmr.conflicts import Variant, simply_conflicts
 from ddmr.generate import generate_theory, random_theory
 from ddmr.model import (
     Arrow,
@@ -27,9 +27,17 @@ from ddmr.model import (
     theory_size,
     validate,
 )
+from ddmr.oracle import DEFAULT_BUDGET, check_equivalence
 from ddmr.text import parse_theory, render_theory
 
-from .strategies import any_rules, literals, loose_theories, modal_literals, rule_expressions
+from .strategies import (
+    any_rules,
+    literals,
+    loose_theories,
+    modal_literals,
+    model_theories,
+    rule_expressions,
+)
 
 from .conftest import FIXTURES, load_fixture
 
@@ -217,6 +225,14 @@ def test_validate_modal_fact_is_an_error():
     bad = Theory.build([ModalLiteral(Mode.O, a)], [])
     report = validate(bad)
     assert any("not a plain literal" in e for e in report.errors)
+    # complementary modal facts are two errors, not contradictory facts
+    report = validate(Theory.build([ModalLiteral(Mode.O, a), ModalLiteral(Mode.O, a, True)], []))
+    assert len(report.errors) == 2 and not report.warnings
+
+
+def test_a_theory_takes_only_rules():
+    with pytest.raises(ValueError, match="theories take rules"):
+        Theory.build([], [a])
 
 
 def test_validate_duplicate_label_with_different_content():
@@ -306,6 +322,16 @@ def test_validate_reports_every_bad_name_and_accepts_words():
 def test_a_theory_that_validates_renders_and_parses_back(theory):
     if validate(theory).ok:
         assert parse_theory(render_theory(theory)) == theory
+
+
+@given(model_theories())
+@settings(max_examples=200, deadline=None)
+def test_validate_returns_on_whatever_the_constructors_accept(theory):
+    if validate(theory).ok:
+        assert parse_theory(render_theory(theory)) == theory
+        if theory_size(theory) <= DEFAULT_BUDGET:
+            for variant in Variant:
+                assert check_equivalence(theory, variant) == {}, variant
 
 
 def test_validate_cyclic_extended_superiority_warns():

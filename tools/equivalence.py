@@ -9,8 +9,10 @@ theories go through ``render_theory`` and ``parse_theory`` as the
 benchmark's ``.ddl`` files do.  Per input and variant it digests the
 engine's decision log (iteration, subject id, sign), ``iterations``, dead
 rules and JSON extension, and for ``oracle-small`` and the fixtures the
-``oracle_extension`` JSON.  Prints every result that differs; exits 1 if
-any does.  Standard library only.
+``oracle_extension`` JSON.  Prints every result that differs with the
+parts that do (log, iterations, dead, json, oracle), then a count per part
+and a count of differing results; exits 1 if any result differs.  Standard
+library only.
 """
 
 import hashlib
@@ -22,6 +24,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 VARIANTS = ("simple", "cautious")
+PARTS = ("log", "iterations", "dead", "json", "oracle")
 
 
 def _digest(*parts) -> str:
@@ -61,10 +64,11 @@ def _digests(root: str) -> dict:
             state.prepare()
             state.run()
             ext = D.text.render_extension(state.extension(), "json")
-            out[f"{key}/{name}"] = _digest(state.log, state.iterations, sorted(state.dead), ext)
+            parts = (state.log, state.iterations, sorted(state.dead), ext)
+            out[f"{key}/{name}"] = dict(zip(PARTS, map(_digest, parts)))
             if oracle:
                 ext = D.oracle.oracle_extension(theory, variant, budget=None)
-                out[f"{key}/{name}/oracle"] = _digest(D.text.render_extension(ext, "json"))
+                out[f"{key}/{name}/oracle"] = {"oracle": _digest(D.text.render_extension(ext, "json"))}
     return out
 
 
@@ -87,8 +91,14 @@ def main(argv) -> int:
         parent, change = pool.map(_run, [os.path.abspath(root) for root in argv])
     names = sorted(parent.keys() | change.keys())
     differ = [name for name in names if parent.get(name) != change.get(name)]
+    counts = dict.fromkeys(PARTS, 0)
     for name in differ:
-        print(f"differs: {name}")
+        old, new = parent.get(name, {}), change.get(name, {})
+        parts = [part for part in PARTS if old.get(part) != new.get(part)]
+        for part in parts:
+            counts[part] += 1
+        print(f"differs: {name} ({', '.join(parts)})")
+    print("differing parts: " + ", ".join(f"{part} {n}" for part, n in counts.items()))
     oracle = sum(name.endswith("/oracle") for name in names)
     engine = len(names) - oracle
     print(f"{len(differ)} of {len(names)} results differ ({engine} engine, {oracle} oracle)")
