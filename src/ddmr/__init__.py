@@ -28,8 +28,6 @@ from .model import (
     Sign,
     TaggedFormula,
     Theory,
-    complement,
-    content_equal,
     extended_superiority,
     herbrand_base,
     modal_herbrand_base,
@@ -70,9 +68,7 @@ __all__ = [
     "Variant",
     "cautiously_conflicts",
     "check_equivalence",
-    "complement",
     "compute_extension",
-    "content_equal",
     "diff_variants",
     "extended_superiority",
     "herbrand_base",

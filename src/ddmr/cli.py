@@ -32,6 +32,7 @@ import argparse
 import os
 import sys
 from contextlib import nullcontext
+from functools import cache
 
 from .bench import run_benchmarks, to_csv
 from .conflicts import Variant
@@ -209,6 +210,7 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+@cache  # built once per process; parse_args leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ddmr",

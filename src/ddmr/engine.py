@@ -36,14 +36,16 @@ the support index.  A rule is applicable at a position once its count
 there is 0.  The subjects that consulted a rule are examined again only
 when its applicability or discarding moves.
 
-A subject that no defeasible rule supports is decided without the proof
-conditions.  Proving needs an applicable defeasible supporter, and
-refuting only asks that every defeasible supporter be beaten, so such a
-C or O subject is refuted at once, and a P subject takes its
-obligation's sign once that is decided (O implies P; a refuted O leaves
-nothing to prove the P).  ``prepare`` fixes the set of supported
-subjects: supports only shrink during the run, so a subject without a
-defeasible supporter never gains one.
+``run`` first settles, in id order, the verdicts that need no evidence:
+the seeded ones (``prepare``'s), and a refutation for each C or O
+subject that no defeasible rule supports and for each unsupported P
+subject whose obligation was refuted that way.  Proving needs an
+applicable defeasible supporter, and refuting only asks that every
+defeasible supporter be beaten, so the proof conditions would refute
+these too; supports only shrink during the run, so an unsupported
+subject never gains a supporter.  An unsupported P whose obligation is
+still open goes through the proof conditions, which wait for the
+obligation (O implies P).
 
 ``prepare`` compiles the theory to integer ids and the fixpoint runs on
 those alone.  Atoms are numbered in sorted order, and so are rule
@@ -60,14 +62,14 @@ with ``m`` 0, 1, 2 for C, O, P, so ids sort exactly as the pairs do:
 literals before rules, then name, positive first, then C/O/P.
 
 The run keeps its decisions in one ``bytearray``, ``tag``, indexed by
-subject id: 0 undecided, 1 proved, 2 refuted.  At the start every id is
-undecided and due for examination, so the first iteration scans the ids
-in order; later iterations examine the sorted undecided ids whose
-evidence moved (``dirty``).  ``extension`` decodes the store once, at
-the end, a set at a time: for each mode it takes that mode's column of
-the store (``tag[m::3]``, one byte per base index), turns it into a 0/1
-mask per sign and picks the subjects out of ``base``, the per-base-index
-literals and rule references ``prepare`` made, with
+subject id: 0 undecided, 1 proved, 2 refuted.  After the settling pass
+every id left undecided is due for examination, so the first iteration
+scans the ids in order; later iterations examine the sorted undecided
+ids whose evidence moved (``dirty``).  ``extension`` decodes the store
+once, at the end, a set at a time: for each mode it takes that mode's
+column of the store (``tag[m::3]``, one byte per base index), turns it
+into a 0/1 mask per sign and picks the subjects out of ``base``, the
+per-base-index literals and rule references ``prepare`` made, with
 ``itertools.compress``.
 
 A subject never decided by the fixpoint is reported as undetermined; loops
@@ -143,11 +145,14 @@ class EngineState:
     settles.  ``live[r][p]`` counts the conditions of rule ``r`` at
     position ``p + 1`` not yet met; every subject is decided once, so no
     condition is counted off twice.  ``cut[r]`` is the first position at
-    which the rule is discarded, one past its chain while it is not, and
-    ``dead`` holds the rules cut at 1.  ``lit_tags`` and ``rule_tags``
-    (decided literal and rule subject ids to their sign) and ``mhb`` (the
-    undecided ids) are views computed from ``tag`` on each read; the run
-    itself never builds them.
+    which the rule is discarded, one past its chain while it is not.
+    ``seeded`` (subject id to its verdict before any evidence) and
+    ``supported`` (the ids with a defeasible supporter) are read only by
+    the settling pass at the start of ``run``.  ``dead`` (the rules cut
+    at 1), ``lit_tags`` and ``rule_tags`` (decided literal and rule
+    subject ids to their sign) and ``mhb`` (the undecided ids) are views
+    computed from ``cut`` or ``tag`` on each read; the run itself never
+    builds them.
     """
 
     def __init__(self, theory: Theory, variant: Variant, order_seed: int = None):
@@ -158,7 +163,6 @@ class EngineState:
         self.tag = bytearray()
         self.dirty: set = set()
         self.watch: dict = {}  # subject id -> [(rule, first position, satisfying sign)]
-        self.dead: set = set()
         self.supports: dict = {}
         self.deps: dict = {}  # rule -> subject ids that consulted it
         self._touched: set = set()
@@ -284,6 +288,11 @@ class EngineState:
         return self._signs(self.n_lit_ids, len(self.tag))
 
     @property
+    def dead(self) -> set:
+        """The rules discarded from chain position 1 on."""
+        return {r for r, first in enumerate(self.cut) if first == 1}
+
+    @property
     def mhb(self) -> set:
         """The undecided subject ids."""
         return set(compress(count(), self.tag.translate(_IS[_UNDECIDED])))
@@ -295,9 +304,16 @@ class EngineState:
     # ------------------------------------------------------------------- run
 
     def run(self) -> None:
-        tag, dirty, seeded, supported = self.tag, self.dirty, self.seeded, self.supported
-        touched = self._touched
-        batch = range(len(tag)) if tag else None  # first: every id, all undecided
+        tag, dirty, touched = self.tag, self.dirty, self._touched
+        seeded, supported = self.seeded, self.supported
+        for s in range(len(tag)):  # the verdicts that need no evidence, in id order
+            verdict = seeded.get(s)
+            if verdict is None and s not in supported and (s % 3 != P or tag[s - 1]):
+                verdict = False  # unsupported; a P once its O is refuted here
+            if verdict is not None:
+                self._apply(s, verdict)
+        dirty.clear()
+        batch = range(len(tag)) if tag else None  # first: every id
         while batch is not None:
             self.iterations += 1
             if self.order_seed is not None:
@@ -305,10 +321,6 @@ class EngineState:
                 random.Random(self.order_seed + self.iterations).shuffle(batch)
             for s in batch:
                 if tag[s]:
-                    continue
-                if s % 3 != P and s not in supported and s not in seeded:
-                    # no defeasible supporter now or later: _decide's answer
-                    self._apply(s, False)
                     continue
                 touched.clear()
                 verdict = self._decide(s)
@@ -352,20 +364,9 @@ class EngineState:
     # -------------------------------------------------------------- decisions
 
     def _decide(self, s: int):
-        verdict = self.seeded.get(s)
-        if verdict is not None:
-            return verdict
         mode = s % 3
         if mode == P and self.tag[s - 1] == _PROVED:
             return True
-        if s not in self.supported:
-            # a P (``run`` refutes C and O) follows its obligation; while
-            # that is open it consults its defeaters as the full conditions
-            # do, so it is re-examined at the same points
-            if self.tag[s - 1]:
-                return False  # the obligation is refuted
-            self._entries(s)
-            return None
         # attackers are consulted (``_touched``) when listed, after a witness
         # is found; simple and cautious defenders as they are walked
         supporters = self._entries(s)
@@ -513,8 +514,6 @@ class EngineState:
                     self._mark_rule(r)
             elif first < self.cut[r]:
                 cut, self.cut[r] = self.cut[r], first
-                if first == 1:
-                    self.dead.add(r)
                 chain = self.concludes[r]
                 for pos in range(first, cut):
                     entries = self.supports.get(chain[pos - 1], ())

@@ -258,16 +258,6 @@ def conditions(rule: Rule) -> list:
     return out
 
 
-def complement(x):
-    """Flip the outermost polarity of a literal, modal literal or rule expression."""
-    return x.complement()
-
-
-def content_equal(a: Rule, b: Rule) -> bool:
-    """Label-insensitive rule equality: same antecedent set, arrow, mode and chain."""
-    return a.content == b.content
-
-
 @dataclass(frozen=True, slots=True)
 class Theory:
     """Facts, rules and a superiority relation over rule labels.

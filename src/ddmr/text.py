@@ -307,21 +307,11 @@ class _Parser:
 
     def item(self):
         toks = self.toks
-        negated = False
-        if toks[self.pos] == "~":
-            if toks[self.pos + 1] == "(":
-                self.pos += 2
-                rule = self.inline_rule()
-                self.expect(")")
-                return RuleExpression(rule, False)
-            self.pos += 1
-            negated = True
+        negated = toks[self.pos] == "~"
+        if toks[self.pos + negated] == "(":
+            return self.rule_expression()
+        self.pos += negated
         tok = toks[self.pos]
-        if tok == "(" and not negated:
-            self.pos += 1
-            rule = self.inline_rule()
-            self.expect(")")
-            return RuleExpression(rule, True)
         if tok == "O" or tok == "P":
             after = toks[self.pos + 1]
             if after == "(":

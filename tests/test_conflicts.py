@@ -23,7 +23,6 @@ from ddmr.model import (
     Rule,
     RuleExpression,
     Theory,
-    content_equal,
 )
 
 from .conftest import FIXTURES, load_fixture
@@ -292,7 +291,7 @@ def _assert_index_matches_pairwise(theory):
         conflicting, _, groups = _compile(theory, variant)
         for la in labels:
             for lb in labels:
-                same = content_equal(by_label[la], by_label[lb])
+                same = by_label[la].content == by_label[lb].content
                 assert (groups[la] == groups[lb]) == same, (la, lb)
                 for pa in (True, False):
                     for pb in (True, False):

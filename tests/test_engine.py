@@ -362,20 +362,26 @@ def test_compile_numbers_the_modal_base_in_order():
 
 
 class _Recording(EngineState):
-    """Logs each decision with the iteration that makes it."""
+    """Logs each decision with the iteration that makes it (0 for the
+    verdicts settled before the fixpoint) and each subject ``_decide`` is
+    asked about."""
 
     def prepare(self) -> None:
         super().prepare()
         self.log = []
+        self.asked = set()
+
+    def _decide(self, s: int):
+        self.asked.add(s)
+        return super()._decide(s)
 
     def _apply(self, s: int, positive: bool) -> None:
         self.log.append((self.iterations, s, positive))
         super()._apply(s, positive)
 
 
-# P b has only a defeater and O b never settles.  The full conditions
-# consult the defeater while P b waits, so its moving in iteration two
-# re-examines P b in a third iteration.
+# P b has only a defeater and O b never settles, so P b is not settled
+# before the fixpoint: it consults the defeater and waits for O b.
 DEFEATER_ONLY = """
 r0: => C c.
 r1: c ~> P b.
@@ -384,21 +390,32 @@ x: d => C d.
 """
 
 
-def test_unsupported_subjects_are_decided_as_by_the_proof_conditions():
+def _settled_runs():
+    """Per theory and variant: the run, its seeded ids and the verdicts
+    settled before the fixpoint."""
     theories = [(p.stem, parse_theory(p.read_text())) for p in sorted(FIXTURES.glob("*.ddl"))]
     theories += [(f"random/{seed}", random_theory(seed, 80)) for seed in range(20)]
     theories.append(("defeater-only", parse_theory(DEFEATER_ONLY)))
     for name, theory in theories:
         for variant in Variant:
-            fast = _Recording(theory, variant)
-            fast.prepare()
-            full = _Recording(theory, variant)
-            full.prepare()
-            full.supported = range(len(full.tag))  # every subject runs the conditions
-            fast.run()
-            full.run()
-            assert fast.log == full.log, (name, variant)
-            assert fast.iterations == full.iterations, (name, variant)
+            state = _Recording(theory, variant)
+            state.prepare()
+            seeded = set(state.seeded)
+            state.run()
+            settled = {s: positive for iteration, s, positive in state.log if not iteration}
+            yield (name, variant), state, seeded, settled
+
+
+def test_seeded_and_settled_subjects_never_reach_decide():
+    for where, state, seeded, settled in _settled_runs():
+        assert state.asked.isdisjoint(seeded | settled.keys()), where
+        assert seeded <= settled.keys(), where
+
+
+def test_settled_subjects_are_refuted_by_the_proof_conditions():
+    for where, state, seeded, settled in _settled_runs():
+        for s in settled.keys() - seeded:
+            assert settled[s] is state._decide(s) is False, (where, state.pair(s))
 
 
 class _Checked(EngineState):

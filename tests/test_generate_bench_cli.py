@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import os
@@ -552,6 +553,24 @@ def test_cli_bench_unwritable_out_exits_2_before_running(tmp_path, capsys, monke
     assert captured.out == ""
     [line] = captured.err.splitlines()
     assert line.startswith(f"cannot write {out}: ")
+
+
+def test_cli_builds_its_parser_once_per_process(monkeypatch, capsys):
+    built = []
+    build = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        build(self, *args, **kwargs)
+
+    path = str(FIXTURES / "example1.ddl")
+    assert run_cli("validate", path) == 0
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert run_cli("validate", path) == 0
+    assert run_cli("extension", path, "--variant", "simple") == 0
+    assert _exit_code("bench", "--sizes", "x") == 2
+    assert built == []
+    capsys.readouterr()
 
 
 def test_console_script_installed():

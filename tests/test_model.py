@@ -18,9 +18,7 @@ from ddmr.model import (
     RuleExpression,
     RuleRef,
     Theory,
-    complement,
     concluded_labels,
-    content_equal,
     extended_superiority,
     herbrand_base,
     modal_herbrand_base,
@@ -50,34 +48,34 @@ a, b, l = Literal("a"), Literal("b"), Literal("l")
 
 
 def test_complement_flips_polarity():
-    assert complement(Literal("p")) == Literal("p", False)
-    assert complement(Literal("p", False)) == Literal("p")
+    assert Literal("p").complement() == Literal("p", False)
+    assert Literal("p", False).complement() == Literal("p")
     inner = rule("alpha", [a], Mode.C, [b])
-    assert complement(RuleExpression(inner, False)) == RuleExpression(inner, True)
+    assert RuleExpression(inner, False).complement() == RuleExpression(inner, True)
 
 
 @given(st.one_of(literals, modal_literals, rule_expressions()))
 def test_complement_is_an_involution(x):
-    assert complement(complement(x)) == x
+    assert x.complement().complement() == x
 
 
 def test_content_equal_ignores_labels_and_antecedent_order():
     r1 = rule("alpha", [a, b], Mode.C, [l])
     r2 = rule("phi", [b, a], Mode.C, [l])
-    assert content_equal(r1, r2)
+    assert r1.content == r2.content
 
 
 def test_content_equal_chain_order_matters():
     c1 = rule("alpha", [a], Mode.O, [b, Literal("c")])
     c2 = rule("beta", [a], Mode.O, [Literal("c"), b])
-    assert not content_equal(c1, c2)
+    assert c1.content != c2.content
 
 
 def test_content_equal_with_modal_antecedents_across_labels():
     items = [a, ModalLiteral(Mode.O, b)]
     r1 = rule("beta", items, Mode.P, [Literal("c")])
     r2 = rule("gamma", items, Mode.P, [Literal("c")])
-    assert content_equal(r1, r2)
+    assert r1.content == r2.content
 
 
 def test_content_equal_keeps_nested_labels():
@@ -85,21 +83,21 @@ def test_content_equal_keeps_nested_labels():
     inner2 = rule("delta", [a], Mode.C, [b])
     m1 = rule("m1", [l], Mode.C, [RuleExpression(inner1, True)])
     m2 = rule("m2", [l], Mode.C, [RuleExpression(inner2, True)])
-    assert content_equal(inner1, inner2)
-    assert not content_equal(m1, m2)
+    assert inner1.content == inner2.content
+    assert m1.content != m2.content
     assert not simply_conflicts(m1, RuleExpression(m2, False))
     relabelled = rule("m3", [l], Mode.C, [RuleExpression(inner1, True)])
-    assert content_equal(m1, relabelled)
+    assert m1.content == relabelled.content
     assert simply_conflicts(m1, RuleExpression(relabelled, False))
 
 
 @given(any_rules, any_rules, any_rules)
 def test_content_equal_is_an_equivalence(x, y, z):
-    assert content_equal(x, x)
-    assert content_equal(x, dataclasses.replace(x, label="fresh"))
-    assert content_equal(x, y) == content_equal(y, x)
-    if content_equal(x, y) and content_equal(y, z):
-        assert content_equal(x, z)
+    assert x.content == x.content
+    assert x.content == dataclasses.replace(x, label="fresh").content
+    assert (x.content == y.content) == (y.content == x.content)
+    if x.content == y.content and y.content == z.content:
+        assert x.content == z.content
 
 
 def test_herbrand_base_empty_theory():

@@ -11,8 +11,9 @@ engine's decision log (iteration, subject id, sign), ``iterations``, dead
 rules and JSON extension, and for ``oracle-small`` and the fixtures the
 ``oracle_extension`` JSON.  Prints every result that differs with the
 parts that do (log, iterations, dead, json, oracle), then a count per part
-and a count of differing results; exits 1 if any result differs.  Standard
-library only.
+and a count of differing results; exits 1 if any result differs.  Last it
+prints each side's total ``iterations`` and ``_decide`` calls over the
+engine results, which are not compared.  Standard library only.
 """
 
 import hashlib
@@ -25,6 +26,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 VARIANTS = ("simple", "cautious")
 PARTS = ("log", "iterations", "dead", "json", "oracle")
+TOTALS = ("iterations", "_decide calls")
 
 
 def _digest(*parts) -> str:
@@ -51,25 +53,31 @@ def _digests(root: str) -> dict:
     D = inputs.load_ddmr(root)
 
     class Recording(D.engine.EngineState):
+        def _decide(self, s: int):
+            self.decided += 1
+            return super()._decide(s)
+
         def _apply(self, s: int, positive: bool) -> None:
             self.log.append((self.iterations, s, positive))
             super()._apply(s, positive)
 
-    out = {}
+    out, totals = {}, dict.fromkeys(TOTALS, 0)
     for key, theory, oracle in _inputs(root, inputs, D):
         for name in VARIANTS:
             variant = D.conflicts.Variant(name)
             state = Recording(theory, variant)
-            state.log = []
+            state.log, state.decided = [], 0
             state.prepare()
             state.run()
             ext = D.text.render_extension(state.extension(), "json")
             parts = (state.log, state.iterations, sorted(state.dead), ext)
             out[f"{key}/{name}"] = dict(zip(PARTS, map(_digest, parts)))
+            totals["iterations"] += state.iterations
+            totals["_decide calls"] += state.decided
             if oracle:
                 ext = D.oracle.oracle_extension(theory, variant, budget=None)
                 out[f"{key}/{name}/oracle"] = {"oracle": _digest(D.text.render_extension(ext, "json"))}
-    return out
+    return {"results": out, "totals": totals}
 
 
 def _run(root: str) -> dict:
@@ -88,7 +96,8 @@ def main(argv) -> int:
         print(__doc__, file=sys.stderr)
         return 2
     with ThreadPoolExecutor(2) as pool:
-        parent, change = pool.map(_run, [os.path.abspath(root) for root in argv])
+        sides = list(pool.map(_run, [os.path.abspath(root) for root in argv]))
+    parent, change = (side["results"] for side in sides)
     names = sorted(parent.keys() | change.keys())
     differ = [name for name in names if parent.get(name) != change.get(name)]
     counts = dict.fromkeys(PARTS, 0)
@@ -102,6 +111,9 @@ def main(argv) -> int:
     oracle = sum(name.endswith("/oracle") for name in names)
     engine = len(names) - oracle
     print(f"{len(differ)} of {len(names)} results differ ({engine} engine, {oracle} oracle)")
+    for total in TOTALS:
+        old, new = (side["totals"][total] for side in sides)
+        print(f"total {total} over the engine results: parent {old}, change {new}")
     return 1 if differ else 0
 
 
