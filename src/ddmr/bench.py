@@ -41,13 +41,20 @@ class BenchRecord:
         )
 
 
-def run_benchmarks(families, sizes, seed: int = 0, variants=None) -> list:
-    """One record per (family, size, variant), deterministic for a seed."""
+def run_benchmarks(families, sizes, seed: int = 0, variants=None, theories=None) -> list:
+    """One record per (family, size, variant), deterministic for a seed.
+
+    ``theories`` maps (family, size) to the theory ``generate_theory``
+    made for ``seed``, when the caller already holds it; the others are
+    generated here.
+    """
     records = []
     variants = list(variants or Variant)
+    theories = theories or {}
     for family in families:
         for size in sizes:
-            theory = generate_theory(family, size, seed)
+            key = (family, size)
+            theory = theories[key] if key in theories else generate_theory(family, size, seed)
             achieved = theory_size(theory)
             for variant in variants:
                 start = time.perf_counter()

@@ -197,14 +197,17 @@ def cmd_bench(args) -> int:
         except OSError as exc:
             print(f"cannot write {args.out}: {exc}", file=sys.stderr)
             return EXIT_PARSE
+    theories = {}
     try:  # every size is reachable before a benchmark runs or --out is emptied
         for family in families:
             for size in args.sizes:
-                generate_theory(family, size, args.seed)
+                theories[(family, size)] = generate_theory(family, size, args.seed)
     except SizeOutOfReach as exc:
         print(f"bench: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    records = run_benchmarks(families, args.sizes, seed=args.seed, variants=variants)
+    records = run_benchmarks(
+        families, args.sizes, seed=args.seed, variants=variants, theories=theories
+    )
     with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as handle:
         handle.write(to_csv(records))
     return EXIT_OK

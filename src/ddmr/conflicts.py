@@ -17,9 +17,10 @@ and irreflexive; a rule never conflicts with a content-identical copy of
 itself of the same polarity.
 
 The predicates take rules and rule expressions and serve the oracle.
-``build_conflict_index`` compiles, for every rule appearing in a theory,
-the conflict relation under one variant and who concludes each rule
-expression, over the integer ids the engine runs on.
+``build_conflict_index`` compiles, for every rule appearing in a theory
+(the engine's rule list), the conflict relation under one variant and
+who concludes each rule expression, over the integer ids the engine runs
+on.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .model import (
     Mode,
     Rule,
     RuleExpression,
-    Theory,
 )
 
 
@@ -148,14 +148,17 @@ class ConflictTables(NamedTuple):
     content_group: list  # rule id -> content group number
 
 
-def build_conflict_index(theory: Theory, variant: Variant, rule_ids: dict) -> ConflictTables:
+def build_conflict_index(rules: list, variant: Variant, rule_ids: dict) -> ConflictTables:
     """Compile the conflict relation and conclusion lookups of a theory to ids.
 
-    ``rule_ids`` numbers every rule appearing in the theory from 0.  The
-    reference to rule ``r`` has the reference id ``2r`` when positive and
-    ``2r + 1`` when negated.  ``conflicting`` maps a reference id to the
-    set of reference ids it clashes with under ``variant``; the relation is
-    symmetric, and every reference clashes with its own negation.
+    ``rules`` lists every rule appearing in the theory, nested ones
+    included, once each and in id order, as the engine's compile holds
+    them, so the index walks no theory and sorts no rules; ``rule_ids``
+    numbers them by label from 0.  The reference to rule ``r`` has the
+    reference id ``2r`` when positive and ``2r + 1`` when negated.
+    ``conflicting`` maps a reference id to the set of reference ids it
+    clashes with under ``variant``; the relation is symmetric, and every
+    reference clashes with its own negation.
     ``producers[k]`` lists the (rule id, 1-based position) pairs at which
     chains conclude the reference ``k``, in id order.  ``content_group[r]``
     numbers rule ``r``'s content: two rules share a number exactly when
@@ -170,7 +173,6 @@ def build_conflict_index(theory: Theory, variant: Variant, rule_ids: dict) -> Co
     chain clashes are joined through the element pairs found first.  The
     outcome matches the pairwise predicates exactly.
     """
-    rules = sorted(theory.rules_by_label().values(), key=lambda rule: rule_ids[rule.label])
     groups: dict = {}  # content -> group number
     content_group = [groups.setdefault(rule.content, len(groups)) for rule in rules]
 

@@ -36,19 +36,27 @@ the support index.  A rule is applicable at a position once its count
 there is 0.  The subjects that consulted a rule are examined again only
 when its applicability or discarding moves.
 
-``run`` first settles, in id order, the verdicts that need no evidence:
-the seeded ones (``prepare``'s), and a refutation for each C or O
-subject that no defeasible rule supports and for each unsupported P
-subject whose obligation was refuted that way.  Proving needs an
-applicable defeasible supporter, and refuting only asks that every
-defeasible supporter be beaten, so the proof conditions would refute
-these too; supports only shrink during the run, so an unsupported
-subject never gains a supporter.  An unsupported P whose obligation is
-still open goes through the proof conditions, which wait for the
-obligation (O implies P).
+``run`` first settles, in bulk, the verdicts that need no evidence: the
+seeded ones (``prepare``'s), and a refutation for each C or O subject
+that no defeasible rule supports and for each unsupported P subject
+whose obligation is refuted that way.  Proving needs an applicable
+defeasible supporter, and refuting only asks that every defeasible
+supporter be beaten, so the proof conditions would refute these too;
+supports only shrink during the run, so an unsupported subject never
+gains a supporter.  An unsupported P whose obligation is supported goes
+through the proof conditions, which wait for the obligation (O implies
+P).  The verdicts are one byte mask over the store: refuted everywhere,
+cleared at the supported ids and at the P id after each supported O,
+with the seeded verdicts (all on C ids) written over it.  The bytes of
+ids that no condition watches go straight into the store; only the
+watched ones can move a rule, so they alone go through ``_apply``, in
+id order.
 
 ``prepare`` compiles the theory to integer ids and the fixpoint runs on
-those alone.  Atoms are numbered in sorted order, and so are rule
+those alone.  It reads the rules once (``rules_by_label``), gathers the
+atoms from that list, and hands it to ``build_conflict_index``; then one
+walk over the rules in id order files each rule's chain, conditions and
+supports.  Atoms are numbered in sorted order, and so are rule
 labels.  The literal over atom ``a`` has the base index ``2a`` when
 positive and ``2a + 1`` when negated.  The reference to rule ``r`` has
 the reference id ``k = 2r + (not positive)``, the numbering in which
@@ -64,8 +72,9 @@ literals before rules, then name, positive first, then C/O/P.
 The run keeps its decisions in one ``bytearray``, ``tag``, indexed by
 subject id: 0 undecided, 1 proved, 2 refuted.  After the settling pass
 every id left undecided is due for examination, so the first iteration
-scans the ids in order; later iterations examine the sorted undecided
-ids whose evidence moved (``dirty``).  ``extension`` decodes the store
+examines those ids in order, picked out of the store with
+``itertools.compress``; later iterations examine the sorted undecided ids
+whose evidence moved (``dirty``).  ``extension`` decodes the store
 once, at the end, a set at a time: for each mode it takes that mode's
 column of the store (``tag[m::3]``, one byte per base index), turns it
 into a 0/1 mask per sign and picks the subjects out of ``base``, the
@@ -90,6 +99,7 @@ from .model import (
     DEFEND_MODES,
     Extension,
     Literal,
+    ModalLiteral,
     Mode,
     RuleExpression,
     RuleRef,
@@ -97,8 +107,6 @@ from .model import (
     TaggedFormula,
     Theory,
     ValidationReport,
-    atoms,
-    concluded_labels,
     conditions,
     herbrand_base,  # noqa: F401 -- not called here; perfbench/spans.py wraps this name
     validate,
@@ -148,11 +156,13 @@ class EngineState:
     which the rule is discarded, one past its chain while it is not.
     ``seeded`` (subject id to its verdict before any evidence) and
     ``supported`` (the ids with a defeasible supporter) are read only by
-    the settling pass at the start of ``run``.  ``dead`` (the rules cut
-    at 1), ``lit_tags`` and ``rule_tags`` (decided literal and rule
-    subject ids to their sign) and ``mhb`` (the undecided ids) are views
-    computed from ``cut`` or ``tag`` on each read; the run itself never
-    builds them.
+    the settling pass at the start of ``run``, which turns them into one
+    byte mask over ``tag``.  ``subject_id(mode, subject)``, set by
+    ``prepare``, numbers a (mode, literal, rule expression or rule
+    reference) pair.  ``dead`` (the rules cut at 1), ``lit_tags`` and
+    ``rule_tags`` (decided literal and rule subject ids to their sign) and
+    ``mhb`` (the undecided ids) are views computed from ``cut`` or ``tag``
+    on each read; the run itself never builds them.
     """
 
     def __init__(self, theory: Theory, variant: Variant, order_seed: int = None):
@@ -178,100 +188,112 @@ class EngineState:
         cautious variant, the rules it clashes with as a whole rule; per
         reference id, under the simple variant, its attackers and the
         conclusions sharing its content; and the superiority pairs as pairs
-        of rule ids.
+        of rule ids.  After the numberings and the conflict index, one walk
+        over the rules in id order builds the per-rule tables, ``watch``,
+        ``supports`` and ``supported``.
         """
         t = self.theory
         by_label = t.rules_by_label()
         self.labels = sorted(by_label)
-        self.atom_ids = {atom: a for a, atom in enumerate(sorted(atoms(t)))}
-        self.rule_ids = rid = {label: r for r, label in enumerate(self.labels)}
-        conflicting, producers, group = build_conflict_index(t, self.variant, rid)
         rules = [by_label[label] for label in self.labels]
-        self.n_lits = 2 * len(self.atom_ids)
-        self.n_lit_ids = 3 * self.n_lits
-        self.base = [
-            Literal(atom, positive) for atom in self.atom_ids for positive in (True, False)
-        ] + [RuleRef(label, positive) for label in self.labels for positive in (True, False)]
+        self.rule_ids = rid = {label: r for r, label in enumerate(self.labels)}
+        names = {fact.atom for fact in t.facts}
+        add = names.add
+        for rule in rules:  # nested rules are among them, so no recursion
+            for item in rule.antecedent:
+                if isinstance(item, Literal):
+                    add(item.atom)
+                elif isinstance(item, ModalLiteral):
+                    add(item.inner.atom)
+            for elem in rule.consequent:
+                if isinstance(elem, Literal):
+                    add(elem.atom)
+        self.atom_ids = aid = {atom: a for a, atom in enumerate(sorted(names))}
+        self.n_lits = n_lits = 2 * len(aid)
+        self.n_lit_ids = 3 * n_lits
 
-        self.rule_mode = [_MODE_ORDER[rule.mode] for rule in rules]
-        self.defeasible = [rule.is_defeasible for rule in rules]
-        self.concludes = [
-            tuple(self.subject_id(rule.mode, e) for e in rule.consequent) for rule in rules
-        ]
-        self.expr_positions = [
-            [i for i, e in enumerate(rule.consequent, start=1) if isinstance(e, RuleExpression)]
-            for rule in rules
-        ]
-        self.concluded = [[rid[u] for u in concluded_labels(rule)] for rule in rules]
-        self.sup = {(rid[a], rid[b]) for a, b in t.superiority if a in rid and b in rid}
-        self.live = []
+        def subject_id(mode: Mode, subject) -> int:
+            """The id of a (mode, literal, rule expression or rule reference) pair."""
+            if isinstance(subject, Literal):
+                b = 2 * aid[subject.atom]
+            else:
+                b = n_lits + 2 * rid[subject.label]
+            return 3 * (b + (not subject.positive)) + _MODE_ORDER[mode]
+
+        self.subject_id = subject_id
+        self.base = [
+            Literal(atom, positive) for atom in aid for positive in (True, False)
+        ] + [RuleRef(label, positive) for label in self.labels for positive in (True, False)]
+        conflicting, producers, group = build_conflict_index(rules, self.variant, rid)
+
+        top = {rid[rule.label] for rule in t.rules}
+        watch, supports, supported = self.watch, self.supports, set()
+        self.rule_mode, self.defeasible, self.concludes = [], [], []
+        self.expr_positions, self.concluded, self.live, self.cut = [], [], [], []
         for r, rule in enumerate(rules):
-            live = [0] * len(rule.consequent)
-            for first, mode, subject, sign in conditions(rule):
+            mode, chain, defeasible = rule.mode, rule.consequent, rule.is_defeasible
+            concludes = tuple([subject_id(mode, e) for e in chain])
+            live = [0] * len(chain)
+            for first, cmode, subject, sign in conditions(rule):
                 live[first - 1] += 1
-                self.watch.setdefault(self.subject_id(mode, subject), []).append((r, first, sign))
+                watch.setdefault(subject_id(cmode, subject), []).append((r, first, sign))
             for p in range(1, len(live)):  # a position has its own and earlier conditions
                 live[p] += live[p - 1]
+            positions = [i for i, e in enumerate(chain, start=1) if isinstance(e, RuleExpression)]
+            self.rule_mode.append(_MODE_ORDER[mode])
+            self.defeasible.append(defeasible)
+            self.concludes.append(concludes)
+            self.expr_positions.append(positions)
+            self.concluded.append([rid[chain[i - 1].label] for i in positions])
             self.live.append(live)
-        self.cut = [len(live) + 1 for live in self.live]
+            self.cut.append(len(live) + 1)
+            if r in top or producers[2 * r]:  # given, or concluded by some chain
+                for pos, s in enumerate(concludes, start=1):
+                    supports.setdefault(s, []).append((r, pos))
+                if defeasible:
+                    supported.update(concludes)
+        self.supported = supported  # subject ids with a defeasible supporter
+        self.sup = {(rid[a], rid[b]) for a, b in t.superiority if a in rid and b in rid}
 
         refs = range(len(producers))  # reference ids
         if self.variant is Variant.SIMPLE:
             # per reference id: the rules concluding a clashing expression as
             # (rule, position, rule named there), and the conclusions sharing
-            # its content and polarity as (rule, rule named there, position)
-            self.simple_attackers = [
-                sorted(
-                    (g, gpos, x >> 1) for x in conflicting[k] for g, gpos in producers[x]
-                )
-                for k in refs
-            ]
+            # its content and polarity as (rule, rule named there, position);
+            # both filed from the references some chain concludes
+            attackers: dict = {}
             same: dict = {}
-            for k in refs:
-                if producers[k]:
-                    same.setdefault((group[k >> 1], k & 1), []).extend(
-                        (z, k >> 1, zpos) for z, zpos in producers[k]
+            for x, made in enumerate(producers):
+                if made:
+                    entries = [(g, gpos, x >> 1) for g, gpos in made]
+                    for k in conflicting[x]:  # the relation is symmetric
+                        attackers.setdefault(k, []).extend(entries)
+                    same.setdefault((group[x >> 1], x & 1), []).extend(
+                        (z, x >> 1, zpos) for z, zpos in made
                     )
-            for entries in same.values():
+            for entries in (*attackers.values(), *same.values()):
                 entries.sort()
+            self.simple_attackers = [attackers.get(k, ()) for k in refs]
             self.same_content = [same.get((group[k >> 1], k & 1), ()) for k in refs]
         else:
             self.clashes = [
                 sorted(x >> 1 for x in conflicting[k] if not x & 1) for k in refs[::2]
             ]
 
-        top = {rid[rule.label] for rule in t.rules}
-        produced = {k >> 1 for k in refs[::2] if producers[k]}
-        self.supported = set()  # subject ids with a defeasible supporter
-        for r in top | produced:
-            for pos, s in enumerate(self.concludes[r], start=1):
-                self.supports.setdefault(s, []).append((r, pos))
-            if self.defeasible[r]:
-                self.supported.update(self.concludes[r])
-        # decided before any evidence: facts and the given rules hold, the
-        # complements of facts fail, and so do expressions clashing with a
-        # given rule; where both apply (contradictory facts, clashing given
-        # rules), holding wins
-        top_refs = {2 * r for r in top}
-        facts = [self.subject_id(Mode.C, f) for f in t.facts]
-        self.seeded = {complement_id(s): False for s in facts}
+        # decided before any evidence, all C subjects: facts and the given
+        # rules hold, the complements of facts fail, and so do expressions
+        # clashing with a given rule; where both apply (contradictory facts,
+        # clashing given rules), holding wins
+        top_refs = [2 * r for r in top]
+        facts = [subject_id(Mode.C, f) for f in t.facts]
+        self.seeded = dict.fromkeys(map(complement_id, facts), False)
         self.seeded.update(
-            (3 * (self.n_lits + k), False)
-            for k, others in conflicting.items()
-            if not others.isdisjoint(top_refs)
+            dict.fromkeys((3 * (n_lits + x) for k in top_refs for x in conflicting[k]), False)
         )
-        self.seeded.update((s, True) for s in facts)
-        self.seeded.update((3 * (self.n_lits + k), True) for k in top_refs)
+        self.seeded.update(dict.fromkeys(facts, True))
+        self.seeded.update(dict.fromkeys((3 * (n_lits + k) for k in top_refs), True))
         del conflicting, producers  # the run reads only the tables; free these first
         self.tag = bytearray(3 * len(self.base))
-
-    def subject_id(self, mode: Mode, subject) -> int:
-        """The id of a (mode, literal, rule expression or rule reference) pair."""
-        if isinstance(subject, Literal):
-            b = 2 * self.atom_ids[subject.atom]
-        else:
-            b = self.n_lits + 2 * self.rule_ids[subject.label]
-        return 3 * (b + (not subject.positive)) + _MODE_ORDER[mode]
 
     def pair(self, s: int):
         """The (mode, subject) pair a subject id stands for."""
@@ -305,15 +327,27 @@ class EngineState:
 
     def run(self) -> None:
         tag, dirty, touched = self.tag, self.dirty, self._touched
-        seeded, supported = self.seeded, self.supported
-        for s in range(len(tag)):  # the verdicts that need no evidence, in id order
-            verdict = seeded.get(s)
-            if verdict is None and s not in supported and (s % 3 != P or tag[s - 1]):
-                verdict = False  # unsupported; a P once its O is refuted here
-            if verdict is not None:
-                self._apply(s, verdict)
+        # the verdicts that need no evidence, one byte per id: refuted unless
+        # a defeasible rule supports the id or, for a P id, its O (O implies
+        # P), under the seeded verdicts (all on C ids, so no O is seeded)
+        settled = bytearray((_REFUTED,)) * len(tag)
+        for s in self.supported:
+            settled[s] = _UNDECIDED
+            if s % 3 == O:
+                settled[s + 1] = _UNDECIDED
+        for s, verdict in self.seeded.items():
+            settled[s] = _PROVED if verdict else _REFUTED
+        # a verdict moves rules only through ``watch``: the other ids take
+        # their byte as it is, the watched ones go through ``_apply``
+        tag[:] = settled
+        watched = sorted(s for s in self.watch if settled[s])
+        for s in watched:
+            tag[s] = _UNDECIDED
+        for s in watched:
+            self._apply(s, settled[s] == _PROVED)
         dirty.clear()
-        batch = range(len(tag)) if tag else None  # first: every id
+        # first: every id left undecided
+        batch = compress(count(), tag.translate(_IS[_UNDECIDED])) if tag else None
         while batch is not None:
             self.iterations += 1
             if self.order_seed is not None:

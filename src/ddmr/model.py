@@ -11,7 +11,9 @@ are violated.
 A *meta-rule* is a rule that mentions other rules: rule expressions (a rule
 or its negation) may occur among a rule's antecedents or conclusion
 elements.  Only one level of nesting is allowed -- a meta-rule never occurs
-inside another rule.
+inside another rule; validation reports deeper nesting, and ``Rule``
+refuses rule expressions nested more than ``MAX_NESTING`` deep, so no
+walk over a rule recurses further than that.
 
 This module holds the immutable data types plus the structural helpers the
 rest of the package is built on: complements, label-insensitive content
@@ -161,8 +163,16 @@ class DeonticRuleExpression:
         return f"{neg}{self.mode}[{self.expr}]"
 
 
-_ANTECEDENT_ITEMS = (Literal, ModalLiteral, RuleExpression, DeonticRuleExpression)
-_CHAIN_ELEMENTS = (Literal, RuleExpression)
+# Antecedent items without and with a rule inside.
+_FLAT_ITEMS = (Literal, ModalLiteral)
+_NESTING_ITEMS = (RuleExpression, DeonticRuleExpression)
+
+# Deepest nesting of rule expressions inside a rule, which is also the most
+# the parser reads.  Nesting two deep already puts a meta-rule inside a rule
+# expression, which validation rejects; the bound keeps every recursive
+# walk over a rule (hashing, comparing, writing it out) far from the
+# interpreter's recursion limit.
+MAX_NESTING = 64
 
 
 @dataclass(frozen=True, slots=True)
@@ -191,12 +201,21 @@ class Rule:
             raise ValueError(
                 f"rule {self.label}: chains are restricted to defeasible obligation rules"
             )
+        nesting = False
         for item in self.antecedent:
-            if not isinstance(item, _ANTECEDENT_ITEMS):
-                raise ValueError(f"rule {self.label}: not an antecedent item: {item!r}")
+            if not isinstance(item, _FLAT_ITEMS):
+                if not isinstance(item, _NESTING_ITEMS):
+                    raise ValueError(f"rule {self.label}: not an antecedent item: {item!r}")
+                nesting = True
         for elem in self.consequent:
-            if not isinstance(elem, _CHAIN_ELEMENTS):
-                raise ValueError(f"rule {self.label}: not a chain element: {elem!r}")
+            if not isinstance(elem, Literal):
+                if not isinstance(elem, RuleExpression):
+                    raise ValueError(f"rule {self.label}: not a chain element: {elem!r}")
+                nesting = True
+        if nesting and _nests_too_deep(self):
+            raise ValueError(
+                f"rule {self.label}: rule expressions nested deeper than {MAX_NESTING}"
+            )
 
     @property
     def content(self) -> tuple:
@@ -229,6 +248,23 @@ class Rule:
         head = " * ".join(map(str, self.consequent))
         lead = f"{self.label}: {body}" if body else f"{self.label}:"
         return f"{lead} {self.arrow} {self.mode} {head}"
+
+
+def _nests_too_deep(rule: Rule) -> bool:
+    """Whether rule expressions nest more than ``MAX_NESTING`` deep in ``rule``.
+
+    Walks down one level at a time, each level's rules once, so it takes no
+    stack depth.  The rules nested in ``rule`` passed this check when they
+    were made, so the walk ends within ``MAX_NESTING`` levels.
+    """
+    level = list(rule.nested_rules())
+    for _ in range(MAX_NESTING):
+        level = [n for r in level for n in r.nested_rules()]
+        if not level:
+            return False
+        if len(level) > 1:  # a rule nested twice is walked once
+            level = list({id(n): n for n in level}.values())
+    return True
 
 
 def conditions(rule: Rule) -> list:

@@ -22,7 +22,9 @@ The theory grammar (the only place it is defined):
 comment running to the end of the line.  A statement opening with the word
 ``fact`` is a fact unless ``:`` or ``>`` follows, so ``fact`` is a label too.  Atoms and labels are ASCII words
 over [A-Za-z0-9_].  Reparation chains are only accepted after ``=> O``.
-Rule expressions nest at most ``MAX_NESTING`` deep.
+Rule expressions nest at most ``MAX_NESTING`` deep, the most a ``Rule`` takes,
+so the recursive descent (a few frames per level) stays far from the
+interpreter's recursion limit.
 
 Tokens come from one regex, ``_TOKEN``: ``findall`` gives the token texts
 as a list of strings (an unexpected character comes out as ""), and the
@@ -52,6 +54,7 @@ from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 
 from .model import (
+    MAX_NESTING,
     Arrow,
     DeonticRuleExpression,
     Extension,
@@ -65,12 +68,6 @@ from .model import (
     TaggedFormula,
     Theory,
 )
-
-# Deepest nesting of rule expressions the parser accepts.  Nesting two deep
-# already puts a meta-rule inside a rule expression, which validation
-# rejects, so the bound only keeps the recursive descent (a few frames per
-# level) far from the interpreter's recursion limit.
-MAX_NESTING = 64
 
 # Whitespace and comments.  Only "\n" starts a line; "\t" and "\r" are one
 # column each, like every other character.

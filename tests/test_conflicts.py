@@ -219,8 +219,10 @@ def _compile(theory, variant):
     Returns the clash relation and the producers, both keyed by
     (label, positive), and the content group of each label.
     """
-    labels = sorted(theory.rules_by_label())
-    tables = build_conflict_index(theory, variant, {label: r for r, label in enumerate(labels)})
+    by_label = theory.rules_by_label()
+    labels = sorted(by_label)
+    rules = [by_label[label] for label in labels]
+    tables = build_conflict_index(rules, variant, {label: r for r, label in enumerate(labels)})
 
     def ref(k):
         return labels[k >> 1], not k & 1

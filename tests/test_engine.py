@@ -364,14 +364,22 @@ def test_compile_numbers_the_modal_base_in_order():
 class _Recording(EngineState):
     """Logs each decision with the iteration that makes it (0 for the
     verdicts settled before the fixpoint) and each subject ``_decide`` is
-    asked about."""
+    asked about, and keeps the store as the settling pass leaves it."""
 
     def prepare(self) -> None:
         super().prepare()
         self.log = []
         self.asked = set()
+        self.settled = None
+
+    def run(self) -> None:
+        super().run()
+        if self.settled is None:  # the fixpoint had nothing to decide
+            self.settled = bytes(self.tag)
 
     def _decide(self, s: int):
+        if self.settled is None:  # the first question comes before any answer
+            self.settled = bytes(self.tag)
         self.asked.add(s)
         return super()._decide(s)
 
@@ -392,7 +400,7 @@ x: d => C d.
 
 def _settled_runs():
     """Per theory and variant: the run, its seeded ids and the verdicts
-    settled before the fixpoint."""
+    settled before the fixpoint, read from the store."""
     theories = [(p.stem, parse_theory(p.read_text())) for p in sorted(FIXTURES.glob("*.ddl"))]
     theories += [(f"random/{seed}", random_theory(seed, 80)) for seed in range(20)]
     theories.append(("defeater-only", parse_theory(DEFEATER_ONLY)))
@@ -402,7 +410,7 @@ def _settled_runs():
             state.prepare()
             seeded = set(state.seeded)
             state.run()
-            settled = {s: positive for iteration, s, positive in state.log if not iteration}
+            settled = {s: byte == 1 for s, byte in enumerate(state.settled) if byte}
             yield (name, variant), state, seeded, settled
 
 
@@ -416,6 +424,25 @@ def test_settled_subjects_are_refuted_by_the_proof_conditions():
     for where, state, seeded, settled in _settled_runs():
         for s in settled.keys() - seeded:
             assert settled[s] is state._decide(s) is False, (where, state.pair(s))
+
+
+def _settle_by_id(state) -> bytes:
+    """The settling pass as a loop over every id in order: the seeded
+    verdict, else a refutation of an id with no defeasible supporter, a P
+    id only once its O is refuted this way."""
+    tag = bytearray(len(state.tag))
+    for s in range(len(tag)):
+        verdict = state.seeded.get(s)
+        if verdict is None and s not in state.supported and (s % 3 != 2 or tag[s - 1]):
+            verdict = False
+        if verdict is not None:
+            tag[s] = 1 if verdict else 2
+    return bytes(tag)
+
+
+def test_the_settling_mask_equals_the_settling_loop():
+    for where, state, seeded, settled in _settled_runs():
+        assert state.settled == _settle_by_id(state), where
 
 
 class _Checked(EngineState):

@@ -480,6 +480,21 @@ def test_cli_bench_size_out_of_reach_keeps_out_and_runs_nothing(tmp_path, capsys
     assert out.read_text() == "family,size\nkept\n"
 
 
+def test_cli_bench_generates_each_theory_once(monkeypatch, capsys):
+    calls = []
+
+    def counting(family, size, seed=0):
+        calls.append((family, size))
+        return generate_theory(family, size, seed)
+
+    monkeypatch.setattr("ddmr.cli.generate_theory", counting)
+    monkeypatch.setattr("ddmr.bench.generate_theory", counting)
+    argv = ("bench", "--family", "chain", "--family", "team", "--sizes", "30,60")
+    assert _exit_code(*argv) == 0
+    assert sorted(calls) == [("chain", 30), ("chain", 60), ("team", 30), ("team", 60)]
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 2 * 2 * 2
+
+
 def test_cli_bench_out_is_replaced_not_appended_to(tmp_path):
     out = tmp_path / "x.csv"
     out.write_text("old\n" * 10)

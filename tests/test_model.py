@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddmr.conflicts import Variant, simply_conflicts
+from ddmr.engine import compute_extension
 from ddmr.generate import generate_theory, random_theory
 from ddmr.model import (
     Arrow,
     DeonticRuleExpression,
+    MAX_NESTING,
     Literal,
     ModalLiteral,
     Mode,
@@ -344,6 +346,33 @@ def test_nested_meta_rule_rejected():
     outer = rule("outer", [a], Mode.C, [RuleExpression(middle, True)])
     report = validate(Theory.build([], [outer]))
     assert any("itself a meta-rule" in e for e in report.errors)
+
+
+def _nest(depth: int, through_antecedent: bool) -> Rule:
+    """A rule with rule expressions nested ``depth`` deep inside it, through
+    the heads or through the antecedents, innermost first."""
+    inner = rule("a0", [], Mode.C, [b])
+    for i in range(1, depth + 1):
+        expr = RuleExpression(inner, i % 2 == 0)
+        if through_antecedent:
+            item = DeonticRuleExpression(Mode.O, expr) if i % 3 else expr
+            inner = rule(f"a{i}", [item], Mode.C, [b])
+        else:
+            inner = rule(f"a{i}", [a], Mode.C, [expr])
+    return inner
+
+
+@pytest.mark.parametrize("through_antecedent", [False, True])
+def test_rules_nest_no_deeper_than_the_parser_reads(through_antecedent):
+    with pytest.raises(ValueError, match=f"nested deeper than {MAX_NESTING}"):
+        _nest(2000, through_antecedent)
+    deepest = _nest(MAX_NESTING, through_antecedent)
+    theory = Theory.build([a], [deepest])
+    assert any("itself a meta-rule" in e for e in validate(theory).errors)
+    with pytest.raises(ValueError, match="invalid theory"):
+        compute_extension(theory)
+    assert parse_theory(render_theory(theory)) == theory
+    assert str(deepest).count("(a") == MAX_NESTING
 
 
 def test_chain_restrictions_enforced_at_construction():

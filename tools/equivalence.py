@@ -7,13 +7,18 @@ every pool member of the ``deep``, ``wide`` and ``oracle-small`` workloads,
 found through that root's ``perfbench/inputs.py``; the CLI workloads'
 theories go through ``render_theory`` and ``parse_theory`` as the
 benchmark's ``.ddl`` files do.  Per input and variant it digests the
-engine's decision log (iteration, subject id, sign), ``iterations``, dead
-rules and JSON extension, and for ``oracle-small`` and the fixtures the
-``oracle_extension`` JSON.  Prints every result that differs with the
-parts that do (log, iterations, dead, json, oracle), then a count per part
-and a count of differing results; exits 1 if any result differs.  Last it
-prints each side's total ``iterations`` and ``_decide`` calls over the
-engine results, which are not compared.  Standard library only.
+engine's decision log (iteration, subject id, sign); the store as the
+settling pass leaves it (``settled``: the tag bytes at the first
+``_decide`` call, or at the end when there is none); the log from
+iteration 1 on (``fixpoint``); ``iterations``, dead rules and JSON
+extension; and for ``oracle-small`` and the fixtures the
+``oracle_extension`` JSON.  So a log that differs only inside the settling
+pass shows as ``log`` alone.  Prints every result that differs with the
+parts that do (log, settled, fixpoint, iterations, dead, json, oracle),
+then a count per part and a count of differing results; exits 1 if any
+result differs.  Last it prints each side's total ``iterations`` and
+``_decide`` calls over the engine results, which are not compared.
+Standard library only.
 """
 
 import hashlib
@@ -25,7 +30,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 VARIANTS = ("simple", "cautious")
-PARTS = ("log", "iterations", "dead", "json", "oracle")
+PARTS = ("log", "settled", "fixpoint", "iterations", "dead", "json", "oracle")
 TOTALS = ("iterations", "_decide calls")
 
 
@@ -54,6 +59,8 @@ def _digests(root: str) -> dict:
 
     class Recording(D.engine.EngineState):
         def _decide(self, s: int):
+            if self.settled is None:
+                self.settled = bytes(self.tag)
             self.decided += 1
             return super()._decide(s)
 
@@ -66,11 +73,13 @@ def _digests(root: str) -> dict:
         for name in VARIANTS:
             variant = D.conflicts.Variant(name)
             state = Recording(theory, variant)
-            state.log, state.decided = [], 0
+            state.log, state.decided, state.settled = [], 0, None
             state.prepare()
             state.run()
+            settled = bytes(state.tag) if state.settled is None else state.settled
+            fixpoint = [entry for entry in state.log if entry[0]]
             ext = D.text.render_extension(state.extension(), "json")
-            parts = (state.log, state.iterations, sorted(state.dead), ext)
+            parts = (state.log, settled, fixpoint, state.iterations, sorted(state.dead), ext)
             out[f"{key}/{name}"] = dict(zip(PARTS, map(_digest, parts)))
             totals["iterations"] += state.iterations
             totals["_decide calls"] += state.decided
