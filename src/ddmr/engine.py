@@ -13,16 +13,17 @@ applicable defender beats every live (not discarded) attacker of the team,
 and refuted when every team with a defeasible member meets an applicable
 attacker that no live defender beats.  For a literal, and for a rule
 subject under the simple reading, all supporters form one team (team
-defeat) and beating is superiority; a literal's attackers support its
-complement, a rule subject's conclude its content with the other polarity,
-and the defenders conclude the subject (for a rule subject, naming its rule
-or the attacked one).  Under the cautious reading each supporter of a rule
-subject is a team of its own, attacked by the rules clashing with it as
-whole rules and defended by those clashing with the attacker; a defender
-also beats an attacker whose concluded rules its own are superior to,
-unless the attacker is superior to it.  ``model.ATTACK_MODES``,
-``model.DEFEND_MODES`` and ``conflicts.RULE_ATTACK_MODES`` say which modes
-attack and defend.
+defeat) and beating is superiority; the attackers support a concluded
+subject with the content of the subject's complement (for a literal, the
+complement), and the defenders the subject or the attacked complement
+(``_attackers``).  A concluded rule is never a meta-rule, so it clashes
+simply with exactly its content under the other polarity.  Under the
+cautious reading each supporter of a rule subject is a team of its own,
+attacked by the rules clashing with it as whole rules and defended by
+those clashing with the attacker; a defender also beats an attacker whose
+concluded rules its own are superior to, unless the attacker is superior
+to it.  ``model.ATTACK_MODES``, ``model.DEFEND_MODES`` and
+``conflicts.RULE_ATTACK_MODES`` say which modes attack and defend.
 
 A rule's conditions are one list, ``model.conditions``: the rule held and
 each antecedent item from chain position 1, and each chain element in
@@ -125,7 +126,7 @@ def _offsets(table: dict) -> tuple:
 
 # Who may attack and defend, from ``model`` and ``conflicts``.
 _ATTACK, _DEFEND = _offsets(ATTACK_MODES), _offsets(DEFEND_MODES)
-_RULE_ATTACK = {variant: _offsets(table) for variant, table in RULE_ATTACK_MODES.items()}
+_RULE_ATTACK = _offsets(RULE_ATTACK_MODES[Variant.CAUTIOUS])
 
 # The values of the tag store, and per value a translation table that maps
 # that byte to 1 and every other byte to 0.
@@ -154,6 +155,8 @@ class EngineState:
     position ``p + 1`` not yet met; every subject is decided once, so no
     condition is counted off twice.  ``cut[r]`` is the first position at
     which the rule is discarded, one past its chain while it is not.
+    ``opposite[k]`` (simple reading) lists, by base index, the concluded
+    references with reference ``k``'s content and the other polarity.
     ``seeded`` (subject id to its verdict before any evidence) and
     ``supported`` (the ids with a defeasible supporter) are read only by
     the settling pass at the start of ``run``, which turns them into one
@@ -186,11 +189,12 @@ class EngineState:
         ids its chain concludes, its rule-expression positions, its unmet
         conditions per position, the rules it concludes and, under the
         cautious variant, the rules it clashes with as a whole rule; per
-        reference id, under the simple variant, its attackers and the
-        conclusions sharing its content; and the superiority pairs as pairs
-        of rule ids.  After the numberings and the conflict index, one walk
-        over the rules in id order builds the per-rule tables, ``watch``,
-        ``supports`` and ``supported``.
+        reference id, under the simple variant, the concluded references
+        with its content and the other polarity, one list per content group
+        and polarity; and the superiority pairs as pairs of rule ids.  After
+        the numberings and the conflict index, one walk over the rules in
+        id order builds the per-rule tables, ``watch``, ``supports`` and
+        ``supported``.
         """
         t = self.theory
         by_label = t.rules_by_label()
@@ -257,24 +261,11 @@ class EngineState:
 
         refs = range(len(producers))  # reference ids
         if self.variant is Variant.SIMPLE:
-            # per reference id: the rules concluding a clashing expression as
-            # (rule, position, rule named there), and the conclusions sharing
-            # its content and polarity as (rule, rule named there, position);
-            # both filed from the references some chain concludes
-            attackers: dict = {}
-            same: dict = {}
+            concluded: dict = {}  # (content group, polarity) -> base indices
             for x, made in enumerate(producers):
                 if made:
-                    entries = [(g, gpos, x >> 1) for g, gpos in made]
-                    for k in conflicting[x]:  # the relation is symmetric
-                        attackers.setdefault(k, []).extend(entries)
-                    same.setdefault((group[x >> 1], x & 1), []).extend(
-                        (z, x >> 1, zpos) for z, zpos in made
-                    )
-            for entries in (*attackers.values(), *same.values()):
-                entries.sort()
-            self.simple_attackers = [attackers.get(k, ()) for k in refs]
-            self.same_content = [same.get((group[k >> 1], k & 1), ()) for k in refs]
+                    concluded.setdefault((group[x >> 1], x & 1), []).append(n_lits + x)
+            self.opposite = [concluded.get((group[k >> 1], (k & 1) ^ 1), ()) for k in refs]
         else:
             self.clashes = [
                 sorted(x >> 1 for x in conflicting[k] if not x & 1) for k in refs[::2]
@@ -402,12 +393,11 @@ class EngineState:
         if mode == P and self.tag[s - 1] == _PROVED:
             return True
         # attackers are consulted (``_touched``) when listed, after a witness
-        # is found; simple and cautious defenders as they are walked
+        # is found; ``_attackers``' defenders when listed, cautious ones as
+        # they are walked
         supporters = self._entries(s)
-        if s < self.n_lit_ids:
-            attackers, beats, teams = self._literal_attackers, self._stronger, (supporters,)
-        elif self.variant is Variant.SIMPLE:
-            attackers, beats, teams = self._simple_attackers, self._stronger, (supporters,)
+        if s < self.n_lit_ids or self.variant is Variant.SIMPLE:
+            attackers, beats, teams = self._attackers, self._stronger, (supporters,)
         else:
             attackers, beats = self._cautious_attackers, self._overrules
             teams = [(e,) for e in supporters]
@@ -460,44 +450,31 @@ class EngineState:
             self._touched.update(r for r, _ in entries)
         return entries
 
-    def _literal_attackers(self, s: int, team) -> list:
-        """The supporters of the complement in an attacking mode, each with
-        the supporters of the subject in a defending mode.  Supports hold
-        only live entries."""
-        mode, base = s % 3, s - s % 3
-        comp = complement_id(s) - mode
-        defenders = [e for m in _DEFEND[mode] for e in self._entries(base + m)]
-        return [
-            (g, gpos, defenders) for m in _ATTACK[mode] for g, gpos in self._entries(comp + m)
-        ]
+    def _attackers(self, s: int, team) -> list:
+        """The supporters, in an attacking mode, of each concluded subject
+        with the content of the subject's complement (for a literal, the
+        complement itself), each with the supporters, in a defending mode,
+        of the subject and of the attacked subject's complement.  Supports
+        hold only live entries."""
+        mode, b = s % 3, s // 3
+        own = self._supporters(b, _DEFEND[mode])
+        out = []
+        for x in (b ^ 1,) if s < self.n_lit_ids else self.opposite[b - self.n_lits]:
+            attackers = self._supporters(x, _ATTACK[mode])
+            if attackers:
+                defenders = own if x ^ 1 == b else own + self._supporters(x ^ 1, _DEFEND[mode])
+                out += [(g, gpos, defenders) for g, gpos in attackers]
+        return out
 
-    def _simple_attackers(self, s: int, team):
-        """Rules concluding an expression that clashes with the subject, each
-        with the conclusions sharing the subject's content and polarity that
-        name the subject's rule or the attacking expression's."""
-        k = s // 3 - self.n_lits
-        modes = _RULE_ATTACK[self.variant][s % 3]
-        out = [e for e in self.simple_attackers[k] if self.rule_mode[e[0]] in modes]
-        self._touched.update(e[0] for e in out)
-        return (
-            (g, gpos, self._simple_defenders(s, named))
-            for g, gpos, named in out
-            if self._not_discarded(g, gpos)
-        )
-
-    def _simple_defenders(self, s: int, attacked: int):
-        k = s // 3 - self.n_lits
-        modes = _DEFEND[s % 3]
-        for z, named, zpos in self.same_content[k]:
-            if named in (k >> 1, attacked) and self.rule_mode[z] in modes:
-                self._touched.add(z)
-                yield z, zpos
+    def _supporters(self, b: int, modes) -> list:
+        """The supporters of base index ``b`` in any of ``modes``."""
+        return [e for m in modes for e in self._entries(3 * b + m)]
 
     def _cautious_attackers(self, s: int, team):
         """Rules clashing, as whole rules, with the team's one member, each
         with the rules clashing with the attacker."""
         ((r, _),) = team
-        modes = _RULE_ATTACK[self.variant][s % 3]
+        modes = _RULE_ATTACK[s % 3]
         out = [g for g in self.clashes[r] if self.rule_mode[g] in modes]
         self._touched.update(out)
         return (

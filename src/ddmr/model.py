@@ -624,16 +624,23 @@ def validate(t: Theory) -> ValidationReport:
     for kind, group in (("atom", atom_names), ("rule label", seen)):
         for name in _bad_names(group):
             report.errors.append(f"{kind} {name!r} is not a word over [A-Za-z0-9_]")
-    for a, b in sorted(t.superiority):
-        for lab in (a, b):
-            if lab not in seen:
-                report.errors.append(f"superiority names unknown rule label {lab}")
+    bad = [
+        e
+        for e in t.superiority
+        if not (isinstance(e, tuple) and len(e) == 2 and e[0] in seen and e[1] in seen)
+    ]
+    for entry in sorted(bad, key=repr):
+        if not (isinstance(entry, tuple) and len(entry) == 2):
+            report.errors.append(f"superiority entry {entry!r} is not a pair of rule labels")
+        else:
+            report.errors += [
+                f"superiority names unknown rule label {lab}" for lab in entry if lab not in seen
+            ]
     facts = {fact for fact in t.facts if isinstance(fact, Literal)}
     clashing = sorted(str(f) for f in facts if f.complement() in facts and f.positive)
     if clashing:
         report.warnings.append("contradictory facts: " + ", ".join(clashing))
-    known_pairs = {(a, b) for a, b in t.superiority if a in seen and b in seen}
-    if _has_cycle(known_pairs):
+    if _has_cycle(t.superiority.difference(bad)):
         report.warnings.append("cyclic superiority relation")
     elif not report.errors and _has_cycle(extended_superiority(t)):
         report.warnings.append("cyclic extended superiority relation")

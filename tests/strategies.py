@@ -175,12 +175,23 @@ def model_items(draw, names, depth: int = 5, kinds=_ITEM_KINDS):
 def model_theories(draw) -> Theory:
     """Theories built from ``model_items``: facts of any item type, the rules
     that their constructor accepted (a theory takes only rules), and
-    superiority pairs over the rules' labels and unknown ones."""
+    superiority pairs over the rules' labels and unknown ones, rarely with
+    an entry that is no such pair (a 1- or 3-tuple, a 2-character string,
+    or a pair with a label that is not a string)."""
     names = draw(st.sampled_from([word_names, st.one_of(word_names, loose_names)]))
     rules = draw(st.lists(model_items(names, kinds=(Rule,)), max_size=4))
     rules = [r for r in rules if isinstance(r, Rule)]
     labels = st.sampled_from([r.label for r in rules] + [draw(names)])
     sup = draw(st.lists(st.tuples(labels, labels), max_size=3))
+    if draw(rarely):
+        malformed = st.one_of(
+            st.tuples(labels),
+            st.tuples(labels, labels, labels),
+            st.text(alphabet="ab_", min_size=2, max_size=2),
+            st.tuples(st.one_of(st.integers(0, 9), st.none()), labels),
+            st.tuples(labels, st.integers(0, 9)),
+        )
+        sup.append(draw(malformed))
     fact = st.one_of(st.builds(Literal, names, st.booleans()), model_items(names))
     return Theory.build(draw(st.lists(fact, max_size=3)), rules, sup)
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddmr.conflicts import Variant
+from ddmr.conflicts import Variant, conflicts
 from ddmr.engine import (
     PROVED,
     REFUTED,
@@ -27,6 +27,7 @@ from ddmr.model import (
     RuleRef,
     Theory,
     modal_herbrand_base,
+    validate,
 )
 from ddmr.text import parse_tagged_formula, parse_theory
 
@@ -359,6 +360,31 @@ def test_compile_numbers_the_modal_base_in_order():
                 assert state.pair(complement_id(s)) == (mode, subject.complement()), name
             ordered = [state.pair(s) for s in sorted(ids.values())]
             assert ordered == sorted(ids, key=_pair_order), name
+
+
+def test_concluded_expressions_clash_simply_with_their_content_negated():
+    """The simple reading's attackers rest on this: in a valid theory every
+    expression some chain concludes clashes, under ``conflicts``, with
+    exactly the references of its content and the other polarity, and the
+    engine's ``opposite`` lists the concluded ones among them, in id order."""
+    theories = [(p.stem, parse_theory(p.read_text())) for p in sorted(FIXTURES.glob("*.ddl"))]
+    theories += [(f"random/{seed}", random_theory(seed, 80)) for seed in range(20)]
+    for name, theory in theories:
+        assert validate(theory).ok, name
+        rules = [rule for _, rule in sorted(theory.rules_by_label().items())]
+        exprs = [RuleExpression(rule, positive) for rule in rules for positive in (True, False)]
+        concluded = {e for rule in rules for e in rule.consequent if isinstance(e, RuleExpression)}
+        state = EngineState(theory, Variant.SIMPLE)
+        state.prepare()
+        for e in concluded:
+            clashing = [x for x in exprs if conflicts(e, x, Variant.SIMPLE)]
+            assert clashing == [
+                x for x in exprs if x.positive != e.positive and x.rule.content == e.rule.content
+            ], (name, e)
+            k = state.subject_id(Mode.C, e) // 3 - state.n_lits
+            assert [state.base[x] for x in state.opposite[k]] == [
+                x.ref for x in clashing if x in concluded
+            ], (name, e)
 
 
 class _Recording(EngineState):

@@ -253,6 +253,35 @@ def test_validate_unknown_superiority_label():
     assert any("unknown rule label" in e for e in report.errors)
 
 
+@pytest.mark.parametrize(
+    "labels, superiority, errors",
+    [
+        (["r"], [("r",)], ["superiority entry ('r',) is not a pair of rule labels"]),
+        (
+            ["r"],
+            [("r", "r", "r")],
+            ["superiority entry ('r', 'r', 'r') is not a pair of rule labels"],
+        ),
+        (["r"], [None], ["superiority entry None is not a pair of rule labels"]),
+        (["r"], ["rr"], ["superiority entry 'rr' is not a pair of rule labels"]),
+        ([5, "s"], [(5, "s"), ("s", "s")], ["rule label 5 is not a word over [A-Za-z0-9_]"]),
+        (
+            ["r"],
+            [("x", "r"), ("r",), ("r", "q")],
+            [  # by the entries' repr: ('r', 'q'), ('r',), ('x', 'r')
+                "superiority names unknown rule label q",
+                "superiority entry ('r',) is not a pair of rule labels",
+                "superiority names unknown rule label x",
+            ],
+        ),
+    ],
+    ids=["1-tuple", "3-tuple", "none", "string", "int-label", "ordered-by-repr"],
+)
+def test_validate_reports_malformed_superiority_entries(labels, superiority, errors):
+    rules = [rule(label, [a], Mode.C, [b]) for label in labels]
+    assert validate(Theory.build([], rules, superiority)).errors == errors
+
+
 def test_validate_contradictory_facts_warn():
     report = validate(Theory.build([a, a.complement()]))
     assert report.ok

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddmr.conflicts import RULE_ATTACK_MODES, Variant
-from ddmr.engine import EngineState, run_engine
+from ddmr.engine import _DEFEND, EngineState, run_engine
 from ddmr.generate import random_theory
 from ddmr.model import DEFEND_MODES, Literal, Mode, RuleExpression, RuleRef, Sign, Theory
 import ddmr.oracle
@@ -200,9 +200,73 @@ def test_each_cautious_supporter_is_a_team_of_its_own():
         assert check_equivalence(theory, variant) == {}, variant
 
 
+# Subject C r is attacked by g, which concludes ~r2, an expression with r's
+# content.  In the first theory only z, concluding r2 (the attacked
+# expression's complement), beats g, so r holds under the simple reading.
+# In the second only t beats g, and t concludes r3, an expression with r's
+# content that names neither r nor r2, so r fails.
+ATTACKED_COMPLEMENT_DEFENDS = """
+fact a.
+s: a => C (r: b => C x).
+g: a => C ~(r2: b => C x).
+z: a => C (r2: b => C x).
+z > g.
+"""
+OTHER_EXPRESSION_DOES_NOT_DEFEND = """
+fact a.
+s: a => C (r: b => C x).
+g: a => C ~(r2: b => C x).
+t: a => C (r3: b => C x).
+t > g.
+"""
+
+
+@pytest.mark.parametrize(
+    "text, holds",
+    [(ATTACKED_COMPLEMENT_DEFENDS, True), (OTHER_EXPRESSION_DOES_NOT_DEFEND, False)],
+    ids=["attacked-complement-defends", "other-expression-does-not"],
+)
+def test_simple_defenders_name_the_subject_or_the_attacked_rule(text, holds):
+    theory = parse_theory(text)
+    simple = run_engine(theory, Variant.SIMPLE).extension()
+    tags = simple.positive_rules(Mode.C) if holds else simple.negative_rules(Mode.C)
+    assert RuleRef("r") in tags
+    for variant in Variant:
+        assert check_equivalence(theory, variant) == {}, variant
+
+
+def _own_defenders(state, s):
+    return state._supporters(s // 3, _DEFEND[s % 3])
+
+
+def _same_content_defenders(state, s):
+    """The supporters, in a defending mode, of every concluded expression
+    with the subject's content and polarity."""
+    b, n = s // 3, state.n_lits
+    same = (b,) if b < n else state.opposite[(b ^ 1) - n]
+    return _own_defenders(state, s) + [
+        e for y in same if y != b for e in state._supporters(y, _DEFEND[s % 3])
+    ]
+
+
 def test_dropped_simple_defenders_are_caught(monkeypatch):
-    monkeypatch.setattr(EngineState, "_simple_defenders", lambda self, s, attacked: iter(()))
-    assert check_equivalence(load_fixture("example4"), Variant.SIMPLE)
+    # each wrong set of defenders against the attackers of a literal or a
+    # simple-reading rule subject, with a theory on which it goes wrong
+    attackers = EngineState._attackers
+    for defenders, theory in [
+        (lambda state, s: [], load_fixture("example4")),
+        (_own_defenders, parse_theory(ATTACKED_COMPLEMENT_DEFENDS)),
+        (_same_content_defenders, parse_theory(OTHER_EXPRESSION_DOES_NOT_DEFEND)),
+    ]:
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                EngineState,
+                "_attackers",
+                lambda self, s, team: [
+                    (g, gpos, defenders(self, s)) for g, gpos, _ in attackers(self, s, team)
+                ],
+            )
+            assert check_equivalence(theory, Variant.SIMPLE), defenders
 
 
 def test_dropped_cautious_defenders_are_caught(monkeypatch):
