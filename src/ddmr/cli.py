@@ -23,7 +23,8 @@ repeated), and both readings when none is named.
 
 The oracle size cap defaults to 200 and can be overridden through the
 DDMR_ORACLE_BUDGET environment variable.  Under --oracle, a theory above
-the cap prints one ``oracle: ...`` line on stderr and exits 1.
+the cap prints one ``oracle: ...`` line on stderr and exits 1, once it has
+validated and before the engine runs.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .engine import (
 )
 from .generate import FAMILIES, SizeOutOfReach, generate_theory
 from .model import ValidationReport, validate
-from .oracle import DEFAULT_BUDGET, OracleBudgetError, check_equivalence
+from .oracle import DEFAULT_BUDGET, OracleBudgetError, check_budget, check_equivalence
 from .text import (
     TheorySyntaxError,
     parse_tagged_formula,
@@ -107,12 +108,20 @@ def _check_valid(theory) -> ValidationReport:
     return report
 
 
-def _cross_check(theory, variant, extension) -> None:
+def _oracle_budget_for(theory) -> int:
+    """The oracle budget, once ``theory`` is known to be within it; above it,
+    print why and exit ``EXIT_INVALID`` before anything is computed."""
+    budget = _oracle_budget()
     try:
-        diffs = check_equivalence(theory, variant, _oracle_budget(), extension)
+        check_budget(theory, budget)
     except OracleBudgetError as exc:
         print(f"oracle: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_INVALID)
+    return budget
+
+
+def _cross_check(theory, variant, extension, budget: int) -> None:
+    diffs = check_equivalence(theory, variant, budget, extension)
     if diffs:
         for name, (engine_only, oracle_only) in sorted(diffs.items()):
             print(
@@ -128,9 +137,10 @@ def cmd_extension(args) -> int:
     theory = _load_theory(args.path)
     report = _check_valid(theory)
     variant = Variant(args.variant)
+    budget = _oracle_budget_for(theory) if args.oracle else None
     extension = compute_extension(theory, variant, report)
     if args.oracle:
-        _cross_check(theory, variant, extension)
+        _cross_check(theory, variant, extension, budget)
     sys.stdout.write(render_extension(extension, args.format))
     return EXIT_OK
 
@@ -144,9 +154,10 @@ def cmd_query(args) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_PARSE
+    budget = _oracle_budget_for(theory) if args.oracle else None
     extension = compute_extension(theory, variant, report)
     if args.oracle:
-        _cross_check(theory, variant, extension)
+        _cross_check(theory, variant, extension, budget)
     answer = query(theory, variant, formula, extension)
     print(answer)
     return {

@@ -267,8 +267,10 @@ class EngineState:
                     concluded.setdefault((group[x >> 1], x & 1), []).append(n_lits + x)
             self.opposite = [concluded.get((group[k >> 1], (k & 1) ^ 1), ()) for k in refs]
         else:
+            # most rules clash positively with nothing, and only the others are sorted
             self.clashes = [
-                sorted(x >> 1 for x in conflicting[k] if not x & 1) for k in refs[::2]
+                sorted(found) if (found := [x >> 1 for x in conflicting[k] if not x & 1]) else found
+                for k in refs[::2]
             ]
 
         # decided before any evidence, all C subjects: facts and the given

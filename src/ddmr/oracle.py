@@ -28,13 +28,19 @@ to or, unless the attacker is superior to it, one whose concluded rules
 its own concluded rules are superior to.
 
 The static domains -- which rules support a subject, which attack it,
-which defend it, which rules clash -- do not depend on the tag store.  The
-first time a saturation asks, one pass over every rule's conclusions
-groups them by (mode, subject) and each rule expression among them by the
-content of the rule it names: supporters are a lookup, and the simple
-reading's attackers and defenders filter one content group.  Which rules
-clash is asked of ``conflicts`` once per rule.  All of it is kept until the
-saturation ends.  Whether a rule is applicable or discarded, and whether a
+which defend it, which rules clash -- do not depend on the tag store, and
+neither does what applying a rule at a position takes.  Each is found
+once per saturation and kept until it ends.  When the evaluator is built,
+one pass over every rule's conclusions groups them by (mode, subject) and
+each rule expression among them by the content of the rule it names:
+supporters are a lookup, and the simple reading's attackers and defenders
+filter one content group.  Which rules clash is asked of ``conflicts``,
+but only of candidates: two positive rules clash only when they share
+antecedent and arrow or both conclude rule expressions, and a rule clashes
+with a negated expression only when they share content, so one pass files
+the rules, and one the given rules, under those keys.  A rule's condition
+list at a position is filtered from ``model.conditions`` the first time
+it is asked for.  Whether a rule is applicable or discarded, and whether a
 subject is proved or refuted, is evaluated in full against the store on
 every step.
 
@@ -87,20 +93,30 @@ def _conditions(rule: Rule, index: int) -> list:
     return [condition[1:] for condition in conditions(rule) if condition[0] <= index]
 
 
-def applicable(store: dict, rule: Rule, index: int = 1) -> bool:
-    """Every condition of the rule at the index holds."""
-    for mode, subject, sign in _conditions(rule, index):
+def _met(store: dict, conds) -> bool:
+    """Every (mode, subject, sign) condition holds in the store."""
+    for mode, subject, sign in conds:
         if store.get((mode, subject)) is not sign:
             return False
     return True
 
 
-def discarded(store: dict, rule: Rule, index: int = 1) -> bool:
-    """The strong-negation dual of applicability: some condition refuted."""
-    for mode, subject, sign in _conditions(rule, index):
+def _refuted(store: dict, conds) -> bool:
+    """Some (mode, subject, sign) condition is decided the other way."""
+    for mode, subject, sign in conds:
         if store.get((mode, subject)) is (not sign):
             return True
     return False
+
+
+def applicable(store: dict, rule: Rule, index: int = 1) -> bool:
+    """Every condition of the rule at the index holds."""
+    return _met(store, _conditions(rule, index))
+
+
+def discarded(store: dict, rule: Rule, index: int = 1) -> bool:
+    """The strong-negation dual of applicability: some condition refuted."""
+    return _refuted(store, _conditions(rule, index))
 
 
 def _subject_order(subject):
@@ -124,8 +140,10 @@ class _Evaluator:
     """The proof conditions over one theory, for one saturation.
 
     The static domains come from one grouping pass over every rule's
-    conclusions and from ``conflicts``, each run the first time it is asked
-    for; nothing is shared with the engine.
+    conclusions, made when the evaluator is built, and from ``conflicts``
+    on the candidates that a grouping pass over the rules files, each found
+    the first time it is asked for, as is each rule's condition list at a
+    position.  Nothing is shared with the engine.
     """
 
     def __init__(self, theory: Theory, variant: Variant):
@@ -136,13 +154,31 @@ class _Evaluator:
         self.top = theory.top_labels()
         self.sup = theory.superiority
         self.base = sorted(map(_subject, herbrand_base(theory)), key=_subject_order)
-        self._groups = {}
+        self._by_subject, self._by_content = self._scan_supporters()
+        self._condition_lists = {}
+        self._candidates = {}
         self._literal_domains = {}
         self._cautious_attackers = {}
         self._clashing = {}
         self._clashes_given = {}
 
     # -- static domains, each found once ------------------------------------
+
+    def condition_list(self, rule: Rule, index: int) -> list:
+        """``_conditions(rule, index)``, built on the first call for the rule
+        and index and kept."""
+        key = (rule.label, index)
+        try:
+            return self._condition_lists[key]
+        except KeyError:
+            found = self._condition_lists[key] = _conditions(rule, index)
+            return found
+
+    def applicable(self, store: dict, rule: Rule, index: int) -> bool:
+        return _met(store, self.condition_list(rule, index))
+
+    def discarded(self, store: dict, rule: Rule, index: int) -> bool:
+        return _refuted(store, self.condition_list(rule, index))
 
     def _scan_supporters(self):
         """Every conclusion, in label and position order: (rule, position) by
@@ -158,13 +194,12 @@ class _Evaluator:
         return by_subject, by_content
 
     def supporters(self, mode: Mode, subject):
-        return _memo(self._groups, self._scan_supporters)[0].get((mode, subject), [])
+        return self._by_subject.get((mode, subject), [])
 
     def _same_content(self, ref: RuleRef):
         """(rule, position, expression) of each conclusion naming a rule with
         the content of ``ref``'s."""
-        by_content = _memo(self._groups, self._scan_supporters)[1]
-        return by_content.get(self.by_label[ref.label].content, ())
+        return self._by_content.get(self.by_label[ref.label].content, ())
 
     def literal_domain(self, mode: Mode, lit: Literal):
         """The supporters, attackers and defenders of ``mode`` ``lit``."""
@@ -224,21 +259,55 @@ class _Evaluator:
             for k in self.expr_positions(rule)
         ]
 
+    def _scan_candidates(self, given: bool):
+        """The positions in ``rules`` (label order) of every rule, or of every
+        given rule when ``given``: by (antecedent, arrow), by content when
+        ``given``, and of the meta-rules, those concluding a rule expression.
+        Two positive rules conflict only when they share antecedent and
+        arrow (a content clash) or are both meta-rules (a chain clash); a
+        rule and a negated expression only when they share content."""
+        by_head, by_content, metas = {}, {}, []
+        for i, rule in enumerate(self.rules):
+            if given and rule.label not in self.top:
+                continue
+            by_head.setdefault((rule.antecedent, rule.arrow), []).append(i)
+            if given:
+                by_content.setdefault(rule.content, []).append(i)
+            if self.expr_positions(rule):
+                metas.append(i)
+        return by_head, by_content, metas
+
+    def _positive_candidates(self, rule: Rule, given: bool, cautious: bool):
+        """The positions, in label order, of the rules (the given ones when
+        ``given``) that may conflict with ``rule``'s positive reference."""
+        by_head, _, metas = _memo(self._candidates, self._scan_candidates, given)
+        same = by_head.get((rule.antecedent, rule.arrow), ()) if cautious else ()
+        if not self.expr_positions(rule):
+            return same
+        return sorted({*same, *metas}) if same else metas
+
     def clashing(self, anchor: Rule):
         """The rules that cautiously conflict with ``anchor``, in label order."""
         return _memo(self._clashing, self._scan_clashing, anchor.label)
 
     def _scan_clashing(self, label: str):
-        anchor = self.by_label[label]
-        return [r for r in self.rules if conflicts(r, anchor, Variant.CAUTIOUS)]
+        anchor, rules = self.by_label[label], self.rules
+        candidates = self._positive_candidates(anchor, False, True)
+        return [rules[i] for i in candidates if conflicts(rules[i], anchor, Variant.CAUTIOUS)]
 
     def clashes_given(self, ref: RuleRef) -> bool:
         """Whether the rule expression ``ref`` conflicts with a given rule."""
         return _memo(self._clashes_given, self._scan_clashes_given, ref)
 
     def _scan_clashes_given(self, ref: RuleRef) -> bool:
-        expr = RuleExpression(self.by_label[ref.label], ref.positive)
-        return any(conflicts(self.by_label[t], expr, self.variant) for t in self.top)
+        rule = self.by_label[ref.label]
+        expr = RuleExpression(rule, ref.positive)
+        if ref.positive:
+            candidates = self._positive_candidates(rule, True, self.variant is Variant.CAUTIOUS)
+        else:
+            by_content = _memo(self._candidates, self._scan_candidates, True)[1]
+            candidates = by_content.get(rule.content, ())
+        return any(conflicts(self.rules[i], expr, self.variant) for i in candidates)
 
     def expr_positions(self, rule: Rule):
         return [
@@ -304,6 +373,7 @@ class _Evaluator:
         supporters, ``defenders(g, j)`` defend against ``g`` at ``j``."""
         if mode is Mode.P and store.get((Mode.O, subject)) is True:
             return True
+        applicable, discarded = self.applicable, self.discarded
         if any(
             any(b.is_defeasible and applicable(store, b, i) for b, i in team)
             and all(
@@ -353,15 +423,19 @@ def step(theory: Theory, store: dict, variant: Variant, ev: _Evaluator = None) -
     return out
 
 
+def check_budget(theory: Theory, budget: int) -> None:
+    """Raise ``OracleBudgetError`` when ``theory`` is larger than ``budget``;
+    a budget of None admits every theory."""
+    size = theory_size(theory)
+    if budget is not None and size > budget:
+        raise OracleBudgetError(f"theory size {size} exceeds the oracle budget {budget}")
+
+
 def oracle_extension(
     theory: Theory, variant: Variant, budget: int = DEFAULT_BUDGET
 ) -> Extension:
     """Least fixpoint of ``step``; subjects never decided are undetermined."""
-    size = theory_size(theory)
-    if budget is not None and size > budget:
-        raise OracleBudgetError(
-            f"theory size {size} exceeds the oracle budget {budget}"
-        )
+    check_budget(theory, budget)
     ev = _Evaluator(theory, variant)
     store = {}
     while True:

@@ -382,6 +382,22 @@ def test_cli_oracle_budget_env(tmp_path, capsys, monkeypatch):
         assert err.splitlines() == ["DDMR_ORACLE_BUDGET must be an integer, got 'x'"]
 
 
+@pytest.mark.parametrize("command", [("extension",), ("query", "+dO a")], ids=["extension", "query"])
+def test_cli_oracle_refuses_an_over_budget_theory_before_the_engine(monkeypatch, capsys, command):
+    def never(*args, **kwargs):
+        raise AssertionError("the engine ran on a theory above the oracle budget")
+
+    monkeypatch.setattr("ddmr.cli.compute_extension", never)
+    monkeypatch.setenv("DDMR_ORACLE_BUDGET", "1")
+    path = FIXTURES / "example1.ddl"
+    size = theory_size(parse_theory(path.read_text()))
+    verb, *rest = command
+    assert _exit_code(verb, str(path), *rest, "--oracle") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"oracle: theory size {size} exceeds the oracle budget 1"]
+
+
 def test_cli_validates_once_per_request(monkeypatch, capsys):
     calls = []
 

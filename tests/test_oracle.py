@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddmr.conflicts import RULE_ATTACK_MODES, Variant
+from ddmr.conflicts import RULE_ATTACK_MODES, Variant, conflicts
 from ddmr.engine import _DEFEND, EngineState, run_engine
 from ddmr.generate import random_theory
 from ddmr.model import DEFEND_MODES, Literal, Mode, RuleExpression, RuleRef, Sign, Theory
 import ddmr.oracle
 from ddmr.oracle import (
     OracleBudgetError,
+    _conditions,
     _Evaluator,
     applicable,
     check_equivalence,
@@ -471,6 +472,120 @@ def test_a_grouping_that_skips_later_chain_positions_is_caught(monkeypatch):
     for name in ("example3", "execution1", "execution2"):
         assert table_mismatches(_Evaluator(load_fixture(name), Variant.SIMPLE)), name
     assert table_mismatches(_Evaluator(parse_theory(SPLIT_TEAMS), Variant.SIMPLE))
+
+
+# The clash filters against plain scans that ask ``conflicts`` of every rule
+# and of every given rule.
+
+
+def scan_clashing(ev, anchor):
+    return [rule for rule in ev.rules if conflicts(rule, anchor, Variant.CAUTIOUS)]
+
+
+def scan_clashes_given(ev, ref):
+    expr = RuleExpression(ev.by_label[ref.label], ref.positive)
+    return any(conflicts(ev.by_label[label], expr, ev.variant) for label in ev.top)
+
+
+def clash_mismatches(ev):
+    """(query, subject) of each ``clashing`` list or ``clashes_given`` answer
+    of ``ev`` that differs from the plain scan's."""
+    out = [
+        ("clashing", rule.label)
+        for rule in ev.rules
+        if ev.clashing(rule) != scan_clashing(ev, rule)
+    ]
+    return out + [
+        ("clashes_given", ref)
+        for ref in ev.base
+        if isinstance(ref, RuleRef) and ev.clashes_given(ref) != scan_clashes_given(ev, ref)
+    ]
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_clash_filters_equal_plain_scans_on_fixtures(name):
+    for variant in Variant:
+        assert clash_mismatches(_Evaluator(load_fixture(name), variant)) == []
+
+
+@given(
+    st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=120)
+)
+@settings(max_examples=30, deadline=None)
+def test_clash_filters_equal_plain_scans_on_random_theories(seed, size):
+    theory = random_theory(seed, size)
+    for variant in Variant:
+        assert clash_mismatches(_Evaluator(theory, variant)) == []
+
+
+# m1 and m2 do not share their antecedent, but their chains clash: r
+# and ~r2 share content.  r and the negated r2 share content too.
+CHAIN_CLASH = """
+fact a. fact b.
+m1: a => C (r: => C x).
+m2: b => C ~(r2: => C x).
+"""
+SAME_CONTENT_GIVEN = """
+fact a.
+r: a => C x.
+m: a => C ~(r2: a => C x).
+"""
+
+
+@pytest.mark.parametrize(
+    "drop, text",
+    [
+        (lambda by_head, by_content, metas: (by_head, by_content, []), CHAIN_CLASH),
+        (lambda by_head, by_content, metas: (by_head, {}, metas), SAME_CONTENT_GIVEN),
+    ],
+    ids=["meta-rules", "same-content-given-rules"],
+)
+def test_a_clash_filter_that_drops_candidates_is_caught(monkeypatch, drop, text):
+    theory = parse_theory(text)
+    for variant in Variant:
+        assert clash_mismatches(_Evaluator(theory, variant)) == []
+    scan = _Evaluator._scan_candidates
+    monkeypatch.setattr(_Evaluator, "_scan_candidates", lambda ev, given: drop(*scan(ev, given)))
+    for variant in Variant:
+        assert clash_mismatches(_Evaluator(theory, variant)), variant
+
+
+def condition_list_mismatches(ev):
+    """(label, index) of each condition list that ``ev`` kept, or gives for a
+    rule at a chain position, and that differs from ``_conditions``."""
+    kept = list(ev._condition_lists.items())
+    out = [key for key, found in kept if found != _conditions(ev.by_label[key[0]], key[1])]
+    return out + [
+        (rule.label, index)
+        for rule in ev.rules
+        for index in range(1, (len(rule.consequent) if rule.mode is Mode.O else 1) + 1)
+        if ev.condition_list(rule, index) != _conditions(rule, index)
+    ]
+
+
+def saturated(theory, variant):
+    """The evaluator of a whole saturation of ``theory``, after it."""
+    ev, store = _Evaluator(theory, variant), {}
+    while len(nxt := step(theory, store, variant, ev)) != len(store):
+        store = nxt
+    return ev
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_condition_lists_equal_the_plain_ones_on_fixtures(name):
+    for variant in Variant:
+        ev = saturated(load_fixture(name), variant)
+        assert ev._condition_lists
+        assert condition_list_mismatches(ev) == []
+
+
+@given(
+    st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=120)
+)
+@settings(max_examples=20, deadline=None)
+def test_condition_lists_equal_the_plain_ones_on_random_theories(seed, size):
+    for variant in Variant:
+        assert condition_list_mismatches(saturated(random_theory(seed, size), variant)) == []
 
 
 def test_the_oracle_imports_nothing_of_the_engine_but_compute_extension():

@@ -17,7 +17,8 @@ pass shows as ``log`` alone.  Prints every result that differs with the
 parts that do (log, settled, fixpoint, iterations, dead, json, oracle),
 then a count per part and a count of differing results; exits 1 if any
 result differs.  Last it prints each side's total ``iterations`` and
-``_decide`` calls over the engine results, which are not compared.
+``_decide`` calls over the engine results and its total oracle ``step``
+rounds over the oracle results; these totals are not compared.
 Standard library only.
 """
 
@@ -31,7 +32,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 VARIANTS = ("simple", "cautious")
 PARTS = ("log", "settled", "fixpoint", "iterations", "dead", "json", "oracle")
-TOTALS = ("iterations", "_decide calls")
+TOTALS = ("iterations", "_decide calls", "oracle step rounds")
 
 
 def _digest(*parts) -> str:
@@ -69,6 +70,13 @@ def _digests(root: str) -> dict:
             super()._apply(s, positive)
 
     out, totals = {}, dict.fromkeys(TOTALS, 0)
+    step = D.oracle.step
+
+    def counted_step(*args):
+        totals["oracle step rounds"] += 1
+        return step(*args)
+
+    D.oracle.step = counted_step  # oracle_extension looks it up per round
     for key, theory, oracle in _inputs(root, inputs, D):
         for name in VARIANTS:
             variant = D.conflicts.Variant(name)
@@ -122,7 +130,8 @@ def main(argv) -> int:
     print(f"{len(differ)} of {len(names)} results differ ({engine} engine, {oracle} oracle)")
     for total in TOTALS:
         old, new = (side["totals"][total] for side in sides)
-        print(f"total {total} over the engine results: parent {old}, change {new}")
+        results = "oracle" if total.startswith("oracle") else "engine"
+        print(f"total {total} over the {results} results: parent {old}, change {new}")
     return 1 if differ else 0
 
 
