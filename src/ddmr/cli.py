@@ -108,39 +108,40 @@ def _check_valid(theory) -> ValidationReport:
     return report
 
 
-def _oracle_budget_for(theory) -> int:
-    """The oracle budget, once ``theory`` is known to be within it; above it,
-    print why and exit ``EXIT_INVALID`` before anything is computed."""
+def _extension(theory, report: ValidationReport, args):
+    """The engine's extension of a valid theory under ``args.variant``.
+
+    Under ``args.oracle`` the budget is checked first (above it, print why
+    and exit ``EXIT_INVALID`` before anything is computed), and the
+    extension is then checked against the oracle's (on a mismatch, print
+    each differing set and exit ``EXIT_ORACLE_MISMATCH``).
+    """
+    variant = Variant(args.variant)
+    if not args.oracle:
+        return compute_extension(theory, variant, report)
     budget = _oracle_budget()
     try:
         check_budget(theory, budget)
     except OracleBudgetError as exc:
         print(f"oracle: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_INVALID)
-    return budget
-
-
-def _cross_check(theory, variant, extension, budget: int) -> None:
+    extension = compute_extension(theory, variant, report)
     diffs = check_equivalence(theory, variant, budget, extension)
+    for name, (engine_only, oracle_only) in sorted(diffs.items()):
+        print(
+            f"oracle mismatch in {name}: engine-only "
+            f"{sorted(map(str, engine_only))}, oracle-only "
+            f"{sorted(map(str, oracle_only))}",
+            file=sys.stderr,
+        )
     if diffs:
-        for name, (engine_only, oracle_only) in sorted(diffs.items()):
-            print(
-                f"oracle mismatch in {name}: engine-only "
-                f"{sorted(map(str, engine_only))}, oracle-only "
-                f"{sorted(map(str, oracle_only))}",
-                file=sys.stderr,
-            )
         raise SystemExit(EXIT_ORACLE_MISMATCH)
+    return extension
 
 
 def cmd_extension(args) -> int:
     theory = _load_theory(args.path)
-    report = _check_valid(theory)
-    variant = Variant(args.variant)
-    budget = _oracle_budget_for(theory) if args.oracle else None
-    extension = compute_extension(theory, variant, report)
-    if args.oracle:
-        _cross_check(theory, variant, extension, budget)
+    extension = _extension(theory, _check_valid(theory), args)
     sys.stdout.write(render_extension(extension, args.format))
     return EXIT_OK
 
@@ -148,17 +149,13 @@ def cmd_extension(args) -> int:
 def cmd_query(args) -> int:
     theory = _load_theory(args.path)
     report = _check_valid(theory)
-    variant = Variant(args.variant)
     try:
         formula = parse_tagged_formula(args.formula)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_PARSE
-    budget = _oracle_budget_for(theory) if args.oracle else None
-    extension = compute_extension(theory, variant, report)
-    if args.oracle:
-        _cross_check(theory, variant, extension, budget)
-    answer = query(theory, variant, formula, extension)
+    extension = _extension(theory, report, args)
+    answer = query(theory, Variant(args.variant), formula, extension)
     print(answer)
     return {
         PROVED: EXIT_OK,

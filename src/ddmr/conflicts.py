@@ -28,14 +28,7 @@ from __future__ import annotations
 import enum
 from typing import NamedTuple
 
-from .model import (
-    ATTACK_MODES,
-    Arrow,
-    Literal,
-    Mode,
-    Rule,
-    RuleExpression,
-)
+from .model import Arrow, Literal, Mode, Rule, RuleExpression
 
 
 class Variant(enum.Enum):
@@ -46,15 +39,6 @@ class Variant(enum.Enum):
 
     def __str__(self) -> str:
         return self.value
-
-
-# Who may attack a conclusion of each mode over a rule, per variant: as for
-# literals, except that under the cautious reading a permission over a rule
-# is attacked by permissions as well.
-RULE_ATTACK_MODES = {
-    Variant.SIMPLE: ATTACK_MODES,
-    Variant.CAUTIOUS: {**ATTACK_MODES, Mode.P: (Mode.O, Mode.P)},
-}
 
 
 def conflicts(a, b, variant: Variant) -> bool:

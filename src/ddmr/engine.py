@@ -23,7 +23,7 @@ attacked by the rules clashing with it as whole rules and defended by
 those clashing with the attacker; a defender also beats an attacker whose
 concluded rules its own are superior to, unless the attacker is superior
 to it.  ``model.ATTACK_MODES``, ``model.DEFEND_MODES`` and
-``conflicts.RULE_ATTACK_MODES`` say which modes attack and defend.
+``model.CAUTIOUS_RULE_ATTACK_MODES`` say which modes attack and defend.
 
 A rule's conditions are one list, ``model.conditions``: the rule held and
 each antecedent item from chain position 1, and each chain element in
@@ -37,8 +37,8 @@ the support index.  A rule is applicable at a position once its count
 there is 0.  The subjects that consulted a rule are examined again only
 when its applicability or discarding moves.
 
-``run`` first settles, in bulk, the verdicts that need no evidence: the
-seeded ones (``prepare``'s), and a refutation for each C or O subject
+``prepare`` also writes into the store, in bulk, the verdicts that need
+no evidence: the seeded ones, and a refutation for each C or O subject
 that no defeasible rule supports and for each unsupported P subject
 whose obligation is refuted that way.  Proving needs an applicable
 defeasible supporter, and refuting only asks that every defeasible
@@ -46,18 +46,19 @@ supporter be beaten, so the proof conditions would refute these too;
 supports only shrink during the run, so an unsupported subject never
 gains a supporter.  An unsupported P whose obligation is supported goes
 through the proof conditions, which wait for the obligation (O implies
-P).  The verdicts are one byte mask over the store: refuted everywhere,
-cleared at the supported ids and at the P id after each supported O,
-with the seeded verdicts (all on C ids) written over it.  The bytes of
-ids that no condition watches go straight into the store; only the
-watched ones can move a rule, so they alone go through ``_apply``, in
-id order.
+P).  The store starts refuted everywhere; the walk over the rules clears
+each id a defeasible supporter concludes and the P id after each such O;
+the seeded verdicts (all on C ids) are written over that last.  ``run``
+takes the bytes of ids that no condition watches as they stand; only
+the watched ones can move a rule, so they alone go through ``_apply``,
+in id order.
 
 ``prepare`` compiles the theory to integer ids and the fixpoint runs on
 those alone.  It reads the rules once (``rules_by_label``), gathers the
 atoms from that list, and hands it to ``build_conflict_index``; then one
 walk over the rules in id order files each rule's chain, conditions and
-supports.  Atoms are numbered in sorted order, and so are rule
+supports, and opens the store at the ids a defeasible supporter
+concludes.  Atoms are numbered in sorted order, and so are rule
 labels.  The literal over atom ``a`` has the base index ``2a`` when
 positive and ``2a + 1`` when negated.  The reference to rule ``r`` has
 the reference id ``k = 2r + (not positive)``, the numbering in which
@@ -71,16 +72,17 @@ with ``m`` 0, 1, 2 for C, O, P, so ids sort exactly as the pairs do:
 literals before rules, then name, positive first, then C/O/P.
 
 The run keeps its decisions in one ``bytearray``, ``tag``, indexed by
-subject id: 0 undecided, 1 proved, 2 refuted.  After the settling pass
-every id left undecided is due for examination, so the first iteration
-examines those ids in order, picked out of the store with
-``itertools.compress``; later iterations examine the sorted undecided ids
-whose evidence moved (``dirty``).  ``extension`` decodes the store
-once, at the end, a set at a time: for each mode it takes that mode's
-column of the store (``tag[m::3]``, one byte per base index), turns it
-into a 0/1 mask per sign and picks the subjects out of ``base``, the
-per-base-index literals and rule references ``prepare`` made, with
-``itertools.compress``.
+subject id: 0 undecided, 1 proved, 2 refuted.  Past the verdicts that
+``prepare`` wrote, every id left undecided is due for examination, so
+the first iteration examines those ids in order, picked out of the store
+with ``itertools.compress``; later iterations examine the sorted
+undecided ids whose evidence moved (``dirty``).  ``extension`` decodes
+the store once, at the end, through ``Extension.decode``, the oracle's
+decoder too: it hands over ``base``, the per-base-index literals and
+rule references ``prepare`` made, and each mode's column of the store
+(``tag[m::3]``, one byte per base index).  ``diff_variants`` compares
+the stores of the two readings id by id, since the ids depend only on
+the atoms and labels.
 
 A subject never decided by the fixpoint is reported as undetermined; loops
 such as ``x => C x`` are the typical cause.  The engine never decides a
@@ -92,12 +94,17 @@ iteration order.
 from __future__ import annotations
 
 import random
-from itertools import compress, count, repeat
+from itertools import compress, count
 
-from .conflicts import RULE_ATTACK_MODES, Variant, build_conflict_index
+from .conflicts import Variant, build_conflict_index
 from .model import (
     ATTACK_MODES,
+    CAUTIOUS_RULE_ATTACK_MODES,
     DEFEND_MODES,
+    TAG_IS as _IS,
+    TAG_PROVED as _PROVED,
+    TAG_REFUTED as _REFUTED,
+    TAG_UNDECIDED as _UNDECIDED,
     Extension,
     Literal,
     ModalLiteral,
@@ -124,14 +131,9 @@ def _offsets(table: dict) -> tuple:
     return tuple(tuple(_MODE_ORDER[m] for m in table[mode]) for mode in _MODES)
 
 
-# Who may attack and defend, from ``model`` and ``conflicts``.
+# Who may attack and defend, from ``model``.
 _ATTACK, _DEFEND = _offsets(ATTACK_MODES), _offsets(DEFEND_MODES)
-_RULE_ATTACK = _offsets(RULE_ATTACK_MODES[Variant.CAUTIOUS])
-
-# The values of the tag store, and per value a translation table that maps
-# that byte to 1 and every other byte to 0.
-_UNDECIDED, _PROVED, _REFUTED = 0, 1, 2
-_IS = [bytes(int(byte == value) for byte in range(256)) for value in range(3)]
+_RULE_ATTACK = _offsets(CAUTIOUS_RULE_ATTACK_MODES)
 
 
 def complement_id(s: int) -> int:
@@ -157,10 +159,8 @@ class EngineState:
     which the rule is discarded, one past its chain while it is not.
     ``opposite[k]`` (simple reading) lists, by base index, the concluded
     references with reference ``k``'s content and the other polarity.
-    ``seeded`` (subject id to its verdict before any evidence) and
-    ``supported`` (the ids with a defeasible supporter) are read only by
-    the settling pass at the start of ``run``, which turns them into one
-    byte mask over ``tag``.  ``subject_id(mode, subject)``, set by
+    ``prepare`` leaves in ``tag`` the verdicts that need no evidence, and
+    ``run`` starts from them.  ``subject_id(mode, subject)``, set by
     ``prepare``, numbers a (mode, literal, rule expression or rule
     reference) pair.  ``dead`` (the rules cut at 1), ``lit_tags`` and
     ``rule_tags`` (decided literal and rule subject ids to their sign) and
@@ -193,8 +193,9 @@ class EngineState:
         with its content and the other polarity, one list per content group
         and polarity; and the superiority pairs as pairs of rule ids.  After
         the numberings and the conflict index, one walk over the rules in
-        id order builds the per-rule tables, ``watch``, ``supports`` and
-        ``supported``.
+        id order builds the per-rule tables, ``watch`` and ``supports``, and
+        opens the store at the ids a defeasible supporter concludes (and the
+        P after each such O); the seeded verdicts are written last.
         """
         t = self.theory
         by_label = t.rules_by_label()
@@ -231,7 +232,10 @@ class EngineState:
         conflicting, producers, group = build_conflict_index(rules, self.variant, rid)
 
         top = {rid[rule.label] for rule in t.rules}
-        watch, supports, supported = self.watch, self.supports, set()
+        watch, supports = self.watch, self.supports
+        # the verdicts that need no evidence: refuted unless a defeasible
+        # rule concludes the id or, for a P id, its O (O implies P)
+        self.tag = tag = bytearray((_REFUTED,)) * (3 * len(self.base))
         self.rule_mode, self.defeasible, self.concludes = [], [], []
         self.expr_positions, self.concluded, self.live, self.cut = [], [], [], []
         for r, rule in enumerate(rules):
@@ -254,9 +258,10 @@ class EngineState:
             if r in top or producers[2 * r]:  # given, or concluded by some chain
                 for pos, s in enumerate(concludes, start=1):
                     supports.setdefault(s, []).append((r, pos))
-                if defeasible:
-                    supported.update(concludes)
-        self.supported = supported  # subject ids with a defeasible supporter
+                    if defeasible:
+                        tag[s] = _UNDECIDED
+                        if mode is Mode.O:
+                            tag[s + 1] = _UNDECIDED
         self.sup = {(rid[a], rid[b]) for a, b in t.superiority if a in rid and b in rid}
 
         refs = range(len(producers))  # reference ids
@@ -273,20 +278,20 @@ class EngineState:
                 for k in refs[::2]
             ]
 
-        # decided before any evidence, all C subjects: facts and the given
-        # rules hold, the complements of facts fail, and so do expressions
-        # clashing with a given rule; where both apply (contradictory facts,
-        # clashing given rules), holding wins
-        top_refs = [2 * r for r in top]
+        # seeded over that, all C subjects: facts and the given rules hold,
+        # the complements of facts fail, and so do expressions clashing with
+        # a given rule; where both apply (contradictory facts, clashing
+        # given rules), holding wins
         facts = [subject_id(Mode.C, f) for f in t.facts]
-        self.seeded = dict.fromkeys(map(complement_id, facts), False)
-        self.seeded.update(
-            dict.fromkeys((3 * (n_lits + x) for k in top_refs for x in conflicting[k]), False)
-        )
-        self.seeded.update(dict.fromkeys(facts, True))
-        self.seeded.update(dict.fromkeys((3 * (n_lits + k) for k in top_refs), True))
-        del conflicting, producers  # the run reads only the tables; free these first
-        self.tag = bytearray(3 * len(self.base))
+        for s in map(complement_id, facts):
+            tag[s] = _REFUTED
+        for r in top:
+            for x in conflicting[2 * r]:
+                tag[3 * (n_lits + x)] = _REFUTED
+        for s in facts:
+            tag[s] = _PROVED
+        for r in top:
+            tag[3 * (n_lits + 2 * r)] = _PROVED
 
     def pair(self, s: int):
         """The (mode, subject) pair a subject id stands for."""
@@ -320,24 +325,15 @@ class EngineState:
 
     def run(self) -> None:
         tag, dirty, touched = self.tag, self.dirty, self._touched
-        # the verdicts that need no evidence, one byte per id: refuted unless
-        # a defeasible rule supports the id or, for a P id, its O (O implies
-        # P), under the seeded verdicts (all on C ids, so no O is seeded)
-        settled = bytearray((_REFUTED,)) * len(tag)
-        for s in self.supported:
-            settled[s] = _UNDECIDED
-            if s % 3 == O:
-                settled[s + 1] = _UNDECIDED
-        for s, verdict in self.seeded.items():
-            settled[s] = _PROVED if verdict else _REFUTED
-        # a verdict moves rules only through ``watch``: the other ids take
-        # their byte as it is, the watched ones go through ``_apply``
-        tag[:] = settled
-        watched = sorted(s for s in self.watch if settled[s])
+        # ``prepare`` left the verdicts that need no evidence in the store; a
+        # verdict moves rules only through ``watch``, so the other ids keep
+        # their byte as it is and the watched ones go through ``_apply``
+        watched = sorted(s for s in self.watch if tag[s])
+        verdicts = [tag[s] == _PROVED for s in watched]
         for s in watched:
             tag[s] = _UNDECIDED
-        for s in watched:
-            self._apply(s, settled[s] == _PROVED)
+        for s, verdict in zip(watched, verdicts):
+            self._apply(s, verdict)
         dirty.clear()
         # first: every id left undecided
         batch = compress(count(), tag.translate(_IS[_UNDECIDED])) if tag else None
@@ -362,18 +358,7 @@ class EngineState:
 
     def extension(self) -> Extension:
         """Decode the tag store into the twelve tag sets and the residue."""
-        n = self.n_lits
-        lits, refs = self.base[:n], self.base[n:]
-        literals, rules, undetermined = {}, {}, set()
-        for m, mode in enumerate(_MODES):
-            column = self.tag[m::3]
-            for sign, value in ((Sign.PLUS, _PROVED), (Sign.MINUS, _REFUTED)):
-                mask = column.translate(_IS[value])
-                literals[(sign, mode)] = set(compress(lits, mask[:n]))
-                rules[(sign, mode)] = set(compress(refs, mask[n:]))
-            undecided = compress(self.base, column.translate(_IS[_UNDECIDED]))
-            undetermined.update(zip(repeat(mode), undecided))
-        return Extension(literals, rules, undetermined)
+        return Extension.decode(self.base, self.n_lits, [self.tag[m::3] for m in (C, O, P)])
 
     # ------------------------------------------------------------ rule state
 
@@ -607,26 +592,14 @@ def diff_variants(theory: Theory, report: ValidationReport = None) -> list:
     """
     if report is None:
         report = validate(theory)
-    simple = compute_extension(theory, Variant.SIMPLE, report)
-    cautious = compute_extension(theory, Variant.CAUTIOUS, report)
-
-    def outcomes(ext: Extension):
-        out = {}
-        for (sign, mode), subjects in list(ext.literals.items()) + list(
-            ext.rules.items()
-        ):
-            for subject in subjects:
-                out[(mode, subject)] = PROVED if sign is Sign.PLUS else REFUTED
-        for mode, subject in ext.undetermined:
-            out[(mode, subject)] = UNDETERMINED
-        return out
-
-    left, right = outcomes(simple), outcomes(cautious)
+    # ids depend only on the atoms and labels, so both runs number one base
+    simple = run_engine(theory, Variant.SIMPLE, report=report)
+    cautious = run_engine(theory, Variant.CAUTIOUS, report=report)
+    outcome = {_UNDECIDED: UNDETERMINED, _PROVED: PROVED, _REFUTED: REFUTED}
     rows = []
-    for key in set(left) | set(right):
-        a, b = left.get(key), right.get(key)
+    for s, (a, b) in enumerate(zip(simple.tag, cautious.tag)):
         if a != b:
-            mode, subject = key
-            rows.append((mode, isinstance(subject, RuleRef), subject, a, b))
+            mode, subject = simple.pair(s)
+            rows.append((mode, s >= simple.n_lit_ids, subject, outcome[a], outcome[b]))
     rows.sort(key=lambda r: (r[1], str(r[2]), _MODE_ORDER[r[0]]))
     return rows

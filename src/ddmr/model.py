@@ -35,6 +35,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, field
+from itertools import compress, repeat
 from typing import Iterator, Union
 
 
@@ -58,10 +59,11 @@ DEONTIC_MODES = (Mode.O, Mode.P)
 # Who may attack and who may defend a conclusion of each mode.  Obligations
 # are attacked by obligations and permissions but reinstated only by
 # obligations; permissions are attacked by obligations and defended by
-# either deontic mode.  ``conflicts.RULE_ATTACK_MODES`` adds the one
-# exception for conclusions over rules.
+# either deontic mode.  The one exception: under the cautious reading a
+# permission over a rule is attacked by permissions as well.
 ATTACK_MODES = {Mode.C: (Mode.C,), Mode.O: (Mode.O, Mode.P), Mode.P: (Mode.O,)}
 DEFEND_MODES = {Mode.C: (Mode.C,), Mode.O: (Mode.O,), Mode.P: (Mode.O, Mode.P)}
+CAUTIOUS_RULE_ATTACK_MODES = {**ATTACK_MODES, Mode.P: (Mode.O, Mode.P)}
 
 
 class Arrow(enum.Enum):
@@ -183,7 +185,8 @@ class Rule:
     length one except for defeasible obligation rules, which may carry a
     reparation chain.  Chain elements are plain literals or rule
     expressions, never modal literals.  Antecedent items are literals,
-    modal literals, rule expressions or deontic rule expressions.
+    modal literals, rule expressions or deontic rule expressions, held in a
+    frozenset.  Parts of other types are refused with a ``ValueError``.
     """
 
     label: str
@@ -193,6 +196,12 @@ class Rule:
     consequent: tuple
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.antecedent, frozenset) and isinstance(self.consequent, tuple)):
+            raise ValueError(f"rule {self.label}: antecedents are frozensets, consequents tuples")
+        if not (isinstance(self.arrow, Arrow) and isinstance(self.mode, Mode)):
+            raise ValueError(
+                f"rule {self.label}: not an arrow and a mode: {self.arrow!r}, {self.mode!r}"
+            )
         if not self.consequent:
             raise ValueError(f"rule {self.label}: empty consequent")
         if len(self.consequent) > 1 and (
@@ -474,13 +483,21 @@ class TaggedFormula:
         return f"{self.sign}d{level}{self.mode} {self.subject}"
 
 
+# A tag store holds one byte per (mode, subject) pair: 0 undecided, 1
+# proved, 2 refuted.  ``TAG_IS[value]`` translates a store to 1 where it
+# holds ``value`` and to 0 elsewhere.
+TAG_UNDECIDED, TAG_PROVED, TAG_REFUTED = 0, 1, 2
+TAG_IS = [bytes(int(byte == value) for byte in range(256)) for value in range(3)]
+
+
 @dataclass
 class Extension:
     """The decided tag sets of a theory, plus the subjects left undecided.
 
     ``literals[(sign, mode)]`` is a set of Literal; ``rules[(sign, mode)]``
     a set of RuleRef.  ``undetermined`` holds the (mode, subject) pairs the
-    fixpoint never settled, subject being a Literal or RuleRef.
+    fixpoint never settled, subject being a Literal or RuleRef.  Both
+    reasoners build theirs from a tag store through ``decode``.
     """
 
     literals: dict = field(default_factory=dict)
@@ -514,17 +531,25 @@ class Extension:
                     yield f"{sign}d{level}{mode}", table[(sign, mode)]
 
     @classmethod
-    def from_tags(cls, tags, undetermined) -> "Extension":
-        """Sort ((mode, subject), sign) pairs (True for +) into tag sets.
+    def decode(cls, base, n_lits: int, columns) -> "Extension":
+        """The extension a tag store holds, a set at a time.
 
-        The oracle's conversion of its tag store; the engine decodes its
-        own store a set at a time (``EngineState.extension``).
+        ``base`` lists the subjects, its first ``n_lits`` the literals and
+        the rest rule references; ``columns`` gives, for C, O and P in turn,
+        the store's bytes over ``base``, one per subject (``TAG_*``).  Each
+        column becomes a 0/1 mask per sign, which picks the subjects out of
+        ``base`` with ``itertools.compress``.
         """
-        ext = cls(undetermined=set(undetermined))
-        for (mode, subject), positive in tags:
-            table = ext.rules if isinstance(subject, RuleRef) else ext.literals
-            table[(Sign.PLUS if positive else Sign.MINUS, mode)].add(subject)
-        return ext
+        lits, refs = base[:n_lits], base[n_lits:]
+        literals, rules, undetermined = {}, {}, set()
+        for mode, column in zip(Mode, columns):
+            for sign, value in ((Sign.PLUS, TAG_PROVED), (Sign.MINUS, TAG_REFUTED)):
+                mask = column.translate(TAG_IS[value])
+                literals[(sign, mode)] = set(compress(lits, mask[:n_lits]))
+                rules[(sign, mode)] = set(compress(refs, mask[n_lits:]))
+            undecided = compress(base, column.translate(TAG_IS[TAG_UNDECIDED]))
+            undetermined.update(zip(repeat(mode), undecided))
+        return cls(literals, rules, undetermined)
 
 
 def _has_cycle(pairs) -> bool:

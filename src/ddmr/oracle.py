@@ -5,7 +5,9 @@ module evaluates the paper's proof conditions as written.  The tag store
 is a plain dict from (mode, subject) to True for + and False for -.  One
 ``step`` adds every tagged conclusion whose full proof condition the store
 satisfies; saturating to a fixpoint yields the extension.  Tags never
-derived stay undetermined.
+derived stay undetermined.  The final store is written out as one byte
+column per mode over the sorted base, which ``Extension.decode`` turns
+into tag sets, as it does the engine's store.
 
 A rule at a chain position is applicable when every one of its
 conditions holds and discarded when one is refuted.  ``model.conditions``
@@ -54,10 +56,14 @@ from __future__ import annotations
 
 from functools import partial
 
-from .conflicts import RULE_ATTACK_MODES, Variant, conflicts
+from .conflicts import Variant, conflicts
 from .model import (
     ATTACK_MODES,
+    CAUTIOUS_RULE_ATTACK_MODES,
     DEFEND_MODES,
+    TAG_PROVED,
+    TAG_REFUTED,
+    TAG_UNDECIDED,
     Extension,
     Literal,
     Mode,
@@ -73,6 +79,9 @@ from .model import (
 DEFAULT_BUDGET = 200
 
 _MODES = tuple(Mode)
+
+# A store's value, or its absence, as a byte of ``Extension.decode``'s columns.
+_TAG_BYTE = {None: TAG_UNDECIDED, True: TAG_PROVED, False: TAG_REFUTED}
 
 
 class OracleBudgetError(ValueError):
@@ -214,7 +223,7 @@ class _Evaluator:
     def simple_attackers(self, mode: Mode, ref: RuleRef):
         """(rule, position) of each rule concluding, at that position, an
         expression with the content of ``ref`` and the other polarity."""
-        modes = RULE_ATTACK_MODES[Variant.SIMPLE][mode]
+        modes = ATTACK_MODES[mode]
         return [
             (rule, pos)
             for rule, pos, elem in self._same_content(ref)
@@ -240,7 +249,7 @@ class _Evaluator:
         return _memo(self._cautious_attackers, self._scan_cautious_attackers, mode, anchor.label)
 
     def _scan_cautious_attackers(self, mode: Mode, label: str):
-        modes = RULE_ATTACK_MODES[Variant.CAUTIOUS][mode]
+        modes = CAUTIOUS_RULE_ATTACK_MODES[mode]
         return [
             (rule, j)
             for rule in self.clashing(self.by_label[label])
@@ -443,11 +452,9 @@ def oracle_extension(
         if len(nxt) == len(store):
             break
         store = nxt
-
-    undetermined = {
-        (mode, subject) for subject in ev.base for mode in _MODES if (mode, subject) not in store
-    }
-    return Extension.from_tags(store.items(), undetermined)
+    n_lits = sum(isinstance(subject, Literal) for subject in ev.base)  # literals come first
+    columns = [bytes([_TAG_BYTE[store.get((mode, s))] for s in ev.base]) for mode in _MODES]
+    return Extension.decode(ev.base, n_lits, columns)
 
 
 def check_equivalence(

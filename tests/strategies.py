@@ -139,8 +139,9 @@ _ITEM_KINDS = (Literal, ModalLiteral, RuleExpression, DeonticRuleExpression, Rul
 def model_items(draw, names, depth: int = 5, kinds=_ITEM_KINDS):
     """An object of one of ``kinds`` whose slots hold model items again,
     ``depth`` constructor levels at most (so rules nest two deep under a
-    rule).  A slot holds a type it accepts or, as often, any type; a part
-    that its constructor rejects becomes a literal."""
+    rule).  A slot holds a type it accepts or, as often, any type; a rule
+    rarely has a list for its antecedent or chain, or a string for its
+    arrow or mode.  A part that its constructor rejects becomes a literal."""
 
     def part(*accepted):
         return draw(
@@ -162,6 +163,12 @@ def model_items(draw, names, depth: int = 5, kinds=_ITEM_KINDS):
             length = st.integers(0, 3) if draw(rarely) else st.integers(1, 3 if chained else 1)
             items = frozenset(part(*_ITEM_KINDS[:4]) for _ in range(draw(st.integers(0, 2))))
             chain = tuple(part(Literal, RuleExpression) for _ in range(draw(length)))
+            if draw(rarely):  # a container or an enum the rule does not take
+                wrong = draw(st.integers(0, 3))
+                items = list(items) if wrong == 0 else items
+                chain = list(chain) if wrong == 1 else chain
+                arrow = str(arrow) if wrong == 2 else arrow
+                mode = str(mode) if wrong == 3 else mode
             return Rule(draw(names), items, arrow, mode, chain)
         if kind is RuleExpression:
             return RuleExpression(part(Rule), draw(st.booleans()))

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from ddmr.conflicts import Variant, conflicts
 from ddmr.engine import (
+    P,
     PROVED,
     REFUTED,
     UNDETERMINED,
@@ -25,6 +26,7 @@ from ddmr.model import (
     Mode,
     RuleExpression,
     RuleRef,
+    Sign,
     Theory,
     modal_herbrand_base,
     validate,
@@ -354,7 +356,7 @@ def test_compile_numbers_the_modal_base_in_order():
                 pair = (mode, subject.ref if isinstance(subject, RuleExpression) else subject)
                 ids[pair] = state.subject_id(mode, subject)
             assert sorted(ids.values()) == list(range(len(ids))), name
-            assert state.tag == bytearray(len(ids)), name  # one undecided byte per id
+            assert len(state.tag) == len(ids), name  # one byte per id
             for (mode, subject), s in ids.items():
                 assert state.pair(s) == (mode, subject), name
                 assert state.pair(complement_id(s)) == (mode, subject.complement()), name
@@ -390,7 +392,7 @@ def test_concluded_expressions_clash_simply_with_their_content_negated():
 class _Recording(EngineState):
     """Logs each decision with the iteration that makes it (0 for the
     verdicts settled before the fixpoint) and each subject ``_decide`` is
-    asked about, and keeps the store as the settling pass leaves it."""
+    asked about, and keeps the store as the fixpoint first finds it."""
 
     def prepare(self) -> None:
         super().prepare()
@@ -424,51 +426,126 @@ x: d => C d.
 """
 
 
-def _settled_runs():
-    """Per theory and variant: the run, its seeded ids and the verdicts
-    settled before the fixpoint, read from the store."""
+def _settled_by_the_theory(theory, variant):
+    """The verdicts due before any evidence, read from the theory alone, as
+    (seeded, settled) dicts from (mode, subject) to the sign.  Seeded, all
+    under C: facts and the given rules hold; the complements of facts and
+    the expressions that clash with a given rule fail; holding wins where
+    both apply.  Settled, besides: every pair that no defeasible supporter
+    concludes fails, a P pair only when its O has none either.  A supporter
+    is a rule that is given or whose positive expression some chain
+    concludes."""
+    by_label = theory.rules_by_label()
+    given = {rule.label for rule in theory.rules}
+    concluded = {
+        e.rule.label
+        for rule in by_label.values()
+        for e in rule.consequent
+        if isinstance(e, RuleExpression) and e.positive
+    }
+    supported = {
+        (rule.mode, e.ref if isinstance(e, RuleExpression) else e)
+        for rule in by_label.values()
+        if rule.is_defeasible and (rule.label in given or rule.label in concluded)
+        for e in rule.consequent
+    }
+    seeded = {(Mode.C, fact.complement()): False for fact in theory.facts}
+    for rule in by_label.values():
+        for positive in (True, False):
+            expr = RuleExpression(rule, positive)
+            if any(conflicts(g, expr, variant) for g in theory.rules):
+                seeded[(Mode.C, expr.ref)] = False
+    seeded.update({(Mode.C, fact): True for fact in theory.facts})
+    seeded.update({(Mode.C, RuleRef(label)): True for label in given})
+    settled = {}
+    for mode, subject in modal_herbrand_base(theory):
+        pair = (mode, subject.ref if isinstance(subject, RuleExpression) else subject)
+        if pair not in supported and (mode is not Mode.P or (Mode.O, pair[1]) not in supported):
+            settled[pair] = False
+    settled.update(seeded)
+    return seeded, settled
+
+
+def _pool() -> list:
+    """(name, theory): the fixtures, ``random_theory(seed, 80)`` for seeds
+    0-19 and ``DEFEATER_ONLY``."""
     theories = [(p.stem, parse_theory(p.read_text())) for p in sorted(FIXTURES.glob("*.ddl"))]
     theories += [(f"random/{seed}", random_theory(seed, 80)) for seed in range(20)]
-    theories.append(("defeater-only", parse_theory(DEFEATER_ONLY)))
-    for name, theory in theories:
+    return theories + [("defeater-only", parse_theory(DEFEATER_ONLY))]
+
+
+def _settled_runs(engine=None):
+    """Per theory of ``_pool`` and variant: the run of ``engine``
+    (``_Recording`` when None), its store as the first ``_decide`` call
+    finds it, by pair, and the verdicts the theory seeds and settles."""
+    for name, theory in _pool():
         for variant in Variant:
-            state = _Recording(theory, variant)
+            state = (engine or _Recording)(theory, variant)
             state.prepare()
-            seeded = set(state.seeded)
             state.run()
-            settled = {s: byte == 1 for s, byte in enumerate(state.settled) if byte}
-            yield (name, variant), state, seeded, settled
+            store = {state.pair(s): byte == 1 for s, byte in enumerate(state.settled) if byte}
+            yield (name, variant), state, store, *_settled_by_the_theory(theory, variant)
 
 
 def test_seeded_and_settled_subjects_never_reach_decide():
-    for where, state, seeded, settled in _settled_runs():
-        assert state.asked.isdisjoint(seeded | settled.keys()), where
-        assert seeded <= settled.keys(), where
+    for where, state, store, seeded, settled in _settled_runs():
+        assert {state.pair(s) for s in state.asked}.isdisjoint(settled), where
 
 
 def test_settled_subjects_are_refuted_by_the_proof_conditions():
-    for where, state, seeded, settled in _settled_runs():
-        for s in settled.keys() - seeded:
-            assert settled[s] is state._decide(s) is False, (where, state.pair(s))
+    for where, state, store, seeded, settled in _settled_runs():
+        for mode, subject in settled.keys() - seeded.keys():
+            assert state._decide(state.subject_id(mode, subject)) is False, (where, mode, subject)
 
 
-def _settle_by_id(state) -> bytes:
-    """The settling pass as a loop over every id in order: the seeded
-    verdict, else a refutation of an id with no defeasible supporter, a P
-    id only once its O is refuted this way."""
-    tag = bytearray(len(state.tag))
-    for s in range(len(tag)):
-        verdict = state.seeded.get(s)
-        if verdict is None and s not in state.supported and (s % 3 != 2 or tag[s - 1]):
-            verdict = False
-        if verdict is not None:
-            tag[s] = 1 if verdict else 2
-    return bytes(tag)
+def test_the_settled_store_equals_the_verdicts_the_theory_settles():
+    for where, state, store, seeded, settled in _settled_runs():
+        assert store == settled, where
 
 
-def test_the_settling_mask_equals_the_settling_loop():
-    for where, state, seeded, settled in _settled_runs():
-        assert state.settled == _settle_by_id(state), where
+class _PermissionsLeftRefuted(_Recording):
+    """A planted defect: ``prepare`` does not open the P after a supported O."""
+
+    def prepare(self) -> None:
+        super().prepare()
+        for s in range(P, len(self.tag), 3):
+            if not any(self.defeasible[r] for r, _ in self.supports.get(s, ())):
+                self.tag[s] = 2
+
+
+def test_a_permission_left_refuted_after_a_supported_obligation_is_caught():
+    runs = _settled_runs(_PermissionsLeftRefuted)
+    caught = [where for where, _, store, _, settled in runs if store != settled]
+    assert ("defeater-only", Variant.SIMPLE) in caught
+    assert ("defeater-only", Variant.CAUTIOUS) in caught
+
+
+def _outcomes(ext) -> dict:
+    """(mode, subject) -> Proved, Refuted or Undetermined, per extension."""
+    out = {}
+    for (sign, mode), subjects in list(ext.literals.items()) + list(ext.rules.items()):
+        for subject in subjects:
+            out[(mode, subject)] = PROVED if sign is Sign.PLUS else REFUTED
+    for mode, subject in ext.undetermined:
+        out[(mode, subject)] = UNDETERMINED
+    return out
+
+
+def test_diff_variants_equals_a_comparison_of_the_two_extensions():
+    differing = 0
+    for name, theory in _pool():
+        left = _outcomes(compute_extension(theory, Variant.SIMPLE))
+        right = _outcomes(compute_extension(theory, Variant.CAUTIOUS))
+        rows = []
+        for key in left.keys() | right.keys():
+            a, b = left.get(key), right.get(key)
+            if a != b:
+                mode, subject = key
+                rows.append((mode, isinstance(subject, RuleRef), subject, a, b))
+        rows.sort(key=lambda r: (r[1], str(r[2]), "COP".index(str(r[0]))))
+        assert diff_variants(theory) == rows, name
+        differing += len(rows)
+    assert differing  # the readings part on some of these theories
 
 
 class _Checked(EngineState):

@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddmr.conflicts import Variant, simply_conflicts
-from ddmr.engine import compute_extension
+from ddmr.engine import compute_extension, run_engine
 from ddmr.generate import generate_theory, random_theory
 from ddmr.model import (
     Arrow,
     DeonticRuleExpression,
+    Extension,
     MAX_NESTING,
     Literal,
     ModalLiteral,
@@ -19,6 +20,7 @@ from ddmr.model import (
     Rule,
     RuleExpression,
     RuleRef,
+    Sign,
     Theory,
     concluded_labels,
     extended_superiority,
@@ -27,7 +29,7 @@ from ddmr.model import (
     theory_size,
     validate,
 )
-from ddmr.oracle import DEFAULT_BUDGET, check_equivalence
+from ddmr.oracle import DEFAULT_BUDGET, _Evaluator, check_equivalence, oracle_extension, step
 from ddmr.text import parse_theory, render_theory
 
 from .strategies import (
@@ -439,3 +441,56 @@ def test_nested_part_types_enforced_at_construction():
         RuleExpression("alpha")
     with pytest.raises(ValueError):
         DeonticRuleExpression(Mode.O, rule("inner", [a], Mode.C, [b]))
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [
+        ([a], Arrow.DEFEASIBLE, Mode.C, (b,)),
+        (frozenset([a]), Arrow.DEFEASIBLE, Mode.C, [b]),
+        (frozenset([a]), "=>", Mode.C, (b,)),
+        (frozenset([a]), Arrow.DEFEASIBLE, "C", (b,)),
+    ],
+    ids=["list-antecedent", "list-consequent", "str-arrow", "str-mode"],
+)
+def test_rule_container_and_enum_types_enforced_at_construction(parts):
+    with pytest.raises(ValueError, match="rule bad"):
+        Rule("bad", *parts)
+
+
+def _extension_by_pair(pairs) -> Extension:
+    """The extension of ((mode, subject), verdict) pairs, verdict True for +,
+    False for - and None for undecided, filed one pair at a time."""
+    ext = Extension()
+    for (mode, subject), verdict in pairs:
+        if verdict is None:
+            ext.undetermined.add((mode, subject))
+        else:
+            table = ext.rules if isinstance(subject, RuleRef) else ext.literals
+            table[(Sign.PLUS if verdict else Sign.MINUS, mode)].add(subject)
+    return ext
+
+
+def _decode_theories():
+    theories = [(p.stem, parse_theory(p.read_text())) for p in sorted(FIXTURES.glob("*.ddl"))]
+    return theories + [(f"random/{seed}", random_theory(seed, 80)) for seed in range(20)]
+
+
+def test_decode_equals_a_per_pair_loop_on_engine_stores():
+    verdict = {0: None, 1: True, 2: False}
+    for name, theory in _decode_theories():
+        for variant in Variant:
+            state = run_engine(theory, variant)
+            pairs = [(state.pair(s), verdict[byte]) for s, byte in enumerate(state.tag)]
+            assert state.extension() == _extension_by_pair(pairs), (name, variant)
+
+
+def test_decode_equals_a_per_pair_loop_on_oracle_stores():
+    for name, theory in _decode_theories():
+        for variant in Variant:
+            ev, store = _Evaluator(theory, variant), {}
+            while len(nxt := step(theory, store, variant, ev)) != len(store):
+                store = nxt
+            pairs = [((mode, s), store.get((mode, s))) for s in ev.base for mode in Mode]
+            expected = _extension_by_pair(pairs)
+            assert oracle_extension(theory, variant, budget=None) == expected, (name, variant)

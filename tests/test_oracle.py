@@ -8,10 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddmr.conflicts import RULE_ATTACK_MODES, Variant, conflicts
+from ddmr.conflicts import Variant, conflicts
 from ddmr.engine import _DEFEND, EngineState, run_engine
 from ddmr.generate import random_theory
-from ddmr.model import DEFEND_MODES, Literal, Mode, RuleExpression, RuleRef, Sign, Theory
+from ddmr.model import (
+    ATTACK_MODES,
+    DEFEND_MODES,
+    Literal,
+    Mode,
+    RuleExpression,
+    RuleRef,
+    Theory,
+)
 import ddmr.oracle
 from ddmr.oracle import (
     OracleBudgetError,
@@ -373,7 +381,7 @@ def scan_supporters(ev, mode, subject):
 
 def scan_simple_attackers(ev, mode, ref):
     target = ev.by_label[ref.label].content
-    modes = RULE_ATTACK_MODES[Variant.SIMPLE][mode]
+    modes = ATTACK_MODES[mode]
     out = []
     for rule in ev.rules:
         if rule.mode not in modes:

@@ -8,15 +8,16 @@ found through that root's ``perfbench/inputs.py``; the CLI workloads'
 theories go through ``render_theory`` and ``parse_theory`` as the
 benchmark's ``.ddl`` files do.  Per input and variant it digests the
 engine's decision log (iteration, subject id, sign); the store as the
-settling pass leaves it (``settled``: the tag bytes at the first
+fixpoint first finds it (``settled``: the tag bytes at the first
 ``_decide`` call, or at the end when there is none); the log from
 iteration 1 on (``fixpoint``); ``iterations``, dead rules and JSON
 extension; and for ``oracle-small`` and the fixtures the
-``oracle_extension`` JSON.  So a log that differs only inside the settling
-pass shows as ``log`` alone.  Prints every result that differs with the
-parts that do (log, settled, fixpoint, iterations, dead, json, oracle),
-then a count per part and a count of differing results; exits 1 if any
-result differs.  Last it prints each side's total ``iterations`` and
+``oracle_extension`` JSON.  Per input it also digests the rows of
+``diff_variants`` (``diff``).  So a log that differs only in the
+verdicts settled before the fixpoint shows as ``log`` alone.  Prints every result that differs
+with the parts that do (log, settled, fixpoint, iterations, dead, json,
+oracle, diff), then a count per part and a count of differing results;
+exits 1 if any result differs.  Last it prints each side's total ``iterations`` and
 ``_decide`` calls over the engine results and its total oracle ``step``
 rounds over the oracle results; these totals are not compared.
 Standard library only.
@@ -31,7 +32,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 VARIANTS = ("simple", "cautious")
-PARTS = ("log", "settled", "fixpoint", "iterations", "dead", "json", "oracle")
+PARTS = ("log", "settled", "fixpoint", "iterations", "dead", "json", "oracle", "diff")
 TOTALS = ("iterations", "_decide calls", "oracle step rounds")
 
 
@@ -78,6 +79,7 @@ def _digests(root: str) -> dict:
 
     D.oracle.step = counted_step  # oracle_extension looks it up per round
     for key, theory, oracle in _inputs(root, inputs, D):
+        out[f"{key}/diff"] = {"diff": _digest(D.engine.diff_variants(theory))}
         for name in VARIANTS:
             variant = D.conflicts.Variant(name)
             state = Recording(theory, variant)
@@ -126,8 +128,12 @@ def main(argv) -> int:
         print(f"differs: {name} ({', '.join(parts)})")
     print("differing parts: " + ", ".join(f"{part} {n}" for part, n in counts.items()))
     oracle = sum(name.endswith("/oracle") for name in names)
-    engine = len(names) - oracle
-    print(f"{len(differ)} of {len(names)} results differ ({engine} engine, {oracle} oracle)")
+    diff = sum(name.endswith("/diff") for name in names)
+    engine = len(names) - oracle - diff
+    print(
+        f"{len(differ)} of {len(names)} results differ "
+        f"({engine} engine, {oracle} oracle, {diff} diff)"
+    )
     for total in TOTALS:
         old, new = (side["totals"][total] for side in sides)
         results = "oracle" if total.startswith("oracle") else "engine"
