@@ -15,10 +15,10 @@ from .engine import (
     diff_variants,
     query,
 )
+from .extension import Extension
 from .model import (
     Arrow,
     DeonticRuleExpression,
-    Extension,
     Literal,
     ModalLiteral,
     Mode,

@@ -1,7 +1,10 @@
 """Benchmark harness: generate theory families, time the engine, emit CSV.
 
-Timing covers ``compute_extension``: validation plus the engine run.
-Generation and parsing are kept outside the clock.
+Timing covers ``compute_extension``: validation, the engine run and the
+decoded store, an ``Extension`` that keeps the store's columns and names
+and builds no tag set.  The sets are built after the clock, when the
+``decided`` and ``undetermined`` counts read them.  Generation and
+parsing are kept outside the clock.
 Rows come out in deterministic (family, size, variant) order.
 """
 

@@ -19,7 +19,10 @@ them, each as ``PATH:LINE:COLUMN: message`` and its source line, then, if
 there are more, one ``PATH: N more errors`` line.
 
 ``bench`` runs each reading named by a ``--variant`` (the option may be
-repeated), and both readings when none is named.
+repeated), and both readings when none is named.  Its ``wall_time_ms``
+covers validation, the engine run and the decoded store, not the tag
+sets, which are built after the clock for the ``decided`` and
+``undetermined`` columns.
 
 The oracle size cap defaults to 200 and can be overridden through the
 DDMR_ORACLE_BUDGET environment variable.  Under --oracle, a theory above

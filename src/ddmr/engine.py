@@ -76,13 +76,15 @@ subject id: 0 undecided, 1 proved, 2 refuted.  Past the verdicts that
 ``prepare`` wrote, every id left undecided is due for examination, so
 the first iteration examines those ids in order, picked out of the store
 with ``itertools.compress``; later iterations examine the sorted
-undecided ids whose evidence moved (``dirty``).  ``extension`` decodes
-the store once, at the end, through ``Extension.decode``, the oracle's
-decoder too: it hands over ``base``, the per-base-index literals and
-rule references ``prepare`` made, and each mode's column of the store
-(``tag[m::3]``, one byte per base index).  ``diff_variants`` compares
-the stores of the two readings id by id, since the ids depend only on
-the atoms and labels.
+undecided ids whose evidence moved (``dirty``).  ``extension`` hands
+the store, at the end, to ``Extension.decode``, the oracle's decoder
+too: the sorted atoms and labels, and each mode's column of the store
+(``tag[m::3]``, one byte per base index).  The extension keeps those and
+nothing of the state; it writes its output from them, and builds the
+tag sets only when they are read.  ``prepare`` makes no literal or rule
+reference per base index either: ``base``, which ``pair`` reads, is made
+on first use.  ``diff_variants`` compares the stores of the two readings
+id by id, since the ids depend only on the atoms and labels.
 
 A subject never decided by the fixpoint is reported as undetermined; loops
 such as ``x => C x`` are the typical cause.  The engine never decides a
@@ -94,23 +96,26 @@ iteration order.
 from __future__ import annotations
 
 import random
+from functools import cached_property
 from itertools import compress, count
 
 from .conflicts import Variant, build_conflict_index
-from .model import (
-    ATTACK_MODES,
-    CAUTIOUS_RULE_ATTACK_MODES,
-    DEFEND_MODES,
+from .extension import (
     TAG_IS as _IS,
     TAG_PROVED as _PROVED,
     TAG_REFUTED as _REFUTED,
     TAG_UNDECIDED as _UNDECIDED,
     Extension,
+    base_subjects,
+)
+from .model import (
+    ATTACK_MODES,
+    CAUTIOUS_RULE_ATTACK_MODES,
+    DEFEND_MODES,
     Literal,
     ModalLiteral,
     Mode,
     RuleExpression,
-    RuleRef,
     Sign,
     TaggedFormula,
     Theory,
@@ -213,7 +218,8 @@ class EngineState:
             for elem in rule.consequent:
                 if isinstance(elem, Literal):
                     add(elem.atom)
-        self.atom_ids = aid = {atom: a for a, atom in enumerate(sorted(names))}
+        self.atoms = sorted(names)
+        self.atom_ids = aid = {atom: a for a, atom in enumerate(self.atoms)}
         self.n_lits = n_lits = 2 * len(aid)
         self.n_lit_ids = 3 * n_lits
 
@@ -226,16 +232,13 @@ class EngineState:
             return 3 * (b + (not subject.positive)) + _MODE_ORDER[mode]
 
         self.subject_id = subject_id
-        self.base = [
-            Literal(atom, positive) for atom in aid for positive in (True, False)
-        ] + [RuleRef(label, positive) for label in self.labels for positive in (True, False)]
         conflicting, producers, group = build_conflict_index(rules, self.variant, rid)
 
         top = {rid[rule.label] for rule in t.rules}
         watch, supports = self.watch, self.supports
         # the verdicts that need no evidence: refuted unless a defeasible
         # rule concludes the id or, for a P id, its O (O implies P)
-        self.tag = tag = bytearray((_REFUTED,)) * (3 * len(self.base))
+        self.tag = tag = bytearray((_REFUTED,)) * (3 * (n_lits + 2 * len(rules)))
         self.rule_mode, self.defeasible, self.concludes = [], [], []
         self.expr_positions, self.concluded, self.live, self.cut = [], [], [], []
         for r, rule in enumerate(rules):
@@ -292,6 +295,12 @@ class EngineState:
             tag[s] = _PROVED
         for r in top:
             tag[3 * (n_lits + 2 * r)] = _PROVED
+
+    @cached_property
+    def base(self) -> list:
+        """The literal or rule reference each base index stands for, made
+        on first use (``extension.base_subjects``)."""
+        return base_subjects(self.atoms, self.labels)
 
     def pair(self, s: int):
         """The (mode, subject) pair a subject id stands for."""
@@ -358,7 +367,7 @@ class EngineState:
 
     def extension(self) -> Extension:
         """Decode the tag store into the twelve tag sets and the residue."""
-        return Extension.decode(self.base, self.n_lits, [self.tag[m::3] for m in (C, O, P)])
+        return Extension.decode(self.atoms, self.labels, [self.tag[m::3] for m in (C, O, P)])
 
     # ------------------------------------------------------------ rule state
 

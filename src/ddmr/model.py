@@ -35,7 +35,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, field
-from itertools import compress, repeat
+from operator import attrgetter
 from typing import Iterator, Union
 
 
@@ -483,75 +483,6 @@ class TaggedFormula:
         return f"{self.sign}d{level}{self.mode} {self.subject}"
 
 
-# A tag store holds one byte per (mode, subject) pair: 0 undecided, 1
-# proved, 2 refuted.  ``TAG_IS[value]`` translates a store to 1 where it
-# holds ``value`` and to 0 elsewhere.
-TAG_UNDECIDED, TAG_PROVED, TAG_REFUTED = 0, 1, 2
-TAG_IS = [bytes(int(byte == value) for byte in range(256)) for value in range(3)]
-
-
-@dataclass
-class Extension:
-    """The decided tag sets of a theory, plus the subjects left undecided.
-
-    ``literals[(sign, mode)]`` is a set of Literal; ``rules[(sign, mode)]``
-    a set of RuleRef.  ``undetermined`` holds the (mode, subject) pairs the
-    fixpoint never settled, subject being a Literal or RuleRef.  Both
-    reasoners build theirs from a tag store through ``decode``.
-    """
-
-    literals: dict = field(default_factory=dict)
-    rules: dict = field(default_factory=dict)
-    undetermined: set = field(default_factory=set)
-
-    def __post_init__(self) -> None:
-        for sign in Sign:
-            for mode in Mode:
-                self.literals.setdefault((sign, mode), set())
-                self.rules.setdefault((sign, mode), set())
-
-    def positive(self, mode: Mode):
-        return self.literals[(Sign.PLUS, mode)]
-
-    def negative(self, mode: Mode):
-        return self.literals[(Sign.MINUS, mode)]
-
-    def positive_rules(self, mode: Mode):
-        return self.rules[(Sign.PLUS, mode)]
-
-    def negative_rules(self, mode: Mode):
-        return self.rules[(Sign.MINUS, mode)]
-
-    def tag_sets(self):
-        """(name, subjects) of the twelve tag sets, ``+dC`` to ``-dmP``:
-        literals before rules, then by mode, ``+`` before ``-``."""
-        for level, table in (("", self.literals), ("m", self.rules)):
-            for mode in Mode:
-                for sign in Sign:
-                    yield f"{sign}d{level}{mode}", table[(sign, mode)]
-
-    @classmethod
-    def decode(cls, base, n_lits: int, columns) -> "Extension":
-        """The extension a tag store holds, a set at a time.
-
-        ``base`` lists the subjects, its first ``n_lits`` the literals and
-        the rest rule references; ``columns`` gives, for C, O and P in turn,
-        the store's bytes over ``base``, one per subject (``TAG_*``).  Each
-        column becomes a 0/1 mask per sign, which picks the subjects out of
-        ``base`` with ``itertools.compress``.
-        """
-        lits, refs = base[:n_lits], base[n_lits:]
-        literals, rules, undetermined = {}, {}, set()
-        for mode, column in zip(Mode, columns):
-            for sign, value in ((Sign.PLUS, TAG_PROVED), (Sign.MINUS, TAG_REFUTED)):
-                mask = column.translate(TAG_IS[value])
-                literals[(sign, mode)] = set(compress(lits, mask[:n_lits]))
-                rules[(sign, mode)] = set(compress(refs, mask[n_lits:]))
-            undecided = compress(base, column.translate(TAG_IS[TAG_UNDECIDED]))
-            undetermined.update(zip(repeat(mode), undecided))
-        return cls(literals, rules, undetermined)
-
-
 def _has_cycle(pairs) -> bool:
     """Whether the directed graph with these (from, to) edges has a cycle.
 
@@ -579,6 +510,7 @@ def _has_cycle(pairs) -> bool:
 
 
 _WORD = re.compile(r"[A-Za-z0-9_]*")
+_ATOM, _POSITIVE = attrgetter("atom"), attrgetter("positive")
 
 
 def _bad_names(names) -> list:
@@ -618,8 +550,8 @@ def validate(t: Theory) -> ValidationReport:
     """
     report = ValidationReport()
     seen: dict = {}
-    atom_names = {fact.atom for fact in t.facts if isinstance(fact, Literal)}
-    add = atom_names.add
+    literals = [fact for fact in t.facts if isinstance(fact, Literal)]
+    add = literals.append
     for rule in t.all_rules():
         content = rule.content
         if rule.label in seen and seen[rule.label] != content:
@@ -627,17 +559,21 @@ def validate(t: Theory) -> ValidationReport:
                 f"label {rule.label} is used for two rules with different content"
             )
         seen[rule.label] = content
-        chain = set(rule.consequent)
-        if len(chain) != len(rule.consequent):
+        chain = rule.consequent
+        try:
+            distinct = len(set(chain))
+        except TypeError:  # an unhashable atom, reported below
+            distinct = sum(elem not in chain[:i] for i, elem in enumerate(chain))
+        if distinct != len(chain):
             report.errors.append(f"rule {rule.label}: duplicate chain elements")
         for elem in chain:
             if isinstance(elem, Literal):
-                add(elem.atom)
+                add(elem)
         for item in rule.antecedent:
             if isinstance(item, Literal):
-                add(item.atom)
+                add(item)
             elif isinstance(item, ModalLiteral):
-                add(item.inner.atom)
+                add(item.inner)
         for nested in rule.nested_rules():
             if nested.is_meta():
                 report.errors.append(
@@ -646,6 +582,18 @@ def validate(t: Theory) -> ValidationReport:
     for fact in t.facts:
         if not isinstance(fact, Literal):
             report.errors.append(f"fact {fact} is not a plain literal")
+    try:
+        atom_names = set(map(_ATOM, literals))
+    except TypeError:  # an unhashable atom: tell the atoms apart by repr
+        atom_names = list({repr(lit.atom): lit.atom for lit in literals}.values())
+    if not set(map(type, map(_POSITIVE, literals))) <= {bool}:
+        report.errors += sorted(
+            {
+                f"literal over atom {lit.atom!r} has polarity {lit.positive!r}, not a bool"
+                for lit in literals
+                if type(lit.positive) is not bool
+            }
+        )
     for kind, group in (("atom", atom_names), ("rule label", seen)):
         for name in _bad_names(group):
             report.errors.append(f"{kind} {name!r} is not a word over [A-Za-z0-9_]")

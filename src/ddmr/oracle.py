@@ -6,8 +6,8 @@ is a plain dict from (mode, subject) to True for + and False for -.  One
 ``step`` adds every tagged conclusion whose full proof condition the store
 satisfies; saturating to a fixpoint yields the extension.  Tags never
 derived stay undetermined.  The final store is written out as one byte
-column per mode over the sorted base, which ``Extension.decode`` turns
-into tag sets, as it does the engine's store.
+column per mode over the sorted base and handed, with the base's atom and
+label names, to ``Extension.decode``, as the engine's store is.
 
 A rule at a chain position is applicable when every one of its
 conditions holds and discarded when one is refuted.  ``model.conditions``
@@ -57,14 +57,11 @@ from __future__ import annotations
 from functools import partial
 
 from .conflicts import Variant, conflicts
+from .extension import TAG_PROVED, TAG_REFUTED, TAG_UNDECIDED, Extension
 from .model import (
     ATTACK_MODES,
     CAUTIOUS_RULE_ATTACK_MODES,
     DEFEND_MODES,
-    TAG_PROVED,
-    TAG_REFUTED,
-    TAG_UNDECIDED,
-    Extension,
     Literal,
     Mode,
     Rule,
@@ -453,8 +450,10 @@ def oracle_extension(
             break
         store = nxt
     n_lits = sum(isinstance(subject, Literal) for subject in ev.base)  # literals come first
+    atoms = [lit.atom for lit in ev.base[:n_lits:2]]
+    labels = [ref.label for ref in ev.base[n_lits::2]]
     columns = [bytes([_TAG_BYTE[store.get((mode, s))] for s in ev.base]) for mode in _MODES]
-    return Extension.decode(ev.base, n_lits, columns)
+    return Extension.decode(atoms, labels, columns)
 
 
 def check_equivalence(
@@ -475,6 +474,8 @@ def check_equivalence(
 
         engine_ext = compute_extension(theory, variant)
     oracle_ext = oracle_extension(theory, variant, budget)
+    if engine_ext == oracle_ext:  # two decoded stores compare byte by byte
+        return {}
     diffs: dict = {}
     for (name, a), (_, b) in zip(engine_ext.tag_sets(), oracle_ext.tag_sets()):
         if a != b:

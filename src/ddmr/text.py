@@ -41,8 +41,17 @@ Parsing is total: any byte input produces either a theory or a list of
 positioned errors, never an exception from inside.  Rendering is
 canonical -- facts first (sorted), rules in declaration order, superiority
 pairs last -- and parsing a rendered theory reproduces the model exactly.
-Extension JSON is exactly ``json.dumps(extension_dict(ext), indent=2)``,
-written with the C string encoder.
+
+Extension output is in text order: each tag set's subject texts as sorted
+strings, and the undetermined (subject, mode) text pairs sorted.  Atoms
+and labels are words over [A-Za-z0-9_], every character of which sorts
+below "~"; so a tag set in text order is its positive subjects by name
+and then its negated ones by name.  ``extension_dict`` reads that order
+from ``Extension.texts``, which slices a decoded store so and sorts only
+the undetermined pairs.  Names at or above "~", which validation refuses,
+and extensions made from sets are sorted instead.  Extension JSON is
+exactly ``json.dumps(extension_dict(ext), indent=2)``, written with the C
+string encoder.
 """
 
 from __future__ import annotations
@@ -53,11 +62,11 @@ from dataclasses import dataclass
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 
+from .extension import TAG_SET_NAMES, Extension
 from .model import (
     MAX_NESTING,
     Arrow,
     DeonticRuleExpression,
-    Extension,
     Literal,
     ModalLiteral,
     Mode,
@@ -405,14 +414,10 @@ def parse_tagged_formula(text: str) -> TaggedFormula:
 
 
 def extension_dict(ext: Extension) -> dict:
-    """The extension as a JSON-ready dict with deterministic ordering."""
-    out = {name: sorted(map(str, subjects)) for name, subjects in ext.tag_sets()}
-    out["undetermined"] = [
-        {"mode": str(mode), "subject": str(subject)}
-        for mode, subject in sorted(
-            ext.undetermined, key=lambda p: (str(p[1]), str(p[0]))
-        )
-    ]
+    """The extension as a JSON-ready dict in text order (``Extension.texts``)."""
+    tag_texts, undetermined = ext.texts()
+    out = dict(zip(TAG_SET_NAMES, tag_texts))
+    out["undetermined"] = [{"mode": mode, "subject": subject} for subject, mode in undetermined]
     return out
 
 

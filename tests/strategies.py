@@ -178,16 +178,29 @@ def model_items(draw, names, depth: int = 5, kinds=_ITEM_KINDS):
         return draw(literal)
 
 
+# Literals that the constructor takes and validation refuses: an atom that
+# is not a string (a list, which does not even hash), or a polarity that is
+# not a bool.
+odd_literals = st.one_of(
+    st.builds(Literal, st.lists(word_names, min_size=1, max_size=2)),
+    st.builds(Literal, word_names, st.sampled_from(["yes", None, 0, 1])),
+)
+
+
 @st.composite
 def model_theories(draw) -> Theory:
     """Theories built from ``model_items``: facts of any item type, the rules
-    that their constructor accepted (a theory takes only rules), and
-    superiority pairs over the rules' labels and unknown ones, rarely with
-    an entry that is no such pair (a 1- or 3-tuple, a 2-character string,
-    or a pair with a label that is not a string)."""
+    that their constructor accepted (a theory takes only rules), rarely a
+    rule concluding one of ``odd_literals`` (a chain is a tuple, so nothing
+    hashes it), and superiority pairs over the rules' labels and unknown
+    ones, rarely with an entry that is no such pair (a 1- or 3-tuple, a
+    2-character string, or a pair with a label that is not a string)."""
     names = draw(st.sampled_from([word_names, st.one_of(word_names, loose_names)]))
     rules = draw(st.lists(model_items(names, kinds=(Rule,)), max_size=4))
     rules = [r for r in rules if isinstance(r, Rule)]
+    if draw(rarely):
+        odd = draw(odd_literals)
+        rules.append(Rule(draw(names), frozenset(), Arrow.DEFEASIBLE, Mode.C, (odd,)))
     labels = st.sampled_from([r.label for r in rules] + [draw(names)])
     sup = draw(st.lists(st.tuples(labels, labels), max_size=3))
     if draw(rarely):

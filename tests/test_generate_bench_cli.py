@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from ddmr.bench import loglog_slope, run_benchmarks, to_csv
 from ddmr.cli import EXIT_INTERNAL, MAX_PARSE_ERRORS, main
 from ddmr.conflicts import Variant
-from ddmr.engine import compute_extension
+from ddmr.engine import compute_extension, run_engine
 from ddmr.generate import (
     FAMILIES,
     SizeOutOfReach,
@@ -155,6 +155,29 @@ def test_bench_records_and_csv():
     lines = text.strip().splitlines()
     assert lines[0] == "family,size,variant,wall_time_ms,decided,undetermined"
     assert len(lines) == 5
+
+
+# ``ddmr bench``'s decided and undetermined columns per family and reading
+# at one size, as recorded when the tag sets were still built on the clock.
+BENCH_COUNTS = {
+    ("chain", "simple"): (601, 2406, 0),
+    ("chain", "cautious"): (601, 2406, 0),
+    ("team", "simple"): (540, 1458, 0),
+    ("team", "cautious"): (540, 1458, 0),
+    ("meta-chain", "simple"): (541, 1950, 0),
+    ("meta-chain", "cautious"): (541, 1950, 0),
+    ("random", "simple"): (659, 1601, 1),
+    ("random", "cautious"): (659, 1601, 1),
+}
+
+
+def test_bench_decided_and_undetermined_are_unchanged_on_every_family():
+    records = run_benchmarks(FAMILIES, [600], seed=5)
+    counts = {(r.family, r.variant): (r.size, r.decided, r.undetermined) for r in records}
+    assert counts == BENCH_COUNTS
+    for r in records:  # and they count the engine's store
+        tag = run_engine(generate_theory(r.family, 600, 5), Variant(r.variant)).tag
+        assert (r.decided, r.undetermined) == (len(tag) - tag.count(0), tag.count(0))
 
 
 def test_bench_empty_sizes_gives_header_only():

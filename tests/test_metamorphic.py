@@ -18,11 +18,11 @@ from hypothesis import strategies as st
 
 from ddmr.conflicts import Variant
 from ddmr.engine import compute_extension
+from ddmr.extension import Extension
 from ddmr.generate import FAMILIES, generate_theory, random_theory
 from ddmr.model import (
     Arrow,
     DeonticRuleExpression,
-    Extension,
     Literal,
     ModalLiteral,
     Mode,

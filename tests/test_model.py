@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -8,11 +10,11 @@ from hypothesis import strategies as st
 
 from ddmr.conflicts import Variant, simply_conflicts
 from ddmr.engine import compute_extension, run_engine
+from ddmr.extension import TAG_PROVED, TAG_REFUTED, Extension
 from ddmr.generate import generate_theory, random_theory
 from ddmr.model import (
     Arrow,
     DeonticRuleExpression,
-    Extension,
     MAX_NESTING,
     Literal,
     ModalLiteral,
@@ -348,6 +350,24 @@ def test_validate_reports_every_bad_name_and_accepts_words():
     assert validate(Theory.build([Literal("A_1")], [rule("fact", [], Mode.C, [Literal("O")])])).ok
 
 
+def test_validate_reports_an_atom_that_does_not_hash():
+    theory = Theory.build([], [rule("r", [], Mode.O, [Literal(["a"]), Literal(["a"])])])
+    assert validate(theory).errors == [
+        "rule r: duplicate chain elements",
+        "atom ['a'] is not a word over [A-Za-z0-9_]",
+    ]
+
+
+@pytest.mark.parametrize("polarity", ["yes", None, 1])
+def test_validate_reports_a_polarity_that_is_not_a_bool(polarity):
+    theory = Theory.build(
+        [Literal("c", polarity)], [rule("r", [Literal("b", polarity)], Mode.C, [Literal("a", polarity)])]
+    )
+    assert validate(theory).errors == [
+        f"literal over atom {atom!r} has polarity {polarity!r}, not a bool" for atom in "abc"
+    ]
+
+
 @given(loose_theories())
 @settings(max_examples=200)
 def test_a_theory_that_validates_renders_and_parses_back(theory):
@@ -494,3 +514,31 @@ def test_decode_equals_a_per_pair_loop_on_oracle_stores():
             pairs = [((mode, s), store.get((mode, s))) for s in ev.base for mode in Mode]
             expected = _extension_by_pair(pairs)
             assert oracle_extension(theory, variant, budget=None) == expected, (name, variant)
+
+
+def test_a_decoded_extension_keeps_no_engine_state():
+    verdict = {0: None, 1: True, 2: False}
+    state = run_engine(load_fixture("execution2"), Variant.CAUTIOUS)
+    pairs = [(state.pair(s), verdict[byte]) for s, byte in enumerate(state.tag)]
+    ext, alive = state.extension(), weakref.ref(state)
+    del state
+    gc.collect()
+    assert alive() is None
+    assert ext == _extension_by_pair(pairs)  # the sets are built now, from what it kept
+
+
+def test_decoded_extensions_compare_by_their_stores_as_by_their_sets():
+    for name, theory in _decode_theories():
+        for variant in Variant:
+            engine = compute_extension(theory, variant)
+            oracle = oracle_extension(theory, variant, budget=None)
+            assert engine == oracle, (name, variant)
+            made = Extension(engine.literals, engine.rules, engine.undetermined)
+            assert made == engine and engine == made, (name, variant)
+    state = run_engine(load_fixture("execution2"), Variant.CAUTIOUS)
+    ext = state.extension()
+    s = state.tag.index(TAG_PROVED)
+    state.tag[s] = TAG_REFUTED  # the other verdict on one decided subject
+    other = state.extension()
+    assert ext != other
+    assert (ext.literals, ext.rules) != (other.literals, other.rules)

@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 
 from ddmr.conflicts import Variant
 from ddmr.engine import compute_extension
+from ddmr.extension import Extension
 from ddmr.generate import random_theory
+from ddmr.oracle import oracle_extension
 from ddmr.model import (
     Arrow,
     DeonticRuleExpression,
-    Extension,
     Literal,
     ModalLiteral,
     Mode,
@@ -226,6 +227,60 @@ def test_render_extension_undetermined_entry():
     ext = compute_extension(load_fixture("loop"), Variant.CAUTIOUS)
     data = extension_dict(ext)
     assert {"mode": "C", "subject": "x"} in data["undetermined"]
+
+
+def _sorted_extension_dict(ext: Extension) -> dict:
+    """``extension_dict`` as plain sorts of the subjects' texts: the reference."""
+    out = {name: sorted(map(str, subjects)) for name, subjects in ext.tag_sets()}
+    out["undetermined"] = [
+        {"mode": str(mode), "subject": str(subject)}
+        for mode, subject in sorted(ext.undetermined, key=lambda p: (str(p[1]), str(p[0])))
+    ]
+    return out
+
+
+# Names that test ASCII order: upper case before "_" before lower case, "a10"
+# before "a9", and an atom and a rule label both "q", both left undetermined.
+ASCII_ORDER = """
+fact Z.
+fact _x.
+L: q => C q.
+_m: q => C (q: a9 => C a10).
+"""
+
+
+def _decoded_extensions():
+    theories = [(name, load_fixture(name)) for name in FIXTURE_NAMES]
+    theories += [(f"random/{seed}", random_theory(seed, 60)) for seed in range(20)]
+    theories.append(("ascii", parse_theory(ASCII_ORDER)))
+    for name, theory in theories:
+        for variant in Variant:
+            yield name, variant, compute_extension(theory, variant)
+            yield name, variant, oracle_extension(theory, variant, budget=None)
+
+
+def test_extension_dict_is_the_sorted_texts():
+    for name, variant, ext in _decoded_extensions():
+        assert extension_dict(ext) == _sorted_extension_dict(ext), (name, variant)
+        made = Extension(ext.literals, ext.rules, ext.undetermined)  # sorted, not sliced
+        assert extension_dict(made) == extension_dict(ext), (name, variant)
+
+
+def test_ascii_order_of_names():
+    for variant in Variant:
+        data = extension_dict(compute_extension(parse_theory(ASCII_ORDER), variant))
+        assert data["+dC"] == ["Z", "_x"]
+        assert data["-dC"] == ["a10", "a9", "~Z", "~_x", "~a10", "~a9", "~q"]
+        assert data["-dmC"] == ["~L", "~_m", "~q"]
+        assert data["undetermined"] == [{"mode": "C", "subject": "q"}] * 2
+
+
+def test_names_above_tilde_are_sorted():
+    # the oracle takes what validation refuses; "é" sorts after "~a"
+    theory = Theory.build([Literal("é"), Literal("a", False)], [])
+    ext = oracle_extension(theory, Variant.CAUTIOUS)
+    assert extension_dict(ext) == _sorted_extension_dict(ext)
+    assert extension_dict(ext)["+dC"] == ["~a", "é"]
 
 
 def test_json_output_is_byte_stable():
