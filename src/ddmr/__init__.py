@@ -5,7 +5,7 @@ under the simple or cautious conflict reading, and cross-check the engine
 against a direct evaluator of the proof conditions.
 """
 
-from .conflicts import Variant, cautiously_conflicts, simply_conflicts
+from .conflicts import Variant
 from .engine import (
     PROVED,
     REFUTED,
@@ -66,7 +66,6 @@ __all__ = [
     "UNDETERMINED",
     "UNKNOWN_SUBJECT",
     "Variant",
-    "cautiously_conflicts",
     "check_equivalence",
     "compute_extension",
     "diff_variants",
@@ -79,7 +78,6 @@ __all__ = [
     "query",
     "render_extension",
     "render_theory",
-    "simply_conflicts",
     "theory_size",
     "validate",
 ]

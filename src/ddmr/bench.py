@@ -2,9 +2,9 @@
 
 Timing covers ``compute_extension``: validation, the engine run and the
 decoded store, an ``Extension`` that keeps the store's columns and names
-and builds no tag set.  The sets are built after the clock, when the
-``decided`` and ``undetermined`` counts read them.  Generation and
-parsing are kept outside the clock.
+and builds no tag set.  The ``decided`` and ``undetermined`` columns
+count the store's bytes after the clock (``Extension.counts``), so no tag
+set is built at all.  Generation and parsing are kept outside the clock.
 Rows come out in deterministic (family, size, variant) order.
 """
 
@@ -34,14 +34,8 @@ class BenchRecord:
     undetermined: int
 
     def row(self):
-        return (
-            self.family,
-            self.size,
-            self.variant,
-            f"{self.wall_time_ms:.3f}",
-            self.decided,
-            self.undetermined,
-        )
+        ms = f"{self.wall_time_ms:.3f}"
+        return (self.family, self.size, self.variant, ms, self.decided, self.undetermined)
 
 
 def run_benchmarks(families, sizes, seed: int = 0, variants=None, theories=None) -> list:
@@ -63,18 +57,8 @@ def run_benchmarks(families, sizes, seed: int = 0, variants=None, theories=None)
                 start = time.perf_counter()
                 ext = compute_extension(theory, variant)
                 elapsed_ms = (time.perf_counter() - start) * 1000.0
-                decided = sum(len(s) for s in ext.literals.values()) + sum(
-                    len(s) for s in ext.rules.values()
-                )
                 records.append(
-                    BenchRecord(
-                        family,
-                        achieved,
-                        str(variant),
-                        elapsed_ms,
-                        decided,
-                        len(ext.undetermined),
-                    )
+                    BenchRecord(family, achieved, str(variant), elapsed_ms, *ext.counts())
                 )
     return records
 

@@ -20,9 +20,9 @@ there are more, one ``PATH: N more errors`` line.
 
 ``bench`` runs each reading named by a ``--variant`` (the option may be
 repeated), and both readings when none is named.  Its ``wall_time_ms``
-covers validation, the engine run and the decoded store, not the tag
-sets, which are built after the clock for the ``decided`` and
-``undetermined`` columns.
+covers validation, the engine run and the decoded store; the
+``decided`` and ``undetermined`` columns count the store's bytes after
+the clock, and no tag set is built.
 
 The oracle size cap defaults to 200 and can be overridden through the
 DDMR_ORACLE_BUDGET environment variable.  Under --oracle, a theory above

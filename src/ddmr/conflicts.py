@@ -28,7 +28,7 @@ from __future__ import annotations
 import enum
 from typing import NamedTuple
 
-from .model import Arrow, Literal, Mode, Rule, RuleExpression
+from .model import Arrow, Literal, Mode, Numbering, Rule, RuleExpression
 
 
 class Variant(enum.Enum):
@@ -65,16 +65,6 @@ def conflicts(a, b, variant: Variant) -> bool:
     ):
         return True
     return _recursive_chain_clash(x, y, variant)
-
-
-def simply_conflicts(a, b) -> bool:
-    """``conflicts`` under the simple variant."""
-    return conflicts(a, b, Variant.SIMPLE)
-
-
-def cautiously_conflicts(a, b) -> bool:
-    """``conflicts`` under the cautious variant."""
-    return conflicts(a, b, Variant.CAUTIOUS)
 
 
 def _recursive_chain_clash(x: Rule, y: Rule, variant: Variant) -> bool:
@@ -129,24 +119,22 @@ class ConflictTables(NamedTuple):
 
     conflicting: dict  # reference id -> set of reference ids
     producers: list  # reference id -> [(rule id, position)]
-    content_group: list  # rule id -> content group number
 
 
-def build_conflict_index(rules: list, variant: Variant, rule_ids: dict) -> ConflictTables:
+def build_conflict_index(numbering: Numbering, variant: Variant, rule_ids: dict) -> ConflictTables:
     """Compile the conflict relation and conclusion lookups of a theory to ids.
 
-    ``rules`` lists every rule appearing in the theory, nested ones
-    included, once each and in id order, as the engine's compile holds
-    them, so the index walks no theory and sorts no rules; ``rule_ids``
-    numbers them by label from 0.  The reference to rule ``r`` has the
+    ``numbering`` is the theory's ``model.number``, as the engine compiles
+    from it: every rule appearing in the theory, nested ones included, once
+    each and in id order, with its content group, so the index walks no
+    theory, sorts no rules and hashes no content; ``rule_ids`` numbers the
+    rules by label from 0.  The reference to rule ``r`` has the
     reference id ``2r`` when positive and ``2r + 1`` when negated.
     ``conflicting`` maps a reference id to the set of reference ids it
     clashes with under ``variant``; the relation is symmetric, and every
     reference clashes with its own negation.
     ``producers[k]`` lists the (rule id, 1-based position) pairs at which
-    chains conclude the reference ``k``, in id order.  ``content_group[r]``
-    numbers rule ``r``'s content: two rules share a number exactly when
-    they share content.
+    chains conclude the reference ``k``, in id order.
 
     Pair generation is bucketed so only candidate pairs ever reach the full
     predicates.  Negation clashes are bucketed by content.  Content clashes
@@ -157,9 +145,7 @@ def build_conflict_index(rules: list, variant: Variant, rule_ids: dict) -> Confl
     chain clashes are joined through the element pairs found first.  The
     outcome matches the pairwise predicates exactly.
     """
-    groups: dict = {}  # content -> group number
-    content_group = [groups.setdefault(rule.content, len(groups)) for rule in rules]
-
+    rules, content_group = numbering.rules, numbering.groups
     producers = [[] for _ in range(2 * len(rules))]
     for r, rule in enumerate(rules):
         for pos, elem in enumerate(rule.consequent, start=1):
@@ -173,7 +159,7 @@ def build_conflict_index(rules: list, variant: Variant, rule_ids: dict) -> Confl
         conflicting.setdefault(b, set()).add(a)
 
     # Negation clashes: same content, opposite polarity.
-    members = [[] for _ in groups]
+    members = [[] for _ in rules]  # per group number; the last ones may stay empty
     for r, g in enumerate(content_group):
         members[g].append(r)
     for group in members:
@@ -213,4 +199,4 @@ def build_conflict_index(rules: list, variant: Variant, rule_ids: dict) -> Confl
             for meta_b, _ in producers[b]:
                 connect(2 * meta_a, 2 * meta_b)
 
-    return ConflictTables(conflicting, producers, content_group)
+    return ConflictTables(conflicting, producers)

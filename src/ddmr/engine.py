@@ -54,12 +54,14 @@ the watched ones can move a rule, so they alone go through ``_apply``,
 in id order.
 
 ``prepare`` compiles the theory to integer ids and the fixpoint runs on
-those alone.  It reads the rules once (``rules_by_label``), gathers the
-atoms from that list, and hands it to ``build_conflict_index``; then one
-walk over the rules in id order files each rule's chain, conditions and
-supports, and opens the store at the ids a defeasible supporter
-concludes.  Atoms are numbered in sorted order, and so are rule
-labels.  The literal over atom ``a`` has the base index ``2a`` when
+those alone.  It starts from the theory's ``model.number`` (the sorted
+labels and atoms, the rules in label order and their content groups),
+which ``validate`` gathers in its own walk and ``run_engine`` hands on;
+``build_conflict_index`` reads it too.  Then one walk over the rules in
+id order files each rule's chain, conditions and supports, with each
+subject id computed in place, and opens the store at the ids a
+defeasible supporter concludes.  The literal over atom ``a`` (numbered
+in sorted order, as rule labels are) has the base index ``2a`` when
 positive and ``2a + 1`` when negated.  The reference to rule ``r`` has
 the reference id ``k = 2r + (not positive)``, the numbering in which
 ``build_conflict_index`` writes the conflict relation, and the base
@@ -113,15 +115,15 @@ from .model import (
     CAUTIOUS_RULE_ATTACK_MODES,
     DEFEND_MODES,
     Literal,
-    ModalLiteral,
     Mode,
-    RuleExpression,
+    Numbering,
     Sign,
     TaggedFormula,
     Theory,
     ValidationReport,
     conditions,
     herbrand_base,  # noqa: F401 -- not called here; perfbench/spans.py wraps this name
+    number,
     validate,
 )
 
@@ -165,9 +167,7 @@ class EngineState:
     ``opposite[k]`` (simple reading) lists, by base index, the concluded
     references with reference ``k``'s content and the other polarity.
     ``prepare`` leaves in ``tag`` the verdicts that need no evidence, and
-    ``run`` starts from them.  ``subject_id(mode, subject)``, set by
-    ``prepare``, numbers a (mode, literal, rule expression or rule
-    reference) pair.  ``dead`` (the rules cut at 1), ``lit_tags`` and
+    ``run`` starts from them.  ``dead`` (the rules cut at 1), ``lit_tags`` and
     ``rule_tags`` (decided literal and rule subject ids to their sign) and
     ``mhb`` (the undecided ids) are views computed from ``cut`` or ``tag``
     on each read; the run itself never builds them.
@@ -187,52 +187,28 @@ class EngineState:
 
     # ------------------------------------------------------------------ setup
 
-    def prepare(self) -> None:
+    def prepare(self, numbering: Numbering = None) -> None:
         """Compile the theory to ids (see the module docstring) and seed the run.
 
-        Per rule id: its mode offset, whether it is defeasible, the subject
-        ids its chain concludes, its rule-expression positions, its unmet
-        conditions per position, the rules it concludes and, under the
-        cautious variant, the rules it clashes with as a whole rule; per
-        reference id, under the simple variant, the concluded references
-        with its content and the other polarity, one list per content group
-        and polarity; and the superiority pairs as pairs of rule ids.  After
-        the numberings and the conflict index, one walk over the rules in
-        id order builds the per-rule tables, ``watch`` and ``supports``, and
-        opens the store at the ids a defeasible supporter concludes (and the
-        P after each such O); the seeded verdicts are written last.
+        ``numbering`` is the theory's ``model.number``, as ``validate``
+        leaves it on its report; it is computed here when not given, and
+        only read, so both readings can share one.  Per rule id: its mode
+        offset, whether it is defeasible, the subject ids its chain
+        concludes, its rule-expression positions, its unmet conditions per
+        position, the rules it concludes and, under the cautious variant,
+        the rules it clashes with as a whole rule; per reference id, under
+        the simple variant, the concluded references with its content and
+        the other polarity; and the superiority pairs as pairs of rule ids.
         """
         t = self.theory
-        by_label = t.rules_by_label()
-        self.labels = sorted(by_label)
-        rules = [by_label[label] for label in self.labels]
-        self.rule_ids = rid = {label: r for r, label in enumerate(self.labels)}
-        names = {fact.atom for fact in t.facts}
-        add = names.add
-        for rule in rules:  # nested rules are among them, so no recursion
-            for item in rule.antecedent:
-                if isinstance(item, Literal):
-                    add(item.atom)
-                elif isinstance(item, ModalLiteral):
-                    add(item.inner.atom)
-            for elem in rule.consequent:
-                if isinstance(elem, Literal):
-                    add(elem.atom)
-        self.atoms = sorted(names)
-        self.atom_ids = aid = {atom: a for a, atom in enumerate(self.atoms)}
+        if numbering is None:
+            numbering = number(t)
+        self.labels, rules, self.atoms, group = numbering
+        self.rule_ids = rid = dict(zip(self.labels, count()))
+        self.atom_ids = aid = dict(zip(self.atoms, count()))
         self.n_lits = n_lits = 2 * len(aid)
         self.n_lit_ids = 3 * n_lits
-
-        def subject_id(mode: Mode, subject) -> int:
-            """The id of a (mode, literal, rule expression or rule reference) pair."""
-            if isinstance(subject, Literal):
-                b = 2 * aid[subject.atom]
-            else:
-                b = n_lits + 2 * rid[subject.label]
-            return 3 * (b + (not subject.positive)) + _MODE_ORDER[mode]
-
-        self.subject_id = subject_id
-        conflicting, producers, group = build_conflict_index(rules, self.variant, rid)
+        conflicting, producers = build_conflict_index(numbering, self.variant, rid)
 
         top = {rid[rule.label] for rule in t.rules}
         watch, supports = self.watch, self.supports
@@ -243,19 +219,28 @@ class EngineState:
         self.expr_positions, self.concluded, self.live, self.cut = [], [], [], []
         for r, rule in enumerate(rules):
             mode, chain, defeasible = rule.mode, rule.consequent, rule.is_defeasible
-            concludes = tuple([subject_id(mode, e) for e in chain])
+            m = _MODE_ORDER[mode]
+            # subject ids are computed in place: 3 * (base index) + mode offset
+            ends = []
+            for x in chain:
+                b = 2 * aid[x.atom] if type(x) is Literal else n_lits + 2 * rid[x.label]
+                ends.append(3 * (b + (not x.positive)) + m)
+            concludes = tuple(ends)
             live = [0] * len(chain)
-            for first, cmode, subject, sign in conditions(rule):
+            for first, cmode, x, sign in conditions(rule):
                 live[first - 1] += 1
-                watch.setdefault(subject_id(cmode, subject), []).append((r, first, sign))
+                b = 2 * aid[x.atom] if type(x) is Literal else n_lits + 2 * rid[x.label]
+                s = 3 * (b + (not x.positive)) + _MODE_ORDER[cmode]
+                watch.setdefault(s, []).append((r, first, sign))
             for p in range(1, len(live)):  # a position has its own and earlier conditions
                 live[p] += live[p - 1]
-            positions = [i for i, e in enumerate(chain, start=1) if isinstance(e, RuleExpression)]
-            self.rule_mode.append(_MODE_ORDER[mode])
+            # most chains hold no rule expression: one shared () spares the collector a list
+            positions = [i for i, e in enumerate(chain, start=1) if type(e) is not Literal] or ()
+            self.rule_mode.append(m)
             self.defeasible.append(defeasible)
             self.concludes.append(concludes)
             self.expr_positions.append(positions)
-            self.concluded.append([rid[chain[i - 1].label] for i in positions])
+            self.concluded.append([rid[chain[i - 1].rule.label] for i in positions] or ())
             self.live.append(live)
             self.cut.append(len(live) + 1)
             if r in top or producers[2 * r]:  # given, or concluded by some chain
@@ -273,11 +258,15 @@ class EngineState:
             for x, made in enumerate(producers):
                 if made:
                     concluded.setdefault((group[x >> 1], x & 1), []).append(n_lits + x)
-            self.opposite = [concluded.get((group[k >> 1], (k & 1) ^ 1), ()) for k in refs]
+            self.opposite = (
+                [concluded.get((group[k >> 1], (k & 1) ^ 1), ()) for k in refs]
+                if concluded
+                else [()] * len(refs)
+            )
         else:
             # most rules clash positively with nothing, and only the others are sorted
             self.clashes = [
-                sorted(found) if (found := [x >> 1 for x in conflicting[k] if not x & 1]) else found
+                sorted(found) if (found := [x >> 1 for x in conflicting[k] if not x & 1]) else ()
                 for k in refs[::2]
             ]
 
@@ -285,7 +274,7 @@ class EngineState:
         # the complements of facts fail, and so do expressions clashing with
         # a given rule; where both apply (contradictory facts, clashing
         # given rules), holding wins
-        facts = [subject_id(Mode.C, f) for f in t.facts]
+        facts = [3 * (2 * aid[f.atom] + (not f.positive)) for f in t.facts]
         for s in map(complement_id, facts):
             tag[s] = _REFUTED
         for r in top:
@@ -548,7 +537,7 @@ def run_engine(
     if not report.ok:
         raise ValueError("invalid theory: " + "; ".join(report.errors))
     state = EngineState(theory, variant, order_seed=order_seed)
-    state.prepare()
+    state.prepare(report.numbering)
     state.run()
     return state
 

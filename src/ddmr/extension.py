@@ -112,6 +112,11 @@ class Extension:
             self._undetermined = frozenset(undetermined)
         return self._literals, self._rules, self._undetermined
 
+    def counts(self) -> tuple:
+        """A decoded extension's numbers of decided and undetermined pairs."""
+        undetermined = sum(column.count(TAG_UNDECIDED) for column in self._store[2])
+        return sum(map(len, self._store[2])) - undetermined, undetermined
+
     def positive(self, mode: Mode):
         return self.literals[(Sign.PLUS, mode)]
 

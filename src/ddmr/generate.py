@@ -298,11 +298,11 @@ class _RandomBuilder:
         (``model.extended_superiority``) join that relation, kept by winner,
         only when no new edge's loser reaches its winner.
         """
-        theory = Theory.build(facts, rules)
-        labels = sorted(theory.rules_by_label())
+        by_label = Theory.build(facts, rules).rules_by_label()
+        labels = sorted(by_label)
         if self.acyclic:
             order = {label: i for i, label in enumerate(labels)}
-            by_concluded = concluders(theory)
+            by_concluded = concluders(by_label)
             extended: dict = {}  # the extended relation of ``pairs``, winner -> losers
         pairs: set = set()
         attempts = 0

@@ -21,7 +21,7 @@ comparison (``Rule.content``: the frozen classes compare class, then
 fields, so a rule's fields bar its label are its content), the conditions
 of applying a rule at each chain position (``conditions``, the one list
 the engine and the oracle both read), Herbrand bases, the size metric, the
-extended superiority relation and theory validation.  Everything here is
+extended superiority relation, validation and ``number``.  Everything here is
 pure; values can be shared freely between threads.
 
 The frozen value classes (``Literal``, ``ModalLiteral``, ``RuleExpression``,
@@ -36,7 +36,7 @@ import enum
 import re
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 
 class Mode(enum.Enum):
@@ -399,17 +399,14 @@ def modal_herbrand_base(t: Theory):
     return {(mode, subject) for mode in Mode for subject in base}
 
 
-def concluded_labels(rule: Rule):
-    """Labels of the rules a meta-rule concludes (the embedded label, under negation too)."""
-    return [e.rule.label for e in rule.consequent if isinstance(e, RuleExpression)]
-
-
-def concluders(t: Theory) -> dict:
-    """Label -> labels of the rules concluding it (under negation too)."""
+def concluders(by_label: dict) -> dict:
+    """Label -> labels of the rules concluding it (under negation too), from
+    every rule of a theory by label (``Theory.rules_by_label``)."""
     out: dict = {}
-    for rule in t.rules_by_label().values():
-        for u in concluded_labels(rule):
-            out.setdefault(u, set()).add(rule.label)
+    for rule in by_label.values():
+        for e in rule.consequent:
+            if isinstance(e, RuleExpression):
+                out.setdefault(e.rule.label, set()).add(rule.label)
     return out
 
 
@@ -422,7 +419,7 @@ def inherited_pairs(by_concluded: dict, u: str, v: str) -> set:
     return {(a, b) for a in winners for b in losers if a != b}
 
 
-def extended_superiority(t: Theory):
+def extended_superiority(t: Theory, by_label: dict = None):
     """The superiority relation plus pairs inherited from concluded rules.
 
     When two rules conclude rule expressions whose embedded labels are
@@ -432,13 +429,15 @@ def extended_superiority(t: Theory):
     whole closure, since a concluded rule is never a meta-rule and so never
     takes part in an inherited pair.
 
-    Rules are indexed by the labels they conclude, so the cost is linear in
-    the theory plus the pairs added.
+    Rules are indexed by the labels they conclude (``concluders`` of
+    ``by_label``, ``t.rules_by_label()`` when not given), so the cost is
+    linear in the theory plus the pairs added; with no pair, no rule is read.
     """
-    by_concluded = concluders(t)
     sup = set(t.superiority)
-    for u, v in t.superiority:
-        sup |= inherited_pairs(by_concluded, u, v)
+    if sup:
+        by_concluded = concluders(t.rules_by_label() if by_label is None else by_label)
+        for u, v in t.superiority:
+            sup |= inherited_pairs(by_concluded, u, v)
     return sup
 
 
@@ -530,10 +529,38 @@ def _bad_names(names) -> list:
     )
 
 
+class Numbering(NamedTuple):
+    """A theory numbered for the engine: the labels, sorted; the rules in that
+    order, nested ones included, once each; the atoms, sorted; and per rule a
+    content group, shared exactly by the rules of equal ``Rule.content``."""
+
+    labels: list
+    rules: list
+    atoms: list
+    groups: list
+
+
+def number(t: Theory, by_label: dict = None, atom_names=None) -> Numbering:
+    """The ``Numbering`` of a theory, from ``t.rules_by_label()`` and
+    ``atoms(t)``, or from ``by_label`` and ``atom_names`` when ``validate``'s
+    walk has gathered them."""
+    if by_label is None:
+        by_label, atom_names = t.rules_by_label(), atoms(t)
+    labels = sorted(by_label)
+    rules = list(map(by_label.__getitem__, labels))
+    groups: dict = {}  # content -> group number
+    content_groups = [groups.setdefault(rule.content, len(groups)) for rule in rules]
+    return Numbering(labels, rules, sorted(atom_names), content_groups)
+
+
 @dataclass
 class ValidationReport:
+    """The errors and warnings of ``validate``, and on a theory without errors
+    its ``Numbering``, which takes no part in comparing or printing a report."""
+
     errors: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
+    numbering: Numbering = field(default=None, compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -546,19 +573,24 @@ def validate(t: Theory) -> ValidationReport:
     Errors make a theory unusable for the reasoner, or unwritable as ``.ddl``
     (atoms and labels must be words over [A-Za-z0-9_]); warnings flag shapes the
     reasoner accepts but that signal an inconsistent rule corpus (clashing
-    facts, cycles in the plain or extended superiority relation).
+    facts, cycles in the plain or extended superiority relation).  A report
+    without errors carries the theory's ``number``, from the labels and
+    atoms this one walk over the rules gathers.
     """
     report = ValidationReport()
-    seen: dict = {}
+    by_label: dict = {}
+    unhashable: dict = {}  # the rules whose label does not hash, by its repr
     literals = [fact for fact in t.facts if isinstance(fact, Literal)]
     add = literals.append
     for rule in t.all_rules():
-        content = rule.content
-        if rule.label in seen and seen[rule.label] != content:
-            report.errors.append(
-                f"label {rule.label} is used for two rules with different content"
-            )
-        seen[rule.label] = content
+        try:
+            known = by_label.get(rule.label, rule)
+            by_label[rule.label] = rule
+        except TypeError:  # a label that does not hash: told apart by repr
+            known = unhashable.get(repr(rule.label), rule)
+            unhashable[repr(rule.label)] = rule
+        if known is not rule and known.content != rule.content:
+            report.errors.append(f"label {rule.label} is used for two rules with different content")
         chain = rule.consequent
         try:
             distinct = len(set(chain))
@@ -594,20 +626,21 @@ def validate(t: Theory) -> ValidationReport:
                 if type(lit.positive) is not bool
             }
         )
-    for kind, group in (("atom", atom_names), ("rule label", seen)):
+    labels = [*by_label, *(r.label for r in unhashable.values())] if unhashable else by_label
+    for kind, group in (("atom", atom_names), ("rule label", labels)):
         for name in _bad_names(group):
             report.errors.append(f"{kind} {name!r} is not a word over [A-Za-z0-9_]")
     bad = [
         e
         for e in t.superiority
-        if not (isinstance(e, tuple) and len(e) == 2 and e[0] in seen and e[1] in seen)
+        if not (isinstance(e, tuple) and len(e) == 2 and e[0] in by_label and e[1] in by_label)
     ]
     for entry in sorted(bad, key=repr):
         if not (isinstance(entry, tuple) and len(entry) == 2):
             report.errors.append(f"superiority entry {entry!r} is not a pair of rule labels")
         else:
             report.errors += [
-                f"superiority names unknown rule label {lab}" for lab in entry if lab not in seen
+                f"superiority names unknown rule label {x}" for x in entry if x not in by_label
             ]
     facts = {fact for fact in t.facts if isinstance(fact, Literal)}
     clashing = sorted(str(f) for f in facts if f.complement() in facts and f.positive)
@@ -615,6 +648,11 @@ def validate(t: Theory) -> ValidationReport:
         report.warnings.append("contradictory facts: " + ", ".join(clashing))
     if _has_cycle(t.superiority.difference(bad)):
         report.warnings.append("cyclic superiority relation")
-    elif not report.errors and _has_cycle(extended_superiority(t)):
-        report.warnings.append("cyclic extended superiority relation")
+    elif not report.errors:
+        extended = extended_superiority(t, by_label)
+        # a relation that gains no pair was checked just above
+        if len(extended) > len(t.superiority) and _has_cycle(extended):
+            report.warnings.append("cyclic extended superiority relation")
+    if not report.errors:
+        report.numbering = number(t, by_label, atom_names)
     return report

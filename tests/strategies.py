@@ -192,9 +192,11 @@ def model_theories(draw) -> Theory:
     """Theories built from ``model_items``: facts of any item type, the rules
     that their constructor accepted (a theory takes only rules), rarely a
     rule concluding one of ``odd_literals`` (a chain is a tuple, so nothing
-    hashes it), and superiority pairs over the rules' labels and unknown
+    hashes it), superiority pairs over the rules' labels and unknown
     ones, rarely with an entry that is no such pair (a 1- or 3-tuple, a
-    2-character string, or a pair with a label that is not a string)."""
+    2-character string, or a pair with a label that is not a string), and
+    rarely a rule whose label is a list, which does not hash, given or
+    nested in the chain of a given rule."""
     names = draw(st.sampled_from([word_names, st.one_of(word_names, loose_names)]))
     rules = draw(st.lists(model_items(names, kinds=(Rule,)), max_size=4))
     rules = [r for r in rules if isinstance(r, Rule)]
@@ -212,6 +214,12 @@ def model_theories(draw) -> Theory:
             st.tuples(labels, st.integers(0, 9)),
         )
         sup.append(draw(malformed))
+    if draw(rarely) and draw(rarely):  # after the pairs: a list label in a pair would not hash
+        chain = (Literal(draw(names)),)
+        odd = Rule(draw(st.lists(names, max_size=2)), frozenset(), Arrow.DEFEASIBLE, Mode.C, chain)
+        if draw(st.booleans()):
+            odd = Rule(draw(names), frozenset(), Arrow.DEFEASIBLE, Mode.C, (RuleExpression(odd),))
+        rules.append(odd)
     fact = st.one_of(st.builds(Literal, names, st.booleans()), model_items(names))
     return Theory.build(draw(st.lists(fact, max_size=3)), rules, sup)
 

@@ -7,13 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddmr.conflicts import (
-    Variant,
-    build_conflict_index,
-    cautiously_conflicts,
-    conflicts,
-    simply_conflicts,
-)
+from ddmr.conflicts import Variant, build_conflict_index, conflicts
 from ddmr.generate import random_theory
 from ddmr.model import (
     Arrow,
@@ -23,6 +17,7 @@ from ddmr.model import (
     Rule,
     RuleExpression,
     Theory,
+    number,
 )
 
 from .conftest import FIXTURES, load_fixture
@@ -53,14 +48,14 @@ def test_ddmr_conflicts_names_the_module():
 
 def test_simple_conflict_same_label():
     r = rule("alpha", [a], Mode.C, [b])
-    assert simply_conflicts(r, neg(r))
+    assert conflicts(r, neg(r), Variant.SIMPLE)
 
 
 def test_simple_conflict_across_labels_with_modal_antecedent():
     items = [a, ModalLiteral(Mode.O, b)]
     r1 = rule("beta", items, Mode.P, [c])
     r2 = rule("gamma", items, Mode.P, [c])
-    assert simply_conflicts(r1, neg(r2))
+    assert conflicts(r1, neg(r2), Variant.SIMPLE)
 
 
 def test_simple_conflict_through_meta_chains():
@@ -68,49 +63,49 @@ def test_simple_conflict_through_meta_chains():
     theta = rule("theta", [c], Mode.C, [d])
     eps = rule("eps", [a], Mode.O, [a, RuleExpression(zeta, True)])
     eta = rule("eta", [b], Mode.O, [a, neg(theta)])
-    assert simply_conflicts(eps, eta)
+    assert conflicts(eps, eta, Variant.SIMPLE)
 
 
 def test_no_simple_conflict_between_identical_rules():
     r = rule("alpha", [a], Mode.C, [b])
-    assert not simply_conflicts(r, rule("alpha", [a], Mode.C, [b]))
+    assert not conflicts(r, rule("alpha", [a], Mode.C, [b]), Variant.SIMPLE)
 
 
 def test_cautious_primary_obligations_incompatible():
     r1 = rule("alpha", [a], Mode.O, [b, c])
     r2 = rule("beta", [a], Mode.O, [nb, d])
-    assert cautiously_conflicts(r1, r2)
+    assert conflicts(r1, r2, Variant.CAUTIOUS)
 
 
 def test_cautious_compatible_primary_obligations_do_not_conflict():
     r1 = rule("alpha", [a], Mode.O, [b, d])
     r2 = rule("beta", [a], Mode.O, [c, nd])
-    assert not cautiously_conflicts(r1, r2)
+    assert not conflicts(r1, r2, Variant.CAUTIOUS)
 
 
 def test_cautious_proper_prefix_chains_conflict():
     r1 = rule("alpha", [a], Mode.O, [b])
     r2 = rule("beta", [a], Mode.O, [b, d])
-    assert cautiously_conflicts(r1, r2)
-    assert cautiously_conflicts(r2, r1)
+    assert conflicts(r1, r2, Variant.CAUTIOUS)
+    assert conflicts(r2, r1, Variant.CAUTIOUS)
 
 
 def test_cautious_inconsistent_compensations_conflict():
     r1 = rule("alpha", [a], Mode.O, [b, d])
     r2 = rule("beta", [a], Mode.O, [b, nd])
-    assert cautiously_conflicts(r1, r2)
+    assert conflicts(r1, r2, Variant.CAUTIOUS)
 
 
 def test_cautious_diverging_compensations_do_not_conflict():
     r1 = rule("alpha", [a], Mode.O, [b, c])
     r2 = rule("beta", [a], Mode.O, [b, nd])
-    assert not cautiously_conflicts(r1, r2)
+    assert not conflicts(r1, r2, Variant.CAUTIOUS)
 
 
 def test_cautious_obligation_against_permission():
     r1 = rule("alpha", [a], Mode.O, [b])
     r2 = rule("beta", [a], Mode.P, [nb])
-    assert cautiously_conflicts(r1, r2)
+    assert conflicts(r1, r2, Variant.CAUTIOUS)
 
 
 def test_literal_vs_rule_expression_elements_never_conflict():
@@ -118,9 +113,9 @@ def test_literal_vs_rule_expression_elements_never_conflict():
     m1 = rule("m1", [], Mode.O, [b, RuleExpression(inner, True)])
     m2 = rule("m2", [], Mode.O, [nb])
     # conflicting literal heads need equal antecedents, not element pairing
-    assert cautiously_conflicts(m1, m2)
+    assert conflicts(m1, m2, Variant.CAUTIOUS)
     m3 = rule("m3", [c], Mode.O, [nb])
-    assert not cautiously_conflicts(m1, m3)
+    assert not conflicts(m1, m3, Variant.CAUTIOUS)
 
 
 def _enumerated_rules():
@@ -154,17 +149,17 @@ def test_simple_conflicts_imply_cautious_exhaustively():
     everything = pool + wrapped
     for x in everything:
         for y in everything:
-            if simply_conflicts(x, y):
-                assert cautiously_conflicts(x, y), (x, y)
+            if conflicts(x, y, Variant.SIMPLE):
+                assert conflicts(x, y, Variant.CAUTIOUS), (x, y)
 
 
 @given(any_rules, any_rules)
 @settings(max_examples=300)
 def test_conflicts_symmetric_and_subsuming(x, y):
-    assert simply_conflicts(x, y) == simply_conflicts(y, x)
-    assert cautiously_conflicts(x, y) == cautiously_conflicts(y, x)
-    if simply_conflicts(x, y):
-        assert cautiously_conflicts(x, y)
+    assert conflicts(x, y, Variant.SIMPLE) == conflicts(y, x, Variant.SIMPLE)
+    assert conflicts(x, y, Variant.CAUTIOUS) == conflicts(y, x, Variant.CAUTIOUS)
+    if conflicts(x, y, Variant.SIMPLE):
+        assert conflicts(x, y, Variant.CAUTIOUS)
 
 
 @given(any_rules)
@@ -179,16 +174,16 @@ def test_no_rule_conflicts_with_itself(x):
         if isinstance(e1, RuleExpression) and isinstance(e2, RuleExpression)
     )
     if not internal:
-        assert not simply_conflicts(x, x)
-        assert not cautiously_conflicts(x, x)
+        assert not conflicts(x, x, Variant.SIMPLE)
+        assert not conflicts(x, x, Variant.CAUTIOUS)
 
 
 def test_chain_internal_clash_makes_a_rule_self_conflicting():
     r3 = rule("r3", [a], Mode.C, [b], arrow=Arrow.DEFEATER)
     twin = rule("t4", [a], Mode.C, [b], arrow=Arrow.DEFEATER)
     m = rule("m5", [], Mode.O, [neg(r3), RuleExpression(twin, True)])
-    assert simply_conflicts(m, m)
-    assert cautiously_conflicts(m, m)
+    assert conflicts(m, m, Variant.SIMPLE)
+    assert conflicts(m, m, Variant.CAUTIOUS)
 
 
 def _assert_rules_read_as_positive_expressions(theory):
@@ -217,12 +212,11 @@ def _compile(theory, variant):
     """The compiled conflict tables, with ids decoded through the sorted labels.
 
     Returns the clash relation and the producers, both keyed by
-    (label, positive), and the content group of each label.
+    (label, positive), and the content group of each label (``model.number``).
     """
-    by_label = theory.rules_by_label()
-    labels = sorted(by_label)
-    rules = [by_label[label] for label in labels]
-    tables = build_conflict_index(rules, variant, {label: r for r, label in enumerate(labels)})
+    numbering = number(theory)
+    labels = numbering.labels
+    tables = build_conflict_index(numbering, variant, {label: r for r, label in enumerate(labels)})
 
     def ref(k):
         return labels[k >> 1], not k & 1
@@ -234,7 +228,7 @@ def _compile(theory, variant):
         ref(k): {(labels[r], pos) for r, pos in entries}
         for k, entries in enumerate(tables.producers)
     }
-    groups = dict(zip(labels, tables.content_group))
+    groups = dict(zip(labels, numbering.groups))
     return conflicting, producers, groups
 
 

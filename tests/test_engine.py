@@ -344,6 +344,16 @@ def _pair_order(pair):
     return (meta, name, not subject.positive, "COP".index(str(mode)))
 
 
+def _subject_id(state, mode, subject) -> int:
+    """The id ``prepare`` gives a (mode, literal, rule expression or rule
+    reference) pair, as the engine's module docstring defines it."""
+    if isinstance(subject, Literal):
+        b = 2 * state.atom_ids[subject.atom]
+    else:
+        b = state.n_lits + 2 * state.rule_ids[subject.label]
+    return 3 * (b + (not subject.positive)) + "COP".index(str(mode))
+
+
 def test_compile_numbers_the_modal_base_in_order():
     theories = [(p.stem, parse_theory(p.read_text())) for p in sorted(FIXTURES.glob("*.ddl"))]
     theories += [(f"random/{seed}", random_theory(seed, 80)) for seed in range(20)]
@@ -354,7 +364,7 @@ def test_compile_numbers_the_modal_base_in_order():
             ids = {}
             for mode, subject in modal_herbrand_base(theory):
                 pair = (mode, subject.ref if isinstance(subject, RuleExpression) else subject)
-                ids[pair] = state.subject_id(mode, subject)
+                ids[pair] = _subject_id(state, mode, subject)
             assert sorted(ids.values()) == list(range(len(ids))), name
             assert len(state.tag) == len(ids), name  # one byte per id
             for (mode, subject), s in ids.items():
@@ -383,7 +393,7 @@ def test_concluded_expressions_clash_simply_with_their_content_negated():
             assert clashing == [
                 x for x in exprs if x.positive != e.positive and x.rule.content == e.rule.content
             ], (name, e)
-            k = state.subject_id(Mode.C, e) // 3 - state.n_lits
+            k = _subject_id(state, Mode.C, e) // 3 - state.n_lits
             assert [state.base[x] for x in state.opposite[k]] == [
                 x.ref for x in clashing if x in concluded
             ], (name, e)
@@ -495,7 +505,7 @@ def test_seeded_and_settled_subjects_never_reach_decide():
 def test_settled_subjects_are_refuted_by_the_proof_conditions():
     for where, state, store, seeded, settled in _settled_runs():
         for mode, subject in settled.keys() - seeded.keys():
-            assert state._decide(state.subject_id(mode, subject)) is False, (where, mode, subject)
+            assert state._decide(_subject_id(state, mode, subject)) is False, (where, mode, subject)
 
 
 def test_the_settled_store_equals_the_verdicts_the_theory_settles():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddmr.conflicts import Variant, simply_conflicts
+from ddmr.conflicts import Variant, conflicts
 from ddmr.engine import compute_extension, run_engine
 from ddmr.extension import TAG_PROVED, TAG_REFUTED, Extension
 from ddmr.generate import generate_theory, random_theory
@@ -24,7 +24,6 @@ from ddmr.model import (
     RuleRef,
     Sign,
     Theory,
-    concluded_labels,
     extended_superiority,
     herbrand_base,
     modal_herbrand_base,
@@ -91,10 +90,10 @@ def test_content_equal_keeps_nested_labels():
     m2 = rule("m2", [l], Mode.C, [RuleExpression(inner2, True)])
     assert inner1.content == inner2.content
     assert m1.content != m2.content
-    assert not simply_conflicts(m1, RuleExpression(m2, False))
+    assert not conflicts(m1, RuleExpression(m2, False), Variant.SIMPLE)
     relabelled = rule("m3", [l], Mode.C, [RuleExpression(inner1, True)])
     assert m1.content == relabelled.content
-    assert simply_conflicts(m1, RuleExpression(relabelled, False))
+    assert conflicts(m1, RuleExpression(relabelled, False), Variant.SIMPLE)
 
 
 @given(any_rules, any_rules, any_rules)
@@ -183,16 +182,21 @@ def test_extended_superiority_inherits_from_concluded_rules():
     assert ("alpha1", "beta1") in extended_superiority(theory)
 
 
+def _concluded_labels(rule):
+    """Labels of the rules a meta-rule concludes, under negation too."""
+    return [e.rule.label for e in rule.consequent if isinstance(e, RuleExpression)]
+
+
 def _pairwise_extended_superiority(t):
     """The all-pairs definition of extended superiority, as a reference."""
     sup = set(t.superiority)
-    rules = [r for r in t.rules_by_label().values() if concluded_labels(r)]
+    rules = [r for r in t.rules_by_label().values() if _concluded_labels(r)]
     for x in rules:
         for y in rules:
             if x.label == y.label or (x.label, y.label) in sup:
                 continue
-            for u in concluded_labels(x):
-                if any((u, v) in sup for v in concluded_labels(y)):
+            for u in _concluded_labels(x):
+                if any((u, v) in sup for v in _concluded_labels(y)):
                     sup.add((x.label, y.label))
                     break
     return sup
