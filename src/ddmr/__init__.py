@@ -30,7 +30,6 @@ from .model import (
     Theory,
     extended_superiority,
     herbrand_base,
-    modal_herbrand_base,
     theory_size,
     validate,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "diff_variants",
     "extended_superiority",
     "herbrand_base",
-    "modal_herbrand_base",
     "oracle_extension",
     "parse_tagged_formula",
     "parse_theory",

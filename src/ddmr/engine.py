@@ -30,12 +30,16 @@ each antecedent item from chain position 1, and each chain element in
 force and violated from the position after it.  ``prepare`` files every
 condition under the subject whose decision settles it, with the sign that
 meets it, so a decision finds the conditions it settles in one lookup, and
-counts per rule and position the conditions not yet met.  A condition met
-is counted off at every position from its first on; a refuted one
-discards the rule from its first position on, and those positions leave
-the support index.  A rule is applicable at a position once its count
-there is 0.  The subjects that consulted a rule are examined again only
-when its applicability or discarding moves.
+counts per rule and position the conditions first applying there and not
+yet met.  A condition met is counted off at its first position alone, and
+the rule's frontier, the first position whose count is not 0, moves past
+the positions whose count is 0; a refuted condition discards the rule
+from its first position on, and those positions leave the support index.
+A rule is applicable at the positions below its frontier, and discarded
+at those from its cut on, so each condition is settled in constant time
+plus the frontier's moves, which cross each position once.  The subjects
+that consulted a rule are examined again only when its applicability or
+discarding moves.
 
 ``prepare`` also writes into the store, in bulk, the verdicts that need
 no evidence: the seeded ones, and a refutation for each C or O subject
@@ -78,9 +82,9 @@ subject id: 0 undecided, 1 proved, 2 refuted.  Past the verdicts that
 ``prepare`` wrote, every id left undecided is due for examination, so
 the first iteration examines those ids in order, picked out of the store
 with ``itertools.compress``; later iterations examine the sorted
-undecided ids whose evidence moved (``dirty``).  ``extension`` hands
-the store, at the end, to ``Extension.decode``, the oracle's decoder
-too: the sorted atoms and labels, and each mode's column of the store
+undecided ids whose evidence moved (``dirty``).  ``extension`` makes
+the ``Extension`` from the store at the end, as the oracle does: from
+the sorted atoms and labels, and each mode's column of the store
 (``tag[m::3]``, one byte per base index).  The extension keeps those and
 nothing of the state; it writes its output from them, and builds the
 tag sets only when they are read.  ``prepare`` makes no literal or rule
@@ -160,10 +164,13 @@ class EngineState:
     discarded at its position.  ``tag[s]`` is the decision on subject
     ``s``: 0 undecided, 1 proved, 2 refuted.  ``watch[s]`` lists (rule,
     first position, sign meeting it) for each condition that deciding ``s``
-    settles.  ``live[r][p]`` counts the conditions of rule ``r`` at
-    position ``p + 1`` not yet met; every subject is decided once, so no
-    condition is counted off twice.  ``cut[r]`` is the first position at
-    which the rule is discarded, one past its chain while it is not.
+    settles.  ``live[r][p]`` counts the conditions of rule ``r`` whose
+    first position is ``p + 1`` and that are not yet met; every subject is
+    decided once, so no condition is counted off twice.  ``front[r]`` is
+    the first position whose count is not 0, or one past the chain, so the
+    rule is applicable below it; it starts at 1, where the rule-held
+    condition is.  ``cut[r]`` is the first position at which the rule is
+    discarded, one past its chain while it is not.
     ``opposite[k]`` (simple reading) lists, by base index, the concluded
     references with reference ``k``'s content and the other polarity.
     ``prepare`` leaves in ``tag`` the verdicts that need no evidence, and
@@ -232,8 +239,6 @@ class EngineState:
                 b = 2 * aid[x.atom] if type(x) is Literal else n_lits + 2 * rid[x.label]
                 s = 3 * (b + (not x.positive)) + _MODE_ORDER[cmode]
                 watch.setdefault(s, []).append((r, first, sign))
-            for p in range(1, len(live)):  # a position has its own and earlier conditions
-                live[p] += live[p - 1]
             # most chains hold no rule expression: one shared () spares the collector a list
             positions = [i for i, e in enumerate(chain, start=1) if type(e) is not Literal] or ()
             self.rule_mode.append(m)
@@ -250,6 +255,7 @@ class EngineState:
                         tag[s] = _UNDECIDED
                         if mode is Mode.O:
                             tag[s + 1] = _UNDECIDED
+        self.front = [1] * len(rules)  # position 1 holds the rule-held condition
         self.sup = {(rid[a], rid[b]) for a, b in t.superiority if a in rid and b in rid}
 
         refs = range(len(producers))  # reference ids
@@ -356,13 +362,13 @@ class EngineState:
 
     def extension(self) -> Extension:
         """Decode the tag store into the twelve tag sets and the residue."""
-        return Extension.decode(self.atoms, self.labels, [self.tag[m::3] for m in (C, O, P)])
+        return Extension(self.atoms, self.labels, [self.tag[m::3] for m in (C, O, P)])
 
     # ------------------------------------------------------------ rule state
 
     def _applicable(self, r: int, pos: int) -> bool:
         """Every condition of the rule at ``pos`` holds."""
-        return not self.live[r][pos - 1]
+        return pos < self.front[r]
 
     def _not_discarded(self, r: int, pos: int) -> bool:
         """No condition of the rule at ``pos`` is refuted."""
@@ -490,10 +496,11 @@ class EngineState:
 
     def _apply(self, s: int, positive: bool) -> None:
         """Record a decision and settle the rule conditions it decides.  A
-        condition met is counted off at every position from its first on; a
-        refuted one discards the rule from its first position on and takes
-        those positions out of ``supports``.  Only a rule whose
-        applicability or discarding moved is marked.
+        condition met is counted off at its first position, and the rule's
+        frontier moves past the positions whose count is then 0; a refuted
+        one discards the rule from its first position on and takes those
+        positions out of ``supports``.  Only a rule whose applicability or
+        discarding moved is marked.
         """
         if self.tag[s]:
             mode, subject = self.pair(s)
@@ -504,9 +511,12 @@ class EngineState:
         for r, first, sign in self.watch.get(s, ()):
             if sign == positive:
                 live = self.live[r]
-                for p in range(first - 1, len(live)):
-                    live[p] -= 1
-                if not live[first - 1]:  # no count falls below an earlier one
+                live[first - 1] -= 1
+                if first == self.front[r] and not live[first - 1]:
+                    front = first + 1
+                    while front <= len(live) and not live[front - 1]:
+                        front += 1
+                    self.front[r] = front
                     self._mark_rule(r)
             elif first < self.cut[r]:
                 cut, self.cut[r] = self.cut[r], first

@@ -1,7 +1,7 @@
 """The tag store a reasoner ends with, and its one decoding: ``Extension``.
 
 Both reasoners end with one byte per (mode, subject) pair of the modal
-Herbrand base, and both hand it to ``Extension.decode`` as three columns,
+Herbrand base, and both make their ``Extension`` from it as three columns,
 one per mode, over the sorted base that ``base_subjects`` spells out.  An
 ``Extension`` keeps those bytes and the names, builds its tag sets only
 when they are read, and gives the output order (``texts``) by slicing the
@@ -40,45 +40,26 @@ def base_subjects(atoms, labels) -> list:
 class Extension:
     """The decided tag sets of a theory, plus the subjects left undecided.
 
-    ``literals[(sign, mode)]`` is a set of Literal; ``rules[(sign, mode)]``
-    a set of RuleRef.  ``undetermined`` holds the (mode, subject) pairs the
-    fixpoint never settled, subject being a Literal or RuleRef.
+    ``literals[(sign, mode)]`` is a frozenset of Literal; ``rules[(sign,
+    mode)]`` one of RuleRef.  ``undetermined`` holds the (mode, subject)
+    pairs the fixpoint never settled, subject being a Literal or RuleRef.
 
-    An extension is made from those sets, or by ``decode`` from a tag
-    store, which both reasoners do.  A decoded one keeps only the store's
-    sorted names and its three mode columns; ``literals``, ``rules`` and
-    ``undetermined`` are built together, as frozensets, when one of them
-    is first read.  ``texts`` gives the sets in output order, straight from
-    the store when there is one.  Two decoded extensions compare by their
-    stores, which determine the sets; otherwise the sets are compared.
+    An extension is made from a tag store: ``atoms`` and ``labels`` are
+    the store's names, sorted, so its base is ``base_subjects(atoms,
+    labels)``, and ``columns`` gives, for C, O and P in turn, the store's
+    bytes over that base, one per subject (``TAG_*``).  It keeps only
+    those; ``literals``, ``rules`` and ``undetermined`` are built together
+    when one of them is first read.  ``texts`` gives the sets in output
+    order, straight from the store.  Two extensions compare by their
+    stores, which determine the sets.
     """
 
-    __slots__ = ("_literals", "_rules", "_undetermined", "_store")
+    __slots__ = ("_built", "_store")
     __hash__ = None
 
-    def __init__(self, literals=None, rules=None, undetermined=None):
-        self._literals = {} if literals is None else literals
-        self._rules = {} if rules is None else rules
-        self._undetermined = set() if undetermined is None else undetermined
-        self._store = None
-        for sign in Sign:
-            for mode in Mode:
-                self._literals.setdefault((sign, mode), set())
-                self._rules.setdefault((sign, mode), set())
-
-    @classmethod
-    def decode(cls, atoms, labels, columns) -> "Extension":
-        """The extension a tag store holds.
-
-        ``atoms`` and ``labels`` are the store's names, sorted; its base
-        is ``base_subjects(atoms, labels)``.  ``columns`` gives, for C, O
-        and P in turn, the store's bytes over that base, one per subject
-        (``TAG_*``).  Nothing is built here.
-        """
-        ext = cls.__new__(cls)
-        ext._literals = ext._rules = ext._undetermined = None
-        ext._store = (list(atoms), list(labels), tuple(columns))
-        return ext
+    def __init__(self, atoms, labels, columns):
+        self._built = None
+        self._store = (list(atoms), list(labels), tuple(columns))
 
     @property
     def literals(self) -> dict:
@@ -96,7 +77,7 @@ class Extension:
         """``literals``, ``rules`` and ``undetermined``, each set picked out
         of the base, on first use, with ``itertools.compress`` and a 0/1
         mask of one column."""
-        if self._literals is None:
+        if self._built is None:
             atoms, labels, columns = self._store
             base, n = base_subjects(atoms, labels), 2 * len(atoms)
             lits, refs = base[:n], base[n:]
@@ -108,12 +89,11 @@ class Extension:
                     rules[(sign, mode)] = frozenset(compress(refs, mask[n:]))
                 undecided = compress(base, column.translate(TAG_IS[TAG_UNDECIDED]))
                 undetermined += zip(repeat(mode), undecided)
-            self._literals, self._rules = literals, rules
-            self._undetermined = frozenset(undetermined)
-        return self._literals, self._rules, self._undetermined
+            self._built = literals, rules, frozenset(undetermined)
+        return self._built
 
     def counts(self) -> tuple:
-        """A decoded extension's numbers of decided and undetermined pairs."""
+        """The numbers of decided and undetermined pairs."""
         undetermined = sum(column.count(TAG_UNDECIDED) for column in self._store[2])
         return sum(map(len, self._store[2])) - undetermined, undetermined
 
@@ -142,16 +122,14 @@ class Extension:
         ``TAG_SET_NAMES`` order, each list sorted, and the undetermined
         (subject text, mode text) pairs, sorted.
 
-        From a store nothing is sorted but the undetermined pairs.  Names
-        are words over [A-Za-z0-9_], all below "~", so a set's texts in
-        order are its positive subjects by name and then its negated ones
-        by name, which is the sorted base's even indices and then its odd
-        ones.  The texts of made-up sets, and of a store with a name at or
-        above "~" (the last sorted name is the largest), are sorted.
+        Nothing is sorted but the undetermined pairs.  Names are words
+        over [A-Za-z0-9_], all below "~", so a set's texts in order are its
+        positive subjects by name and then its negated ones by name, which
+        is the sorted base's even indices and then its odd ones.  The texts
+        of a store with a name at or above "~" (the last sorted name is the
+        largest) are sorted.
         """
-        if self._store is None or not all(
-            names[-1] < "~" for names in self._store[:2] if names
-        ):
+        if not all(names[-1] < "~" for names in self._store[:2] if names):
             tag_texts = [sorted(map(str, subjects)) for _, subjects in self.tag_sets()]
             return tag_texts, sorted((str(s), str(mode)) for mode, s in self.undetermined)
         atoms, labels, columns = self._store
@@ -172,13 +150,7 @@ class Extension:
     def __eq__(self, other):
         if not isinstance(other, Extension):
             return NotImplemented
-        if self._store is not None and other._store is not None:
-            return self._store == other._store
-        return (self.literals, self.rules, self.undetermined) == (
-            other.literals,
-            other.rules,
-            other.undetermined,
-        )
+        return self._store == other._store
 
     def __repr__(self) -> str:
         return (

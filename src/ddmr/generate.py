@@ -1,6 +1,6 @@
 """Seeded theory generators for tests and benchmarks.
 
-Four families:
+Five families:
 
 * ``chain``      -- facts feeding a linear implication chain;
 * ``team``       -- contested literals, several supporters against several
@@ -9,7 +9,9 @@ Four families:
                     link, mixing constitutive and obligation chains;
 * ``random``     -- arbitrary mixtures of modes, arrows, reparation chains,
                     modal antecedents, meta-rules and negated rule
-                    expressions.
+                    expressions;
+* ``reparation`` -- one obligation rule whose reparation chain is the
+                    whole theory, every element but the last violated.
 
 All generators are deterministic in (family, size target, seed), produce
 theories that validate without errors, and land within ten percent of the
@@ -39,7 +41,7 @@ from .model import (
     validate,
 )
 
-FAMILIES = ("chain", "team", "meta-chain", "random")
+FAMILIES = ("chain", "team", "meta-chain", "random", "reparation")
 
 
 class SizeOutOfReach(ValueError):
@@ -55,6 +57,8 @@ def generate_theory(family: str, size: int, seed: int = 0) -> Theory:
         theory = _meta_chain(size)
     elif family == "random":
         theory = random_theory(seed, size)
+    elif family == "reparation":
+        theory = _reparation(size)
     else:
         raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
     report = validate(theory)
@@ -117,6 +121,18 @@ def _team(size: int, seed: int) -> Theory:
             achieved += 2 + sum(map(rule_size, pair)) + 2  # facts, rules, pair
         block += 1
     return Theory.build(facts, rules, sup)
+
+
+def _reparation(size: int) -> Theory:
+    if size <= 0:
+        return Theory.build()
+    # ``fact a.``, ``fact ~b_i.`` for i < n - 1 and ``r: a => O b_0 * ... * b_{n-1}``:
+    # 1 + (n - 1) + (n + 2) symbols; every element but the last is violated
+    n = max(1, round((size - 2) / 2))
+    chain = tuple(Literal(f"b_{i}") for i in range(n))
+    facts = [Literal("a")] + [b.complement() for b in chain[:-1]]
+    rule = Rule("r", frozenset([Literal("a")]), Arrow.DEFEASIBLE, Mode.O, chain)
+    return Theory.build(facts, [rule])
 
 
 def _meta_chain(size: int) -> Theory:

@@ -393,12 +393,6 @@ def herbrand_base(t: Theory):
     return lit_base | rule_base
 
 
-def modal_herbrand_base(t: Theory):
-    """The cross product of the three modes with the Herbrand base."""
-    base = herbrand_base(t)
-    return {(mode, subject) for mode in Mode for subject in base}
-
-
 def concluders(by_label: dict) -> dict:
     """Label -> labels of the rules concluding it (under negation too), from
     every rule of a theory by label (``Theory.rules_by_label``)."""

@@ -6,8 +6,8 @@ is a plain dict from (mode, subject) to True for + and False for -.  One
 ``step`` adds every tagged conclusion whose full proof condition the store
 satisfies; saturating to a fixpoint yields the extension.  Tags never
 derived stay undetermined.  The final store is written out as one byte
-column per mode over the sorted base and handed, with the base's atom and
-label names, to ``Extension.decode``, as the engine's store is.
+column per mode over the sorted base and made, with the base's atom and
+label names, into an ``Extension``, as the engine's store is.
 
 A rule at a chain position is applicable when every one of its
 conditions holds and discarded when one is refuted.  ``model.conditions``
@@ -77,7 +77,7 @@ DEFAULT_BUDGET = 200
 
 _MODES = tuple(Mode)
 
-# A store's value, or its absence, as a byte of ``Extension.decode``'s columns.
+# A store's value, or its absence, as a byte of an ``Extension``'s columns.
 _TAG_BYTE = {None: TAG_UNDECIDED, True: TAG_PROVED, False: TAG_REFUTED}
 
 
@@ -453,7 +453,7 @@ def oracle_extension(
     atoms = [lit.atom for lit in ev.base[:n_lits:2]]
     labels = [ref.label for ref in ev.base[n_lits::2]]
     columns = [bytes([_TAG_BYTE[store.get((mode, s))] for s in ev.base]) for mode in _MODES]
-    return Extension.decode(atoms, labels, columns)
+    return Extension(atoms, labels, columns)
 
 
 def check_equivalence(
@@ -474,7 +474,7 @@ def check_equivalence(
 
         engine_ext = compute_extension(theory, variant)
     oracle_ext = oracle_extension(theory, variant, budget)
-    if engine_ext == oracle_ext:  # two decoded stores compare byte by byte
+    if engine_ext == oracle_ext:  # two stores compare byte by byte
         return {}
     diffs: dict = {}
     for (name, a), (_, b) in zip(engine_ext.tag_sets(), oracle_ext.tag_sets()):

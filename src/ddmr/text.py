@@ -47,9 +47,9 @@ strings, and the undetermined (subject, mode) text pairs sorted.  Atoms
 and labels are words over [A-Za-z0-9_], every character of which sorts
 below "~"; so a tag set in text order is its positive subjects by name
 and then its negated ones by name.  ``extension_dict`` reads that order
-from ``Extension.texts``, which slices a decoded store so and sorts only
-the undetermined pairs.  Names at or above "~", which validation refuses,
-and extensions made from sets are sorted instead.  Extension JSON is
+from ``Extension.texts``, which slices the extension's store so and sorts
+only the undetermined pairs.  Names at or above "~", which validation
+refuses, are sorted instead.  Extension JSON is
 exactly ``json.dumps(extension_dict(ext), indent=2)``, written with the C
 string encoder.
 """

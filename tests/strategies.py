@@ -128,8 +128,9 @@ def loose_theories(draw) -> Theory:
     return Theory.build(facts, rules, sup)
 
 
-# True one time in eight.
-rarely = st.sampled_from([True] + [False] * 7)
+# True one time in eight.  Hypothesis shrinks towards, and favours, the first
+# element of ``sampled_from``, so False comes first.
+rarely = st.sampled_from([False] * 7 + [True])
 
 
 _ITEM_KINDS = (Literal, ModalLiteral, RuleExpression, DeonticRuleExpression, Rule)
@@ -214,7 +215,7 @@ def model_theories(draw) -> Theory:
             st.tuples(labels, st.integers(0, 9)),
         )
         sup.append(draw(malformed))
-    if draw(rarely) and draw(rarely):  # after the pairs: a list label in a pair would not hash
+    if draw(rarely):  # after the pairs: a list label in a pair would not hash
         chain = (Literal(draw(names)),)
         odd = Rule(draw(st.lists(names, max_size=2)), frozenset(), Arrow.DEFEASIBLE, Mode.C, chain)
         if draw(st.booleans()):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddmr.conflicts import Variant, build_conflict_index, conflicts
-from ddmr.generate import random_theory
+from ddmr.generate import FAMILIES, generate_theory, random_theory
 from ddmr.model import (
     Arrow,
     Literal,
@@ -206,6 +206,40 @@ def test_a_rule_conflicts_as_its_positive_expression_on_fixtures(name):
 @settings(max_examples=25, deadline=None)
 def test_a_rule_conflicts_as_its_positive_expression_on_random_theories(seed, size):
     _assert_rules_read_as_positive_expressions(random_theory(seed, size))
+
+
+def _clash_dense(n: int) -> Theory:
+    """``fact a. fact b.`` and, for i < n, ``m_i: a => C (r_i: b => C x).``
+    and ``n_i: a => C (s_i: b => C ~x).``: every r_i clashes with every s_i."""
+    x = Literal("x")
+    rules = []
+    for i in range(n):
+        r_i, s_i = rule(f"r_{i}", [b], Mode.C, [x]), rule(f"s_{i}", [b], Mode.C, [x.complement()])
+        rules.append(rule(f"m_{i}", [a], Mode.C, [RuleExpression(r_i, True)]))
+        rules.append(rule(f"n_{i}", [a], Mode.C, [RuleExpression(s_i, True)]))
+    return Theory.build([a, b], rules)
+
+
+def test_conflicts_depend_only_on_the_content_group():
+    # ``conflicts`` reads a rule's content and polarity, never its own label,
+    # so a rule may stand for every rule of its content group
+    theories = [(p.stem, load_fixture(p.stem)) for p in sorted(FIXTURES.glob("*.ddl"))]
+    theories += [(family, generate_theory(family, 60, 0)) for family in FAMILIES]
+    theories += [(f"random/{seed}", random_theory(seed, 60)) for seed in range(20)]
+    theories.append(("clash-dense", _clash_dense(12)))
+    for name, theory in theories:
+        _, rules, _, groups = number(theory)
+        first: dict = {}  # content group -> its first rule in label order
+        reps = [first.setdefault(group, x) for x, group in zip(rules, groups)]
+        refs = [
+            (RuleExpression(x, positive), RuleExpression(rep, positive))
+            for x, rep in zip(rules, reps)
+            for positive in (True, False)
+        ]
+        for variant in Variant:
+            for (x, rep_x), (y, rep_y) in itertools.product(refs, repeat=2):
+                expected = conflicts(rep_x, rep_y, variant)
+                assert conflicts(x, y, variant) == expected, (name, variant, x.ref, y.ref)
 
 
 def _compile(theory, variant):

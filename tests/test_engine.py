@@ -28,7 +28,7 @@ from ddmr.model import (
     RuleRef,
     Sign,
     Theory,
-    modal_herbrand_base,
+    herbrand_base,
     validate,
 )
 from ddmr.text import parse_tagged_formula, parse_theory
@@ -324,7 +324,7 @@ def test_iteration_count_is_bounded(load):
     for name in ("example3", "execution1", "execution2"):
         theory = load(name)
         state = run_engine(theory, Variant.CAUTIOUS)
-        assert state.iterations <= len(modal_herbrand_base(theory)) + 1
+        assert state.iterations <= 3 * len(herbrand_base(theory)) + 1
 
 
 def test_decided_and_undetermined_partition_the_base(load):
@@ -333,7 +333,12 @@ def test_decided_and_undetermined_partition_the_base(load):
     decided = sum(len(s) for s in ext.literals.values()) + sum(
         len(s) for s in ext.rules.values()
     )
-    assert decided + len(ext.undetermined) == len(modal_herbrand_base(theory))
+    assert decided + len(ext.undetermined) == 3 * len(herbrand_base(theory))
+
+
+def _modal_base(theory) -> set:
+    """The (mode, subject) pairs of the modal Herbrand base."""
+    return {(mode, subject) for mode in Mode for subject in herbrand_base(theory)}
 
 
 def _pair_order(pair):
@@ -362,7 +367,7 @@ def test_compile_numbers_the_modal_base_in_order():
             state = EngineState(theory, variant)
             state.prepare()
             ids = {}
-            for mode, subject in modal_herbrand_base(theory):
+            for mode, subject in _modal_base(theory):
                 pair = (mode, subject.ref if isinstance(subject, RuleExpression) else subject)
                 ids[pair] = _subject_id(state, mode, subject)
             assert sorted(ids.values()) == list(range(len(ids))), name
@@ -468,7 +473,7 @@ def _settled_by_the_theory(theory, variant):
     seeded.update({(Mode.C, fact): True for fact in theory.facts})
     seeded.update({(Mode.C, RuleRef(label)): True for label in given})
     settled = {}
-    for mode, subject in modal_herbrand_base(theory):
+    for mode, subject in _modal_base(theory):
         pair = (mode, subject.ref if isinstance(subject, RuleExpression) else subject)
         if pair not in supported and (mode is not Mode.P or (Mode.O, pair[1]) not in supported):
             settled[pair] = False

@@ -13,7 +13,7 @@ import sys
 import ddmr
 import ddmr.cli
 from ddmr.conflicts import Variant, conflicts
-from ddmr.model import RuleExpression, modal_herbrand_base
+from ddmr.model import RuleExpression, herbrand_base
 
 from .conftest import FIXTURES, load_fixture
 
@@ -66,7 +66,7 @@ def test_tracer_wraps_every_layer_and_restores_it(monkeypatch, capsys):
     assert runs == 1
     count = tracer.counters
     theory = load_fixture("execution2")
-    base = len(modal_herbrand_base(theory))
+    base = 3 * len(herbrand_base(theory))
     assert count["decisions"] + count["undetermined"] == runs * base
     assert count["iterations"] >= runs
     # the index counter is the number of clashing pairs of rule references

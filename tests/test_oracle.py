@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from ddmr.conflicts import Variant, conflicts
 from ddmr.engine import _DEFEND, EngineState, run_engine
-from ddmr.generate import random_theory
+from ddmr.generate import generate_theory, random_theory
 from ddmr.model import (
     ATTACK_MODES,
     DEFEND_MODES,
@@ -175,6 +175,19 @@ def test_equivalence_on_fixtures(load):
     ):
         for variant in Variant:
             assert check_equivalence(load(name), variant) == {}, (name, variant)
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 8, 40, 200])
+def test_equivalence_on_long_reparation_chains(length):
+    # the engine counts a met condition off at its first position alone and
+    # moves a frontier; the oracle reads every condition at every position
+    theory = generate_theory("reparation", 2 * length + 2)
+    (rule,) = theory.rules
+    assert len(rule.consequent) == length
+    for variant in Variant:
+        ext = run_engine(theory, variant).extension()
+        assert Literal(f"b_{length - 1}") in ext.positive(Mode.O), variant
+        assert check_equivalence(theory, variant, budget=None, engine_ext=ext) == {}, variant
 
 
 def test_broken_team_defeat_is_caught(monkeypatch):
