@@ -1,6 +1,6 @@
 """Seeded theory generators for tests and benchmarks.
 
-Five families:
+Six families:
 
 * ``chain``      -- facts feeding a linear implication chain;
 * ``team``       -- contested literals, several supporters against several
@@ -11,7 +11,9 @@ Five families:
                     modal antecedents, meta-rules and negated rule
                     expressions;
 * ``reparation`` -- one obligation rule whose reparation chain is the
-                    whole theory, every element but the last violated.
+                    whole theory, every element but the last violated;
+* ``clash``      -- pairs of meta-rules whose concluded rules all clash:
+                    dense in conflicts, under both readings.
 
 All generators are deterministic in (family, size target, seed), produce
 theories that validate without errors, and land within ten percent of the
@@ -41,7 +43,7 @@ from .model import (
     validate,
 )
 
-FAMILIES = ("chain", "team", "meta-chain", "random", "reparation")
+FAMILIES = ("chain", "team", "meta-chain", "random", "reparation", "clash")
 
 
 class SizeOutOfReach(ValueError):
@@ -59,6 +61,8 @@ def generate_theory(family: str, size: int, seed: int = 0) -> Theory:
         theory = random_theory(seed, size)
     elif family == "reparation":
         theory = _reparation(size)
+    elif family == "clash":
+        theory = _clash(size)
     else:
         raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
     report = validate(theory)
@@ -133,6 +137,30 @@ def _reparation(size: int) -> Theory:
     facts = [Literal("a")] + [b.complement() for b in chain[:-1]]
     rule = Rule("r", frozenset([Literal("a")]), Arrow.DEFEASIBLE, Mode.O, chain)
     return Theory.build(facts, [rule])
+
+
+def _clash(size: int) -> Theory:
+    if size <= 0:
+        return Theory.build()
+    # ``fact a. fact b.`` and, for i < n, ``m_i: a => C (r_i: b => C x).`` and
+    # ``n_i: a => C (s_i: b => C ~x).``: 2 + 10n symbols; every r_i clashes
+    # with every s_i, and so every m_i with every n_i
+    n = max(1, round((size - 2) / 10))
+    a, b, x = Literal("a"), Literal("b"), Literal("x")
+    rules = []
+    for i in range(n):
+        for meta, inner, head in (("m", "r", x), ("n", "s", x.complement())):
+            nested = Rule(f"{inner}_{i}", frozenset([b]), Arrow.DEFEASIBLE, Mode.C, (head,))
+            rules.append(
+                Rule(
+                    f"{meta}_{i}",
+                    frozenset([a]),
+                    Arrow.DEFEASIBLE,
+                    Mode.C,
+                    (RuleExpression(nested, True),),
+                )
+            )
+    return Theory.build([a, b], rules)
 
 
 def _meta_chain(size: int) -> Theory:

@@ -165,9 +165,8 @@ class DeonticRuleExpression:
         return f"{neg}{self.mode}[{self.expr}]"
 
 
-# Antecedent items without and with a rule inside.
+# Antecedent items without a rule inside.
 _FLAT_ITEMS = (Literal, ModalLiteral)
-_NESTING_ITEMS = (RuleExpression, DeonticRuleExpression)
 
 # Deepest nesting of rule expressions inside a rule, which is also the most
 # the parser reads.  Nesting two deep already puts a meta-rule inside a rule
@@ -177,7 +176,7 @@ _NESTING_ITEMS = (RuleExpression, DeonticRuleExpression)
 MAX_NESTING = 64
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Rule:
     """A labelled conditional ``label: antecedent arrow_mode consequent``.
 
@@ -187,6 +186,10 @@ class Rule:
     expressions, never modal literals.  Antecedent items are literals,
     modal literals, rule expressions or deontic rule expressions, held in a
     frozenset.  Parts of other types are refused with a ``ValueError``.
+
+    ``depth`` is how deep rule expressions nest in the rule: 0 when it
+    mentions no rule, else one more than the deepest rule it mentions.  It
+    takes no part in comparing, hashing or printing a rule.
     """
 
     label: str
@@ -194,37 +197,42 @@ class Rule:
     arrow: Arrow
     mode: Mode
     consequent: tuple
+    depth: int = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        if not (isinstance(self.antecedent, frozenset) and isinstance(self.consequent, tuple)):
-            raise ValueError(f"rule {self.label}: antecedents are frozensets, consequents tuples")
-        if not (isinstance(self.arrow, Arrow) and isinstance(self.mode, Mode)):
-            raise ValueError(
-                f"rule {self.label}: not an arrow and a mode: {self.arrow!r}, {self.mode!r}"
-            )
-        if not self.consequent:
-            raise ValueError(f"rule {self.label}: empty consequent")
-        if len(self.consequent) > 1 and (
-            self.arrow is Arrow.DEFEATER or self.mode is not Mode.O
-        ):
-            raise ValueError(
-                f"rule {self.label}: chains are restricted to defeasible obligation rules"
-            )
-        nesting = False
-        for item in self.antecedent:
+    def __init__(self, label, antecedent, arrow, mode, consequent) -> None:
+        # The checks read the arguments; the fields are set once they pass.
+        if not (isinstance(antecedent, frozenset) and isinstance(consequent, tuple)):
+            raise ValueError(f"rule {label}: antecedents are frozensets, consequents tuples")
+        if not (isinstance(arrow, Arrow) and isinstance(mode, Mode)):
+            raise ValueError(f"rule {label}: not an arrow and a mode: {arrow!r}, {mode!r}")
+        if len(consequent) != 1:
+            if not consequent:
+                raise ValueError(f"rule {label}: empty consequent")
+            if arrow is Arrow.DEFEATER or mode is not Mode.O:
+                raise ValueError(f"rule {label}: chains are restricted to defeasible obligation rules")
+        depth = 0
+        for item in antecedent:
             if not isinstance(item, _FLAT_ITEMS):
-                if not isinstance(item, _NESTING_ITEMS):
-                    raise ValueError(f"rule {self.label}: not an antecedent item: {item!r}")
-                nesting = True
-        for elem in self.consequent:
+                if isinstance(item, RuleExpression):
+                    depth = max(depth, item.rule.depth + 1)
+                elif isinstance(item, DeonticRuleExpression):
+                    depth = max(depth, item.expr.rule.depth + 1)
+                else:
+                    raise ValueError(f"rule {label}: not an antecedent item: {item!r}")
+        for elem in consequent:
             if not isinstance(elem, Literal):
                 if not isinstance(elem, RuleExpression):
-                    raise ValueError(f"rule {self.label}: not a chain element: {elem!r}")
-                nesting = True
-        if nesting and _nests_too_deep(self):
-            raise ValueError(
-                f"rule {self.label}: rule expressions nested deeper than {MAX_NESTING}"
-            )
+                    raise ValueError(f"rule {label}: not a chain element: {elem!r}")
+                depth = max(depth, elem.rule.depth + 1)
+        if depth > MAX_NESTING:
+            raise ValueError(f"rule {label}: rule expressions nested deeper than {MAX_NESTING}")
+        put = object.__setattr__  # the class is frozen
+        put(self, "label", label)
+        put(self, "antecedent", antecedent)
+        put(self, "arrow", arrow)
+        put(self, "mode", mode)
+        put(self, "consequent", consequent)
+        put(self, "depth", depth)
 
     @property
     def content(self) -> tuple:
@@ -257,23 +265,6 @@ class Rule:
         head = " * ".join(map(str, self.consequent))
         lead = f"{self.label}: {body}" if body else f"{self.label}:"
         return f"{lead} {self.arrow} {self.mode} {head}"
-
-
-def _nests_too_deep(rule: Rule) -> bool:
-    """Whether rule expressions nest more than ``MAX_NESTING`` deep in ``rule``.
-
-    Walks down one level at a time, each level's rules once, so it takes no
-    stack depth.  The rules nested in ``rule`` passed this check when they
-    were made, so the walk ends within ``MAX_NESTING`` levels.
-    """
-    level = list(rule.nested_rules())
-    for _ in range(MAX_NESTING):
-        level = [n for r in level for n in r.nested_rules()]
-        if not level:
-            return False
-        if len(level) > 1:  # a rule nested twice is walked once
-            level = list({id(n): n for n in level}.values())
-    return True
 
 
 def conditions(rule: Rule) -> list:

@@ -38,9 +38,10 @@ each rule expression among them by the content of the rule it names:
 supporters are a lookup, and the simple reading's attackers and defenders
 filter one content group.  Which rules clash is asked of ``conflicts``,
 but only of candidates: two positive rules clash only when they share
-antecedent and arrow or both conclude rule expressions, and a rule clashes
-with a negated expression only when they share content, so one pass files
-the rules, and one the given rules, under those keys.  A rule's condition
+antecedent and arrow or conclude rule expressions that share a key of
+``_chain_keys``, and a rule clashes with a negated expression only when
+they share content, so one pass files the rules, and one the given rules,
+under those keys.  A rule's condition
 list at a position is filtered from ``model.conditions`` the first time
 it is asked for.  Whether a rule is applicable or discarded, and whether a
 subject is proved or refuted, is evaluated in full against the store on
@@ -123,6 +124,35 @@ def applicable(store: dict, rule: Rule, index: int = 1) -> bool:
 def discarded(store: dict, rule: Rule, index: int = 1) -> bool:
     """The strong-negation dual of applicability: some condition refuted."""
     return _refuted(store, _conditions(rule, index))
+
+
+def _chain_keys(rule: Rule, cautious: bool) -> set:
+    """Keys of ``rule``'s chain elements, one of which two meta-rules share
+    when some elements of theirs conflict (``conflicts._recursive_chain_clash``).
+
+    Elements of opposite polarity conflict only with equal content, so each
+    element gives its rule's content.  Two positive ones conflict under the
+    cautious reading only with equal antecedents, one arrow and first chain
+    elements that are equal or complementary (``conflicts._content_clash``),
+    so each positive element gives those, the first element as its atom or
+    the content of its rule; and they conflict through their own chains
+    only when both rules conclude rule expressions, so a positive element
+    whose rule does gives the key "meta".
+    """
+    keys = set()
+    for elem in rule.consequent:
+        if not isinstance(elem, RuleExpression):
+            continue
+        inner = elem.rule
+        keys.add(inner.content)
+        if elem.positive:
+            if cautious:
+                first = inner.consequent[0]
+                head = first.atom if isinstance(first, Literal) else first.rule.content
+                keys.add((inner.antecedent, inner.arrow, head))
+            if any(isinstance(e, RuleExpression) for e in inner.consequent):
+                keys.add("meta")
+    return keys
 
 
 def _subject_order(subject):
@@ -268,29 +298,31 @@ class _Evaluator:
     def _scan_candidates(self, given: bool):
         """The positions in ``rules`` (label order) of every rule, or of every
         given rule when ``given``: by (antecedent, arrow), by content when
-        ``given``, and of the meta-rules, those concluding a rule expression.
-        Two positive rules conflict only when they share antecedent and
-        arrow (a content clash) or are both meta-rules (a chain clash); a
-        rule and a negated expression only when they share content."""
-        by_head, by_content, metas = {}, {}, []
+        ``given``, and the meta-rules, those concluding a rule expression,
+        by each ``_chain_keys`` key of theirs.  Two positive rules conflict
+        only when they share antecedent and arrow (a content clash) or are
+        meta-rules sharing a chain key (a chain clash); a rule and a
+        negated expression only when they share content."""
+        by_head, by_content, by_chain_key = {}, {}, {}
         for i, rule in enumerate(self.rules):
             if given and rule.label not in self.top:
                 continue
             by_head.setdefault((rule.antecedent, rule.arrow), []).append(i)
             if given:
                 by_content.setdefault(rule.content, []).append(i)
-            if self.expr_positions(rule):
-                metas.append(i)
-        return by_head, by_content, metas
+            for key in _chain_keys(rule, True):
+                by_chain_key.setdefault(key, []).append(i)
+        return by_head, by_content, by_chain_key
 
     def _positive_candidates(self, rule: Rule, given: bool, cautious: bool):
         """The positions, in label order, of the rules (the given ones when
         ``given``) that may conflict with ``rule``'s positive reference."""
-        by_head, _, metas = _memo(self._candidates, self._scan_candidates, given)
+        by_head, _, by_chain_key = _memo(self._candidates, self._scan_candidates, given)
         same = by_head.get((rule.antecedent, rule.arrow), ()) if cautious else ()
-        if not self.expr_positions(rule):
+        keys = _chain_keys(rule, cautious)
+        if not keys:
             return same
-        return sorted({*same, *metas}) if same else metas
+        return sorted({*same, *(i for key in keys for i in by_chain_key.get(key, ()))})
 
     def clashing(self, anchor: Rule):
         """The rules that cautiously conflict with ``anchor``, in label order."""

@@ -26,11 +26,33 @@ Rule expressions nest at most ``MAX_NESTING`` deep, the most a ``Rule`` takes,
 so the recursive descent (a few frames per level) stays far from the
 interpreter's recursion limit.
 
-Tokens come from one regex, ``_TOKEN``: ``findall`` gives the token texts
-as a list of strings (an unexpected character comes out as ""), and the
-parser indexes that list.  Offsets are found only when there is an error,
-by rescanning with ``finditer``; line, column and snippet are computed from
-an offset only as its ``ParseError`` is built.  The snippet is the line,
+``parse_theory`` reads a source statement by statement first
+(``_read``): one ``findall`` of ``_STATEMENT`` matches each statement,
+and the statements of these shapes, a subset of the grammar, are built
+straight from the match:
+
+    fact a.    fact ~a.    a > b.
+    r: a, ~b => C c.    r: => O a * ~b.    r: a ~> P ~c.
+    r: a, ~(s: b => C c) => O (t: => C d) * ~e.
+
+that is, facts, superiority pairs, and rules whose body items and chain
+elements are literals or flat rule expressions, ``(label: ...)`` or
+``~(...)`` over a rule whose own parts are literals: the paper's
+meta-rule form.  Inside such a statement whitespace stands only where
+``render_theory`` writes a space, and no comment.  Any other statement
+(a modal item, a deontic rule expression, deeper nesting, other spacing,
+a comment, an error) is its text up to the next full stop, and
+``_Parser`` reads all such texts of a source in one go.  When it finds an
+error there, or a read rule has a chain the grammar refuses, ``_Parser``
+reads the whole source again, so every error, and its position, comes
+from the recursive descent alone.  The reader makes one ``Literal`` per
+(atom, polarity).
+
+``_Parser`` takes its tokens from one regex, ``_TOKEN``: ``findall`` gives
+the token texts as a list of strings (an unexpected character comes out
+as ""), and the parser indexes that list.  Offsets are found only when
+there is an error, by rescanning with ``finditer``; line, column and
+snippet are computed from an offset only as its ``ParseError`` is built.  The snippet is the line,
 cut to ``SNIPPET_WIDTH`` characters around the column when it is longer.
 Lines end at "\n" alone, columns count characters from 1, and a comment
 does not advance the column, so the end of a source whose last line is a
@@ -180,6 +202,120 @@ def _token_offsets(source: str) -> list:
     return offsets
 
 
+# The statement reader's shapes (see the module docstring).  Whitespace may
+# stand where ``render_theory`` writes a space, and nowhere else inside a
+# statement; ``\b`` after a mode keeps "Cx" one word.  ``\w`` is ASCII.
+_S = r"[ \t\r\n]*"
+_FLAT_BODY = rf"(?:~?\w+(?:,{_S}~?\w+)*)?"
+_FLAT_HEAD = rf"~?\w+(?:{_S}\*{_S}~?\w+)*"
+# A body item or chain element: a literal or a flat rule expression.  The
+# groups are its "~", and its atom or its label, body, arrow, mode and chain.
+_PART = re.compile(
+    rf"(~?)(?:(\w+)|\((\w+):{_S}({_FLAT_BODY}){_S}(=>|~>){_S}([COP])\b{_S}({_FLAT_HEAD})\))",
+    re.ASCII,
+)
+_ANY_PART = rf"~?(?:\w+|\(\w+:{_S}{_FLAT_BODY}{_S}(?:=>|~>){_S}[COP]\b{_S}{_FLAT_HEAD}\))"
+# One statement and the whitespace and comments after it.  The groups are
+# a fact's "~" and atom; a label; the weaker label of a superiority pair;
+# a rule's body, arrow, mode and chain; and any other statement's text.
+_STATEMENT = re.compile(
+    rf"(?:fact\b{_S}(~?)(\w+)\."
+    rf"|(\w+)(?:{_S}>{_S}(\w+)\."
+    rf"|:{_S}((?:{_ANY_PART}(?:,{_S}{_ANY_PART})*)?){_S}(=>|~>){_S}([COP])\b{_S}"
+    rf"({_ANY_PART}(?:{_S}\*{_S}{_ANY_PART})*)\.)"
+    rf"|((?:[^.#]|#[^\n]*)*+\.?))" + _SKIP,
+    re.ASCII,
+)
+_ARROW = {arrow.value: arrow for arrow in Arrow}
+_NO_ITEMS = frozenset()
+
+
+class _Unread(Exception):
+    """A source the statement reader leaves to ``_Parser``."""
+
+
+class _Literals(dict):
+    """Literal text -> ``Literal``, one object per (atom, polarity)."""
+
+    def __missing__(self, text: str) -> Literal:
+        key = text.strip()  # an item after ", ", an element beside " * "
+        lit = self[key] if key != text else Literal(key.lstrip("~"), key[0] != "~")
+        self[text] = lit
+        return lit
+
+
+def _parts(text: str, sep: str, lits: _Literals):
+    """The body items (``sep`` ",") or chain elements (``sep`` "*") in a
+    read ``text``.  With a rule expression among them, ``findall`` of
+    ``_PART`` matches each in turn and skips the separators."""
+    if "(" in text:
+        return [
+            RuleExpression(_rule(label, body, arrow, mode, head, lits), not neg)
+            if label
+            else lits[neg + atom]
+            for neg, atom, label, body, arrow, mode, head in _PART.findall(text)
+        ]
+    if sep in text:
+        return map(lits.__getitem__, text.split(sep))
+    return (lits[text],)
+
+
+def _rule(label, body, arrow, mode, head, lits) -> Rule:
+    """The rule of read groups; raises ``_Unread`` for a chain the grammar
+    refuses, which ``_Parser`` reports."""
+    chain = tuple(_parts(head, "*", lits))
+    if len(chain) > 1 and arrow + mode != "=>O":
+        raise _Unread
+    items = frozenset(_parts(body, ",", lits)) if body else _NO_ITEMS
+    return Rule(label, items, _ARROW[arrow], _MODES[mode], chain)
+
+
+def _read(source: str) -> Theory:
+    """The theory of ``source``, read statement by statement; raises
+    ``_Unread`` when ``_Parser`` must read the whole source.
+
+    ``_STATEMENT`` matches each statement: a fact, a superiority pair, a
+    rule of the reader's shapes, or any other text up to the next full
+    stop.  ``_Parser`` reads all statements of that last kind in one go;
+    an error there, or a chain the grammar refuses, raises ``_Unread``.
+    """
+    lits = _Literals()
+    facts, rules, sups, others = [], [], [], []
+    start = _LEAD.match(source).end()
+    for neg, atom, label, weaker, body, arrow, mode, head, other in _STATEMENT.findall(
+        source, start
+    ):
+        if arrow:
+            rules.append(_rule(label, body, arrow, mode, head, lits))
+        elif atom:
+            facts.append(lits[neg + atom])
+        elif weaker:
+            sups.append((label, weaker))
+        elif other:
+            others.append(other)
+            rules.append(None)  # where a rule of ``_Parser``'s may go
+    if others:
+        parser = _Parser("".join(others))
+        statements = parser.program()
+        # every statement ends at the full stop that ends its text
+        if parser.errors or len(statements) != len(others):
+            raise _Unread
+        statements = iter(statements)
+        kept = []
+        for rule in rules:
+            if rule is None:
+                kind, rule = next(statements)
+                if kind == "fact":
+                    facts.append(rule)
+                    continue
+                if kind == "sup":
+                    sups.append(rule)
+                    continue
+            kept.append(rule)
+        rules = kept
+    return Theory.build(facts, rules, sups)
+
+
 class _Parser:
     """Recursive descent over the token texts.
 
@@ -233,22 +369,16 @@ class _Parser:
 
     # statements ------------------------------------------------------------
 
-    def program(self):
-        facts, rules, sups = [], [], []
+    def program(self) -> list:
+        """Every statement read, as (kind, value), in source order."""
+        statements = []
         while self.pos < self.eof:
             try:
-                kind, value = self.statement()
+                statements.append(self.statement())
             except _Reject as reject:
                 self.errors.append(reject.error)
                 self._resync()
-                continue
-            if kind == "fact":
-                facts.append(value)
-            elif kind == "rule":
-                rules.append(value)
-            else:
-                sups.append(value)
-        return facts, rules, sups
+        return statements
 
     def _resync(self) -> None:
         while self.pos < self.eof:
@@ -368,11 +498,21 @@ class _Reject(Exception):
 
 def parse_theory(source: str) -> Theory:
     """Parse a .ddl program; raises TheorySyntaxError listing every error."""
+    try:
+        return _read(source)
+    except _Unread:
+        return _parse_whole(source)
+
+
+def _parse_whole(source: str) -> Theory:
+    """``parse_theory`` by ``_Parser`` alone, the reference for ``_read``."""
     parser = _Parser(source)
-    facts, rules, sups = parser.program()
+    statements = parser.program()
     if parser.errors:
         raise TheorySyntaxError(parser.errors)
-    return Theory.build(facts, rules, sups)
+    return Theory.build(
+        *([value for kind, value in statements if kind == k] for k in ("fact", "rule", "sup"))
+    )
 
 
 # Rendering -----------------------------------------------------------------

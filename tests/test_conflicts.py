@@ -208,25 +208,13 @@ def test_a_rule_conflicts_as_its_positive_expression_on_random_theories(seed, si
     _assert_rules_read_as_positive_expressions(random_theory(seed, size))
 
 
-def _clash_dense(n: int) -> Theory:
-    """``fact a. fact b.`` and, for i < n, ``m_i: a => C (r_i: b => C x).``
-    and ``n_i: a => C (s_i: b => C ~x).``: every r_i clashes with every s_i."""
-    x = Literal("x")
-    rules = []
-    for i in range(n):
-        r_i, s_i = rule(f"r_{i}", [b], Mode.C, [x]), rule(f"s_{i}", [b], Mode.C, [x.complement()])
-        rules.append(rule(f"m_{i}", [a], Mode.C, [RuleExpression(r_i, True)]))
-        rules.append(rule(f"n_{i}", [a], Mode.C, [RuleExpression(s_i, True)]))
-    return Theory.build([a, b], rules)
-
-
 def test_conflicts_depend_only_on_the_content_group():
     # ``conflicts`` reads a rule's content and polarity, never its own label,
     # so a rule may stand for every rule of its content group
     theories = [(p.stem, load_fixture(p.stem)) for p in sorted(FIXTURES.glob("*.ddl"))]
     theories += [(family, generate_theory(family, 60, 0)) for family in FAMILIES]
     theories += [(f"random/{seed}", random_theory(seed, 60)) for seed in range(20)]
-    theories.append(("clash-dense", _clash_dense(12)))
+    theories.append(("clash/122", generate_theory("clash", 122)))  # 12 pairs
     for name, theory in theories:
         _, rules, _, groups = number(theory)
         first: dict = {}  # content group -> its first rule in label order

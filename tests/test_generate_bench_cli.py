@@ -61,6 +61,14 @@ def test_sizes_within_ten_percent():
                 assert 0.9 * size <= achieved <= 1.1 * size, (family, size, achieved)
 
 
+def test_clash_family_shape():
+    assert render_theory(generate_theory("clash", 22, 0)) == (
+        "fact a.\nfact b.\n"
+        "m_0: a => C (r_0: b => C x).\nn_0: a => C (s_0: b => C ~x).\n"
+        "m_1: a => C (r_1: b => C x).\nn_1: a => C (s_1: b => C ~x).\n"
+    )
+
+
 def test_team_family_shape():
     theory = generate_theory("team", 21, 5)
     ext = compute_extension(theory, Variant.CAUTIOUS)
@@ -159,7 +167,8 @@ def test_bench_records_and_csv():
 
 # ``ddmr bench``'s decided and undetermined columns per family and reading
 # at one size, as recorded when the tag sets were still built on the clock;
-# the reparation rows were recorded when that family was added.
+# the reparation and clash rows were recorded when those families were
+# added, by the engine of the commit before, on the same theories.
 BENCH_COUNTS = {
     ("chain", "simple"): (601, 2406, 0),
     ("chain", "cautious"): (601, 2406, 0),
@@ -171,6 +180,8 @@ BENCH_COUNTS = {
     ("random", "cautious"): (659, 1601, 1),
     ("reparation", "simple"): (600, 1806, 0),
     ("reparation", "cautious"): (600, 1806, 0),
+    ("clash", "simple"): (602, 1458, 0),
+    ("clash", "cautious"): (602, 1458, 0),
 }
 
 

@@ -429,6 +429,23 @@ def test_rules_nest_no_deeper_than_the_parser_reads(through_antecedent):
     assert str(deepest).count("(a") == MAX_NESTING
 
 
+def _reference_depth(rule: Rule) -> int:
+    return max((1 + _reference_depth(n) for n in rule.nested_rules()), default=0)
+
+
+def test_a_rule_carries_its_nesting_depth_outside_its_value():
+    for depth in (0, 1, 2, 7, MAX_NESTING):
+        for through_antecedent in (False, True):
+            deepest = _nest(depth, through_antecedent)
+            assert deepest.depth == _reference_depth(deepest) == depth
+    # a rule nesting two others of unequal depth takes the deeper one's
+    two = rule("two", [RuleExpression(_nest(3, True))], Mode.O, [RuleExpression(_nest(5, False))])
+    assert two.depth == 6
+    again = dataclasses.replace(two, label="again")
+    assert again.depth == 6 and again.content == two.content
+    assert "depth" not in repr(two) and hash(two) == hash(dataclasses.replace(two))
+
+
 def test_chain_restrictions_enforced_at_construction():
     with pytest.raises(ValueError):
         rule("bad", [a], Mode.C, [b, l])

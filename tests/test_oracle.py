@@ -19,6 +19,7 @@ from ddmr.model import (
     RuleExpression,
     RuleRef,
     Theory,
+    validate,
 )
 import ddmr.oracle
 from ddmr.oracle import (
@@ -34,6 +35,7 @@ from ddmr.oracle import (
 from ddmr.text import parse_theory
 
 from .conftest import FIXTURES, load_fixture
+from .strategies import model_theories
 
 L = Literal
 
@@ -539,6 +541,49 @@ def test_clash_filters_equal_plain_scans_on_random_theories(seed, size):
         assert clash_mismatches(_Evaluator(theory, variant)) == []
 
 
+def test_clash_filters_equal_plain_scans_on_pool_theories(monkeypatch):
+    # every eighth theory of the oracle-small pool, where most candidates
+    # came from meta-rule anchors, and the clash-dense family
+    monkeypatch.syspath_prepend(str(FIXTURES.parent / "perfbench"))
+    from inputs import pool
+
+    keys = [key.split("/") for key in dict.fromkeys(pool("oracle-small"))][::8]
+    theories = [generate_theory(family, int(size), int(seed)) for family, size, seed in keys]
+    theories.append(generate_theory("clash", 122))
+    for theory in theories:
+        for variant in Variant:
+            assert clash_mismatches(_Evaluator(theory, variant)) == []
+
+
+# Meta-rules with other antecedents whose chains clash through one key of
+# ``_chain_keys`` alone: r and r2 clash as contents (one antecedent and
+# arrow, complementary heads), and q and q2, which nest a meta-rule, as
+# chains, at their second elements.
+HEAD_CLASH = """
+m1: a => C (r: c => C x).
+m2: b => C (r2: c => C ~x).
+"""
+NESTED_META_CLASH = """
+m1: a => C (q: => O y * (t: => C x)).
+m2: b => C (q2: => O z * ~(t: => C x)).
+"""
+
+
+@pytest.mark.parametrize("text", [HEAD_CLASH, NESTED_META_CLASH], ids=["head", "meta"])
+def test_clash_filters_equal_plain_scans_on_one_chain_key(text):
+    ev = _Evaluator(parse_theory(text), Variant.CAUTIOUS)
+    assert [rule.label for rule in ev.clashing(ev.by_label["m1"])] == ["m2"]
+    assert clash_mismatches(ev) == []
+
+
+@given(model_theories())
+@settings(max_examples=100, deadline=None)
+def test_clash_filters_equal_plain_scans_on_model_theories(theory):
+    if validate(theory).ok:
+        for variant in Variant:
+            assert clash_mismatches(_Evaluator(theory, variant)) == []
+
+
 # m1 and m2 do not share their antecedent, but their chains clash: r
 # and ~r2 share content.  r and the negated r2 share content too.
 CHAIN_CLASH = """
@@ -556,8 +601,8 @@ m: a => C ~(r2: a => C x).
 @pytest.mark.parametrize(
     "drop, text",
     [
-        (lambda by_head, by_content, metas: (by_head, by_content, []), CHAIN_CLASH),
-        (lambda by_head, by_content, metas: (by_head, {}, metas), SAME_CONTENT_GIVEN),
+        (lambda by_head, by_content, by_chain_key: (by_head, by_content, {}), CHAIN_CLASH),
+        (lambda by_head, by_content, by_chain_key: (by_head, {}, by_chain_key), SAME_CONTENT_GIVEN),
     ],
     ids=["meta-rules", "same-content-given-rules"],
 )

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 import re
 import time
 from dataclasses import dataclass
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from ddmr.conflicts import Variant
 from ddmr.engine import compute_extension
 from ddmr.extension import Extension
-from ddmr.generate import random_theory
+from ddmr.generate import FAMILIES, generate_theory, random_theory
 from ddmr.oracle import oracle_extension
 from ddmr.model import (
     Arrow,
@@ -33,6 +34,8 @@ from ddmr.text import (
     SNIPPET_WIDTH,
     TheorySyntaxError,
     _Lines,
+    _parse_whole,
+    _read,
     _token_offsets,
     _tokenize,
     extension_dict,
@@ -43,6 +46,7 @@ from ddmr.text import (
 )
 
 from .conftest import FIXTURES, load_fixture
+from .strategies import model_theories
 
 FIXTURE_NAMES = sorted(path.stem for path in FIXTURES.glob("*.ddl"))
 
@@ -492,6 +496,137 @@ def test_tokenizer_matches_the_character_loop(source):
     assert [(e.line, e.column, e.message, e.snippet) for e in found] == errors
     # and parse_theory reports the tokenizer's errors first
     assert _errors(source)[: len(errors)] == errors
+
+
+# The statement reader ------------------------------------------------------
+
+
+def _outcome(parse, source: str):
+    """The theory ``parse`` reads from ``source``, or its error list."""
+    try:
+        return parse(source)
+    except TheorySyntaxError as exc:
+        return [(e.line, e.column, e.message, e.snippet) for e in exc.errors]
+
+
+def _assert_read_as_whole(source: str) -> None:
+    assert _outcome(parse_theory, source) == _outcome(_parse_whole, source), source
+
+
+def _rendered_sources():
+    for name in FIXTURE_NAMES:
+        yield (FIXTURES / f"{name}.ddl").read_text()
+    for family in FAMILIES:
+        for size in (60, 600):
+            yield render_theory(generate_theory(family, size, 0))
+    for seed in range(20):
+        yield render_theory(random_theory(seed, 60))
+
+
+# Shapes at the edge of the reader's: whitespace where render_theory writes
+# none, comments inside statements, "fact" as a label and an atom, modes
+# that are longer words, refused chains (top level and nested), nested meta
+# rules, modal items, and errors after read statements.
+READER_EDGES = [
+    "fact a. fact ~a. fact~b. fact ~ c. fact\td.fact e .",
+    "fact fact. fact: => C a. fact > b. b: => C c. b > fact. fact: fact => C fact.",
+    "r: a, ~b => C c. s:a,~b=>C c. t :a => C c. u: a ,b => C c. v: ~ a => C c.",
+    "r: a\n  => O b\n  * c\n  * ~d. s: => P ~(t: a, b ~> C ~c).",
+    "r: a => C b # note.\n. s: # c\n a => C b.",
+    "r: a => Cx. s: a => C_ b.",
+    "r: a => C O. s: O => C P. t: C, P => O C.",
+    "r: a => C b * c.",
+    "r: a ~> O b * c.",
+    "r: => C (s: a => C b * c).",
+    "r: => O (s: a => O b * c) * ~(t: => P d) * e.",
+    "r: (s: => C (t: => C a)) => C b.",
+    "r: (s: => C a), ~(t: b => C c) => O ( u: => C d ).",
+    "r: O(a), ~P(b) => C c. s: O[(t: => C a)] => P d.",
+    "r: a => C b. s: a => C. t: a => C c.",
+    "r: a => C b. fact a",
+    "r: a => C b.\n?",
+    "# only a comment",
+    "",
+    "a > b. a>b. a > b c.",
+]
+
+
+def test_reader_on_edge_shapes():
+    for source in READER_EDGES:
+        _assert_read_as_whole(source)
+
+
+def test_reader_reads_rendered_theories_alone():
+    # every statement of the rendered families' shapes is read by the
+    # reader, random's only in part, and the result is the parser's
+    for family in ("chain", "team", "meta-chain", "reparation"):
+        source = render_theory(generate_theory(family, 600, 0))
+        assert "fact" in source and re.search(r"O\(|P\(|\[", source) is None
+        assert _read(source) == _parse_whole(source)
+
+
+def test_reader_shares_one_literal_per_atom_and_polarity():
+    theory = parse_theory("fact a. r: a, ~b => C c. s: c => O ~b * a. t: => C (u: a => C c).")
+    r, s, t = theory.rules
+    (fact,) = theory.facts
+    by_text = {str(lit): lit for lit in r.antecedent}
+    assert s.consequent[0] is by_text["~b"] and s.consequent[1] is fact is by_text["a"]
+    inner = t.consequent[0].rule
+    assert inner.consequent[0] is r.consequent[0] and next(iter(inner.antecedent)) is fact
+
+
+def test_reader_equals_the_parser_on_rendered_theories():
+    for source in _rendered_sources():
+        _assert_read_as_whole(source)
+
+
+_EDIT_CHARS = " \t\n\r#~()[],.*:>=aOPC_9?\x0c"
+
+
+def test_reader_equals_the_parser_on_one_character_edits():
+    rng = random.Random(23)
+    sources = [s for s in _rendered_sources() if len(s) < 4000] + READER_EDGES
+    edits = 0
+    for source in sources:
+        for _ in range(25 if source else 1):
+            i = rng.randrange(len(source) + 1)
+            op = rng.randrange(3)
+            if op == 0 and i < len(source):  # delete
+                edited = source[:i] + source[i + 1 :]
+            elif op == 1 and i + 1 < len(source):  # swap with the next
+                edited = source[:i] + source[i + 1] + source[i] + source[i + 2 :]
+            else:  # insert
+                edited = source[:i] + rng.choice(_EDIT_CHARS) + source[i:]
+            _assert_read_as_whole(edited)
+            edits += 1
+    assert edits > 1000
+
+
+@given(_SOURCES)
+@settings(max_examples=300, deadline=None)
+def test_reader_equals_the_parser_on_token_soup(source):
+    _assert_read_as_whole(source)
+
+
+@given(model_theories())
+@settings(max_examples=200, deadline=None)
+def test_reader_equals_the_parser_on_rendered_model_theories(theory):
+    # the parts that render_theory writes: literal facts over string atoms,
+    # rules whose text is a string, and pairs of two strings
+    facts = [f for f in theory.facts if isinstance(f, Literal) and isinstance(f.atom, str)]
+    rules = []
+    for rule in theory.rules:
+        try:
+            str(rule)
+        except TypeError:  # an atom that is not a string
+            continue
+        rules.append(rule)
+    pairs = [
+        p
+        for p in theory.superiority
+        if isinstance(p, tuple) and len(p) == 2 and all(isinstance(x, str) for x in p)
+    ]
+    _assert_read_as_whole(render_theory(Theory.build(facts, rules, pairs)))
 
 
 # JSON output and the model's slots -----------------------------------------------
