@@ -209,7 +209,9 @@ class Rule:
             if not consequent:
                 raise ValueError(f"rule {label}: empty consequent")
             if arrow is Arrow.DEFEATER or mode is not Mode.O:
-                raise ValueError(f"rule {label}: chains are restricted to defeasible obligation rules")
+                raise ValueError(
+                    f"rule {label}: chains are restricted to defeasible obligation rules"
+                )
         depth = 0
         for item in antecedent:
             if not isinstance(item, _FLAT_ITEMS):

@@ -41,11 +41,10 @@ but only of candidates: two positive rules clash only when they share
 antecedent and arrow or conclude rule expressions that share a key of
 ``_chain_keys``, and a rule clashes with a negated expression only when
 they share content, so one pass files the rules, and one the given rules,
-under those keys.  A rule's condition
-list at a position is filtered from ``model.conditions`` the first time
-it is asked for.  Whether a rule is applicable or discarded, and whether a
-subject is proved or refuted, is evaluated in full against the store on
-every step.
+under those keys.  A rule's condition list at a position is filtered from
+``model.conditions`` the first time it is asked for.  Whether a rule is
+applicable or discarded, and whether a subject is proved or refuted, is
+evaluated in full against the store on every step.
 
 The derivation route is deliberately independent of the engine: no table
 is shared with it, no antecedent stripping, no rule deletion, only the

@@ -52,12 +52,12 @@ from the recursive descent alone.  The reader makes one ``Literal`` per
 the token texts as a list of strings (an unexpected character comes out
 as ""), and the parser indexes that list.  Offsets are found only when
 there is an error, by rescanning with ``finditer``; line, column and
-snippet are computed from an offset only as its ``ParseError`` is built.  The snippet is the line,
-cut to ``SNIPPET_WIDTH`` characters around the column when it is longer.
-Lines end at "\n" alone, columns count characters from 1, and a comment
-does not advance the column, so the end of a source whose last line is a
-comment sits at its ``#``.  Unexpected characters are reported before
-syntax errors.
+snippet are computed from an offset only as its ``ParseError`` is built.
+The snippet is the line, cut to ``SNIPPET_WIDTH`` characters around the
+column when it is longer.  Lines end at "\n" alone, columns count
+characters from 1, and a comment does not advance the column, so the end
+of a source whose last line is a comment sits at its ``#``.  Unexpected
+characters are reported before syntax errors.
 
 Parsing is total: any byte input produces either a theory or a list of
 positioned errors, never an exception from inside.  Rendering is
@@ -293,7 +293,7 @@ def _read(source: str) -> Theory:
             sups.append((label, weaker))
         elif other:
             others.append(other)
-            rules.append(None)  # where a rule of ``_Parser``'s may go
+            rules.append(None)
     if others:
         parser = _Parser("".join(others))
         statements = parser.program()
@@ -303,15 +303,11 @@ def _read(source: str) -> Theory:
         statements = iter(statements)
         kept = []
         for rule in rules:
-            if rule is None:
-                kind, rule = next(statements)
-                if kind == "fact":
-                    facts.append(rule)
-                    continue
-                if kind == "sup":
-                    sups.append(rule)
-                    continue
-            kept.append(rule)
+            if rule is None:  # the place of the next statement ``_Parser`` read
+                kind, value = next(statements)
+                {"fact": facts, "rule": kept, "sup": sups}[kind].append(value)
+            else:
+                kept.append(rule)
         rules = kept
     return Theory.build(facts, rules, sups)
 
