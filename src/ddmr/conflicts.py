@@ -16,7 +16,9 @@ Every simple conflict is a cautious conflict.  Both relations are symmetric
 and irreflexive; a rule never conflicts with a content-identical copy of
 itself of the same polarity.
 
-The predicates take rules and rule expressions and serve the oracle.
+The predicates take rules and rule expressions and serve the oracle, as
+does ``chain_clash_keys``, which files meta-rules so that two whose chains
+clash share a key.
 ``build_conflict_index`` compiles, for every rule appearing in a theory
 (the engine's rule list), the conflict relation under one variant and
 who concludes each rule expression, over the integer ids the engine runs
@@ -112,6 +114,36 @@ def _content_clash(x: Rule, y: Rule) -> bool:
         if cx[i] != cy[i]:
             return False
     return len(cx) != len(cy)
+
+
+def chain_clash_keys(rule: Rule, variant: Variant) -> set:
+    """Keys of ``rule``'s chain elements such that two positive rules whose
+    chains clash under ``variant`` (``_recursive_chain_clash``) share one.
+
+    Elements of opposite polarity clash only with equal content, so each
+    element gives its rule's content.  Two positive ones clash under the
+    cautious variant only with equal antecedents, one arrow and first chain
+    elements that are equal or complementary (``_content_clash``), so each
+    positive element gives those, the first element as its atom or the
+    content of its rule; and they clash through their own chains only when
+    both rules conclude rule expressions, so a positive element whose rule
+    does gives the key "meta".  A rule that concludes no rule expression
+    has no keys.
+    """
+    keys = set()
+    for elem in rule.consequent:
+        if not isinstance(elem, RuleExpression):
+            continue
+        inner = elem.rule
+        keys.add(inner.content)
+        if elem.positive:
+            if variant is Variant.CAUTIOUS:
+                first = inner.consequent[0]
+                head = first.atom if isinstance(first, Literal) else first.rule.content
+                keys.add((inner.antecedent, inner.arrow, head))
+            if any(isinstance(e, RuleExpression) for e in inner.consequent):
+                keys.add("meta")
+    return keys
 
 
 class ConflictTables(NamedTuple):

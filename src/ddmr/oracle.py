@@ -39,7 +39,7 @@ supporters are a lookup, and the simple reading's attackers and defenders
 filter one content group.  Which rules clash is asked of ``conflicts``,
 but only of candidates: two positive rules clash only when they share
 antecedent and arrow or conclude rule expressions that share a key of
-``_chain_keys``, and a rule clashes with a negated expression only when
+``conflicts.chain_clash_keys``, and a rule clashes with a negated expression only when
 they share content, so one pass files the rules, and one the given rules,
 under those keys.  A rule's condition list at a position is filtered from
 ``model.conditions`` the first time it is asked for.  Whether a rule is
@@ -56,7 +56,7 @@ from __future__ import annotations
 
 from functools import partial
 
-from .conflicts import Variant, conflicts
+from .conflicts import Variant, chain_clash_keys, conflicts
 from .extension import TAG_PROVED, TAG_REFUTED, TAG_UNDECIDED, Extension
 from .model import (
     ATTACK_MODES,
@@ -123,35 +123,6 @@ def applicable(store: dict, rule: Rule, index: int = 1) -> bool:
 def discarded(store: dict, rule: Rule, index: int = 1) -> bool:
     """The strong-negation dual of applicability: some condition refuted."""
     return _refuted(store, _conditions(rule, index))
-
-
-def _chain_keys(rule: Rule, cautious: bool) -> set:
-    """Keys of ``rule``'s chain elements, one of which two meta-rules share
-    when some elements of theirs conflict (``conflicts._recursive_chain_clash``).
-
-    Elements of opposite polarity conflict only with equal content, so each
-    element gives its rule's content.  Two positive ones conflict under the
-    cautious reading only with equal antecedents, one arrow and first chain
-    elements that are equal or complementary (``conflicts._content_clash``),
-    so each positive element gives those, the first element as its atom or
-    the content of its rule; and they conflict through their own chains
-    only when both rules conclude rule expressions, so a positive element
-    whose rule does gives the key "meta".
-    """
-    keys = set()
-    for elem in rule.consequent:
-        if not isinstance(elem, RuleExpression):
-            continue
-        inner = elem.rule
-        keys.add(inner.content)
-        if elem.positive:
-            if cautious:
-                first = inner.consequent[0]
-                head = first.atom if isinstance(first, Literal) else first.rule.content
-                keys.add((inner.antecedent, inner.arrow, head))
-            if any(isinstance(e, RuleExpression) for e in inner.consequent):
-                keys.add("meta")
-    return keys
 
 
 def _subject_order(subject):
@@ -298,7 +269,7 @@ class _Evaluator:
         """The positions in ``rules`` (label order) of every rule, or of every
         given rule when ``given``: by (antecedent, arrow), by content when
         ``given``, and the meta-rules, those concluding a rule expression,
-        by each ``_chain_keys`` key of theirs.  Two positive rules conflict
+        by each ``chain_clash_keys`` key of theirs.  Two positive rules conflict
         only when they share antecedent and arrow (a content clash) or are
         meta-rules sharing a chain key (a chain clash); a rule and a
         negated expression only when they share content."""
@@ -309,16 +280,18 @@ class _Evaluator:
             by_head.setdefault((rule.antecedent, rule.arrow), []).append(i)
             if given:
                 by_content.setdefault(rule.content, []).append(i)
-            for key in _chain_keys(rule, True):
+            for key in chain_clash_keys(rule, Variant.CAUTIOUS):
                 by_chain_key.setdefault(key, []).append(i)
         return by_head, by_content, by_chain_key
 
-    def _positive_candidates(self, rule: Rule, given: bool, cautious: bool):
+    def _positive_candidates(self, rule: Rule, given: bool, variant: Variant):
         """The positions, in label order, of the rules (the given ones when
-        ``given``) that may conflict with ``rule``'s positive reference."""
+        ``given``) that may conflict with ``rule``'s positive reference
+        under ``variant``."""
         by_head, _, by_chain_key = _memo(self._candidates, self._scan_candidates, given)
+        cautious = variant is Variant.CAUTIOUS
         same = by_head.get((rule.antecedent, rule.arrow), ()) if cautious else ()
-        keys = _chain_keys(rule, cautious)
+        keys = chain_clash_keys(rule, variant)
         if not keys:
             return same
         return sorted({*same, *(i for key in keys for i in by_chain_key.get(key, ()))})
@@ -329,7 +302,7 @@ class _Evaluator:
 
     def _scan_clashing(self, label: str):
         anchor, rules = self.by_label[label], self.rules
-        candidates = self._positive_candidates(anchor, False, True)
+        candidates = self._positive_candidates(anchor, False, Variant.CAUTIOUS)
         return [rules[i] for i in candidates if conflicts(rules[i], anchor, Variant.CAUTIOUS)]
 
     def clashes_given(self, ref: RuleRef) -> bool:
@@ -340,7 +313,7 @@ class _Evaluator:
         rule = self.by_label[ref.label]
         expr = RuleExpression(rule, ref.positive)
         if ref.positive:
-            candidates = self._positive_candidates(rule, True, self.variant is Variant.CAUTIOUS)
+            candidates = self._positive_candidates(rule, True, self.variant)
         else:
             by_content = _memo(self._candidates, self._scan_candidates, True)[1]
             candidates = by_content.get(rule.content, ())

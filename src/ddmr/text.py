@@ -223,7 +223,7 @@ _STATEMENT = re.compile(
     rf"|(\w+)(?:{_S}>{_S}(\w+)\."
     rf"|:{_S}((?:{_ANY_PART}(?:,{_S}{_ANY_PART})*)?){_S}(=>|~>){_S}([COP])\b{_S}"
     rf"({_ANY_PART}(?:{_S}\*{_S}{_ANY_PART})*)\.)"
-    rf"|((?:[^.#]|#[^\n]*)*+\.?))" + _SKIP,
+    rf"|([^.#]*(?:#[^\n]*[^.#]*)*\.?))" + _SKIP,
     re.ASCII,
 )
 _ARROW = {arrow.value: arrow for arrow in Arrow}

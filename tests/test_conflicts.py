@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddmr.conflicts import Variant, build_conflict_index, conflicts
+from ddmr.conflicts import (
+    Variant,
+    _recursive_chain_clash,
+    build_conflict_index,
+    chain_clash_keys,
+    conflicts,
+)
 from ddmr.generate import FAMILIES, generate_theory, random_theory
 from ddmr.model import (
     Arrow,
@@ -19,6 +25,7 @@ from ddmr.model import (
     Theory,
     number,
 )
+from ddmr.text import parse_theory
 
 from .conftest import FIXTURES, load_fixture
 from .strategies import any_rules
@@ -228,6 +235,44 @@ def test_conflicts_depend_only_on_the_content_group():
             for (x, rep_x), (y, rep_y) in itertools.product(refs, repeat=2):
                 expected = conflicts(rep_x, rep_y, variant)
                 assert conflicts(x, y, variant) == expected, (name, variant, x.ref, y.ref)
+
+
+def _assert_chain_clashes_share_a_key(x: Rule, y: Rule) -> bool:
+    """Whether ``x`` and ``y`` chain-clash under some variant; when they do,
+    they share a ``chain_clash_keys`` key under it."""
+    clashed = False
+    for variant in Variant:
+        if _recursive_chain_clash(x, y, variant):
+            clashed = True
+            shared = chain_clash_keys(x, variant) & chain_clash_keys(y, variant)
+            assert shared, (variant, x, y)
+    return clashed
+
+
+def test_chain_clashes_share_a_key_on_pool_theories():
+    theories = [load_fixture(p.stem) for p in sorted(FIXTURES.glob("*.ddl"))]
+    theories += [generate_theory(family, 60, 0) for family in FAMILIES]
+    theories += [random_theory(seed, 60) for seed in range(20)]
+    theories.append(generate_theory("clash", 122))
+    # chains that clash only through the chains of the rules they nest
+    theories.append(
+        parse_theory(
+            "m1: a => C (q: => O y * (t: => C x)).\n"
+            "m2: b => C (q2: => O z * ~(t: => C x))."
+        )
+    )
+    clashes = 0
+    for theory in theories:
+        rules = number(theory).rules
+        for x, y in itertools.product(rules, repeat=2):
+            clashes += _assert_chain_clashes_share_a_key(x, y)
+    assert clashes > 100
+
+
+@given(any_rules, any_rules)
+@settings(max_examples=300)
+def test_chain_clashes_share_a_key(x, y):
+    _assert_chain_clashes_share_a_key(x, y)
 
 
 def _compile(theory, variant):

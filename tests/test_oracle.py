@@ -556,7 +556,7 @@ def test_clash_filters_equal_plain_scans_on_pool_theories(monkeypatch):
 
 
 # Meta-rules with other antecedents whose chains clash through one key of
-# ``_chain_keys`` alone: r and r2 clash as contents (one antecedent and
+# ``chain_clash_keys`` alone: r and r2 clash as contents (one antecedent and
 # arrow, complementary heads), and q and q2, which nest a meta-rule, as
 # chains, at their second elements.
 HEAD_CLASH = """

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ddmr.model
 import ddmr.text
 from ddmr.conflicts import Variant
 from ddmr.engine import compute_extension
@@ -555,6 +556,32 @@ READER_EDGES = [
 def test_reader_on_edge_shapes():
     for source in READER_EDGES:
         _assert_read_as_whole(source)
+
+
+# Regex syntax that Python's ``re`` takes only from 3.11 on: possessive
+# quantifiers (``*+``, ``++``, ``?+``, ``{m,n}+``) and atomic groups.
+# Escapes and character classes are skipped, where these are plain text.
+_NEWER_SYNTAX = re.compile(r"\\.|\[\^?\]?(?:\\.|[^\]])*\]|(?P<found>[*+?}]\+|\(\?>)|.", re.S)
+
+
+def test_patterns_compile_on_the_oldest_supported_python():
+    # pyproject.toml declares requires-python >= 3.10
+    patterns = [value for module in (ddmr.model, ddmr.text) for value in vars(module).values()]
+    patterns = [value.pattern for value in patterns if isinstance(value, re.Pattern)]
+    assert len(patterns) >= 5
+    found = [
+        (pattern, match["found"])
+        for pattern in patterns
+        for match in _NEWER_SYNTAX.finditer(pattern)
+        if match["found"]
+    ]
+    assert found == []
+    # the scan sees each construct outside escapes and classes
+    assert [m["found"] for m in _NEWER_SYNTAX.finditer(r"\*+[*+](?:a|b)*+x{2}+(?>y)") if m["found"]] == [
+        "*+",
+        "}+",
+        "(?>",
+    ]
 
 
 def test_reader_reads_rendered_theories_alone(monkeypatch):
