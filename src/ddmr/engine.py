@@ -24,6 +24,9 @@ those clashing with the attacker; a defender also beats an attacker whose
 concluded rules its own are superior to, unless the attacker is superior
 to it.  ``model.ATTACK_MODES``, ``model.DEFEND_MODES`` and
 ``model.CAUTIOUS_RULE_ATTACK_MODES`` say which modes attack and defend.
+An examination builds each team's attacker list at most once and walks it
+for proof and, failing that, for refutation (``_unbeaten``): the same test
+with the frontier and the cut in swapped roles.
 
 A rule's conditions are one list, ``model.conditions``: the rule held and
 each antecedent item from chain position 1, and each chain element in
@@ -161,18 +164,24 @@ class EngineState:
 
     ``supports[s]`` holds (rule, position) pairs for the rules that can
     still conclude subject ``s``; an entry disappears when its rule is
-    discarded at its position.  ``tag[s]`` is the decision on subject
-    ``s``: 0 undecided, 1 proved, 2 refuted.  ``watch[s]`` lists (rule,
-    first position, sign meeting it) for each condition that deciding ``s``
-    settles.  ``live[r][p]`` counts the conditions of rule ``r`` whose
-    first position is ``p + 1`` and that are not yet met; every subject is
-    decided once, so no condition is counted off twice.  ``front[r]`` is
+    discarded at its position, so every entry is live.  ``tag[s]`` is the
+    decision on subject ``s``: 0 undecided, 1 proved, 2 refuted.
+    ``watch[s]`` lists (rule, first position, sign meeting it) for each
+    condition that deciding ``s`` settles.  ``live[r][p]`` counts the
+    conditions of rule ``r`` whose first position is ``p + 1`` and that are
+    not yet met; every subject is decided once, so no condition is counted
+    off twice.  ``front[r]`` is
     the first position whose count is not 0, or one past the chain, so the
     rule is applicable below it; it starts at 1, where the rule-held
     condition is.  ``cut[r]`` is the first position at which the rule is
     discarded, one past its chain while it is not.
     ``opposite[k]`` (simple reading) lists, by base index, the concluded
     references with reference ``k``'s content and the other polarity.
+    ``_touched`` holds the rules the examination in progress consulted:
+    the supporters, the attackers and team defenders as their lists are
+    built, and cautious defenders as they are walked.  ``deps[r]`` lists
+    the subject ids left undecided after consulting rule ``r``, to examine
+    again when its applicability or discarding moves.
     ``prepare`` leaves in ``tag`` the verdicts that need no evidence, and
     ``run`` starts from them.  ``dead`` (the rules cut at 1), ``lit_tags`` and
     ``rule_tags`` (decided literal and rule subject ids to their sign) and
@@ -189,7 +198,7 @@ class EngineState:
         self.dirty: set = set()
         self.watch: dict = {}  # subject id -> [(rule, first position, satisfying sign)]
         self.supports: dict = {}
-        self.deps: dict = {}  # rule -> subject ids that consulted it
+        self.deps: dict = {}  # rule -> [subject ids that consulted it]
         self._touched: set = set()
 
     # ------------------------------------------------------------------ setup
@@ -328,7 +337,8 @@ class EngineState:
     # ------------------------------------------------------------------- run
 
     def run(self) -> None:
-        tag, dirty, touched = self.tag, self.dirty, self._touched
+        tag, dirty, touched, deps = self.tag, self.dirty, self._touched, self.deps
+        decide, apply = self._decide, self._apply
         # ``prepare`` left the verdicts that need no evidence in the store; a
         # verdict moves rules only through ``watch``, so the other ids keep
         # their byte as it is and the watched ones go through ``_apply``
@@ -337,7 +347,7 @@ class EngineState:
         for s in watched:
             tag[s] = _UNDECIDED
         for s, verdict in zip(watched, verdicts):
-            self._apply(s, verdict)
+            apply(s, verdict)
         dirty.clear()
         # first: every id left undecided
         batch = compress(count(), tag.translate(_IS[_UNDECIDED])) if tag else None
@@ -350,32 +360,19 @@ class EngineState:
                 if tag[s]:
                     continue
                 touched.clear()
-                verdict = self._decide(s)
+                verdict = decide(s)
                 if verdict is not None:
-                    self._apply(s, verdict)
+                    apply(s, verdict)
                 else:
                     # undecided: re-examine when any consulted rule moves
                     for r in touched:
-                        self.deps.setdefault(r, set()).add(s)
-            batch = sorted(s for s in dirty if not tag[s]) if dirty else None
+                        deps.setdefault(r, []).append(s)
+            batch = sorted(dirty) if dirty else None
             dirty.clear()
 
     def extension(self) -> Extension:
         """Decode the tag store into the twelve tag sets and the residue."""
         return Extension(self.atoms, self.labels, [self.tag[m::3] for m in (C, O, P)])
-
-    # ------------------------------------------------------------ rule state
-
-    def _applicable(self, r: int, pos: int) -> bool:
-        """Every condition of the rule at ``pos`` holds."""
-        return pos < self.front[r]
-
-    def _not_discarded(self, r: int, pos: int) -> bool:
-        """No condition of the rule at ``pos`` is refuted."""
-        return pos < self.cut[r]
-
-    def _stronger(self, a: int, b: int) -> bool:
-        return (a, b) in self.sup
 
     # -------------------------------------------------------------- decisions
 
@@ -383,99 +380,130 @@ class EngineState:
         mode = s % 3
         if mode == P and self.tag[s - 1] == _PROVED:
             return True
-        # attackers are consulted (``_touched``) when listed, after a witness
-        # is found; ``_attackers``' defenders when listed, cautious ones as
-        # they are walked
-        supporters = self._entries(s)
-        if s < self.n_lit_ids or self.variant is Variant.SIMPLE:
-            attackers, beats, teams = self._attackers, self._stronger, (supporters,)
-        else:
-            attackers, beats = self._cautious_attackers, self._overrules
-            teams = [(e,) for e in supporters]
-        for team in teams:
-            if self._prevails(s, team, attackers, beats):
-                return True
+        team = self.supports.get(s, ())
+        add = self._touched.add
+        for r, _ in team:
+            add(r)
+        if s >= self.n_lit_ids and self.variant is Variant.CAUTIOUS:
+            return self._decide_cautious(s, team)
+        # proved: some defeasible supporter is applicable and no live attacker
+        # escapes the applicable defenders; refuted: some supporter is
+        # defeasible and an applicable attacker escapes the live ones
+        defeasible, front, cut = self.defeasible, self.front, self.cut
+        groups = None
+        for r, pos in team:
+            if defeasible[r] and pos < front[r]:
+                groups = self._attackers(s)
+                if not (groups and self._unbeaten(groups, cut, front)):
+                    return True
+                break
         if mode == P and self.tag[s - 1] != _REFUTED:
             return None  # a permission cannot be rejected before the obligation is
-        for team in teams:
-            if not self._defeated(s, team, attackers, beats):
-                return None
-        return False
-
-    def _prevails(self, s: int, team, attackers, beats) -> bool:
-        """Some defeasible member of the team is applicable, and every live
-        attacker of the team is beaten by an applicable defender."""
-        for r, pos in team:
-            if self.defeasible[r] and self._applicable(r, pos):
+        for r, _ in team:
+            if defeasible[r]:
                 break
         else:
             return False
-        for g, gpos, defenders in attackers(s, team):
-            for z, zpos in defenders:
-                if self._applicable(z, zpos) and beats(z, g):
-                    break
-            else:
-                return False
-        return True
+        if groups is None:
+            groups = self._attackers(s)
+        return False if groups and self._unbeaten(groups, front, cut) else None
 
-    def _defeated(self, s: int, team, attackers, beats) -> bool:
-        """The team has no defeasible member, or an applicable attacker of
-        the team that no live defender beats."""
-        for r, _ in team:
-            if self.defeasible[r]:
-                break
-        else:
-            return True
-        for g, gpos, defenders in attackers(s, team):
-            if self._applicable(g, gpos):
-                for z, zpos in defenders:
-                    if self._not_discarded(z, zpos) and beats(z, g):
+    def _unbeaten(self, groups, attacking: list, defending: list) -> bool:
+        """Some attacker at a position below ``attacking[g]`` that no
+        defender of its group at a position below ``defending[z]`` is
+        superior to.  With the cut and the frontier: a live attacker
+        escapes the applicable defenders; with the frontier and the cut: an
+        applicable attacker escapes the live ones."""
+        sup = self.sup
+        for attackers, defenders in groups:
+            for g, gpos in attackers:
+                if gpos < attacking[g]:
+                    for z, zpos in defenders:
+                        if zpos < defending[z] and (z, g) in sup:
+                            break
+                    else:
+                        return True
+        return False
+
+    def _attackers(self, s: int) -> list:
+        """Team defeat: per concluded subject with the content of the
+        subject's complement (for a literal, the complement itself) that has
+        supporters in an attacking mode, those and the supporters, in a
+        defending mode, of the subject and of the attacked subject's
+        complement.  Supports hold only live entries."""
+        mode, b = s % 3, s // 3
+        get, add = self.supports.get, self._touched.add
+        defend = _DEFEND[mode]
+        # plain loops: a comprehension costs a frame of its own
+        own = []
+        for m in defend:
+            for e in get(3 * b + m, ()):
+                own.append(e)
+                add(e[0])
+        groups = []
+        for x in (b ^ 1,) if s < self.n_lit_ids else self.opposite[b - self.n_lits]:
+            attackers = []
+            for m in _ATTACK[mode]:
+                for e in get(3 * x + m, ()):
+                    attackers.append(e)
+                    add(e[0])
+            if attackers:
+                defenders = own
+                if x ^ 1 != b:  # the attacked expression names another rule
+                    defenders = own[:]
+                    for m in defend:
+                        for e in get(3 * (x ^ 1) + m, ()):
+                            defenders.append(e)
+                            add(e[0])
+                groups.append((attackers, defenders))
+        return groups
+
+    def _decide_cautious(self, s: int, team):
+        """``_decide`` for a rule subject under the cautious reading, where
+        each supporter is a team of its own."""
+        mode = s % 3
+        defeasible, front, cut = self.defeasible, self.front, self.cut
+        built = {}
+        for e in team:
+            if defeasible[e[0]] and e[1] < front[e[0]]:
+                built[e] = attackers = self._cautious_attackers(s, (e,))
+                if not self._cautious_unbeaten(mode, attackers, cut, front):
+                    return True
+        if mode == P and self.tag[s - 1] != _REFUTED:
+            return None
+        for e in team:
+            if defeasible[e[0]]:
+                attackers = built[e] if e in built else self._cautious_attackers(s, (e,))
+                if not self._cautious_unbeaten(mode, attackers, front, cut):
+                    return None
+        return False
+
+    def _cautious_unbeaten(self, mode: int, attackers, attacking: list, defending: list) -> bool:
+        """``_unbeaten`` for the attackers of one cautious team, each with
+        the rules clashing with it as defenders, and overruling for
+        superiority."""
+        for g, gpos in attackers:
+            if gpos < attacking[g]:
+                for z, zpos in self._cautious_defenders(mode, g):
+                    if zpos < defending[z] and self._overrules(z, g):
                         break
                 else:
                     return True
         return False
 
-    def _entries(self, s: int):
-        entries = self.supports.get(s, ())
-        if entries:
-            self._touched.update(r for r, _ in entries)
-        return entries
-
-    def _attackers(self, s: int, team) -> list:
-        """The supporters, in an attacking mode, of each concluded subject
-        with the content of the subject's complement (for a literal, the
-        complement itself), each with the supporters, in a defending mode,
-        of the subject and of the attacked subject's complement.  Supports
-        hold only live entries."""
-        mode, b = s % 3, s // 3
-        own = self._supporters(b, _DEFEND[mode])
-        out = []
-        for x in (b ^ 1,) if s < self.n_lit_ids else self.opposite[b - self.n_lits]:
-            attackers = self._supporters(x, _ATTACK[mode])
-            if attackers:
-                defenders = own if x ^ 1 == b else own + self._supporters(x ^ 1, _DEFEND[mode])
-                out += [(g, gpos, defenders) for g, gpos in attackers]
-        return out
-
-    def _supporters(self, b: int, modes) -> list:
-        """The supporters of base index ``b`` in any of ``modes``."""
-        return [e for m in modes for e in self._entries(3 * b + m)]
-
-    def _cautious_attackers(self, s: int, team):
-        """Rules clashing, as whole rules, with the team's one member, each
-        with the rules clashing with the attacker."""
+    def _cautious_attackers(self, s: int, team) -> list:
+        """(rule, position) for the live positions of the rules clashing,
+        as whole rules, with the team's one member."""
         ((r, _),) = team
-        modes = _RULE_ATTACK[s % 3]
-        out = [g for g in self.clashes[r] if self.rule_mode[g] in modes]
+        modes, rule_mode = _RULE_ATTACK[s % 3], self.rule_mode
+        out = [g for g in self.clashes[r] if rule_mode[g] in modes]
         self._touched.update(out)
-        return (
-            (g, gpos, self._cautious_defenders(s % 3, g))
-            for g in out
-            for gpos in self.expr_positions[g]
-            if self._not_discarded(g, gpos)
-        )
+        cut = self.cut
+        return [(g, gpos) for g in out for gpos in self.expr_positions[g] if gpos < cut[g]]
 
     def _cautious_defenders(self, mode: int, g: int):
+        """(rule, position) for the rules clashing with attacker ``g`` in a
+        defending mode, consulted as walked; each walk takes a new call."""
         clashes = self.clashes[g]
         self._touched.update(clashes)
         for z in clashes:
@@ -486,10 +514,11 @@ class EngineState:
     def _overrules(self, z: int, g: int) -> bool:
         """Superiority, or else superiority inherited from the rules the two
         rules conclude."""
-        if self._stronger(z, g):
+        sup = self.sup
+        if (z, g) in sup:
             return True
-        return not self._stronger(g, z) and any(
-            self._stronger(u, v) for u in self.concluded[z] for v in self.concluded[g]
+        return (g, z) not in sup and any(
+            (u, v) in sup for u in self.concluded[z] for v in self.concluded[g]
         )
 
     # ------------------------------------------------------------ mutation
@@ -500,35 +529,35 @@ class EngineState:
         frontier moves past the positions whose count is then 0; a refuted
         one discards the rule from its first position on and takes those
         positions out of ``supports``.  Only a rule whose applicability or
-        discarding moved is marked.
+        discarding moved is marked: its dependants become dirty.
         """
-        if self.tag[s]:
+        tag = self.tag
+        if tag[s]:
             mode, subject = self.pair(s)
             raise IncoherenceError(f"double decision on {mode} {subject}")
-        self.tag[s] = _PROVED if positive else _REFUTED
+        tag[s] = _PROVED if positive else _REFUTED
+        dirty, deps = self.dirty, self.deps
         if s % 3 == O:
-            self.dirty.add(s + 1)
+            dirty.add(s + 1)
+        front, cut = self.front, self.cut
         for r, first, sign in self.watch.get(s, ()):
             if sign == positive:
                 live = self.live[r]
                 live[first - 1] -= 1
-                if first == self.front[r] and not live[first - 1]:
-                    front = first + 1
-                    while front <= len(live) and not live[front - 1]:
-                        front += 1
-                    self.front[r] = front
-                    self._mark_rule(r)
-            elif first < self.cut[r]:
-                cut, self.cut[r] = self.cut[r], first
-                chain = self.concludes[r]
-                for pos in range(first, cut):
-                    entries = self.supports.get(chain[pos - 1], ())
+                if first == front[r] and not live[first - 1]:
+                    end = first + 1
+                    while end <= len(live) and not live[end - 1]:
+                        end += 1
+                    front[r] = end
+                    dirty.update(deps.pop(r, ()))
+            elif first < cut[r]:
+                end, cut[r] = cut[r], first
+                chain, supports = self.concludes[r], self.supports
+                for pos in range(first, end):
+                    entries = supports.get(chain[pos - 1], ())
                     if (r, pos) in entries:
                         entries.remove((r, pos))
-                self._mark_rule(r)
-
-    def _mark_rule(self, r: int) -> None:
-        self.dirty.update(self.deps.pop(r, ()))
+                dirty.update(deps.pop(r, ()))
 
 
 def run_engine(

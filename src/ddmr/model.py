@@ -248,7 +248,7 @@ class Rule:
 
     def is_meta(self) -> bool:
         """True when some antecedent item or conclusion element mentions a rule."""
-        return any(True for _ in self.nested_rules())
+        return self.depth > 0
 
     def nested_rules(self) -> Iterator["Rule"]:
         for item in self.antecedent:
@@ -325,10 +325,10 @@ class Theory:
 
     def all_rules(self) -> Iterator[Rule]:
         """Top-level rules first, then the rules nested inside them."""
+        yield from self.rules
         for rule in self.rules:
-            yield rule
-        for rule in self.rules:
-            yield from rule.nested_rules()
+            if rule.depth:  # only a meta-rule nests rules
+                yield from rule.nested_rules()
 
     def top_labels(self) -> set:
         return {r.label for r in self.rules}
@@ -593,7 +593,8 @@ def validate(t: Theory) -> ValidationReport:
                 add(item)
             elif isinstance(item, ModalLiteral):
                 add(item.inner)
-        for nested in rule.nested_rules():
+        # a rule nests a meta-rule exactly when it is two or more deep
+        for nested in rule.nested_rules() if rule.depth > 1 else ():
             if nested.is_meta():
                 report.errors.append(
                     f"rule {nested.label} nested inside {rule.label} is itself a meta-rule"

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -578,8 +580,9 @@ class _Checked(EngineState):
         for r, rule in enumerate(self.rules):
             for pos in range(1, len(rule.consequent) + 1):
                 where = (self.pair(s), rule.label, pos)
-                assert self._applicable(r, pos) == applicable(self.store, rule, pos), where
-                assert self._not_discarded(r, pos) != discarded(self.store, rule, pos), where
+                # applicable below the frontier, discarded from the cut on
+                assert (pos < self.front[r]) == applicable(self.store, rule, pos), where
+                assert (pos < self.cut[r]) != discarded(self.store, rule, pos), where
 
 
 def test_rule_state_agrees_with_the_oracle_after_every_decision():
@@ -592,6 +595,54 @@ def test_rule_state_agrees_with_the_oracle_after_every_decision():
             state.prepare()
             state.run()
             assert state.store, (name, variant)
+
+
+class _Builds(EngineState):
+    """Counts, per ``_decide``, the attacker lists built for each team and
+    the walks over each list built."""
+
+    def prepare(self) -> None:
+        super().prepare()
+        self.most_builds = 0
+        self.walked_twice = Counter()  # reading -> decisions walking one list twice
+
+    def _decide(self, s: int):
+        self.builds, self.walks = Counter(), Counter()
+        verdict = super()._decide(s)
+        self.most_builds = max(self.most_builds, *self.builds.values(), 0)
+        for (reading, _), n in self.walks.items():
+            self.walked_twice[reading] += n > 1
+        return verdict
+
+    def _attackers(self, s: int) -> list:
+        self.builds[s] += 1  # all supporters form one team
+        return super()._attackers(s)
+
+    def _cautious_attackers(self, s: int, team) -> list:
+        self.builds[tuple(team)] += 1
+        return super()._cautious_attackers(s, team)
+
+    def _unbeaten(self, groups, *bars) -> bool:
+        self.walks[("team", id(groups))] += 1
+        return super()._unbeaten(groups, *bars)
+
+    def _cautious_unbeaten(self, mode: int, attackers, *bars) -> bool:
+        self.walks[("cautious", id(attackers))] += 1
+        return super()._cautious_unbeaten(mode, attackers, *bars)
+
+
+def test_each_team_builds_its_attacker_list_at_most_once_per_decision():
+    walked_twice = Counter()
+    for name, theory in _pool():
+        for variant in Variant:
+            state = _Builds(theory, variant)
+            state.prepare()
+            state.run()
+            assert state.most_builds <= 1, (name, variant)
+            walked_twice += state.walked_twice
+    # decisions that read one list for proof and refutation under both
+    # kinds of team, where a list built per reading would be built twice
+    assert walked_twice["team"] and walked_twice["cautious"], walked_twice
 
 
 def _fails(item, ext) -> bool:

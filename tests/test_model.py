@@ -446,6 +446,27 @@ def test_a_rule_carries_its_nesting_depth_outside_its_value():
     assert "depth" not in repr(two) and hash(two) == hash(dataclasses.replace(two))
 
 
+def _is_meta_by_walk(rule: Rule) -> bool:
+    return any(True for _ in rule.nested_rules())
+
+
+@given(any_rules)
+def test_is_meta_reads_the_depth(r):
+    assert r.is_meta() == _is_meta_by_walk(r)
+
+
+def test_is_meta_and_all_rules_agree_with_a_walk_on_the_pool():
+    # ``all_rules`` walks the nested rules of meta-rules alone
+    kinds = set()
+    for name, theory in _decode_theories():
+        walked = [*theory.rules, *(n for r in theory.rules for n in r.nested_rules())]
+        assert list(theory.all_rules()) == walked, name
+        for r in walked:
+            assert r.is_meta() == _is_meta_by_walk(r), (name, r.label)
+            kinds.add(r.is_meta())
+    assert kinds == {True, False}
+
+
 def test_chain_restrictions_enforced_at_construction():
     with pytest.raises(ValueError):
         rule("bad", [a], Mode.C, [b, l])
