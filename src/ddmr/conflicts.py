@@ -12,9 +12,10 @@ Two rules can clash in two senses:
   that disagree at some position or where one is a proper prefix of the
   other.
 
-Every simple conflict is a cautious conflict.  Both relations are symmetric
-and irreflexive; a rule never conflicts with a content-identical copy of
-itself of the same polarity.
+Every simple conflict is a cautious conflict.  Both relations are
+symmetric.  A rule clashes with no rule of its own content and polarity,
+itself included, but for one shape: a meta-rule whose chain holds two
+elements that clash, as in ``r: a => O (s: b => C c) * ~(s: b => C c)``.
 
 The predicates take rules and rule expressions and serve the oracle, as
 does ``chain_clash_keys``, which files meta-rules so that two whose chains
@@ -150,7 +151,7 @@ class ConflictTables(NamedTuple):
     """A theory's conflict relation over reference ids; see ``build_conflict_index``."""
 
     conflicting: dict  # reference id -> set of reference ids
-    producers: list  # reference id -> [(rule id, position)]
+    producers: list  # reference id -> [(rule id, position)], or the shared () when none
 
 
 def build_conflict_index(numbering: Numbering, variant: Variant, rule_ids: dict) -> ConflictTables:
@@ -166,7 +167,8 @@ def build_conflict_index(numbering: Numbering, variant: Variant, rule_ids: dict)
     clashes with under ``variant``; the relation is symmetric, and every
     reference clashes with its own negation.
     ``producers[k]`` lists the (rule id, 1-based position) pairs at which
-    chains conclude the reference ``k``, in id order.
+    chains conclude the reference ``k``, in id order; the references no
+    chain concludes share one empty tuple.
 
     Pair generation is bucketed so only candidate pairs ever reach the full
     predicates.  Negation clashes are bucketed by content.  Content clashes
@@ -178,26 +180,34 @@ def build_conflict_index(numbering: Numbering, variant: Variant, rule_ids: dict)
     outcome matches the pairwise predicates exactly.
     """
     rules, content_group = numbering.rules, numbering.groups
-    producers = [[] for _ in range(2 * len(rules))]
+    producers = [()] * (2 * len(rules))  # only meta-rules conclude references
     for r, rule in enumerate(rules):
-        for pos, elem in enumerate(rule.consequent, start=1):
-            if isinstance(elem, RuleExpression):
-                producers[2 * rule_ids[elem.rule.label] + (not elem.positive)].append((r, pos))
+        if rule.depth:
+            for pos, elem in enumerate(rule.consequent, start=1):
+                if type(elem) is RuleExpression:
+                    k = 2 * rule_ids[elem.rule.label] + (not elem.positive)
+                    if producers[k]:
+                        producers[k].append((r, pos))
+                    else:
+                        producers[k] = [(r, pos)]
 
-    conflicting: dict = {}
+    # Negation clashes: same content, opposite polarity; every reference
+    # clashes with its own negation, and content twins with each other's.
+    conflicting = {k: {k ^ 1} for k in range(2 * len(rules))}
 
     def connect(a: int, b: int) -> None:
-        conflicting.setdefault(a, set()).add(b)
-        conflicting.setdefault(b, set()).add(a)
+        conflicting[a].add(b)
+        conflicting[b].add(a)
 
-    # Negation clashes: same content, opposite polarity.
-    members = [[] for _ in rules]  # per group number; the last ones may stay empty
-    for r, g in enumerate(content_group):
-        members[g].append(r)
-    for group in members:
-        for u in group:
-            for v in group:
-                connect(2 * u, 2 * v + 1)
+    if content_group and max(content_group) + 1 < len(rules):  # some group has twins
+        first, members = {}, {}  # group -> its first rule; -> its rules, when more
+        for r, g in enumerate(content_group):
+            if first.setdefault(g, r) != r:
+                members.setdefault(g, [first[g]]).append(r)
+        for group in members.values():
+            for u in group:
+                for v in group:
+                    connect(2 * u, 2 * v + 1)
 
     # Cautious content clashes need equal antecedents, one arrow and first
     # elements that are equal or complementary, so bucket on those.

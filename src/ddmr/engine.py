@@ -28,21 +28,22 @@ An examination builds each team's attacker list at most once and walks it
 for proof and, failing that, for refutation (``_unbeaten``): the same test
 with the frontier and the cut in swapped roles.
 
-A rule's conditions are one list, ``model.conditions``: the rule held and
-each antecedent item from chain position 1, and each chain element in
-force and violated from the position after it.  ``prepare`` files every
-condition under the subject whose decision settles it, with the sign that
-meets it, so a decision finds the conditions it settles in one lookup, and
-counts per rule and position the conditions first applying there and not
-yet met.  A condition met is counted off at its first position alone, and
-the rule's frontier, the first position whose count is not 0, moves past
-the positions whose count is 0; a refuted condition discards the rule
-from its first position on, and those positions leave the support index.
-A rule is applicable at the positions below its frontier, and discarded
-at those from its cut on, so each condition is settled in constant time
-plus the frontier's moves, which cross each position once.  The subjects
-that consulted a rule are examined again only when its applicability or
-discarding moves.
+A rule's conditions are those of ``model.conditions``, the reference the
+compile is tested against: the rule held and each antecedent item from
+chain position 1, and each chain element in force and violated from the
+position after it.  ``prepare`` files every condition, straight from the
+rule's parts, under the subject whose decision settles it, with the sign
+that meets it, so a decision finds the conditions it settles in one
+lookup, and counts per rule and position the conditions first applying
+there and not yet met.  A condition met is counted off at its first
+position alone, and the rule's frontier, the first position whose count
+is not 0, moves past the positions whose count is 0; a refuted condition
+discards the rule from its first position on, and those positions leave
+the support index.  A rule is applicable at the positions below its
+frontier, and discarded at those from its cut on, so each condition is
+settled in constant time plus the frontier's moves, which cross each
+position once.  The subjects that consulted a rule are examined again
+only when its applicability or discarding moves.
 
 ``prepare`` also writes into the store, in bulk, the verdicts that need
 no evidence: the seeded ones, and a refutation for each C or O subject
@@ -65,20 +66,20 @@ those alone.  It starts from the theory's ``model.number`` (the sorted
 labels and atoms, the rules in label order and their content groups),
 which ``validate`` gathers in its own walk and ``run_engine`` hands on;
 ``build_conflict_index`` reads it too.  Then one walk over the rules in
-id order files each rule's chain, conditions and supports, with each
-subject id computed in place, and opens the store at the ids a
-defeasible supporter concludes.  The literal over atom ``a`` (numbered
-in sorted order, as rule labels are) has the base index ``2a`` when
-positive and ``2a + 1`` when negated.  The reference to rule ``r`` has
-the reference id ``k = 2r + (not positive)``, the numbering in which
-``build_conflict_index`` writes the conflict relation, and the base
-index ``n_lits + k``.  So the base runs literals before rule
-references, then by atom or label, the positive one first;
+id order files each rule's chain, conditions (by the type of each part)
+and supports, with each subject id computed in place, and opens the
+store at the ids a defeasible supporter concludes.  The literal over
+atom ``a`` (numbered in sorted order, as rule labels are) has the base
+index ``2a`` when positive and ``2a + 1`` when negated.  The reference
+to rule ``r`` has the reference id ``k = 2r + (not positive)``, the
+numbering in which ``build_conflict_index`` writes the conflict
+relation, and the base index ``n_lits + k``.  So the base runs literals
+before rule references, then by atom or label, the positive one first;
 complementing a base index is ``b ^ 1``.  Both numberings are keyed on
-strings, so the compile hashes no literal or rule objects.  The
-(mode, subject) pair with base index ``b`` has the subject id ``3b + m``,
-with ``m`` 0, 1, 2 for C, O, P, so ids sort exactly as the pairs do:
-literals before rules, then name, positive first, then C/O/P.
+strings, so the compile hashes no literal or rule objects.  The (mode,
+subject) pair with base index ``b`` has the subject id ``3b + m``, with
+``m`` 0, 1, 2 for C, O, P, so ids sort exactly as the pairs do: literals
+before rules, then name, positive first, then C/O/P.
 
 The run keeps its decisions in one ``bytearray``, ``tag``, indexed by
 subject id: 0 undecided, 1 proved, 2 refuted.  Past the verdicts that
@@ -121,14 +122,16 @@ from .model import (
     ATTACK_MODES,
     CAUTIOUS_RULE_ATTACK_MODES,
     DEFEND_MODES,
+    Arrow,
     Literal,
+    ModalLiteral,
     Mode,
     Numbering,
+    RuleExpression,
     Sign,
     TaggedFormula,
     Theory,
     ValidationReport,
-    conditions,
     herbrand_base,  # noqa: F401 -- not called here; perfbench/spans.py wraps this name
     number,
     validate,
@@ -227,43 +230,83 @@ class EngineState:
         conflicting, producers = build_conflict_index(numbering, self.variant, rid)
 
         top = {rid[rule.label] for rule in t.rules}
-        watch, supports = self.watch, self.supports
+        held = 3 * n_lits  # + 6r: the id of rule r held, its own first condition
+        self.watch = watch = {held + 6 * r: [] for r in range(len(rules))}  # filled in rule order
+        get, supports = watch.get, self.supports
         # the verdicts that need no evidence: refuted unless a defeasible
         # rule concludes the id or, for a P id, its O (O implies P)
         self.tag = tag = bytearray((_REFUTED,)) * (3 * (n_lits + 2 * len(rules)))
-        self.rule_mode, self.defeasible, self.concludes = [], [], []
-        self.expr_positions, self.concluded, self.live, self.cut = [], [], [], []
+        self.rule_mode, self.defeasible, self.concludes = modes, defeasibles, ends_of = [], [], []
+        self.expr_positions, self.concluded, self.live = positions_of, named_of, lives = [], [], []
         for r, rule in enumerate(rules):
-            mode, chain, defeasible = rule.mode, rule.consequent, rule.is_defeasible
-            m = _MODE_ORDER[mode]
-            # subject ids are computed in place: 3 * (base index) + mode offset
-            ends = []
-            for x in chain:
-                b = 2 * aid[x.atom] if type(x) is Literal else n_lits + 2 * rid[x.label]
-                ends.append(3 * (b + (not x.positive)) + m)
-            concludes = tuple(ends)
-            live = [0] * len(chain)
-            for first, cmode, x, sign in conditions(rule):
-                live[first - 1] += 1
-                b = 2 * aid[x.atom] if type(x) is Literal else n_lits + 2 * rid[x.label]
-                s = 3 * (b + (not x.positive)) + _MODE_ORDER[cmode]
-                watch.setdefault(s, []).append((r, first, sign))
-            # most chains hold no rule expression: one shared () spares the collector a list
-            positions = [i for i, e in enumerate(chain, start=1) if type(e) is not Literal] or ()
-            self.rule_mode.append(m)
-            self.defeasible.append(defeasible)
-            self.concludes.append(concludes)
-            self.expr_positions.append(positions)
-            self.concluded.append([rid[chain[i - 1].rule.label] for i in positions] or ())
-            self.live.append(live)
-            self.cut.append(len(live) + 1)
+            chain, antecedent, m = rule.consequent, rule.antecedent, _MODE_ORDER[rule.mode]
+            # ``model.conditions`` from the rule's parts, under ids computed in place: the
+            # rule held and each antecedent item from 1, one (r, 1, True) for all met by +
+            met = (r, 1, True)
+            watch[held + 6 * r].append(met)
+            for x in antecedent:
+                kind = type(x)
+                if kind is Literal:
+                    s, e = 3 * (2 * aid[x.atom] + (not x.positive)), met
+                elif kind is ModalLiteral:
+                    y, e = x.inner, (r, 1, False) if x.negated else met
+                    s = 3 * (2 * aid[y.atom] + (not y.positive)) + _MODE_ORDER[x.mode]
+                elif kind is RuleExpression:
+                    s, e = held + 3 * (2 * rid[x.rule.label] + (not x.positive)), met
+                else:  # a deontic rule expression
+                    y, e = x.expr, (r, 1, False) if x.negated else met
+                    s = held + 3 * (2 * rid[y.rule.label] + (not y.positive)) + _MODE_ORDER[x.mode]
+                found = get(s)
+                if found is None:
+                    watch[s] = [e]
+                else:
+                    found.append(e)
+            if len(chain) == 1:  # almost every rule
+                x, positions, named = chain[0], (), ()
+                if type(x) is Literal:
+                    b = 2 * aid[x.atom]
+                else:
+                    k = rid[x.rule.label]
+                    b, positions, named = n_lits + 2 * k, [1], [k]
+                ends = (3 * (b + (not x.positive)) + m,)
+                live = [1 + len(antecedent)]
+            else:
+                ends, positions, named = [], [], []
+                for pos, x in enumerate(chain, start=1):
+                    if type(x) is Literal:
+                        b = 2 * aid[x.atom] + (not x.positive)
+                        violated, sign = 3 * (b ^ 1), True  # its complement holds
+                    else:
+                        k = rid[x.rule.label]
+                        b = n_lits + 2 * k + (not x.positive)
+                        violated, sign = 3 * b, False  # it is refuted
+                        positions.append(pos)
+                        named.append(k)
+                    ends.append(3 * b + m)
+                    if pos < len(chain):  # in force (O) and violated (C) from pos + 1 on
+                        for s, meets in ((3 * b + O, True), (violated, sign)):
+                            found = get(s)
+                            if found is None:
+                                watch[s] = [(r, pos + 1, meets)]
+                            else:
+                                found.append((r, pos + 1, meets))
+                ends, positions, named = tuple(ends), positions or (), named or ()
+                live = [1 + len(antecedent)] + [2] * (len(chain) - 1)
+            defeasible = rule.arrow is Arrow.DEFEASIBLE
+            modes.append(m)
+            defeasibles.append(defeasible)
+            ends_of.append(ends)
+            positions_of.append(positions)
+            named_of.append(named)
+            lives.append(live)
             if r in top or producers[2 * r]:  # given, or concluded by some chain
-                for pos, s in enumerate(concludes, start=1):
+                for pos, s in enumerate(ends, start=1):
                     supports.setdefault(s, []).append((r, pos))
                     if defeasible:
                         tag[s] = _UNDECIDED
-                        if mode is Mode.O:
+                        if m == O:
                             tag[s + 1] = _UNDECIDED
+        self.cut = [len(ends) + 1 for ends in ends_of]
         self.front = [1] * len(rules)  # position 1 holds the rule-held condition
         self.sup = {(rid[a], rid[b]) for a, b in t.superiority if a in rid and b in rid}
 
@@ -279,9 +322,11 @@ class EngineState:
                 else [()] * len(refs)
             )
         else:
-            # most rules clash positively with nothing, and only the others are sorted
+            # most rules clash with their negation alone, and only the others are sorted
             self.clashes = [
-                sorted(found) if (found := [x >> 1 for x in conflicting[k] if not x & 1]) else ()
+                sorted(found)
+                if len(c := conflicting[k]) > 1 and (found := [x >> 1 for x in c if not x & 1])
+                else ()
                 for k in refs[::2]
             ]
 

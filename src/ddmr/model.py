@@ -20,7 +20,7 @@ rest of the package is built on: complements, label-insensitive content
 comparison (``Rule.content``: the frozen classes compare class, then
 fields, so a rule's fields bar its label are its content), the conditions
 of applying a rule at each chain position (``conditions``, the one list
-the engine and the oracle both read), Herbrand bases, the size metric, the
+the oracle reads and the engine's compile is tested against), Herbrand bases, the size metric, the
 extended superiority relation, validation and ``number``.  Everything here is
 pure; values can be shared freely between threads.
 
@@ -277,7 +277,10 @@ def conditions(rule: Rule) -> list:
     j + 1: chain element j in force (obligatory) and violated, a literal by
     its complement holding and a rule by being refuted.  The rule is
     applicable at a position when every condition from that position or
-    before is met, and discarded there when one of them is refuted."""
+    before is met, and discarded there when one of them is refuted.  The
+    oracle reads this list; the engine's ``prepare`` files the same conditions
+    from the rule's parts, held to this list by ``test_engine``'s
+    ``test_compiled_tables_match_model_conditions``."""
     out = [(1, Mode.C, RuleRef(rule.label, True), True)]
     for item in rule.antecedent:
         if isinstance(item, Literal):
@@ -519,7 +522,8 @@ def _bad_names(names) -> list:
 class Numbering(NamedTuple):
     """A theory numbered for the engine: the labels, sorted; the rules in that
     order, nested ones included, once each; the atoms, sorted; and per rule a
-    content group, shared exactly by the rules of equal ``Rule.content``."""
+    content group, shared exactly by the rules of equal ``Rule.content`` and
+    numbered from 0 in the order the rules first show it."""
 
     labels: list
     rules: list

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddmr.conflicts import Variant, conflicts
+from ddmr.conflicts import Variant, build_conflict_index, conflicts
 from ddmr.engine import (
     P,
     PROVED,
@@ -20,8 +20,8 @@ from ddmr.engine import (
     query,
     run_engine,
 )
-from ddmr.generate import random_theory
-from ddmr.oracle import applicable, discarded
+from ddmr.generate import FAMILIES, generate_theory, random_theory
+from ddmr.oracle import applicable, check_equivalence, discarded
 from ddmr.model import (
     Literal,
     ModalLiteral,
@@ -30,12 +30,15 @@ from ddmr.model import (
     RuleRef,
     Sign,
     Theory,
+    conditions,
     herbrand_base,
+    number,
     validate,
 )
 from ddmr.text import parse_tagged_formula, parse_theory
 
 from .conftest import FIXTURES
+from .strategies import model_theories
 
 L = Literal
 
@@ -404,6 +407,77 @@ def test_concluded_expressions_clash_simply_with_their_content_negated():
             assert [state.base[x] for x in state.opposite[k]] == [
                 x.ref for x in clashing if x in concluded
             ], (name, e)
+
+
+# One meta-rule whose chain concludes a rule and its negation, so it
+# clashes with itself (``conflicts``); it validates.
+SELF_CLASHING = "fact a. fact b. r: a => O (s: b => C c) * ~(s: b => C c)."
+
+
+def test_a_self_clashing_rule_keeps_its_self_edge_and_agrees_with_the_oracle():
+    theory = parse_theory(SELF_CLASHING)
+    assert validate(theory).ok
+    r = theory.rules_by_label()["r"]
+    for variant in Variant:
+        assert conflicts(r, r, variant), variant
+        conflicting, _ = build_conflict_index(number(theory), variant, {"r": 0, "s": 1})
+        assert conflicting[0] == {0, 1}, variant  # r clashes with itself and its negation
+        assert check_equivalence(theory, variant) == {}, variant
+
+
+def _reference_tables(state) -> dict:
+    """The tables ``prepare`` compiles, read off ``model.conditions`` and the
+    rule chains: each condition filed under its subject id as (rule, first
+    position, sign), per rule and position the conditions first applying
+    there, the chain's subject ids, its rule-expression positions and the
+    rules they name, and the supports of the given and concluded rules."""
+    by_label = state.theory.rules_by_label()
+    rules = [by_label[label] for label in state.labels]
+    given = {rule.label for rule in state.theory.rules}
+    concluded = {
+        e.label for rule in rules for e in rule.consequent if isinstance(e, RuleExpression) and e.positive
+    }
+    out = {name: [] for name in ("live", "concludes", "expr_positions", "concluded")}
+    watch, supports = {}, {}
+    for r, rule in enumerate(rules):
+        live = [0] * len(rule.consequent)
+        for first, mode, subject, sign in conditions(rule):
+            live[first - 1] += 1
+            watch.setdefault(_subject_id(state, mode, subject), []).append((r, first, sign))
+        chain = [_subject_id(state, rule.mode, e) for e in rule.consequent]
+        positions = [i for i, e in enumerate(rule.consequent, start=1) if isinstance(e, RuleExpression)]
+        out["live"].append(live)
+        out["concludes"].append(tuple(chain))
+        out["expr_positions"].append(positions or ())
+        out["concluded"].append([state.rule_ids[rule.consequent[i - 1].label] for i in positions] or ())
+        if rule.label in given or rule.label in concluded:
+            for pos, s in enumerate(chain, start=1):
+                supports.setdefault(s, []).append((r, pos))
+    return {**out, "watch": watch, "supports": supports}
+
+
+def _assert_compiled_as_conditions_say(name, theory):
+    for variant in Variant:
+        state = EngineState(theory, variant)
+        state.prepare()
+        for table, expected in _reference_tables(state).items():
+            assert getattr(state, table) == expected, (name, variant, table)
+
+
+def test_compiled_tables_match_model_conditions():
+    theories = [(p.stem, parse_theory(p.read_text())) for p in sorted(FIXTURES.glob("*.ddl"))]
+    theories += [(f"{family}/60", generate_theory(family, 60)) for family in FAMILIES]
+    theories += [(f"random/{seed}", random_theory(seed, 60)) for seed in range(20)]
+    theories.append(("self-clashing", parse_theory(SELF_CLASHING)))
+    for name, theory in theories:
+        _assert_compiled_as_conditions_say(name, theory)
+
+
+@given(model_theories())
+@settings(max_examples=200, deadline=None)
+def test_compiled_tables_match_model_conditions_on_drawn_theories(theory):
+    if validate(theory).ok:
+        _assert_compiled_as_conditions_say("drawn", theory)
 
 
 class _Recording(EngineState):

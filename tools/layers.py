@@ -1,6 +1,6 @@
 """Time the layers of two ddmr checkouts side by side in one process.
 
-    python tools/layers.py PARENT_ROOT CHANGE_ROOT [--rounds N] [--inputs FAMILY/SIZE ...]
+    python tools/layers.py PARENT_ROOT CHANGE_ROOT [--rounds N] [--inputs FAMILY/SIZE ...] [--memory]
 
 Each root's ``src/ddmr`` is copied to a temporary directory under a
 package name of its own (``ddmr_parent``, ``ddmr_change``), so both
@@ -11,7 +11,11 @@ times on each side ``validate``, ``build_conflict_index`` (as ``prepare``
 calls it), the rest of ``prepare``, and ``run``, the side that goes first
 alternating from round to round, with a collection before each side.
 Prints per input, reading and layer the best time of each side in ms and
-the change/parent ratio.  Both roots must have ``validate`` leave a
+the change/parent ratio.  With ``--memory`` it then measures, once per
+input, reading and side, with ``tracemalloc``: the peak of ``prepare``,
+conflict index included, in KB (1024 bytes) above what was held before
+it, and what the state holds after ``run``, in KB per rule of the
+numbering.  Both roots must have ``validate`` leave a
 ``numbering`` on its report and ``EngineState.prepare`` take it.
 Standard library only.
 """
@@ -26,9 +30,11 @@ import shutil
 import sys
 import tempfile
 import time
+import tracemalloc
 
 SIDES = ("parent", "change")
 LAYERS = ("validate", "index", "prepare-rest", "run")
+MEMORY = ("prepare-peak-kb", "state-kb/rule")
 READINGS = ("simple", "cautious")
 DEFAULT_INPUTS = ("chain/3000", "team/3000", "meta-chain/1500", "random/3000")
 
@@ -91,13 +97,33 @@ def measure(D, spent: dict, theory, reading: str) -> dict:
     }
 
 
-def compare(parent: str, change: str, inputs=DEFAULT_INPUTS, rounds: int = 21) -> list:
-    """Rows (input, reading, layer, parent best s, change best s)."""
+def footprint(D, theory, reading: str) -> dict:
+    """The two figures of ``MEMORY`` on one side, in KB."""
+    report = D.model.validate(theory)
+    gc.collect()
+    tracemalloc.start()  # counts only what is allocated from here on
+    try:
+        state = D.engine.EngineState(theory, D.conflicts.Variant(reading))
+        state.prepare(report.numbering)
+        peak = tracemalloc.get_traced_memory()[1]
+        state.run()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return {"prepare-peak-kb": peak / 1024, "state-kb/rule": held / 1024 / len(state.labels)}
+
+
+def compare(
+    parent: str, change: str, inputs=DEFAULT_INPUTS, rounds: int = 21, memory: bool = False
+) -> tuple:
+    """Rows (input, reading, layer, parent best s, change best s), and,
+    with ``memory``, rows (input, reading, figure, parent KB, change KB)."""
     with tempfile.TemporaryDirectory() as into:
         packages = {side: load(root, side, into) for side, root in zip(SIDES, (parent, change))}
     try:
         spent = {side: _timed(D) for side, D in packages.items()}
-        rows = []
+        rows, kept = [], []
         for key in inputs:
             family, size = key.split("/")
             theories = {
@@ -114,7 +140,10 @@ def compare(parent: str, change: str, inputs=DEFAULT_INPUTS, rounds: int = 21) -
                     (key, reading, layer, best["parent"][layer], best["change"][layer])
                     for layer in LAYERS
                 ]
-        return rows
+                if memory:
+                    held = {side: footprint(packages[side], theories[side], reading) for side in SIDES}
+                    kept += [(key, reading, f, held["parent"][f], held["change"][f]) for f in MEMORY]
+        return rows, kept
     finally:
         for name in [m for m in sys.modules if m.split(".")[0] in {f"ddmr_{s}" for s in SIDES}]:
             del sys.modules[name]
@@ -126,14 +155,24 @@ def main(argv=None) -> int:
     parser.add_argument("change")
     parser.add_argument("--rounds", type=int, default=21)
     parser.add_argument("--inputs", nargs="+", default=list(DEFAULT_INPUTS), metavar="FAMILY/SIZE")
+    parser.add_argument("--memory", action="store_true", help="also measure with tracemalloc")
     args = parser.parse_args(argv)
-    rows = compare(os.path.abspath(args.parent), os.path.abspath(args.change), args.inputs, args.rounds)
+    rows, kept = compare(
+        os.path.abspath(args.parent), os.path.abspath(args.change), args.inputs, args.rounds, args.memory
+    )
     print(f"best of {args.rounds} rounds, in ms")
-    print(f"{'input':<16} {'reading':<9} {'layer':<13} {'parent':>9} {'change':>9} {'ratio':>6}")
-    for key, reading, layer, old, new in rows:
-        ratio = new / old if old else float("nan")
-        print(f"{key:<16} {reading:<9} {layer:<13} {old * 1e3:9.3f} {new * 1e3:9.3f} {ratio:6.2f}")
+    _table("layer", [(key, reading, layer, old * 1e3, new * 1e3) for key, reading, layer, old, new in rows])
+    if args.memory:
+        print("tracemalloc, in KB: the peak of prepare, and the state after run per rule")
+        _table("figure", kept)
     return 0
+
+
+def _table(column: str, rows) -> None:
+    print(f"{'input':<16} {'reading':<9} {column:<15} {'parent':>9} {'change':>9} {'ratio':>6}")
+    for key, reading, name, old, new in rows:
+        ratio = new / old if old else float("nan")
+        print(f"{key:<16} {reading:<9} {name:<15} {old:9.3f} {new:9.3f} {ratio:6.2f}")
 
 
 if __name__ == "__main__":
