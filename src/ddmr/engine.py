@@ -230,8 +230,9 @@ class EngineState:
         conflicting, producers = build_conflict_index(numbering, self.variant, rid)
 
         top = {rid[rule.label] for rule in t.rules}
-        held = 3 * n_lits  # + 6r: the id of rule r held, its own first condition
-        self.watch = watch = {held + 6 * r: [] for r in range(len(rules))}  # filled in rule order
+        held = 3 * n_lits  # held + 6r: the C id of rule r's positive reference, rule r held,
+        # which every rule's first condition watches; made here, the lists still fill in rule order
+        self.watch = watch = {held + 6 * r: [] for r in range(len(rules))}
         get, supports = watch.get, self.supports
         # the verdicts that need no evidence: refuted unless a defeasible
         # rule concludes the id or, for a P id, its O (O implies P)
@@ -240,8 +241,7 @@ class EngineState:
         self.expr_positions, self.concluded, self.live = positions_of, named_of, lives = [], [], []
         for r, rule in enumerate(rules):
             chain, antecedent, m = rule.consequent, rule.antecedent, _MODE_ORDER[rule.mode]
-            # ``model.conditions`` from the rule's parts, under ids computed in place: the
-            # rule held and each antecedent item from 1, one (r, 1, True) for all met by +
+            # ``model.conditions`` from the rule's parts: the rule held and each item from 1
             met = (r, 1, True)
             watch[held + 6 * r].append(met)
             for x in antecedent:

@@ -20,9 +20,9 @@ rest of the package is built on: complements, label-insensitive content
 comparison (``Rule.content``: the frozen classes compare class, then
 fields, so a rule's fields bar its label are its content), the conditions
 of applying a rule at each chain position (``conditions``, the one list
-the oracle reads and the engine's compile is tested against), Herbrand bases, the size metric, the
-extended superiority relation, validation and ``number``.  Everything here is
-pure; values can be shared freely between threads.
+the oracle reads and the engine's compile is tested against), Herbrand
+bases, the size metric, the extended superiority relation, validation and
+``number``.  Everything here is pure; values can be shared freely between threads.
 
 The frozen value classes (``Literal``, ``ModalLiteral``, ``RuleExpression``,
 ``DeonticRuleExpression``, ``Rule``, ``Theory``, ``RuleRef`` and

@@ -435,21 +435,25 @@ def _reference_tables(state) -> dict:
     rules = [by_label[label] for label in state.labels]
     given = {rule.label for rule in state.theory.rules}
     concluded = {
-        e.label for rule in rules for e in rule.consequent if isinstance(e, RuleExpression) and e.positive
+        e.label
+        for rule in rules
+        for e in rule.consequent
+        if isinstance(e, RuleExpression) and e.positive
     }
     out = {name: [] for name in ("live", "concludes", "expr_positions", "concluded")}
     watch, supports = {}, {}
     for r, rule in enumerate(rules):
-        live = [0] * len(rule.consequent)
+        elements = rule.consequent
+        live = [0] * len(elements)
         for first, mode, subject, sign in conditions(rule):
             live[first - 1] += 1
             watch.setdefault(_subject_id(state, mode, subject), []).append((r, first, sign))
-        chain = [_subject_id(state, rule.mode, e) for e in rule.consequent]
-        positions = [i for i, e in enumerate(rule.consequent, start=1) if isinstance(e, RuleExpression)]
+        chain = [_subject_id(state, rule.mode, e) for e in elements]
+        exprs = [(i, e) for i, e in enumerate(elements, start=1) if isinstance(e, RuleExpression)]
         out["live"].append(live)
         out["concludes"].append(tuple(chain))
-        out["expr_positions"].append(positions or ())
-        out["concluded"].append([state.rule_ids[rule.consequent[i - 1].label] for i in positions] or ())
+        out["expr_positions"].append([i for i, _ in exprs] or ())
+        out["concluded"].append([state.rule_ids[e.label] for _, e in exprs] or ())
         if rule.label in given or rule.label in concluded:
             for pos, s in enumerate(chain, start=1):
                 supports.setdefault(s, []).append((r, pos))

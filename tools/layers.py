@@ -1,6 +1,7 @@
 """Time the layers of two ddmr checkouts side by side in one process.
 
-    python tools/layers.py PARENT_ROOT CHANGE_ROOT [--rounds N] [--inputs FAMILY/SIZE ...] [--memory]
+    python tools/layers.py PARENT_ROOT CHANGE_ROOT [--rounds N] [--inputs FAMILY/SIZE ...]
+                           [--memory]
 
 Each root's ``src/ddmr`` is copied to a temporary directory under a
 package name of its own (``ddmr_parent``, ``ddmr_change``), so both
@@ -141,8 +142,8 @@ def compare(
                     for layer in LAYERS
                 ]
                 if memory:
-                    held = {side: footprint(packages[side], theories[side], reading) for side in SIDES}
-                    kept += [(key, reading, f, held["parent"][f], held["change"][f]) for f in MEMORY]
+                    old, new = (footprint(packages[s], theories[s], reading) for s in SIDES)
+                    kept += [(key, reading, f, old[f], new[f]) for f in MEMORY]
         return rows, kept
     finally:
         for name in [m for m in sys.modules if m.split(".")[0] in {f"ddmr_{s}" for s in SIDES}]:
@@ -157,11 +158,10 @@ def main(argv=None) -> int:
     parser.add_argument("--inputs", nargs="+", default=list(DEFAULT_INPUTS), metavar="FAMILY/SIZE")
     parser.add_argument("--memory", action="store_true", help="also measure with tracemalloc")
     args = parser.parse_args(argv)
-    rows, kept = compare(
-        os.path.abspath(args.parent), os.path.abspath(args.change), args.inputs, args.rounds, args.memory
-    )
+    parent, change = os.path.abspath(args.parent), os.path.abspath(args.change)
+    rows, kept = compare(parent, change, args.inputs, args.rounds, args.memory)
     print(f"best of {args.rounds} rounds, in ms")
-    _table("layer", [(key, reading, layer, old * 1e3, new * 1e3) for key, reading, layer, old, new in rows])
+    _table("layer", [(*row[:3], row[3] * 1e3, row[4] * 1e3) for row in rows])
     if args.memory:
         print("tracemalloc, in KB: the peak of prepare, and the state after run per rule")
         _table("figure", kept)
