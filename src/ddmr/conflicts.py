@@ -210,19 +210,22 @@ def build_conflict_index(numbering: Numbering, variant: Variant, rule_ids: dict)
                     connect(2 * u, 2 * v + 1)
 
     # Cautious content clashes need equal antecedents, one arrow and first
-    # elements that are equal or complementary, so bucket on those.
+    # elements that are equal or complementary, so bucket on those; the head
+    # key is an atom (a string) or a content group (an int), which never
+    # meet.  Most keys hold one rule, so a member list is made only when a
+    # key repeats, as for the content groups.
     if variant is Variant.CAUTIOUS:
-        clash_groups: dict = {}
+        first, members = {}, {}  # key -> its first rule; -> its rules, when more
         for r, rule in enumerate(rules):
             head = rule.consequent[0]
-            head_key = (
-                (head.atom,)
-                if isinstance(head, Literal)
-                else content_group[rule_ids[head.rule.label]]
+            key = (
+                rule.antecedent,
+                rule.arrow,
+                head.atom if type(head) is Literal else content_group[rule_ids[head.rule.label]],
             )
-            key = (rule.antecedent, rule.arrow, head_key)
-            clash_groups.setdefault(key, []).append(r)
-        for group in clash_groups.values():
+            if first.setdefault(key, r) != r:
+                members.setdefault(key, [first[key]]).append(r)
+        for group in members.values():
             for i, u in enumerate(group):
                 for v in group[i + 1 :]:
                     if _content_clash(rules[u], rules[v]):

@@ -2,9 +2,9 @@
 
 The computation follows a forward-chaining fixpoint.  Seeding establishes
 facts as constitutive conclusions and the given rules as constitutively
-held, and rejects rule expressions the given rules clash with.  The main
-loop then repeatedly picks subjects from the modal Herbrand base whose
-evidence changed and decides them.
+held, and rejects rule expressions the given rules clash with.  One pass
+over a worklist then decides the subjects of the modal Herbrand base,
+examining a subject again only when its evidence moves.
 
 Every subject is decided by one schema.  Its supporters form teams, each
 team faces attackers, and each attacker faces the subject's defenders.  The
@@ -42,8 +42,9 @@ discards the rule from its first position on, and those positions leave
 the support index.  A rule is applicable at the positions below its
 frontier, and discarded at those from its cut on, so each condition is
 settled in constant time plus the frontier's moves, which cross each
-position once.  The subjects that consulted a rule are examined again
-only when its applicability or discarding moves.
+position once.  When a defeasible rule's frontier or cut moves, the
+subjects it concludes at the positions crossed are examined again, and
+so are the subjects that consulted it as an attacker or a defender.
 
 ``prepare`` also writes into the store, in bulk, the verdicts that need
 no evidence: the seeded ones, and a refutation for each C or O subject
@@ -84,10 +85,17 @@ before rules, then name, positive first, then C/O/P.
 The run keeps its decisions in one ``bytearray``, ``tag``, indexed by
 subject id: 0 undecided, 1 proved, 2 refuted.  Past the verdicts that
 ``prepare`` wrote, every id left undecided is due for examination, so
-the first iteration examines those ids in order, picked out of the store
-with ``itertools.compress``; later iterations examine the sorted
-undecided ids whose evidence moved (``dirty``).  ``extension`` makes
-the ``Extension`` from the store at the end, as the oracle does: from
+the worklist starts with those ids in order, picked out of the store
+with ``itertools.compress``, and is worked through first in, first out.
+Each decision appends the undecided ids it woke that are not queued
+already; the pass ends when the queue does.  A subject that cannot be
+decided yet waits for a wake: the frontier or cut of a rule concluding
+it, the rules it consulted, or for a P its O.  A subject that has no
+applicable defeasible supporter and no attacker consults no rule, so it
+waits on its supporters alone, at no cost.  This is the event-driven
+shape of Maher's linear algorithm (M. J. Maher, "Propositional
+defeasible logic has linear complexity", TPLP 1(6), 2001).  ``extension``
+makes the ``Extension`` from the store at the end, as the oracle does: from
 the sorted atoms and labels, and each mode's column of the store
 (``tag[m::3]``, one byte per base index).  The extension keeps those and
 nothing of the state; it writes its output from them, and builds the
@@ -100,7 +108,7 @@ A subject never decided by the fixpoint is reported as undetermined; loops
 such as ``x => C x`` are the typical cause.  The engine never decides a
 subject twice, so the result is coherent by construction, and decisions
 depend only on established evidence, making the outcome independent of
-iteration order.
+the order of examination.
 """
 
 from __future__ import annotations
@@ -180,11 +188,16 @@ class EngineState:
     discarded, one past its chain while it is not.
     ``opposite[k]`` (simple reading) lists, by base index, the concluded
     references with reference ``k``'s content and the other polarity.
-    ``_touched`` holds the rules the examination in progress consulted:
-    the supporters, the attackers and team defenders as their lists are
-    built, and cautious defenders as they are walked.  ``deps[r]`` lists
-    the subject ids left undecided after consulting rule ``r``, to examine
-    again when its applicability or discarding moves.
+    ``_touched`` holds the rules the examination in progress consulted as
+    an attacker or a defender: the attackers and, once an attack is
+    found, the team defenders as their lists are built, and cautious
+    defenders as they are walked; supporters are not recorded, since a
+    defeasible rule wakes the subjects it concludes through ``concludes``.
+    ``deps[r]`` lists the subject ids left undecided after consulting rule
+    ``r``, to examine again when its applicability or discarding moves.
+    ``dirty`` lists the subject ids the last decision woke, which ``run``
+    queues.  ``iterations`` counts the passes: 1 for a run over a
+    non-empty store, 0 otherwise.
     ``prepare`` leaves in ``tag`` the verdicts that need no evidence, and
     ``run`` starts from them.  ``dead`` (the rules cut at 1), ``lit_tags`` and
     ``rule_tags`` (decided literal and rule subject ids to their sign) and
@@ -195,10 +208,10 @@ class EngineState:
     def __init__(self, theory: Theory, variant: Variant, order_seed: int = None):
         self.theory = theory
         self.variant = variant
-        self.order_seed = order_seed  # shuffle scan order instead of sorting, for testing
+        self.order_seed = order_seed  # shuffle the queue and each set of woken ids, for testing
         self.iterations = 0
         self.tag = bytearray()
-        self.dirty: set = set()
+        self.dirty: list = []  # subject ids the last decision woke
         self.watch: dict = {}  # subject id -> [(rule, first position, satisfying sign)]
         self.supports: dict = {}
         self.deps: dict = {}  # rule -> [subject ids that consulted it]
@@ -393,27 +406,36 @@ class EngineState:
             tag[s] = _UNDECIDED
         for s, verdict in zip(watched, verdicts):
             apply(s, verdict)
-        dirty.clear()
-        # first: every id left undecided
-        batch = compress(count(), tag.translate(_IS[_UNDECIDED])) if tag else None
-        while batch is not None:
-            self.iterations += 1
-            if self.order_seed is not None:
-                batch = list(batch)
-                random.Random(self.order_seed + self.iterations).shuffle(batch)
-            for s in batch:
-                if tag[s]:
-                    continue
-                touched.clear()
-                verdict = decide(s)
-                if verdict is not None:
-                    apply(s, verdict)
-                else:
-                    # undecided: re-examine when any consulted rule moves
-                    for r in touched:
-                        deps.setdefault(r, []).append(s)
-            batch = sorted(dirty) if dirty else None
-            dirty.clear()
+        dirty.clear()  # every id left undecided is queued below
+        if not tag:
+            return
+        self.iterations = 1  # one pass
+        # the queue starts with every id left undecided, and ``pending``
+        # marks the ids in it; a decision appends the undecided ids it woke
+        pending = tag.translate(_IS[_UNDECIDED])
+        queue = list(compress(count(), pending))
+        shuffle = None
+        if self.order_seed is not None:
+            shuffle = random.Random(self.order_seed).shuffle
+            shuffle(queue)
+        for s in queue:  # the loop reaches the ids appended as it goes
+            pending[s] = 0
+            touched.clear()
+            verdict = decide(s)
+            if verdict is None:
+                # undecided: examine again when a consulted rule moves
+                for r in touched:
+                    deps.setdefault(r, []).append(s)
+                continue
+            apply(s, verdict)
+            if dirty:
+                if shuffle is not None:
+                    shuffle(dirty)
+                for x in dirty:
+                    if not (pending[x] or tag[x]):
+                        pending[x] = 1
+                        queue.append(x)
+                dirty.clear()
 
     def extension(self) -> Extension:
         """Decode the tag store into the twelve tag sets and the residue."""
@@ -426,9 +448,6 @@ class EngineState:
         if mode == P and self.tag[s - 1] == _PROVED:
             return True
         team = self.supports.get(s, ())
-        add = self._touched.add
-        for r, _ in team:
-            add(r)
         if s >= self.n_lit_ids and self.variant is Variant.CAUTIOUS:
             return self._decide_cautious(s, team)
         # proved: some defeasible supporter is applicable and no live attacker
@@ -480,11 +499,7 @@ class EngineState:
         get, add = self.supports.get, self._touched.add
         defend = _DEFEND[mode]
         # plain loops: a comprehension costs a frame of its own
-        own = []
-        for m in defend:
-            for e in get(3 * b + m, ()):
-                own.append(e)
-                add(e[0])
+        own = None  # the subject's defenders, gathered at the first attack
         groups = []
         for x in (b ^ 1,) if s < self.n_lit_ids else self.opposite[b - self.n_lits]:
             attackers = []
@@ -493,6 +508,12 @@ class EngineState:
                     attackers.append(e)
                     add(e[0])
             if attackers:
+                if own is None:
+                    own = []
+                    for m in defend:
+                        for e in get(3 * b + m, ()):
+                            own.append(e)
+                            add(e[0])
                 defenders = own
                 if x ^ 1 != b:  # the attacked expression names another rule
                     defenders = own[:]
@@ -573,8 +594,11 @@ class EngineState:
         condition met is counted off at its first position, and the rule's
         frontier moves past the positions whose count is then 0; a refuted
         one discards the rule from its first position on and takes those
-        positions out of ``supports``.  Only a rule whose applicability or
-        discarding moved is marked: its dependants become dirty.
+        positions out of ``supports``.  A decision on an O wakes the P over
+        the same subject.  A rule whose frontier or cut moved wakes the
+        subjects that consulted it (``deps``) and, when it is defeasible,
+        the subjects it concludes at the positions that moved: those that
+        gained an applicable supporter or lost a live one.
         """
         tag = self.tag
         if tag[s]:
@@ -583,8 +607,8 @@ class EngineState:
         tag[s] = _PROVED if positive else _REFUTED
         dirty, deps = self.dirty, self.deps
         if s % 3 == O:
-            dirty.add(s + 1)
-        front, cut = self.front, self.cut
+            dirty.append(s + 1)
+        front, cut, defeasible = self.front, self.cut, self.defeasible
         for r, first, sign in self.watch.get(s, ()):
             if sign == positive:
                 live = self.live[r]
@@ -594,7 +618,9 @@ class EngineState:
                     while end <= len(live) and not live[end - 1]:
                         end += 1
                     front[r] = end
-                    dirty.update(deps.pop(r, ()))
+                    dirty += deps.pop(r, ())
+                    if defeasible[r]:
+                        dirty += self.concludes[r][first - 1 : end - 1]
             elif first < cut[r]:
                 end, cut[r] = cut[r], first
                 chain, supports = self.concludes[r], self.supports
@@ -602,7 +628,9 @@ class EngineState:
                     entries = supports.get(chain[pos - 1], ())
                     if (r, pos) in entries:
                         entries.remove((r, pos))
-                dirty.update(deps.pop(r, ()))
+                dirty += deps.pop(r, ())
+                if defeasible[r]:
+                    dirty += chain[first - 1 : end - 1]
 
 
 def run_engine(

@@ -21,7 +21,7 @@ from ddmr.engine import (
     run_engine,
 )
 from ddmr.generate import FAMILIES, generate_theory, random_theory
-from ddmr.oracle import applicable, check_equivalence, discarded
+from ddmr.oracle import applicable, check_equivalence, discarded, oracle_extension
 from ddmr.model import (
     Literal,
     ModalLiteral,
@@ -721,6 +721,105 @@ def test_each_team_builds_its_attacker_list_at_most_once_per_decision():
     # decisions that read one list for proof and refutation under both
     # kinds of team, where a list built per reading would be built twice
     assert walked_twice["team"] and walked_twice["cautious"], walked_twice
+
+
+class _Counted(EngineState):
+    """Counts the ``_decide`` calls, and logs each decision made when a
+    subject is examined again, after a wake."""
+
+    def prepare(self) -> None:
+        super().prepare()
+        self.undecided = self.tag.count(0)  # what the pass has to decide
+        self.calls = 0
+        self.examined = set()
+        self.woken_log = []
+
+    def _decide(self, s: int):
+        self.calls += 1
+        verdict = super()._decide(s)
+        if s in self.examined and verdict is not None:
+            self.woken_log.append((s, verdict))
+        self.examined.add(s)
+        return verdict
+
+
+# O d waits on its one supporter, ``rep`` at 2, which needs b violated;
+# C ~b is refuted only once s1 applies, after O d was first examined, and
+# that cuts ``rep`` at 2, so O d fails when the cut wakes it.
+LATE_CUT = """
+fact a.
+rep: a => O b * d.
+r1: a => C x.
+r2: x => C y.
+s1: y => C b.
+s2: a => C ~b.
+s1 > s2.
+"""
+
+
+def test_worklist_examines_each_subject_at_most_twice():
+    families = ("chain", "meta-chain", "reparation")
+    theories = [(family, generate_theory(family, 300)) for family in families]
+    theories.append(("late-cut", parse_theory(LATE_CUT)))
+    for name, theory in theories:
+        for variant in Variant:
+            state = _Counted(theory, variant)
+            state.prepare()
+            state.run()
+            where = (name, variant)
+            assert state.undecided and state.calls <= 2 * state.undecided, where
+            assert state.extension() == oracle_extension(theory, variant, budget=None), where
+            if name != "late-cut":
+                # no attackers: a subject that cannot decide yet waits on its
+                # supporters alone and leaves nothing in ``deps``
+                assert not state.deps, where
+
+
+# One cut wakes O b2 ... O b6 at once: C ~b1 is refuted only once s1
+# applies, at the end of a chain that no first examination climbs, and
+# that cuts ``rep`` from 2 on, where O b2 ... O b6 were parked.
+WOKEN_TOGETHER = """
+fact a. fact ~b2. fact ~b3. fact ~b4. fact ~b5.
+rep: a => O b1 * b2 * b3 * b4 * b5 * b6.
+r1: a => C x1.
+r2: x1 => C x2.
+r3: x2 => C x3.
+r4: x3 => C x4.
+r5: x4 => C x5.
+r6: x5 => C x6.
+s1: x6 => C b1.
+s2: a => C ~b1.
+s1 > s2.
+"""
+
+
+def _shuffled_runs(theory, variant):
+    runs = []
+    for order_seed in (1, 2):
+        state = _Counted(theory, variant, order_seed=order_seed)
+        state.prepare()
+        state.run()
+        runs.append(state)
+    assert runs[0].extension() == runs[1].extension()
+    return runs
+
+
+def test_order_seed_shuffles_the_woken_subjects_too():
+    differ = []
+    for seed in range(20):
+        first, second = _shuffled_runs(random_theory(seed, 60), Variant.CAUTIOUS)
+        if first.woken_log != second.woken_log:
+            differ.append(seed)
+    # the decisions made on a wake come in another order on some theory
+    assert differ
+    # and so do the subjects that one decision wakes together
+    for variant in Variant:
+        first, second = (
+            [s for s, _ in state.woken_log if s % 3 == 1]  # O b2 ... O b6
+            for state in _shuffled_runs(parse_theory(WOKEN_TOGETHER), variant)
+        )
+        assert len(first) == 5 and sorted(first) == sorted(second)
+        assert first != second, variant
 
 
 def _fails(item, ext) -> bool:

@@ -19,7 +19,10 @@ with the parts that do (log, settled, fixpoint, iterations, dead, json,
 oracle, diff), then a count per part and a count of differing results;
 exits 1 if any result differs.  Last it prints each side's total ``iterations`` and
 ``_decide`` calls over the engine results and its total oracle ``step``
-rounds over the oracle results; these totals are not compared.
+rounds over the oracle results, then each side's ``_decide`` calls per
+family (chain, meta-chain, team, random, priority, fixture); these totals
+are not compared.  A change to the fixpoint's scheduling alone moves
+``log``, ``fixpoint`` and ``iterations`` and nothing else.
 Standard library only.
 """
 
@@ -34,6 +37,7 @@ from concurrent.futures import ThreadPoolExecutor
 VARIANTS = ("simple", "cautious")
 PARTS = ("log", "settled", "fixpoint", "iterations", "dead", "json", "oracle", "diff")
 TOTALS = ("iterations", "_decide calls", "oracle step rounds")
+FAMILIES = ("chain", "meta-chain", "team", "random", "priority", "fixture")
 
 
 def _digest(*parts) -> str:
@@ -70,7 +74,7 @@ def _digests(root: str) -> dict:
             self.log.append((self.iterations, s, positive))
             super()._apply(s, positive)
 
-    out, totals = {}, dict.fromkeys(TOTALS, 0)
+    out, totals = {}, dict.fromkeys(TOTALS + FAMILIES, 0)
     step = D.oracle.step
 
     def counted_step(*args):
@@ -93,6 +97,7 @@ def _digests(root: str) -> dict:
             out[f"{key}/{name}"] = dict(zip(PARTS, map(_digest, parts)))
             totals["iterations"] += state.iterations
             totals["_decide calls"] += state.decided
+            totals[key.split("/")[0]] += state.decided
             if oracle:
                 ext = D.oracle.oracle_extension(theory, variant, budget=None)
                 out[f"{key}/{name}/oracle"] = {"oracle": _digest(D.text.render_extension(ext, "json"))}
@@ -138,6 +143,9 @@ def main(argv) -> int:
         old, new = (side["totals"][total] for side in sides)
         results = "oracle" if total.startswith("oracle") else "engine"
         print(f"total {total} over the {results} results: parent {old}, change {new}")
+    for family in FAMILIES:
+        old, new = (side["totals"][family] for side in sides)
+        print(f"_decide calls on {family}: parent {old}, change {new}")
     return 1 if differ else 0
 
 
