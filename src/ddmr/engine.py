@@ -6,27 +6,26 @@ held, and rejects rule expressions the given rules clash with.  One pass
 over a worklist then decides the subjects of the modal Herbrand base,
 examining a subject again only when its evidence moves.
 
-Every subject is decided by one schema.  Its supporters form teams, each
-team faces attackers, and each attacker faces the subject's defenders.  The
-subject is proved when some team has an applicable defeasible member and an
-applicable defender beats every live (not discarded) attacker of the team,
-and refuted when every team with a defeasible member meets an applicable
-attacker that no live defender beats.  For a literal, and for a rule
-subject under the simple reading, all supporters form one team (team
-defeat) and beating is superiority; the attackers support a concluded
-subject with the content of the subject's complement (for a literal, the
-complement), and the defenders the subject or the attacked complement
-(``_attackers``).  A concluded rule is never a meta-rule, so it clashes
-simply with exactly its content under the other polarity.  Under the
-cautious reading each supporter of a rule subject is a team of its own,
-attacked by the rules clashing with it as whole rules and defended by
-those clashing with the attacker; a defender also beats an attacker whose
-concluded rules its own are superior to, unless the attacker is superior
-to it.  ``model.ATTACK_MODES``, ``model.DEFEND_MODES`` and
-``model.CAUTIOUS_RULE_ATTACK_MODES`` say which modes attack and defend.
-An examination builds each team's attacker list at most once and walks it
-for proof and, failing that, for refutation (``_unbeaten``): the same test
-with the frontier and the cut in swapped roles.
+Every subject is decided by one schema (``_decide``).  Its supporters
+form teams, each team faces groups of attackers, and each attacker faces
+the defenders of its group.  The subject is proved when some team has an
+applicable defeasible member and an applicable defender beats every live
+(not discarded) attacker of the team, and refuted when every team with a
+defeasible member meets an applicable attacker that no live defender
+beats.  For a literal, and for a rule subject under the simple reading,
+all supporters form one team (team defeat) and beating is superiority
+(``sup``); a group attacks with the supporters of a concluded subject
+with the content of the subject's complement (for a literal, the
+complement) and defends with those of the subject or the attacked
+complement.  A concluded rule is never a meta-rule, so it clashes simply
+with exactly its content under the other polarity.  Under the cautious
+reading each supporter of a rule subject is a team of its own, each rule
+clashing with it as a whole rule attacks in a group of its own, defended
+by the rules clashing with it, and beating is ``overrules``.  The mode
+tables of ``model`` say which modes attack and defend.  An examination
+builds each team's groups at most once and walks them for proof and for
+refutation (``_unbeaten``): the same test with the frontier and the cut
+in swapped roles.
 
 A rule's conditions are those of ``model.conditions``, the reference the
 compile is tested against: the rule held and each antecedent item from
@@ -159,11 +158,31 @@ def _offsets(table: dict) -> tuple:
 # Who may attack and defend, from ``model``.
 _ATTACK, _DEFEND = _offsets(ATTACK_MODES), _offsets(DEFEND_MODES)
 _RULE_ATTACK = _offsets(CAUTIOUS_RULE_ATTACK_MODES)
+_SIMPLE = Variant.SIMPLE  # read once: an enum member read off its class is slow
 
 
 def complement_id(s: int) -> int:
     """The subject id of the same mode over the complementary subject."""
     return 3 * ((s // 3) ^ 1) + s % 3
+
+
+class _Clashing:
+    """The cautious defenders of a group: the rule-expression entries of the
+    rules clashing with attacker ``g`` in one of ``modes``, made for every
+    attacker but read, and recorded in ``_touched``, by each walk reaching it."""
+
+    __slots__ = ("state", "g", "modes")
+
+    def __init__(self, state, g: int, modes: tuple):
+        self.state, self.g, self.modes = state, g, modes
+
+    def __iter__(self):
+        state, modes = self.state, self.modes
+        clashes, rule_mode = state.clashes[self.g], state.rule_mode
+        state._touched.update(clashes)
+        for z in clashes:
+            if rule_mode[z] in modes:
+                yield from state.expr_positions[z]
 
 
 class IncoherenceError(AssertionError):
@@ -188,11 +207,14 @@ class EngineState:
     discarded, one past its chain while it is not.
     ``opposite[k]`` (simple reading) lists, by base index, the concluded
     references with reference ``k``'s content and the other polarity.
+    ``overrules`` (cautious reading) holds the pairs of rule ids that beat:
+    superiority, and the pairs inherited from concluded rules (``prepare``).
     ``_touched`` holds the rules the examination in progress consulted as
-    an attacker or a defender: the attackers and, once an attack is
-    found, the team defenders as their lists are built, and cautious
-    defenders as they are walked; supporters are not recorded, since a
-    defeasible rule wakes the subjects it concludes through ``concludes``.
+    an attacker or a defender: the attackers as their groups are built,
+    with the team defenders once an attack is found, and cautious
+    defenders as a walk reaches them (``_Clashing``); supporters are not
+    recorded, since a defeasible rule wakes the subjects it concludes
+    through ``concludes``.
     ``deps[r]`` lists the subject ids left undecided after consulting rule
     ``r``, to examine again when its applicability or discarding moves.
     ``dirty`` lists the subject ids the last decision woke, which ``run``
@@ -226,11 +248,11 @@ class EngineState:
         leaves it on its report; it is computed here when not given, and
         only read, so both readings can share one.  Per rule id: its mode
         offset, whether it is defeasible, the subject ids its chain
-        concludes, its rule-expression positions, its unmet conditions per
-        position, the rules it concludes and, under the cautious variant,
-        the rules it clashes with as a whole rule; per reference id, under
-        the simple variant, the concluded references with its content and
-        the other polarity; and the superiority pairs as pairs of rule ids.
+        concludes, its rule-expression entries as (rule, position), its
+        unmet conditions per position and, under the cautious variant, the
+        rules it clashes with as a whole rule; per reference id, under the
+        simple variant, the concluded references with its content and the
+        other polarity; and the superiority pairs, and ``overrules``.
         """
         t = self.theory
         if numbering is None:
@@ -251,7 +273,7 @@ class EngineState:
         # rule concludes the id or, for a P id, its O (O implies P)
         self.tag = tag = bytearray((_REFUTED,)) * (3 * (n_lits + 2 * len(rules)))
         self.rule_mode, self.defeasible, self.concludes = modes, defeasibles, ends_of = [], [], []
-        self.expr_positions, self.concluded, self.live = positions_of, named_of, lives = [], [], []
+        self.expr_positions, self.live = positions_of, lives = [], []
         for r, rule in enumerate(rules):
             chain, antecedent, m = rule.consequent, rule.antecedent, _MODE_ORDER[rule.mode]
             # ``model.conditions`` from the rule's parts: the rule held and each item from 1
@@ -275,26 +297,23 @@ class EngineState:
                 else:
                     found.append(e)
             if len(chain) == 1:  # almost every rule
-                x, positions, named = chain[0], (), ()
+                x, positions = chain[0], ()
                 if type(x) is Literal:
                     b = 2 * aid[x.atom]
                 else:
-                    k = rid[x.rule.label]
-                    b, positions, named = n_lits + 2 * k, [1], [k]
+                    b, positions = n_lits + 2 * rid[x.rule.label], [(r, 1)]
                 ends = (3 * (b + (not x.positive)) + m,)
                 live = [1 + len(antecedent)]
             else:
-                ends, positions, named = [], [], []
+                ends, positions = [], []
                 for pos, x in enumerate(chain, start=1):
                     if type(x) is Literal:
                         b = 2 * aid[x.atom] + (not x.positive)
                         violated, sign = 3 * (b ^ 1), True  # its complement holds
                     else:
-                        k = rid[x.rule.label]
-                        b = n_lits + 2 * k + (not x.positive)
+                        b = n_lits + 2 * rid[x.rule.label] + (not x.positive)
                         violated, sign = 3 * b, False  # it is refuted
-                        positions.append(pos)
-                        named.append(k)
+                        positions.append((r, pos))
                     ends.append(3 * b + m)
                     if pos < len(chain):  # in force (O) and violated (C) from pos + 1 on
                         for s, meets in ((3 * b + O, True), (violated, sign)):
@@ -303,14 +322,13 @@ class EngineState:
                                 watch[s] = [(r, pos + 1, meets)]
                             else:
                                 found.append((r, pos + 1, meets))
-                ends, positions, named = tuple(ends), positions or (), named or ()
+                ends, positions = tuple(ends), positions or ()
                 live = [1 + len(antecedent)] + [2] * (len(chain) - 1)
             defeasible = rule.arrow is Arrow.DEFEASIBLE
             modes.append(m)
             defeasibles.append(defeasible)
             ends_of.append(ends)
             positions_of.append(positions)
-            named_of.append(named)
             lives.append(live)
             if r in top or producers[2 * r]:  # given, or concluded by some chain
                 for pos, s in enumerate(ends, start=1):
@@ -321,7 +339,7 @@ class EngineState:
                             tag[s + 1] = _UNDECIDED
         self.cut = [len(ends) + 1 for ends in ends_of]
         self.front = [1] * len(rules)  # position 1 holds the rule-held condition
-        self.sup = {(rid[a], rid[b]) for a, b in t.superiority if a in rid and b in rid}
+        self.sup = sup = {(rid[a], rid[b]) for a, b in t.superiority if a in rid and b in rid}
 
         refs = range(len(producers))  # reference ids
         if self.variant is Variant.SIMPLE:
@@ -342,6 +360,16 @@ class EngineState:
                 else ()
                 for k in refs[::2]
             ]
+            # the rules concluding u and v, under either polarity, inherit u > v
+            # unless the reverse is superior; (z, z) counts, as a rule can clash with itself
+            inherited = {
+                (z, g)
+                for u, v in sup
+                for z, _ in [*producers[2 * u], *producers[2 * u + 1]]
+                for g, _ in [*producers[2 * v], *producers[2 * v + 1]]
+                if (g, z) not in sup
+            }
+            self.overrules = sup | inherited if inherited else sup
 
         # seeded over that, all C subjects: facts and the given rules hold,
         # the complements of facts fail, and so do expressions clashing with
@@ -420,12 +448,13 @@ class EngineState:
             shuffle(queue)
         for s in queue:  # the loop reaches the ids appended as it goes
             pending[s] = 0
-            touched.clear()
             verdict = decide(s)
+            if touched:  # if undecided, examine again when a consulted rule moves
+                if verdict is None:
+                    for r in touched:
+                        deps.setdefault(r, []).append(s)
+                touched.clear()
             if verdict is None:
-                # undecided: examine again when a consulted rule moves
-                for r in touched:
-                    deps.setdefault(r, []).append(s)
                 continue
             apply(s, verdict)
             if dirty:
@@ -444,148 +473,99 @@ class EngineState:
     # -------------------------------------------------------------- decisions
 
     def _decide(self, s: int):
-        mode = s % 3
-        if mode == P and self.tag[s - 1] == _PROVED:
-            return True
-        team = self.supports.get(s, ())
-        if s >= self.n_lit_ids and self.variant is Variant.CAUTIOUS:
-            return self._decide_cautious(s, team)
-        # proved: some defeasible supporter is applicable and no live attacker
-        # escapes the applicable defenders; refuted: some supporter is
-        # defeasible and an applicable attacker escapes the live ones
-        defeasible, front, cut = self.defeasible, self.front, self.cut
-        groups = None
-        for r, pos in team:
-            if defeasible[r] and pos < front[r]:
-                groups = self._attackers(s)
-                if not (groups and self._unbeaten(groups, cut, front)):
-                    return True
-                break
-        if mode == P and self.tag[s - 1] != _REFUTED:
-            return None  # a permission cannot be rejected before the obligation is
-        for r, _ in team:
-            if defeasible[r]:
-                break
-        else:
-            return False
-        if groups is None:
-            groups = self._attackers(s)
-        return False if groups and self._unbeaten(groups, front, cut) else None
+        mode, refuting = s % 3, True
+        if mode == P:  # O implies P, and a P is refuted only once its O is
+            if self.tag[s - 1] == _PROVED:
+                return True
+            refuting = self.tag[s - 1] == _REFUTED
+        team = self.supports.get(s)
+        if not team:  # no team: nothing proves the subject
+            return False if refuting else None
+        if s < self.n_lit_ids or self.variant is _SIMPLE:
+            teams, beats = (team,), self.sup
+        else:  # each supporter of a rule subject is a team of its own
+            teams, beats = [(e,) for e in team], self.overrules
+        # one walk tests proof and refutation, stopping refutation at the first team that escapes it
+        defeasible, front = self.defeasible, self.front
+        for t in teams:
+            groups, due = None, False
+            for r, pos in t:
+                if defeasible[r]:
+                    due = True
+                    if pos < front[r]:
+                        groups = self._attackers(s, t)
+                        if not (groups and self._unbeaten(groups, self.cut, front, beats)):
+                            return True
+                        break
+            if due and refuting:
+                if groups is None:
+                    groups = self._attackers(s, t)
+                refuting = groups and self._unbeaten(groups, front, self.cut, beats)
+        return False if refuting else None
 
-    def _unbeaten(self, groups, attacking: list, defending: list) -> bool:
+    def _unbeaten(self, groups, attacking: list, defending: list, beats: set) -> bool:
         """Some attacker at a position below ``attacking[g]`` that no
-        defender of its group at a position below ``defending[z]`` is
-        superior to.  With the cut and the frontier: a live attacker
-        escapes the applicable defenders; with the frontier and the cut: an
-        applicable attacker escapes the live ones."""
-        sup = self.sup
+        defender of its group at a position below ``defending[z]`` beats,
+        ``(z, g)`` being in ``beats``.  With the cut and the frontier: a
+        live attacker escapes the applicable defenders; with the frontier
+        and the cut: an applicable attacker escapes the live ones."""
         for attackers, defenders in groups:
             for g, gpos in attackers:
                 if gpos < attacking[g]:
                     for z, zpos in defenders:
-                        if zpos < defending[z] and (z, g) in sup:
+                        if zpos < defending[z] and (z, g) in beats:
                             break
                     else:
                         return True
         return False
 
-    def _attackers(self, s: int) -> list:
-        """Team defeat: per concluded subject with the content of the
-        subject's complement (for a literal, the complement itself) that has
-        supporters in an attacking mode, those and the supporters, in a
-        defending mode, of the subject and of the attacked subject's
+    def _attackers(self, s: int, team) -> list:
+        """The (attackers, defenders) groups ``team`` faces.  Under team
+        defeat: per concluded subject with the content of the subject's
+        complement (for a literal, the complement itself) that has
+        supporters in an attacking mode, those, and the supporters in a
+        defending mode of the subject and of the attacked subject's
         complement.  Supports hold only live entries."""
+        if s >= self.n_lit_ids and self.variant is not _SIMPLE:
+            return self._cautious_attackers(s, team)  # a team of one
         mode, b = s % 3, s // 3
-        get, add = self.supports.get, self._touched.add
-        defend = _DEFEND[mode]
-        # plain loops: a comprehension costs a frame of its own
+        supports = self.supports
         own = None  # the subject's defenders, gathered at the first attack
         groups = []
         for x in (b ^ 1,) if s < self.n_lit_ids else self.opposite[b - self.n_lits]:
             attackers = []
             for m in _ATTACK[mode]:
-                for e in get(3 * x + m, ()):
-                    attackers.append(e)
-                    add(e[0])
+                attackers += supports.get(3 * x + m, ())
             if attackers:
                 if own is None:
-                    own = []
+                    own, defend = [], _DEFEND[mode]
                     for m in defend:
-                        for e in get(3 * b + m, ()):
-                            own.append(e)
-                            add(e[0])
+                        own += supports.get(3 * b + m, ())
                 defenders = own
                 if x ^ 1 != b:  # the attacked expression names another rule
                     defenders = own[:]
                     for m in defend:
-                        for e in get(3 * (x ^ 1) + m, ()):
-                            defenders.append(e)
-                            add(e[0])
+                        defenders += supports.get(3 * (x ^ 1) + m, ())
+                add = self._touched.add
+                for r, _ in attackers + defenders:
+                    add(r)
                 groups.append((attackers, defenders))
         return groups
 
-    def _decide_cautious(self, s: int, team):
-        """``_decide`` for a rule subject under the cautious reading, where
-        each supporter is a team of its own."""
-        mode = s % 3
-        defeasible, front, cut = self.defeasible, self.front, self.cut
-        built = {}
-        for e in team:
-            if defeasible[e[0]] and e[1] < front[e[0]]:
-                built[e] = attackers = self._cautious_attackers(s, (e,))
-                if not self._cautious_unbeaten(mode, attackers, cut, front):
-                    return True
-        if mode == P and self.tag[s - 1] != _REFUTED:
-            return None
-        for e in team:
-            if defeasible[e[0]]:
-                attackers = built[e] if e in built else self._cautious_attackers(s, (e,))
-                if not self._cautious_unbeaten(mode, attackers, front, cut):
-                    return None
-        return False
-
-    def _cautious_unbeaten(self, mode: int, attackers, attacking: list, defending: list) -> bool:
-        """``_unbeaten`` for the attackers of one cautious team, each with
-        the rules clashing with it as defenders, and overruling for
-        superiority."""
-        for g, gpos in attackers:
-            if gpos < attacking[g]:
-                for z, zpos in self._cautious_defenders(mode, g):
-                    if zpos < defending[z] and self._overrules(z, g):
-                        break
-                else:
-                    return True
-        return False
-
     def _cautious_attackers(self, s: int, team) -> list:
-        """(rule, position) for the live positions of the rules clashing,
-        as whole rules, with the team's one member."""
+        """The groups a team of one supporter of a rule subject faces: per
+        rule clashing with it as a whole rule in an attacking mode, that
+        rule's rule-expression entries and its defenders (``_Clashing``)."""
         ((r, _),) = team
-        modes, rule_mode = _RULE_ATTACK[s % 3], self.rule_mode
-        out = [g for g in self.clashes[r] if rule_mode[g] in modes]
-        self._touched.update(out)
-        cut = self.cut
-        return [(g, gpos) for g in out for gpos in self.expr_positions[g] if gpos < cut[g]]
-
-    def _cautious_defenders(self, mode: int, g: int):
-        """(rule, position) for the rules clashing with attacker ``g`` in a
-        defending mode, consulted as walked; each walk takes a new call."""
-        clashes = self.clashes[g]
-        self._touched.update(clashes)
-        for z in clashes:
-            if self.rule_mode[z] in _DEFEND[mode]:
-                for zpos in self.expr_positions[z]:
-                    yield z, zpos
-
-    def _overrules(self, z: int, g: int) -> bool:
-        """Superiority, or else superiority inherited from the rules the two
-        rules conclude."""
-        sup = self.sup
-        if (z, g) in sup:
-            return True
-        return (g, z) not in sup and any(
-            (u, v) in sup for u in self.concluded[z] for v in self.concluded[g]
-        )
+        mode = s % 3
+        attack, defend = _RULE_ATTACK[mode], _DEFEND[mode]
+        rule_mode, entries, add = self.rule_mode, self.expr_positions, self._touched.add
+        groups = []
+        for g in self.clashes[r]:
+            if rule_mode[g] in attack:
+                add(g)
+                groups.append((entries[g], _Clashing(self, g, defend)))
+        return groups
 
     # ------------------------------------------------------------ mutation
 

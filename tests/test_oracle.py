@@ -308,20 +308,72 @@ def test_dropped_simple_defenders_are_caught(monkeypatch):
             patch.setattr(
                 EngineState,
                 "_attackers",
-                lambda self, s: [(group, defenders(self, s)) for group, _ in attackers(self, s)],
+                lambda self, s, team: [
+                    (group, defenders(self, s)) for group, _ in attackers(self, s, team)
+                ],
             )
             assert check_equivalence(theory, Variant.SIMPLE), defenders
 
 
 def test_dropped_cautious_defenders_are_caught(monkeypatch):
-    monkeypatch.setattr(EngineState, "_cautious_defenders", lambda self, mode, g: iter(()))
+    attackers = EngineState._cautious_attackers
+    monkeypatch.setattr(
+        EngineState,
+        "_cautious_attackers",
+        lambda self, s, team: [(group, ()) for group, _ in attackers(self, s, team)],
+    )
     for name in ("example4", "example8", "execution2"):
         assert check_equivalence(load_fixture(name), Variant.CAUTIOUS), name
 
 
 def test_overruling_without_inherited_superiority_is_caught(monkeypatch):
-    monkeypatch.setattr(EngineState, "_overrules", lambda self, z, g: (z, g) in self.sup)
+    prepare = EngineState.prepare
+
+    def superiority_alone(self, *args):
+        prepare(self, *args)
+        self.overrules = self.sup
+
+    monkeypatch.setattr(EngineState, "prepare", superiority_alone)
     assert check_equivalence(load_fixture("example8"), Variant.CAUTIOUS)
+
+
+# r clashes with itself, through s and ~s, and concludes both s and t, so
+# it inherits s > t against itself.
+SELF_OVERRULING = """
+fact a. fact b.
+r: a => O (s: b => C c) * ~(s: b => C c) * (t: b => C d).
+s > t.
+"""
+
+# m1 concludes u only negated, and inherits u > w against m2.
+NEGATED_OVERRULING = """
+fact a. fact b.
+m1: a => O ~(u: b => C c).
+m2: a => O (w: b => C c).
+u > w.
+"""
+
+
+def test_compiled_overruling_agrees_with_the_oracle_on_every_clashing_pair():
+    theories = [(p.stem, parse_theory(p.read_text())) for p in sorted(FIXTURES.glob("*.ddl"))]
+    theories.append(("split-teams", parse_theory(SPLIT_TEAMS)))
+    theories.append(("clash/300", generate_theory("clash", 300)))
+    theories.append(("self-overruling", parse_theory(SELF_OVERRULING)))
+    theories.append(("negated-overruling", parse_theory(NEGATED_OVERRULING)))
+    inherited, self_pairs = Counter(), Counter()
+    for name, theory in theories:
+        state = EngineState(theory, Variant.CAUTIOUS)
+        state.prepare()
+        ev = _Evaluator(theory, Variant.CAUTIOUS)
+        for z in ev.rules:
+            for g in ev.clashing(z):
+                pair = (state.rule_ids[z.label], state.rule_ids[g.label])
+                assert (pair in state.overrules) == ev.overrules(z, g), (name, z.label, g.label)
+                inherited[name] += pair in state.overrules - state.sup
+                self_pairs[name] += z is g and pair in state.overrules
+    # pairs that superiority alone misses are met, a self pair among them
+    assert inherited["example8"] and inherited["negated-overruling"], inherited
+    assert self_pairs["self-overruling"], self_pairs
 
 
 def test_one_cautious_team_for_all_supporters_is_caught(monkeypatch):

@@ -2,26 +2,27 @@
 
     python tools/equivalence.py PARENT_ROOT CHANGE_ROOT
 
-Each root's ddmr runs in a subprocess of its own over the fixtures and
-every pool member of the ``deep``, ``wide`` and ``oracle-small`` workloads,
-found through that root's ``perfbench/inputs.py``; the CLI workloads'
-theories go through ``render_theory`` and ``parse_theory`` as the
-benchmark's ``.ddl`` files do.  Per input and variant it digests the
+Each root's ddmr runs in a subprocess of its own over the fixtures, every
+pool member of the ``deep``, ``wide`` and ``oracle-small`` workloads,
+found through that root's ``perfbench/inputs.py``, and the ``clash`` and
+``reparation`` theories of ``SMALL_SIZES``, which no workload holds; the
+CLI workloads' theories go through ``render_theory`` and ``parse_theory``
+as the benchmark's ``.ddl`` files do.  Per input and variant it digests the
 engine's decision log (iteration, subject id, sign); the store as the
 fixpoint first finds it (``settled``: the tag bytes at the first
 ``_decide`` call, or at the end when there is none); the log from
 iteration 1 on (``fixpoint``); ``iterations``, dead rules and JSON
-extension; and for ``oracle-small`` and the fixtures the
-``oracle_extension`` JSON.  Per input it also digests the rows of
-``diff_variants`` (``diff``).  So a log that differs only in the
-verdicts settled before the fixpoint shows as ``log`` alone.  Prints every result that differs
-with the parts that do (log, settled, fixpoint, iterations, dead, json,
-oracle, diff), then a count per part and a count of differing results;
-exits 1 if any result differs.  Last it prints each side's total ``iterations`` and
-``_decide`` calls over the engine results and its total oracle ``step``
-rounds over the oracle results, then each side's ``_decide`` calls per
-family (chain, meta-chain, team, random, priority, fixture); these totals
-are not compared.  A change to the fixpoint's scheduling alone moves
+extension; and for ``oracle-small``, the fixtures and the small families
+at size 60 the ``oracle_extension`` JSON.  Per input it also digests the
+rows of ``diff_variants`` (``diff``).  So a log that differs only in the
+verdicts settled before the fixpoint shows as ``log`` alone.  Prints every
+result that differs with the parts that do (log, settled, fixpoint,
+iterations, dead, json, oracle, diff), then a count per part and a count
+of differing results; exits 1 if any result differs.  Last it prints each
+side's total ``iterations`` and ``_decide`` calls over the engine results
+and its total oracle ``step`` rounds over the oracle results, then each
+side's ``_decide`` calls per family (``FAMILIES``); these totals are not
+compared.  A change to the fixpoint's scheduling alone moves
 ``log``, ``fixpoint`` and ``iterations`` and nothing else.
 Standard library only.
 """
@@ -37,7 +38,8 @@ from concurrent.futures import ThreadPoolExecutor
 VARIANTS = ("simple", "cautious")
 PARTS = ("log", "settled", "fixpoint", "iterations", "dead", "json", "oracle", "diff")
 TOTALS = ("iterations", "_decide calls", "oracle step rounds")
-FAMILIES = ("chain", "meta-chain", "team", "random", "priority", "fixture")
+SMALL_FAMILIES, SMALL_SIZES = ("clash", "reparation"), (60, 300)
+FAMILIES = ("chain", "meta-chain", "team", "random", "priority", "fixture") + SMALL_FAMILIES
 
 
 def _digest(*parts) -> str:
@@ -56,6 +58,9 @@ def _inputs(root: str, inputs, D):
         path = os.path.join(root, "fixtures", f"{name}.ddl")
         with open(path, encoding="utf-8") as handle:
             yield f"fixture/{name}", D.text.parse_theory(handle.read()), True
+    for family in SMALL_FAMILIES:
+        for size in SMALL_SIZES:
+            yield f"{family}/{size}", D.generate.generate_theory(family, size), size <= 60
 
 
 def _digests(root: str) -> dict:
