@@ -158,7 +158,8 @@ def _offsets(table: dict) -> tuple:
 # Who may attack and defend, from ``model``.
 _ATTACK, _DEFEND = _offsets(ATTACK_MODES), _offsets(DEFEND_MODES)
 _RULE_ATTACK = _offsets(CAUTIOUS_RULE_ATTACK_MODES)
-_SIMPLE = Variant.SIMPLE  # read once: an enum member read off its class is slow
+# read once: an enum member read off its class is slow
+_SIMPLE, _DEFEASIBLE = Variant.SIMPLE, Arrow.DEFEASIBLE
 
 
 def complement_id(s: int) -> int:
@@ -324,7 +325,7 @@ class EngineState:
                                 found.append((r, pos + 1, meets))
                 ends, positions = tuple(ends), positions or ()
                 live = [1 + len(antecedent)] + [2] * (len(chain) - 1)
-            defeasible = rule.arrow is Arrow.DEFEASIBLE
+            defeasible = rule.arrow is _DEFEASIBLE
             modes.append(m)
             defeasibles.append(defeasible)
             ends_of.append(ends)

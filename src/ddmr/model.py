@@ -34,8 +34,9 @@ from __future__ import annotations
 
 import enum
 import re
+from collections import Counter
 from dataclasses import dataclass, field
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Iterator, NamedTuple, Union
 
 
@@ -167,6 +168,7 @@ class DeonticRuleExpression:
 
 # Antecedent items without a rule inside.
 _FLAT_ITEMS = (Literal, ModalLiteral)
+_DEFEASIBLE = Arrow.DEFEASIBLE  # read once: an enum member read off its class is slow
 
 # Deepest nesting of rule expressions inside a rule, which is also the most
 # the parser reads.  Nesting two deep already puts a meta-rule inside a rule
@@ -244,7 +246,7 @@ class Rule:
 
     @property
     def is_defeasible(self) -> bool:
-        return self.arrow is Arrow.DEFEASIBLE
+        return self.arrow is _DEFEASIBLE
 
     def is_meta(self) -> bool:
         """True when some antecedent item or conclusion element mentions a rule."""
@@ -421,13 +423,15 @@ def extended_superiority(t: Theory, by_label: dict = None):
 
     Rules are indexed by the labels they conclude (``concluders`` of
     ``by_label``, ``t.rules_by_label()`` when not given), so the cost is
-    linear in the theory plus the pairs added; with no pair, no rule is read.
+    linear in the theory plus the pairs added; with no pair, no rule is read,
+    and with no rule concluded, no pair.
     """
     sup = set(t.superiority)
     if sup:
         by_concluded = concluders(t.rules_by_label() if by_label is None else by_label)
-        for u, v in t.superiority:
-            sup |= inherited_pairs(by_concluded, u, v)
+        for u, v in t.superiority if by_concluded else ():
+            if u in by_concluded and v in by_concluded:
+                sup |= inherited_pairs(by_concluded, u, v)
     return sup
 
 
@@ -475,31 +479,28 @@ class TaggedFormula:
 def _has_cycle(pairs) -> bool:
     """Whether the directed graph with these (from, to) edges has a cycle.
 
-    Kahn's algorithm: repeatedly remove a node no remaining edge enters;
-    the nodes left over lie on a cycle or are reached from one.  It takes no stack depth,
-    however long the chains in the relation are.
+    Kahn's algorithm: repeatedly remove a node no remaining edge enters,
+    with its edges; the edges left over lie on a cycle or are reached from
+    one.  ``pairs`` is read twice, so it is a collection.  It takes no stack
+    depth, however long the chains in the relation are.
     """
-    graph: dict = {}
+    succs: dict = {}
     for a, b in pairs:
-        graph.setdefault(a, set()).add(b)
-        graph.setdefault(b, set())
-    indegree = dict.fromkeys(graph, 0)
-    for succs in graph.values():
-        for b in succs:
-            indegree[b] += 1
-    ready = [node for node, d in indegree.items() if not d]
-    removed = 0
+        succs.setdefault(a, []).append(b)
+    indegree = dict(Counter(map(_TARGET, pairs)))
+    ready = [a for a in succs if a not in indegree]
+    left = len(pairs)
     while ready:
-        removed += 1
-        for b in graph[ready.pop()]:
+        for b in succs.get(ready.pop(), ()):
+            left -= 1
             indegree[b] -= 1
             if not indegree[b]:
                 ready.append(b)
-    return removed < len(graph)
+    return left > 0
 
 
 _WORD = re.compile(r"[A-Za-z0-9_]*")
-_ATOM, _POSITIVE = attrgetter("atom"), attrgetter("positive")
+_ATOM, _POSITIVE, _TARGET = attrgetter("atom"), attrgetter("positive"), itemgetter(1)
 
 
 def _bad_names(names) -> list:
@@ -567,11 +568,20 @@ def validate(t: Theory) -> ValidationReport:
     facts, cycles in the plain or extended superiority relation).  A report
     without errors carries the theory's ``number``, from the labels and
     atoms this one walk over the rules gathers.
+
+    Per rule the walk costs a label lookup, a walk over its parts, and a
+    hash of its chain only when that has two elements or more.  Facts clash
+    by atom: each fact of a truthy polarity whose atom a fact of polarity
+    False (or 0, which equals it) holds.  One cycle check runs: with errors,
+    on the plain relation's pairs of known labels; without, on the extended
+    relation, which holds the plain one, and only once that finds a cycle,
+    on the plain relation, to say which of the two has it.
     """
     report = ValidationReport()
     by_label: dict = {}
     unhashable: dict = {}  # the rules whose label does not hash, by its repr
-    literals = [fact for fact in t.facts if isinstance(fact, Literal)]
+    facts = [fact for fact in t.facts if isinstance(fact, Literal)]
+    literals = facts.copy()
     add = literals.append
     for rule in t.all_rules():
         try:
@@ -584,7 +594,7 @@ def validate(t: Theory) -> ValidationReport:
             report.errors.append(f"label {rule.label} is used for two rules with different content")
         chain = rule.consequent
         try:
-            distinct = len(set(chain))
+            distinct = len(set(chain)) if len(chain) > 1 else 1  # one element: nothing to hash
         except TypeError:  # an unhashable atom, reported below
             distinct = sum(elem not in chain[:i] for i, elem in enumerate(chain))
         if distinct != len(chain):
@@ -634,17 +644,14 @@ def validate(t: Theory) -> ValidationReport:
             report.errors += [
                 f"superiority names unknown rule label {x}" for x in entry if x not in by_label
             ]
-    facts = {fact for fact in t.facts if isinstance(fact, Literal)}
-    clashing = sorted(str(f) for f in facts if f.complement() in facts and f.positive)
+    negated = {f.atom for f in facts if f.positive == False}  # not "is": 0 counts, as in a set
+    clashing = sorted(str(f.atom) for f in facts if f.positive and f.atom in negated)
     if clashing:
         report.warnings.append("contradictory facts: " + ", ".join(clashing))
-    if _has_cycle(t.superiority.difference(bad)):
-        report.warnings.append("cyclic superiority relation")
-    elif not report.errors:
-        extended = extended_superiority(t, by_label)
-        # a relation that gains no pair was checked just above
-        if len(extended) > len(t.superiority) and _has_cycle(extended):
-            report.warnings.append("cyclic extended superiority relation")
+    sup = t.superiority.difference(bad) if report.errors else extended_superiority(t, by_label)
+    if _has_cycle(sup):
+        plain = report.errors or len(sup) == len(t.superiority) or _has_cycle(t.superiority)
+        report.warnings.append(f"cyclic {'' if plain else 'extended '}superiority relation")
     if not report.errors:
         report.numbering = number(t, by_label, atom_names)
     return report

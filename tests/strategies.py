@@ -197,7 +197,9 @@ def model_theories(draw) -> Theory:
     ones, rarely with an entry that is no such pair (a 1- or 3-tuple, a
     2-character string, or a pair with a label that is not a string), and
     rarely a rule whose label is a list, which does not hash, given or
-    nested in the chain of a given rule."""
+    nested in the chain of a given rule, and rarely a fact and its
+    complement, of polarity False or 0, over a name or a hashable atom that
+    is not a string."""
     names = draw(st.sampled_from([word_names, st.one_of(word_names, loose_names)]))
     rules = draw(st.lists(model_items(names, kinds=(Rule,)), max_size=4))
     rules = [r for r in rules if isinstance(r, Rule)]
@@ -222,7 +224,11 @@ def model_theories(draw) -> Theory:
             odd = Rule(draw(names), frozenset(), Arrow.DEFEASIBLE, Mode.C, (RuleExpression(odd),))
         rules.append(odd)
     fact = st.one_of(st.builds(Literal, names, st.booleans()), model_items(names))
-    return Theory.build(draw(st.lists(fact, max_size=3)), rules, sup)
+    facts = draw(st.lists(fact, max_size=3))
+    if draw(rarely):  # a fact and its complement, over an atom that may write no string
+        atom = draw(st.one_of(st.sampled_from([5, ("x",), None]), names))
+        facts += [Literal(atom), Literal(atom, draw(st.sampled_from([False, 0])))]
+    return Theory.build(facts, rules, sup)
 
 
 # Junk argument values.  A process's argv and environment never hold a NUL

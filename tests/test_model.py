@@ -295,10 +295,37 @@ def test_validate_contradictory_facts_warn():
     assert any("contradictory facts" in w for w in report.warnings)
 
 
+@pytest.mark.parametrize("atom", [5, ("x",), None], ids=repr)
+def test_validate_writes_contradictory_facts_over_an_atom_that_is_no_string(atom):
+    # the warning wrote each fact, and a fact over such an atom writes no string
+    report = validate(Theory.build([Literal(atom), Literal(atom, False)]))
+    assert report.errors == [f"atom {atom!r} is not a word over [A-Za-z0-9_]"]
+    assert report.warnings == [f"contradictory facts: {atom}"]
+
+
 def test_validate_cyclic_superiority_warns():
     rules = [rule("r1", [a], Mode.C, [b]), rule("r2", [b], Mode.C, [a])]
     report = validate(Theory.build([], rules, [("r1", "r2"), ("r2", "r1")]))
     assert any("cyclic superiority" in w for w in report.warnings)
+
+
+def test_validate_a_rule_superior_to_itself_is_a_cycle():
+    report = validate(Theory.build([], [rule("r1", [a], Mode.C, [b])], [("r1", "r1")]))
+    assert report.ok
+    assert report.warnings == ["cyclic superiority relation"]
+
+
+@pytest.mark.parametrize("cyclic", [True, False])
+def test_validate_names_the_plain_relation_when_the_extended_one_adds_pairs(cyclic):
+    # m1 and m2 inherit r1 > r2 (and r2 > r1): a cycle in the plain relation
+    # is named as one, though the relation checked is the larger extended one
+    rules = [rule("r1", [a], Mode.C, [b]), rule("r2", [b], Mode.C, [a])]
+    rules += [rule(f"m{i}", [], Mode.C, [RuleExpression(r, True)]) for i, r in enumerate(rules, 1)]
+    theory = Theory.build([], rules, [("r1", "r2"), ("r2", "r1")][: 1 + cyclic])
+    assert len(extended_superiority(theory)) > len(theory.superiority)
+    report = validate(theory)
+    assert report.ok
+    assert report.warnings == (["cyclic superiority relation"] if cyclic else [])
 
 
 def _superiority_chain(pairs: int, closed: bool) -> Theory:

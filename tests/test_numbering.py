@@ -35,7 +35,7 @@ from ddmr.model import (
 from ddmr.text import parse_theory
 
 from .conftest import FIXTURES
-from .strategies import model_theories
+from .strategies import loose_theories, model_theories
 
 
 def _pool() -> list:
@@ -192,3 +192,83 @@ def test_validate_warns_as_both_cycle_checks_do():
 @settings(max_examples=200, deadline=None)
 def test_validate_warns_as_both_cycle_checks_do_on_model_theories(theory):
     _assert_warnings(theory, str(theory))
+
+
+def _reference_facts_warnings(theory) -> list:
+    """The contradictory-facts warning as every fact's complement, looked up
+    among the facts, gives it; raises ``TypeError`` where a clashing fact
+    writes no string."""
+    facts = {fact for fact in theory.facts if isinstance(fact, Literal)}
+    clashing = sorted(str(f) for f in facts if f.complement() in facts and f.positive)
+    return ["contradictory facts: " + ", ".join(clashing)] if clashing else []
+
+
+def _reference_chain_errors(theory) -> list:
+    """The duplicate-chain errors as hashing every chain whole gives them."""
+    errors = []
+    for rule in theory.all_rules():
+        chain = rule.consequent
+        try:
+            distinct = len(set(chain))
+        except TypeError:  # an unhashable element
+            distinct = sum(elem not in chain[:i] for i, elem in enumerate(chain))
+        if distinct != len(chain):
+            errors.append(f"rule {rule.label}: duplicate chain elements")
+    return errors
+
+
+def _assert_fact_and_chain_checks(theory, where) -> None:
+    report = validate(theory)
+    try:
+        facts = _reference_facts_warnings(theory)
+    except TypeError:  # validate writes the atoms with str, and returns
+        facts = [w for w in report.warnings if w.startswith("contradictory facts: ")]
+    assert [w for w in report.warnings if not w.startswith("cyclic")] == facts, where
+    chains = [e for e in report.errors if e.endswith(": duplicate chain elements")]
+    assert chains == _reference_chain_errors(theory), where
+
+
+def _rule(label, chain) -> Rule:
+    return Rule(label, frozenset(), Arrow.DEFEASIBLE, Mode.O, tuple(chain))
+
+
+# Facts of polarities that are not bools, one of them equal to False, and
+# chains with a repeated literal, rule expression or unhashable literal.
+_FACTS_AND_CHAINS = [
+    ("truthy polarities", Theory.build([Literal("a"), Literal("a", "yes"), Literal("a", 0)])),
+    ("None is not False", Theory.build([Literal("a"), Literal("a", None), Literal("b", 0)])),
+    (
+        "chains",
+        Theory.build(
+            [],
+            [
+                _rule("r", [Literal("a"), Literal("b"), Literal("a")]),
+                _rule("s", [RuleExpression(_rule("n", [Literal("a")]))] * 2),
+                _rule("u", [Literal(["a"]), Literal("b"), Literal(["a"])]),
+                _rule("v", [Literal(["a"]), Literal("b")]),
+            ],
+        ),
+    ),
+]
+
+
+def test_validate_checks_facts_and_chains_as_the_references_do():
+    warned = set()
+    for where, theory in POOL + _FACTS_AND_CHAINS:
+        _assert_fact_and_chain_checks(theory, where)
+        warned.update(w.split(":")[0] for w in validate(theory).warnings)
+    assert "contradictory facts" in warned
+    assert validate(_FACTS_AND_CHAINS[0][1]).warnings == ["contradictory facts: a, a"]
+    assert len(_reference_chain_errors(_FACTS_AND_CHAINS[2][1])) == 3
+
+
+@given(model_theories())
+@settings(max_examples=200, deadline=None)
+def test_validate_checks_facts_and_chains_as_the_references_do_on_model_theories(theory):
+    _assert_fact_and_chain_checks(theory, str(theory))
+
+
+@given(loose_theories())
+@settings(max_examples=200, deadline=None)
+def test_validate_checks_facts_and_chains_as_the_references_do_on_loose_theories(theory):
+    _assert_fact_and_chain_checks(theory, str(theory))

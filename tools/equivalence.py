@@ -14,10 +14,12 @@ fixpoint first finds it (``settled``: the tag bytes at the first
 iteration 1 on (``fixpoint``); ``iterations``, dead rules and JSON
 extension; and for ``oracle-small``, the fixtures and the small families
 at size 60 the ``oracle_extension`` JSON.  Per input it also digests the
-rows of ``diff_variants`` (``diff``).  So a log that differs only in the
+rows of ``diff_variants`` (``diff``), and ``validate``'s report
+(``validate``): its errors, its warnings and its ``numbering``, whose
+rules it writes with ``str``.  So a log that differs only in the
 verdicts settled before the fixpoint shows as ``log`` alone.  Prints every
 result that differs with the parts that do (log, settled, fixpoint,
-iterations, dead, json, oracle, diff), then a count per part and a count
+iterations, dead, json, oracle, diff, validate), then a count per part and a count
 of differing results; exits 1 if any result differs.  Last it prints each
 side's total ``iterations`` and ``_decide`` calls over the engine results
 and its total oracle ``step`` rounds over the oracle results, then each
@@ -36,7 +38,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 VARIANTS = ("simple", "cautious")
-PARTS = ("log", "settled", "fixpoint", "iterations", "dead", "json", "oracle", "diff")
+PARTS = ("log", "settled", "fixpoint", "iterations", "dead", "json", "oracle", "diff", "validate")
 TOTALS = ("iterations", "_decide calls", "oracle step rounds")
 SMALL_FAMILIES, SMALL_SIZES = ("clash", "reparation"), (60, 300)
 FAMILIES = ("chain", "meta-chain", "team", "random", "priority", "fixture") + SMALL_FAMILIES
@@ -89,6 +91,11 @@ def _digests(root: str) -> dict:
     D.oracle.step = counted_step  # oracle_extension looks it up per round
     for key, theory, oracle in _inputs(root, inputs, D):
         out[f"{key}/diff"] = {"diff": _digest(D.engine.diff_variants(theory))}
+        report = D.model.validate(theory)
+        numbering = report.numbering and report.numbering._replace(
+            rules=list(map(str, report.numbering.rules))
+        )
+        out[f"{key}/validate"] = {"validate": _digest(report.errors, report.warnings, numbering)}
         for name in VARIANTS:
             variant = D.conflicts.Variant(name)
             state = Recording(theory, variant)
@@ -139,10 +146,11 @@ def main(argv) -> int:
     print("differing parts: " + ", ".join(f"{part} {n}" for part, n in counts.items()))
     oracle = sum(name.endswith("/oracle") for name in names)
     diff = sum(name.endswith("/diff") for name in names)
-    engine = len(names) - oracle - diff
+    checked = sum(name.endswith("/validate") for name in names)
+    engine = len(names) - oracle - diff - checked
     print(
         f"{len(differ)} of {len(names)} results differ "
-        f"({engine} engine, {oracle} oracle, {diff} diff)"
+        f"({engine} engine, {oracle} oracle, {diff} diff, {checked} validate)"
     )
     for total in TOTALS:
         old, new = (side["totals"][total] for side in sides)
