@@ -33,6 +33,9 @@ from typing import NamedTuple
 
 from .model import Arrow, Literal, Mode, Numbering, Rule, RuleExpression
 
+# read once: an enum member read off its class is slow
+_O, _O_AND_P, _DEFEASIBLE = Mode.O, frozenset((Mode.O, Mode.P)), Arrow.DEFEASIBLE
+
 
 class Variant(enum.Enum):
     SIMPLE = "simple"
@@ -103,11 +106,11 @@ def _content_clash(x: Rule, y: Rule) -> bool:
     if (
         len(cx) == 1
         and len(cy) == 1
-        and (x.mode is y.mode or {x.mode, y.mode} == {Mode.O, Mode.P})
+        and (x.mode is y.mode or {x.mode, y.mode} == _O_AND_P)
         and _elements_complementary(cx[0], cy[0])
     ):
         return True
-    if not (x.mode is Mode.O and y.mode is Mode.O and x.arrow is Arrow.DEFEASIBLE):
+    if not (x.mode is _O and y.mode is _O and x.arrow is _DEFEASIBLE):
         return False
     for i in range(min(len(cx), len(cy))):
         if _elements_complementary(cx[i], cy[i]):

@@ -30,20 +30,21 @@ in swapped roles.
 A rule's conditions are those of ``model.conditions``, the reference the
 compile is tested against: the rule held and each antecedent item from
 chain position 1, and each chain element in force and violated from the
-position after it.  ``prepare`` files every condition, straight from the
-rule's parts, under the subject whose decision settles it, with the sign
-that meets it, so a decision finds the conditions it settles in one
-lookup, and counts per rule and position the conditions first applying
-there and not yet met.  A condition met is counted off at its first
-position alone, and the rule's frontier, the first position whose count
-is not 0, moves past the positions whose count is 0; a refuted condition
-discards the rule from its first position on, and those positions leave
-the support index.  A rule is applicable at the positions below its
-frontier, and discarded at those from its cut on, so each condition is
-settled in constant time plus the frontier's moves, which cross each
-position once.  When a defeasible rule's frontier or cut moves, the
-subjects it concludes at the positions crossed are examined again, and
-so are the subjects that consulted it as an attacker or a defender.
+position after it.  ``prepare`` files every condition but a given rule's
+held one, which seeding proves, straight from the rule's parts, under the
+subject whose decision settles it, with the sign that meets it, so a
+decision finds the conditions it settles in one lookup, and counts per
+rule and position the conditions first applying there and not yet met.
+A condition met is counted off at its first position alone, and the
+rule's frontier, the first position whose count is not 0, moves past the
+positions whose count is 0; a refuted condition discards the rule from
+its first position on, and those positions leave the support index.  A
+rule is applicable at the positions below its frontier, and discarded at
+those from its cut on, so each condition is settled in constant time plus
+the frontier's moves, which cross each position once.  When a defeasible
+rule's frontier or cut moves, the subjects it concludes at the positions
+crossed are examined again, and so are the subjects that consulted it as
+an attacker or a defender.
 
 ``prepare`` also writes into the store, in bulk, the verdicts that need
 no evidence: the seeded ones, and a refutation for each C or O subject
@@ -57,9 +58,10 @@ through the proof conditions, which wait for the obligation (O implies
 P).  The store starts refuted everywhere; the walk over the rules clears
 each id a defeasible supporter concludes and the P id after each such O;
 the seeded verdicts (all on C ids) are written over that last.  ``run``
-takes the bytes of ids that no condition watches as they stand; only
-the watched ones can move a rule, so they alone go through ``_apply``,
-in id order.
+settles the conditions these verdicts decide in one bulk pass
+(``_settle``): it counts the met ones off and cuts, then sets each
+frontier once, and wakes nothing, since it queues every id left
+undecided; ``_apply`` serves the fixpoint's decisions alone.
 
 ``prepare`` compiles the theory to integer ids and the fixpoint runs on
 those alone.  It starts from the theory's ``model.number`` (the sorted
@@ -203,8 +205,8 @@ class EngineState:
     not yet met; every subject is decided once, so no condition is counted
     off twice.  ``front[r]`` is
     the first position whose count is not 0, or one past the chain, so the
-    rule is applicable below it; it starts at 1, where the rule-held
-    condition is.  ``cut[r]`` is the first position at which the rule is
+    rule is applicable below it; it is 1 until ``run`` settles ``prepare``'s
+    verdicts.  ``cut[r]`` is the first position at which the rule is
     discarded, one past its chain while it is not.
     ``opposite[k]`` (simple reading) lists, by base index, the concluded
     references with reference ``k``'s content and the other polarity.
@@ -222,10 +224,11 @@ class EngineState:
     queues.  ``iterations`` counts the passes: 1 for a run over a
     non-empty store, 0 otherwise.
     ``prepare`` leaves in ``tag`` the verdicts that need no evidence, and
-    ``run`` starts from them.  ``dead`` (the rules cut at 1), ``lit_tags`` and
-    ``rule_tags`` (decided literal and rule subject ids to their sign) and
-    ``mhb`` (the undecided ids) are views computed from ``cut`` or ``tag``
-    on each read; the run itself never builds them.
+    ``run`` settles the conditions they decide (``_settle``) before its
+    pass.  ``dead`` (the rules cut at 1), ``lit_tags`` and ``rule_tags``
+    (decided literal and rule subject ids to their sign) and ``mhb`` (the
+    undecided ids) are views computed from ``cut`` or ``tag`` on each read;
+    the run itself never builds them.
     """
 
     def __init__(self, theory: Theory, variant: Variant, order_seed: int = None):
@@ -266,9 +269,8 @@ class EngineState:
         conflicting, producers = build_conflict_index(numbering, self.variant, rid)
 
         top = {rid[rule.label] for rule in t.rules}
-        held = 3 * n_lits  # held + 6r: the C id of rule r's positive reference, rule r held,
-        # which every rule's first condition watches; made here, the lists still fill in rule order
-        self.watch = watch = {held + 6 * r: [] for r in range(len(rules))}
+        held = 3 * n_lits  # held + 6r: the C id of rule r's positive reference, rule r held
+        self.watch = watch = {}
         get, supports = watch.get, self.supports
         # the verdicts that need no evidence: refuted unless a defeasible
         # rule concludes the id or, for a P id, its O (O implies P)
@@ -277,9 +279,10 @@ class EngineState:
         self.expr_positions, self.live = positions_of, lives = [], []
         for r, rule in enumerate(rules):
             chain, antecedent, m = rule.consequent, rule.antecedent, _MODE_ORDER[rule.mode]
-            # ``model.conditions`` from the rule's parts: the rule held and each item from 1
-            met = (r, 1, True)
-            watch[held + 6 * r].append(met)
+            # ``model.conditions``: the rule held, unless given (seeding proves it), and each item from 1
+            met, given = (r, 1, True), r in top
+            if not given:
+                watch.setdefault(held + 6 * r, []).append(met)
             for x in antecedent:
                 kind = type(x)
                 if kind is Literal:
@@ -304,7 +307,7 @@ class EngineState:
                 else:
                     b, positions = n_lits + 2 * rid[x.rule.label], [(r, 1)]
                 ends = (3 * (b + (not x.positive)) + m,)
-                live = [1 + len(antecedent)]
+                live = [len(antecedent) + (not given)]
             else:
                 ends, positions = [], []
                 for pos, x in enumerate(chain, start=1):
@@ -324,14 +327,14 @@ class EngineState:
                             else:
                                 found.append((r, pos + 1, meets))
                 ends, positions = tuple(ends), positions or ()
-                live = [1 + len(antecedent)] + [2] * (len(chain) - 1)
+                live = [len(antecedent) + (not given)] + [2] * (len(chain) - 1)
             defeasible = rule.arrow is _DEFEASIBLE
             modes.append(m)
             defeasibles.append(defeasible)
             ends_of.append(ends)
             positions_of.append(positions)
             lives.append(live)
-            if r in top or producers[2 * r]:  # given, or concluded by some chain
+            if given or producers[2 * r]:  # given, or concluded by some chain
                 for pos, s in enumerate(ends, start=1):
                     supports.setdefault(s, []).append((r, pos))
                     if defeasible:
@@ -339,7 +342,7 @@ class EngineState:
                         if m == O:
                             tag[s + 1] = _UNDECIDED
         self.cut = [len(ends) + 1 for ends in ends_of]
-        self.front = [1] * len(rules)  # position 1 holds the rule-held condition
+        self.front = [1] * len(rules)  # ``run`` settles it
         self.sup = sup = {(rid[a], rid[b]) for a, b in t.superiority if a in rid and b in rid}
 
         refs = range(len(producers))  # reference ids
@@ -424,18 +427,9 @@ class EngineState:
     # ------------------------------------------------------------------- run
 
     def run(self) -> None:
+        self._settle()
         tag, dirty, touched, deps = self.tag, self.dirty, self._touched, self.deps
         decide, apply = self._decide, self._apply
-        # ``prepare`` left the verdicts that need no evidence in the store; a
-        # verdict moves rules only through ``watch``, so the other ids keep
-        # their byte as it is and the watched ones go through ``_apply``
-        watched = sorted(s for s in self.watch if tag[s])
-        verdicts = [tag[s] == _PROVED for s in watched]
-        for s in watched:
-            tag[s] = _UNDECIDED
-        for s, verdict in zip(watched, verdicts):
-            apply(s, verdict)
-        dirty.clear()  # every id left undecided is queued below
         if not tag:
             return
         self.iterations = 1  # one pass
@@ -466,6 +460,31 @@ class EngineState:
                         pending[x] = 1
                         queue.append(x)
                 dirty.clear()
+
+    def _settle(self) -> None:
+        """Settle the conditions that ``prepare``'s verdicts decide, as
+        ``_apply`` on each would, but in bulk: a refuted one cuts at once and
+        each rule whose count at position 1 is 0 gets its frontier last."""
+        tag, lives, cut, supports = self.tag, self.live, self.cut, self.supports
+        for s, conditions in self.watch.items():
+            if tag[s]:
+                positive = tag[s] == _PROVED
+                for r, first, sign in conditions:
+                    if sign == positive:
+                        lives[r][first - 1] -= 1
+                    elif first < cut[r]:
+                        end, cut[r] = cut[r], first
+                        for pos in range(first, end):
+                            entries = supports.get(self.concludes[r][pos - 1], ())
+                            if (r, pos) in entries:
+                                entries.remove((r, pos))
+        front = self.front
+        for r, live in enumerate(lives):
+            if not live[0]:
+                end = 2
+                while end <= len(live) and not live[end - 1]:
+                    end += 1
+                front[r] = end
 
     def extension(self) -> Extension:
         """Decode the tag store into the twelve tag sets and the residue."""

@@ -280,9 +280,9 @@ def conditions(rule: Rule) -> list:
     its complement holding and a rule by being refuted.  The rule is
     applicable at a position when every condition from that position or
     before is met, and discarded there when one of them is refuted.  The
-    oracle reads this list; the engine's ``prepare`` files the same conditions
-    from the rule's parts, held to this list by ``test_engine``'s
-    ``test_compiled_tables_match_model_conditions``."""
+    oracle reads this list; the engine's ``prepare`` files the same conditions,
+    but a given rule's held one, from the rule's parts, held to this list by
+    ``test_engine``'s ``test_compiled_tables_match_model_conditions``."""
     out = [(1, Mode.C, RuleRef(rule.label, True), True)]
     for item in rule.antecedent:
         if isinstance(item, Literal):
@@ -411,7 +411,7 @@ def inherited_pairs(by_concluded: dict, u: str, v: str) -> set:
     return {(a, b) for a in winners for b in losers if a != b}
 
 
-def extended_superiority(t: Theory, by_label: dict = None):
+def extended_superiority(t: Theory, by_label: dict = None, by_concluded: dict = None):
     """The superiority relation plus pairs inherited from concluded rules.
 
     When two rules conclude rule expressions whose embedded labels are
@@ -421,14 +421,15 @@ def extended_superiority(t: Theory, by_label: dict = None):
     whole closure, since a concluded rule is never a meta-rule and so never
     takes part in an inherited pair.
 
-    Rules are indexed by the labels they conclude (``concluders`` of
-    ``by_label``, ``t.rules_by_label()`` when not given), so the cost is
-    linear in the theory plus the pairs added; with no pair, no rule is read,
-    and with no rule concluded, no pair.
+    Rules are indexed by the labels they conclude (``by_concluded``, or
+    ``concluders`` of ``by_label``, ``t.rules_by_label()`` when not given),
+    so the cost is linear in the theory plus the pairs added; with no pair,
+    no rule is read, and with no rule concluded, no pair.
     """
     sup = set(t.superiority)
     if sup:
-        by_concluded = concluders(t.rules_by_label() if by_label is None else by_label)
+        if by_concluded is None:
+            by_concluded = concluders(t.rules_by_label() if by_label is None else by_label)
         for u, v in t.superiority if by_concluded else ():
             if u in by_concluded and v in by_concluded:
                 sup |= inherited_pairs(by_concluded, u, v)
@@ -582,7 +583,7 @@ def validate(t: Theory) -> ValidationReport:
     unhashable: dict = {}  # the rules whose label does not hash, by its repr
     facts = [fact for fact in t.facts if isinstance(fact, Literal)]
     literals = facts.copy()
-    add = literals.append
+    add, concluded = literals.append, [] if t.superiority else None  # (concluded, concluding label)
     for rule in t.all_rules():
         try:
             known = by_label.get(rule.label, rule)
@@ -602,6 +603,8 @@ def validate(t: Theory) -> ValidationReport:
         for elem in chain:
             if isinstance(elem, Literal):
                 add(elem)
+            elif concluded is not None and isinstance(elem, RuleExpression):
+                concluded.append((elem.rule.label, rule.label))
         for item in rule.antecedent:
             if isinstance(item, Literal):
                 add(item)
@@ -613,9 +616,7 @@ def validate(t: Theory) -> ValidationReport:
                 report.errors.append(
                     f"rule {nested.label} nested inside {rule.label} is itself a meta-rule"
                 )
-    for fact in t.facts:
-        if not isinstance(fact, Literal):
-            report.errors.append(f"fact {fact} is not a plain literal")
+    report.errors += sorted(f"fact {f} is not a plain literal" for f in t.facts if not isinstance(f, Literal))
     try:
         atom_names = set(map(_ATOM, literals))
     except TypeError:  # an unhashable atom: tell the atoms apart by repr
@@ -648,7 +649,13 @@ def validate(t: Theory) -> ValidationReport:
     clashing = sorted(str(f.atom) for f in facts if f.positive and f.atom in negated)
     if clashing:
         report.warnings.append("contradictory facts: " + ", ".join(clashing))
-    sup = t.superiority.difference(bad) if report.errors else extended_superiority(t, by_label)
+    if report.errors:
+        sup = t.superiority.difference(bad)
+    else:  # ``concluders`` from the walk's pairs, gathered only for superiority pairs to read
+        by_concluded: dict = {}
+        for label, by in concluded or ():
+            by_concluded.setdefault(label, set()).add(by)
+        sup = extended_superiority(t, by_label, by_concluded)
     if _has_cycle(sup):
         plain = report.errors or len(sup) == len(t.superiority) or _has_cycle(t.superiority)
         report.warnings.append(f"cyclic {'' if plain else 'extended '}superiority relation")

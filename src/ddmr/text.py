@@ -227,6 +227,7 @@ _STATEMENT = re.compile(
     re.ASCII,
 )
 _ARROW = {arrow.value: arrow for arrow in Arrow}
+_DEFEASIBLE, _O = Arrow.DEFEASIBLE, Mode.O  # read once: a member read off its class is slow
 _NO_ITEMS = frozenset()
 
 
@@ -417,7 +418,7 @@ class _Parser:
         i = self.take()
         if toks[i] not in _ARROWS:
             self.fail(i, f"expected '=>' or '~>', found {toks[i]!r}")
-        arrow = Arrow.DEFEASIBLE if toks[i] == "=>" else Arrow.DEFEATER
+        arrow = _ARROW[toks[i]]
         mode_text = self.word("a mode (C, O or P)")
         mode = _MODES.get(mode_text)
         if mode is None:
@@ -425,7 +426,7 @@ class _Parser:
         chain = [self.chain_element()]
         while toks[self.pos] == "*":
             i = self.take()
-            if arrow is not Arrow.DEFEASIBLE or mode is not Mode.O:
+            if arrow is not _DEFEASIBLE or mode is not _O:
                 self.fail(i, "reparation chains require '=> O'")
             chain.append(self.chain_element())
         return Rule(label, frozenset(items), arrow, mode, tuple(chain))

@@ -433,7 +433,8 @@ def _reference_tables(state) -> dict:
     rule chains: each condition filed under its subject id as (rule, first
     position, sign), per rule and position the conditions first applying
     there, the chain's subject ids and its rule-expression positions, and
-    the supports of the given and concluded rules."""
+    the supports of the given and concluded rules.  A given rule's first
+    condition, the rule held, is left out: seeding always proves it."""
     by_label = state.theory.rules_by_label()
     rules = [by_label[label] for label in state.labels]
     given = {rule.label for rule in state.theory.rules}
@@ -448,7 +449,7 @@ def _reference_tables(state) -> dict:
     for r, rule in enumerate(rules):
         elements = rule.consequent
         live = [0] * len(elements)
-        for first, mode, subject, sign in conditions(rule):
+        for first, mode, subject, sign in conditions(rule)[rule.label in given :]:
             live[first - 1] += 1
             watch.setdefault(_subject_id(state, mode, subject), []).append((r, first, sign))
         chain = [_subject_id(state, rule.mode, e) for e in elements]
@@ -487,9 +488,10 @@ def test_compiled_tables_match_model_conditions_on_drawn_theories(theory):
 
 
 class _Recording(EngineState):
-    """Logs each decision with the iteration that makes it (0 for the
-    verdicts settled before the fixpoint) and each subject ``_decide`` is
-    asked about, and keeps the store as the fixpoint first finds it."""
+    """Logs each decision of the fixpoint with the iteration that makes it
+    (the verdicts settled before it go through no ``_apply``) and each
+    subject ``_decide`` is asked about, and keeps the store as the fixpoint
+    first finds it."""
 
     def prepare(self) -> None:
         super().prepare()
@@ -646,20 +648,28 @@ def test_diff_variants_equals_a_comparison_of_the_two_extensions():
 
 
 class _Checked(EngineState):
-    """After each decision, compares every rule at every chain position with
-    the oracle's reading of the same decisions."""
+    """Right after the settle and after each decision, compares every rule
+    at every chain position with the oracle's reading of the same decisions."""
 
     def prepare(self) -> None:
         super().prepare()
-        self.store = {}  # the decisions as the oracle's tag store
         self.rules = [self.theory.rules_by_label()[label] for label in self.labels]
+
+    def _settle(self) -> None:
+        super()._settle()
+        # the settled bytes as the oracle's tag store
+        self.store = {self.pair(s): byte == 1 for s, byte in enumerate(self.tag) if byte}
+        self._check("settled")
 
     def _apply(self, s: int, positive: bool) -> None:
         super()._apply(s, positive)
         self.store[self.pair(s)] = positive
+        self._check(self.pair(s))
+
+    def _check(self, when) -> None:
         for r, rule in enumerate(self.rules):
             for pos in range(1, len(rule.consequent) + 1):
-                where = (self.pair(s), rule.label, pos)
+                where = (when, rule.label, pos)
                 # applicable below the frontier, discarded from the cut on
                 assert (pos < self.front[r]) == applicable(self.store, rule, pos), where
                 assert (pos < self.cut[r]) != discarded(self.store, rule, pos), where
@@ -675,6 +685,51 @@ def test_rule_state_agrees_with_the_oracle_after_every_decision():
             state.prepare()
             state.run()
             assert state.store, (name, variant)
+
+
+def _replayed(theory, variant) -> EngineState:
+    """The reference settle: every watched id that ``prepare`` decided,
+    replayed through ``_apply`` in id order, over ``prepare``'s compile
+    with each given rule's held condition filed as well, for the replay
+    to count off."""
+    state = EngineState(theory, variant)
+    state.prepare()
+    held = 3 * state.n_lits
+    for rule in theory.rules:
+        r = state.rule_ids[rule.label]
+        state.watch.setdefault(held + 6 * r, []).append((r, 1, True))
+        state.live[r][0] += 1
+    watched = sorted(s for s in state.watch if state.tag[s])
+    verdicts = [state.tag[s] == 1 for s in watched]
+    for s in watched:
+        state.tag[s] = 0
+    for s, verdict in zip(watched, verdicts):
+        state._apply(s, verdict)
+    return state
+
+
+def _assert_settled_as_replayed(name, theory) -> None:
+    for variant in Variant:
+        state = EngineState(theory, variant)
+        state.prepare()
+        state._settle()
+        reference = _replayed(theory, variant)
+        for table in ("tag", "live", "front", "cut", "supports"):
+            assert getattr(state, table) == getattr(reference, table), (name, variant, table)
+
+
+def test_bulk_settle_equals_the_apply_replay():
+    theories = _pool()
+    theories += [(f"{family}/{n}", generate_theory(family, n)) for family in FAMILIES for n in (60, 300)]
+    for name, theory in theories:
+        _assert_settled_as_replayed(name, theory)
+
+
+@given(model_theories())
+@settings(max_examples=200, deadline=None)
+def test_bulk_settle_equals_the_apply_replay_on_drawn_theories(theory):
+    if validate(theory).ok:
+        _assert_settled_as_replayed("drawn", theory)
 
 
 class _Builds(EngineState):

@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import os
+import pathlib
+import subprocess
+import sys
 import weakref
 
 import pytest
@@ -235,6 +239,25 @@ def test_validate_modal_fact_is_an_error():
     # complementary modal facts are two errors, not contradictory facts
     report = validate(Theory.build([ModalLiteral(Mode.O, a), ModalLiteral(Mode.O, a, True)], []))
     assert len(report.errors) == 2 and not report.warnings
+
+
+MODAL_FACTS = """
+from ddmr.model import Literal, ModalLiteral, Mode, Theory, validate
+facts = [ModalLiteral(Mode.O, Literal("a")), ModalLiteral(Mode.P, Literal("b")), Literal("c")]
+print(validate(Theory.build(facts)).errors)
+"""
+
+
+def test_validate_lists_fact_errors_alike_under_every_hash_seed():
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for seed in ("1", "2"):  # these two seeds iterate the facts in different orders
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", MODAL_FACTS], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    assert "O(a) is not" in outputs[0] and "P(b) is not" in outputs[0]
 
 
 def test_a_theory_takes_only_rules():

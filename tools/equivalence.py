@@ -10,19 +10,21 @@ CLI workloads' theories go through ``render_theory`` and ``parse_theory``
 as the benchmark's ``.ddl`` files do.  Per input and variant it digests the
 engine's decision log (iteration, subject id, sign); the store as the
 fixpoint first finds it (``settled``: the tag bytes at the first
-``_decide`` call, or at the end when there is none); the log from
-iteration 1 on (``fixpoint``); ``iterations``, dead rules and JSON
-extension; and for ``oracle-small``, the fixtures and the small families
-at size 60 the ``oracle_extension`` JSON.  Per input it also digests the
-rows of ``diff_variants`` (``diff``), and ``validate``'s report
-(``validate``): its errors, its warnings and its ``numbering``, whose
-rules it writes with ``str``.  So a log that differs only in the
-verdicts settled before the fixpoint shows as ``log`` alone.  Prints every
-result that differs with the parts that do (log, settled, fixpoint,
-iterations, dead, json, oracle, diff, validate), then a count per part and a count
-of differing results; exits 1 if any result differs.  Last it prints each
-side's total ``iterations`` and ``_decide`` calls over the engine results
-and its total oracle ``step`` rounds over the oracle results, then each
+``_decide`` call, or at the end when there is none), and each rule's
+frontier and cut then (``rules``), so a settle that moves rule state
+without moving a tag shows; the log from iteration 1 on (``fixpoint``);
+``iterations``, dead rules and JSON extension; and for ``oracle-small``,
+the fixtures and the small families at size 60 the ``oracle_extension``
+JSON.  Per input it also digests the rows of ``diff_variants``
+(``diff``), and ``validate``'s report (``validate``): its errors, its
+warnings and its ``numbering``, whose rules it writes with ``str``.  So
+a log that differs only in the verdicts settled before the fixpoint
+shows as ``log`` alone.  Prints every result that differs with the parts
+that do (log, settled, fixpoint, iterations, dead, json, oracle, diff,
+validate, rules), then a count per part and a count of differing
+results; exits 1 if any result differs.  Last it prints each side's
+total ``iterations`` and ``_decide`` calls over the engine results and
+its total oracle ``step`` rounds over the oracle results, then each
 side's ``_decide`` calls per family (``FAMILIES``); these totals are not
 compared.  A change to the fixpoint's scheduling alone moves
 ``log``, ``fixpoint`` and ``iterations`` and nothing else.
@@ -38,7 +40,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 VARIANTS = ("simple", "cautious")
-PARTS = ("log", "settled", "fixpoint", "iterations", "dead", "json", "oracle", "diff", "validate")
+PARTS = ("log", "settled", "fixpoint", "iterations", "dead", "json", "oracle", "diff", "validate", "rules")
 TOTALS = ("iterations", "_decide calls", "oracle step rounds")
 SMALL_FAMILIES, SMALL_SIZES = ("clash", "reparation"), (60, 300)
 FAMILIES = ("chain", "meta-chain", "team", "random", "priority", "fixture") + SMALL_FAMILIES
@@ -73,7 +75,7 @@ def _digests(root: str) -> dict:
     class Recording(D.engine.EngineState):
         def _decide(self, s: int):
             if self.settled is None:
-                self.settled = bytes(self.tag)
+                self.settled, self.fronts_cuts = bytes(self.tag), (self.front[:], self.cut[:])
             self.decided += 1
             return super()._decide(s)
 
@@ -102,11 +104,13 @@ def _digests(root: str) -> dict:
             state.log, state.decided, state.settled = [], 0, None
             state.prepare()
             state.run()
-            settled = bytes(state.tag) if state.settled is None else state.settled
+            if state.settled is None:
+                state.settled, state.fronts_cuts = bytes(state.tag), (state.front, state.cut)
             fixpoint = [entry for entry in state.log if entry[0]]
             ext = D.text.render_extension(state.extension(), "json")
-            parts = (state.log, settled, fixpoint, state.iterations, sorted(state.dead), ext)
+            parts = (state.log, state.settled, fixpoint, state.iterations, sorted(state.dead), ext)
             out[f"{key}/{name}"] = dict(zip(PARTS, map(_digest, parts)))
+            out[f"{key}/{name}"]["rules"] = _digest(state.fronts_cuts)
             totals["iterations"] += state.iterations
             totals["_decide calls"] += state.decided
             totals[key.split("/")[0]] += state.decided
