@@ -31,10 +31,10 @@ from __future__ import annotations
 import enum
 from typing import NamedTuple
 
-from .model import Arrow, Literal, Mode, Numbering, Rule, RuleExpression
+from .model import _DEFEASIBLE, Literal, Mode, Numbering, Rule, RuleExpression
 
 # read once: an enum member read off its class is slow
-_O, _O_AND_P, _DEFEASIBLE = Mode.O, frozenset((Mode.O, Mode.P)), Arrow.DEFEASIBLE
+_O, _O_AND_P = Mode.O, frozenset((Mode.O, Mode.P))
 
 
 class Variant(enum.Enum):

@@ -279,7 +279,8 @@ class EngineState:
         self.expr_positions, self.live = positions_of, lives = [], []
         for r, rule in enumerate(rules):
             chain, antecedent, m = rule.consequent, rule.antecedent, _MODE_ORDER[rule.mode]
-            # ``model.conditions``: the rule held, unless given (seeding proves it), and each item from 1
+            # ``model.conditions``: the rule held, unless given (seeding proves it),
+            # and each item from 1
             met, given = (r, 1, True), r in top
             if not given:
                 watch.setdefault(held + 6 * r, []).append(met)

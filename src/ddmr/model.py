@@ -411,7 +411,7 @@ def inherited_pairs(by_concluded: dict, u: str, v: str) -> set:
     return {(a, b) for a in winners for b in losers if a != b}
 
 
-def extended_superiority(t: Theory, by_label: dict = None, by_concluded: dict = None):
+def extended_superiority(t: Theory, by_label: dict = None):
     """The superiority relation plus pairs inherited from concluded rules.
 
     When two rules conclude rule expressions whose embedded labels are
@@ -421,15 +421,14 @@ def extended_superiority(t: Theory, by_label: dict = None, by_concluded: dict = 
     whole closure, since a concluded rule is never a meta-rule and so never
     takes part in an inherited pair.
 
-    Rules are indexed by the labels they conclude (``by_concluded``, or
-    ``concluders`` of ``by_label``, ``t.rules_by_label()`` when not given),
-    so the cost is linear in the theory plus the pairs added; with no pair,
-    no rule is read, and with no rule concluded, no pair.
+    Rules are indexed by the labels they conclude (``concluders`` of
+    ``by_label``, ``t.rules_by_label()`` when not given), so the cost is
+    linear in the theory plus the pairs added; with no pair, no rule is read,
+    and with no rule concluded, no pair.
     """
     sup = set(t.superiority)
     if sup:
-        if by_concluded is None:
-            by_concluded = concluders(t.rules_by_label() if by_label is None else by_label)
+        by_concluded = concluders(t.rules_by_label() if by_label is None else by_label)
         for u, v in t.superiority if by_concluded else ():
             if u in by_concluded and v in by_concluded:
                 sup |= inherited_pairs(by_concluded, u, v)
@@ -583,7 +582,7 @@ def validate(t: Theory) -> ValidationReport:
     unhashable: dict = {}  # the rules whose label does not hash, by its repr
     facts = [fact for fact in t.facts if isinstance(fact, Literal)]
     literals = facts.copy()
-    add, concluded = literals.append, [] if t.superiority else None  # (concluded, concluding label)
+    add = literals.append
     for rule in t.all_rules():
         try:
             known = by_label.get(rule.label, rule)
@@ -603,8 +602,6 @@ def validate(t: Theory) -> ValidationReport:
         for elem in chain:
             if isinstance(elem, Literal):
                 add(elem)
-            elif concluded is not None and isinstance(elem, RuleExpression):
-                concluded.append((elem.rule.label, rule.label))
         for item in rule.antecedent:
             if isinstance(item, Literal):
                 add(item)
@@ -616,7 +613,9 @@ def validate(t: Theory) -> ValidationReport:
                 report.errors.append(
                     f"rule {nested.label} nested inside {rule.label} is itself a meta-rule"
                 )
-    report.errors += sorted(f"fact {f} is not a plain literal" for f in t.facts if not isinstance(f, Literal))
+    report.errors += sorted(
+        f"fact {f} is not a plain literal" for f in t.facts if not isinstance(f, Literal)
+    )
     try:
         atom_names = set(map(_ATOM, literals))
     except TypeError:  # an unhashable atom: tell the atoms apart by repr
@@ -649,13 +648,7 @@ def validate(t: Theory) -> ValidationReport:
     clashing = sorted(str(f.atom) for f in facts if f.positive and f.atom in negated)
     if clashing:
         report.warnings.append("contradictory facts: " + ", ".join(clashing))
-    if report.errors:
-        sup = t.superiority.difference(bad)
-    else:  # ``concluders`` from the walk's pairs, gathered only for superiority pairs to read
-        by_concluded: dict = {}
-        for label, by in concluded or ():
-            by_concluded.setdefault(label, set()).add(by)
-        sup = extended_superiority(t, by_label, by_concluded)
+    sup = t.superiority.difference(bad) if report.errors else extended_superiority(t, by_label)
     if _has_cycle(sup):
         plain = report.errors or len(sup) == len(t.superiority) or _has_cycle(t.superiority)
         report.warnings.append(f"cyclic {'' if plain else 'extended '}superiority relation")

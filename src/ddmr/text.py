@@ -227,7 +227,6 @@ _STATEMENT = re.compile(
     re.ASCII,
 )
 _ARROW = {arrow.value: arrow for arrow in Arrow}
-_DEFEASIBLE, _O = Arrow.DEFEASIBLE, Mode.O  # read once: a member read off its class is slow
 _NO_ITEMS = frozenset()
 
 
@@ -426,7 +425,7 @@ class _Parser:
         chain = [self.chain_element()]
         while toks[self.pos] == "*":
             i = self.take()
-            if arrow is not _DEFEASIBLE or mode is not _O:
+            if arrow is not Arrow.DEFEASIBLE or mode is not Mode.O:
                 self.fail(i, "reparation chains require '=> O'")
             chain.append(self.chain_element())
         return Rule(label, frozenset(items), arrow, mode, tuple(chain))

@@ -15,7 +15,6 @@ import itertools
 import pytest
 from hypothesis import given, settings
 
-from ddmr import model
 from ddmr.conflicts import Variant
 from ddmr.engine import EngineState, diff_variants
 from ddmr.generate import FAMILIES, generate_theory, random_theory
@@ -29,7 +28,6 @@ from ddmr.model import (
     ValidationReport,
     _has_cycle,
     atoms,
-    concluders,
     extended_superiority,
     number,
     validate,
@@ -274,43 +272,3 @@ def test_validate_checks_facts_and_chains_as_the_references_do_on_model_theories
 @settings(max_examples=200, deadline=None)
 def test_validate_checks_facts_and_chains_as_the_references_do_on_loose_theories(theory):
     _assert_fact_and_chain_checks(theory, str(theory))
-
-
-def _handed_concluders(theory, where):
-    """The concluders ``validate`` hands ``extended_superiority``, checked
-    against ``concluders`` of the rules it hands with them, where the
-    superiority pairs read them; None when ``validate`` finds errors."""
-    calls = []
-    original = model.extended_superiority
-
-    def recorded(t, by_label=None, by_concluded=None):
-        calls.append((by_label, by_concluded))
-        return original(t, by_label, by_concluded)
-
-    model.extended_superiority = recorded
-    try:
-        report = validate(theory)
-    finally:
-        model.extended_superiority = original
-    if report.errors:
-        assert not calls, where
-        return None
-    ((by_label, by_concluded),) = calls
-    if theory.superiority:  # the only case that reads them
-        assert by_concluded == concluders(by_label), where
-    return by_concluded
-
-
-def test_validate_hands_extended_superiority_the_concluders_of_its_walk():
-    handed = [_handed_concluders(theory, where) for where, theory in POOL]
-    assert any(handed), "no input of the pool concludes a rule"
-
-
-@given(model_theories())
-@settings(max_examples=200, deadline=None)
-def test_validate_hands_extended_superiority_the_concluders_of_its_walk_on_model_theories(theory):
-    if len(theory.rules) > 1 and validate(theory).ok:  # its labels hash
-        # a superiority pair over two of its rules, so that the pairs read the concluders
-        pair = tuple(rule.label for rule in theory.rules[:2])
-        theory = Theory.build(theory.facts, theory.rules, theory.superiority | {pair})
-    _handed_concluders(theory, str(theory))
