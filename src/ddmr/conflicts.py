@@ -23,12 +23,13 @@ clash share a key.
 ``build_conflict_index`` compiles, for every rule appearing in a theory
 (the engine's rule list), the conflict relation under one variant and
 who concludes each rule expression, over the integer ids the engine runs
-on.
+on; opposite polarities by content group, positive clashes per rule.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Mapping
 from typing import NamedTuple
 
 from .model import _DEFEASIBLE, Literal, Mode, Numbering, Rule, RuleExpression
@@ -150,10 +151,32 @@ def chain_clash_keys(rule: Rule, variant: Variant) -> set:
     return keys
 
 
+class Clashes(Mapping):
+    """Reference id -> the reference ids it clashes with, a set built on read:
+    the other polarity of each rule of its content group (``groups``; ``twins``
+    for the groups of two rules or more), and ``positive`` when positive."""
+
+    def __init__(self, groups: list, twins: dict, positive: dict):
+        self.groups, self.twins, self.positive = groups, twins, positive
+
+    def __getitem__(self, k: int) -> set:
+        if not 0 <= k < len(self):
+            raise KeyError(k)
+        r, negated = k >> 1, k & 1
+        found = {2 * v + 1 - negated for v in self.twins.get(self.groups[r], (r,))}
+        return found if negated else found.union(2 * v for v in self.positive.get(r, ()))
+
+    def __iter__(self):
+        return iter(range(len(self)))
+
+    def __len__(self) -> int:
+        return 2 * len(self.groups)
+
+
 class ConflictTables(NamedTuple):
     """A theory's conflict relation over reference ids; see ``build_conflict_index``."""
 
-    conflicting: dict  # reference id -> set of reference ids
+    conflicting: Clashes  # reference id -> set of reference ids, built on read
     producers: list  # reference id -> [(rule id, position)], or the shared () when none
 
 
@@ -166,51 +189,46 @@ def build_conflict_index(numbering: Numbering, variant: Variant, rule_ids: dict)
     theory, sorts no rules and hashes no content; ``rule_ids`` numbers the
     rules by label from 0.  The reference to rule ``r`` has the
     reference id ``2r`` when positive and ``2r + 1`` when negated.
-    ``conflicting`` maps a reference id to the set of reference ids it
-    clashes with under ``variant``; the relation is symmetric, and every
-    reference clashes with its own negation.
-    ``producers[k]`` lists the (rule id, 1-based position) pairs at which
-    chains conclude the reference ``k``, in id order; the references no
-    chain concludes share one empty tuple.
+    ``conflicting`` is the symmetric relation under ``variant``, a
+    ``Clashes``: opposite polarities by content group, and per rule the
+    rules whose positive references clash with its own.  ``producers[k]``
+    lists the (rule id, 1-based position) pairs at which chains conclude
+    the reference ``k``, in id order; the references no chain concludes
+    share one empty tuple.
 
-    Pair generation is bucketed so only candidate pairs ever reach the full
-    predicates.  Negation clashes are bucketed by content.  Content clashes
-    are bucketed by antecedent, arrow and head: every shape of
-    ``_content_clash`` needs one arrow and first chain elements that are
+    Content clashes are bucketed by antecedent, arrow and head: every shape
+    of ``_content_clash`` needs one arrow and first chain elements that are
     equal or complementary, so the head key is the atom of a literal and
     the content of a rule expression (polarity and label aside).  Meta-rule
-    chain clashes are joined through the element pairs found first.  The
+    chains meet per (content group, polarity) class of their concluded
+    references and its opposite, then per positive pair found above.  The
     outcome matches the pairwise predicates exactly.
     """
     rules, content_group = numbering.rules, numbering.groups
     producers = [()] * (2 * len(rules))  # only meta-rules conclude references
+    made: dict = {}  # (content group, polarity) -> the producers entries of its references
     for r, rule in enumerate(rules):
         if rule.depth:
             for pos, elem in enumerate(rule.consequent, start=1):
                 if type(elem) is RuleExpression:
-                    k = 2 * rule_ids[elem.rule.label] + (not elem.positive)
-                    if producers[k]:
-                        producers[k].append((r, pos))
-                    else:
-                        producers[k] = [(r, pos)]
+                    u, entry = rule_ids[elem.rule.label], (r, pos)
+                    k = 2 * u + (not elem.positive)
+                    made.setdefault((content_group[u], k & 1), []).append(entry)
+                    if not producers[k]:
+                        producers[k] = []
+                    producers[k].append(entry)
 
-    # Negation clashes: same content, opposite polarity; every reference
-    # clashes with its own negation, and content twins with each other's.
-    conflicting = {k: {k ^ 1} for k in range(2 * len(rules))}
+    twins, positive = {}, {}  # group -> its rules, for twins; rule -> clashing rules
 
-    def connect(a: int, b: int) -> None:
-        conflicting[a].add(b)
-        conflicting[b].add(a)
+    def connect(u: int, v: int) -> None:
+        positive.setdefault(u, set()).add(v)
+        positive.setdefault(v, set()).add(u)
 
     if content_group and max(content_group) + 1 < len(rules):  # some group has twins
-        first, members = {}, {}  # group -> its first rule; -> its rules, when more
+        first = {}  # group -> its first rule
         for r, g in enumerate(content_group):
             if first.setdefault(g, r) != r:
-                members.setdefault(g, [first[g]]).append(r)
-        for group in members.values():
-            for u in group:
-                for v in group:
-                    connect(2 * u, 2 * v + 1)
+                twins.setdefault(g, [first[g]]).append(r)
 
     # Cautious content clashes need equal antecedents, one arrow and first
     # elements that are equal or complementary, so bucket on those; the head
@@ -232,19 +250,21 @@ def build_conflict_index(numbering: Numbering, variant: Variant, rule_ids: dict)
             for i, u in enumerate(group):
                 for v in group[i + 1 :]:
                     if _content_clash(rules[u], rules[v]):
-                        connect(2 * u, 2 * v)
+                        connect(u, v)
 
-    # Meta-rule chains clash when elements of theirs do, at any positions.
-    element_pairs = [
-        (a, b)
-        for a, others in conflicting.items()
-        if producers[a]
-        for b in others
-        if producers[b]
+    # Meta-rule chains clash when elements of theirs do, at any positions;
+    # a rule whose chain holds both classes meets itself.
+    meets = [(made[g, 0], made[g, 1]) for g, negated in made if negated and (g, 0) in made]
+    meets += [
+        (producers[2 * u], producers[2 * v])
+        for u, others in positive.items()
+        if producers[2 * u]
+        for v in others
+        if u < v and producers[2 * v]
     ]
-    for a, b in element_pairs:
-        for meta_a, _ in producers[a]:
-            for meta_b, _ in producers[b]:
-                connect(2 * meta_a, 2 * meta_b)
+    for entries_a, entries_b in meets:
+        for meta_a, _ in entries_a:
+            for meta_b, _ in entries_b:
+                connect(meta_a, meta_b)
 
-    return ConflictTables(conflicting, producers)
+    return ConflictTables(Clashes(content_group, twins, positive), producers)

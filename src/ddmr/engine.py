@@ -69,19 +69,19 @@ labels and atoms, the rules in label order and their content groups),
 which ``validate`` gathers in its own walk and ``run_engine`` hands on;
 ``build_conflict_index`` reads it too.  Then one walk over the rules in
 id order files each rule's chain, conditions (by the type of each part)
-and supports, with each subject id computed in place, and opens the
-store at the ids a defeasible supporter concludes.  The literal over
-atom ``a`` (numbered in sorted order, as rule labels are) has the base
-index ``2a`` when positive and ``2a + 1`` when negated.  The reference
-to rule ``r`` has the reference id ``k = 2r + (not positive)``, the
-numbering in which ``build_conflict_index`` writes the conflict
-relation, and the base index ``n_lits + k``.  So the base runs literals
-before rule references, then by atom or label, the positive one first;
-complementing a base index is ``b ^ 1``.  Both numberings are keyed on
-strings, so the compile hashes no literal or rule objects.  The (mode,
-subject) pair with base index ``b`` has the subject id ``3b + m``, with
-``m`` 0, 1, 2 for C, O, P, so ids sort exactly as the pairs do: literals
-before rules, then name, positive first, then C/O/P.
+and supports, with each subject id computed in place, and opens the store
+at the ids a defeasible supporter concludes.  The literal over atom ``a``
+(numbered in sorted order, as rule labels are) has the base index ``2a``
+when positive and ``2a + 1`` when negated.  The reference to rule ``r``
+has the reference id ``k = 2r + (not positive)``, the numbering in which
+``build_conflict_index`` lists the producers and reads out the clashes,
+and the base index ``n_lits + k``.  So the base runs literals before rule
+references, then by atom or label, the positive one first; complementing
+a base index is ``b ^ 1``.  Both numberings are keyed on strings, so the
+compile hashes no literal or rule objects.  The (mode, subject) pair with
+base index ``b`` has the subject id ``3b + m``, with ``m`` 0, 1, 2 for C,
+O, P, so ids sort exactly as the pairs do: literals before rules, then
+name, positive first, then C/O/P.
 
 The run keeps its decisions in one ``bytearray``, ``tag``, indexed by
 subject id: 0 undecided, 1 proved, 2 refuted.  Past the verdicts that
@@ -254,9 +254,9 @@ class EngineState:
         offset, whether it is defeasible, the subject ids its chain
         concludes, its rule-expression entries as (rule, position), its
         unmet conditions per position and, under the cautious variant, the
-        rules it clashes with as a whole rule; per reference id, under the
-        simple variant, the concluded references with its content and the
-        other polarity; and the superiority pairs, and ``overrules``.
+        rules it clashes with as a whole rule, if any; per reference id,
+        under the simple variant, the concluded references with its content
+        and the other polarity; and the superiority pairs, and ``overrules``.
         """
         t = self.theory
         if numbering is None:
@@ -346,25 +346,18 @@ class EngineState:
         self.front = [1] * len(rules)  # ``run`` settles it
         self.sup = sup = {(rid[a], rid[b]) for a, b in t.superiority if a in rid and b in rid}
 
-        refs = range(len(producers))  # reference ids
         if self.variant is Variant.SIMPLE:
             concluded: dict = {}  # (content group, polarity) -> base indices
             for x, made in enumerate(producers):
                 if made:
                     concluded.setdefault((group[x >> 1], x & 1), []).append(n_lits + x)
             self.opposite = (
-                [concluded.get((group[k >> 1], (k & 1) ^ 1), ()) for k in refs]
+                [concluded.get((group[k >> 1], (k & 1) ^ 1), ()) for k in range(len(producers))]
                 if concluded
-                else [()] * len(refs)
+                else [()] * len(producers)
             )
         else:
-            # most rules clash with their negation alone, and only the others are sorted
-            self.clashes = [
-                sorted(found)
-                if len(c := conflicting[k]) > 1 and (found := [x >> 1 for x in c if not x & 1])
-                else ()
-                for k in refs[::2]
-            ]
+            self.clashes = {r: sorted(found) for r, found in conflicting.positive.items()}
             # the rules concluding u and v, under either polarity, inherit u > v
             # unless the reverse is superior; (z, z) counts, as a rule can clash with itself
             inherited = {
@@ -383,9 +376,13 @@ class EngineState:
         facts = [3 * (2 * aid[f.atom] + (not f.positive)) for f in t.facts]
         for s in map(complement_id, facts):
             tag[s] = _REFUTED
-        for r in top:
-            for x in conflicting[2 * r]:
-                tag[3 * (n_lits + x)] = _REFUTED
+        twins, positive = conflicting.twins, conflicting.positive
+        shared = {group[r] for r in top}.intersection(twins) if twins else ()
+        for v in top.union(*map(twins.get, shared)) if shared else top:
+            tag[3 * (n_lits + 2 * v + 1)] = _REFUTED
+        for r in top.intersection(positive):
+            for v in positive[r]:
+                tag[3 * (n_lits + 2 * v)] = _REFUTED
         for s in facts:
             tag[s] = _PROVED
         for r in top:
@@ -582,7 +579,7 @@ class EngineState:
         attack, defend = _RULE_ATTACK[mode], _DEFEND[mode]
         rule_mode, entries, add = self.rule_mode, self.expr_positions, self._touched.add
         groups = []
-        for g in self.clashes[r]:
+        for g in self.clashes.get(r, ()):
             if rule_mode[g] in attack:
                 add(g)
                 groups.append((entries[g], _Clashing(self, g, defend)))

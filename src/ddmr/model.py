@@ -479,11 +479,14 @@ class TaggedFormula:
 def _has_cycle(pairs) -> bool:
     """Whether the directed graph with these (from, to) edges has a cycle.
 
-    Kahn's algorithm: repeatedly remove a node no remaining edge enters,
-    with its edges; the edges left over lie on a cycle or are reached from
-    one.  ``pairs`` is read twice, so it is a collection.  It takes no stack
-    depth, however long the chains in the relation are.
+    Kahn's algorithm, on the edges between nodes that both leave and enter
+    one (only such nodes lie on a cycle): repeatedly remove a node no
+    remaining edge enters, with its edges; the edges left over lie on a
+    cycle or are reached from one.  ``pairs`` is read twice, so it is a
+    collection.  It takes no stack depth, however long the chains are.
     """
+    inner = {a for a, _ in pairs}.intersection(map(_TARGET, pairs))
+    pairs = [(a, b) for a, b in pairs if a in inner and b in inner] if inner else ()
     succs: dict = {}
     for a, b in pairs:
         succs.setdefault(a, []).append(b)

@@ -193,9 +193,12 @@ def model_theories(draw) -> Theory:
     """Theories built from ``model_items``: facts of any item type, the rules
     that their constructor accepted (a theory takes only rules), rarely a
     rule concluding one of ``odd_literals`` (a chain is a tuple, so nothing
-    hashes it), superiority pairs over the rules' labels and unknown
-    ones, rarely with an entry that is no such pair (a 1- or 3-tuple, a
-    2-character string, or a pair with a label that is not a string), and
+    hashes it), often two meta-rules that each conclude a plain rule, over
+    labels of their own, with a superiority pair between the two concluded
+    labels (or a self-pair of one), superiority pairs over the rules'
+    labels, those concluded included, and unknown ones, rarely with an
+    entry that is no such pair (a 1- or 3-tuple, a 2-character string, or
+    a pair with a label that is not a string), and
     rarely a rule whose label is a list, which does not hash, given or
     nested in the chain of a given rule, and rarely a fact and its
     complement, of polarity False or 0, over a name or a hashable atom that
@@ -206,8 +209,22 @@ def model_theories(draw) -> Theory:
     if draw(rarely):
         odd = draw(odd_literals)
         rules.append(Rule(draw(names), frozenset(), Arrow.DEFEASIBLE, Mode.C, (odd,)))
-    labels = st.sampled_from([r.label for r in rules] + [draw(names)])
+    concluded = []
+    if draw(st.booleans()):  # superiority between concluded rules, which their concluders inherit
+        literal = st.builds(Literal, names, st.booleans())
+        stem = draw(names)  # the digits keep these labels clear of ``names``
+        *concluded, m1, m2 = (f"{stem}_{i}" for i in range(2, 6))
+        for meta, label in zip((m1, m2), concluded):
+            items = frozenset(draw(st.lists(literal, max_size=2)))
+            mode = draw(st.sampled_from(list(Mode)))
+            inner = Rule(label, items, Arrow.DEFEASIBLE, mode, (draw(literal),))
+            expr = RuleExpression(inner, draw(st.booleans()))
+            rules.append(Rule(meta, frozenset(), Arrow.DEFEASIBLE, Mode.C, (expr,)))
+    labels = st.sampled_from([r.label for r in rules] + [draw(names)] + concluded)
     sup = draw(st.lists(st.tuples(labels, labels), max_size=3))
+    if concluded:
+        pick = st.sampled_from(concluded)
+        sup.append(draw(st.tuples(pick, pick)))
     if draw(rarely):
         malformed = st.one_of(
             st.tuples(labels),

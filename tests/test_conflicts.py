@@ -24,7 +24,9 @@ from ddmr.model import (
     RuleExpression,
     Theory,
     number,
+    validate,
 )
+from ddmr.oracle import check_equivalence
 from ddmr.text import parse_theory
 
 from .conftest import FIXTURES, load_fixture
@@ -425,6 +427,66 @@ def test_index_matches_pairwise_predicates_at_bucket_edges():
             ("chain3", "chain5"),
         )
     }
+
+
+# Shapes the index files per content group and polarity (``Clashes``):
+# twins concluded under both polarities, whose concluders clash across the
+# polarities; a given rule whose twin a meta-rule concludes negated, which
+# seeding refutes; and a meta-rule whose chain concludes a rule and the
+# negation of its twin, so it clashes with itself.
+PER_CLASS = {
+    "twins-both-polarities": """fact a. fact b.
+        m1: a => C (s1: b => C c). m2: a => C ~(s2: b => C c).
+        m3: a => C (s2: b => C c). m4: a => C ~(s1: b => C c).
+        m2 > m1. s1 > s2.""",
+    "given-twin-negated": """fact a. fact b.
+        g: b => C c. m: a => C ~(t: b => C c). n: a => C (t: b => C c). m > n.""",
+    "self-clash-through-a-twin": """fact a. fact b.
+        r: a => O (s: b => C c) * ~(t: b => C c). q: a => C (s: b => C c). r > q.""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PER_CLASS))
+def test_per_class_shapes_match_the_pairwise_predicates_and_the_oracle(name):
+    theory = parse_theory(PER_CLASS[name])
+    assert validate(theory).ok
+    _assert_index_matches_pairwise(theory)
+    for variant in Variant:
+        assert check_equivalence(theory, variant) == {}, variant
+
+
+def test_per_class_shapes_keep_their_cross_class_clashes():
+    expected = {
+        "twins-both-polarities": {("m1", "m2"), ("m1", "m4"), ("m2", "m3"), ("m3", "m4")},
+        "given-twin-negated": {("m", "n")},
+        "self-clash-through-a-twin": {("q", "r"), ("r", "r")},
+    }
+    for name, pairs in expected.items():
+        theory = parse_theory(PER_CLASS[name])
+        for variant in Variant:
+            conflicting, _, _ = _compile(theory, variant)
+            found = {
+                tuple(sorted((label, other)))
+                for label in theory.rules_by_label()
+                for other in _rule_level(conflicting, label)
+            }
+            assert found == pairs, (name, variant)
+
+
+def test_the_conflict_view_reads_as_a_mapping_over_every_reference():
+    theory = parse_theory(PER_CLASS["twins-both-polarities"])
+    numbering = number(theory)
+    labels = numbering.labels
+    for variant in Variant:
+        view = build_conflict_index(numbering, variant, {x: r for r, x in enumerate(labels)})[0]
+        assert len(view) == 2 * len(labels) and list(view) == list(range(2 * len(labels)))
+        assert dict(view.items()) == {k: view[k] for k in view}
+        for k in (-1, 2 * len(labels)):
+            assert k not in view and view.get(k) is None
+        # s1 and s2 are twins, so each clashes with the other's negation
+        s1, s2 = labels.index("s1"), labels.index("s2")
+        assert view[2 * s1] == {2 * s1 + 1, 2 * s2 + 1}
+        assert view[2 * s2 + 1] == {2 * s1, 2 * s2}
 
 
 def test_index_independent_of_rule_order():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 import gc
 import os
 import pathlib
@@ -28,6 +29,7 @@ from ddmr.model import (
     RuleRef,
     Sign,
     Theory,
+    _has_cycle,
     extended_superiority,
     herbrand_base,
     theory_size,
@@ -349,6 +351,57 @@ def test_validate_names_the_plain_relation_when_the_extended_one_adds_pairs(cycl
     report = validate(theory)
     assert report.ok
     assert report.warnings == (["cyclic superiority relation"] if cyclic else [])
+
+
+def _kahn_unpruned(pairs) -> bool:
+    """Kahn's algorithm over every edge, no node set aside: whether the
+    directed graph with these (from, to) edges has a cycle."""
+    pairs = list(pairs)
+    indegree = Counter(b for _, b in pairs)
+    ready = [n for n in {x for pair in pairs for x in pair} if not indegree[n]]
+    left = len(pairs)
+    while ready:
+        node = ready.pop()
+        for x, y in pairs:
+            if x == node:
+                left -= 1
+                indegree[y] -= 1
+                if not indegree[y]:
+                    ready.append(y)
+    return left > 0
+
+
+@st.composite
+def _relations(draw) -> list:
+    """Edges over a few labels, often with a cycle (a self-pair at length 1)
+    and acyclic tails hanging into it and out of it over labels of their own."""
+    labels = st.sampled_from([f"r{i}" for i in range(6)])
+    pairs = draw(st.lists(st.tuples(labels, labels), max_size=6))
+    if draw(st.booleans()):
+        cycle = draw(st.lists(labels, min_size=1, max_size=4, unique=True))
+        pairs += zip(cycle, cycle[1:] + cycle[:1])
+        for i in range(draw(st.integers(0, 3))):
+            tail = [f"t{i}.{j}" for j in range(draw(st.integers(1, 3)))]
+            end = draw(st.sampled_from(cycle))
+            path = tail + [end] if draw(st.booleans()) else [end] + tail
+            pairs += zip(path, path[1:])
+    return pairs
+
+
+@given(_relations())
+@settings(max_examples=400)
+def test_has_cycle_equals_an_unpruned_kahn(pairs):
+    expected = _kahn_unpruned(pairs)
+    for argument in (pairs, set(pairs), frozenset(pairs)):
+        assert _has_cycle(argument) == expected, argument
+
+
+def test_has_cycle_on_a_cycle_with_tails_and_on_self_pairs():
+    tails = [("t0", "c0"), ("c0", "c1"), ("c1", "c0"), ("c1", "t1"), ("t1", "t2")]
+    assert _has_cycle(frozenset(tails)) and _kahn_unpruned(tails)
+    assert not _has_cycle([("t0", "c0"), ("c0", "c1"), ("c1", "t1")])
+    assert _has_cycle(frozenset([("a", "b"), ("b", "b")]))
+    assert not _has_cycle(frozenset()) and not _has_cycle([("a", "b")])
 
 
 def _superiority_chain(pairs: int, closed: bool) -> Theory:

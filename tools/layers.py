@@ -9,14 +9,16 @@ import into this one process.  Per input (default: chain/3000, team/3000,
 meta-chain/1500 and random/3000, generator seed 0) each side builds the
 theory with its own ``generate_theory``.  Per reading and round it then
 times on each side ``validate``, ``build_conflict_index`` (as ``prepare``
-calls it), the rest of ``prepare``, and ``run``, the side that goes first
-alternating from round to round, with a collection before each side.
-Prints per input, reading and layer the best time of each side in ms and
-the change/parent ratio.  With ``--memory`` it then measures, once per
-input, reading and side, with ``tracemalloc``: the peak of ``prepare``,
-conflict index included, in KB (1024 bytes) above what was held before
-it, and what the state holds after ``run``, in KB per rule of the
-numbering.  Both roots must have ``validate`` leave a
+calls it), the rest of ``prepare``, and ``run``, with a collection before
+each side.  The reading that goes first alternates from round to round,
+and the side that goes first every two rounds, so each (reading, side)
+pair leads a round in turn.  Prints per input, reading and layer the best time
+of each side in ms and the change/parent ratio.  With ``--memory`` it then
+measures, once per input, reading and side, with ``tracemalloc``: the peak
+of ``prepare``, conflict index included, in KB (1024 bytes) above what was
+held before it; what the state holds after ``run``, in KB per rule of the
+numbering; and what the tables that ``build_conflict_index`` returns hold,
+in KB.  Both roots must have ``validate`` leave a
 ``numbering`` on its report and ``EngineState.prepare`` take it.
 Standard library only.
 """
@@ -35,7 +37,7 @@ import tracemalloc
 
 SIDES = ("parent", "change")
 LAYERS = ("validate", "index", "prepare-rest", "run")
-MEMORY = ("prepare-peak-kb", "state-kb/rule")
+MEMORY = ("prepare-peak-kb", "state-kb/rule", "index-kb")
 READINGS = ("simple", "cautious")
 DEFAULT_INPUTS = ("chain/3000", "team/3000", "meta-chain/1500", "random/3000")
 
@@ -99,20 +101,33 @@ def measure(D, spent: dict, theory, reading: str) -> dict:
 
 
 def footprint(D, theory, reading: str) -> dict:
-    """The two figures of ``MEMORY`` on one side, in KB."""
+    """The figures of ``MEMORY`` on one side, in KB."""
     report = D.model.validate(theory)
+    numbering, variant = report.numbering, D.conflicts.Variant(reading)
+    rule_ids = {label: r for r, label in enumerate(numbering.labels)}
     gc.collect()
     tracemalloc.start()  # counts only what is allocated from here on
     try:
-        state = D.engine.EngineState(theory, D.conflicts.Variant(reading))
-        state.prepare(report.numbering)
+        state = D.engine.EngineState(theory, variant)
+        state.prepare(numbering)
         peak = tracemalloc.get_traced_memory()[1]
         state.run()
         gc.collect()
         held = tracemalloc.get_traced_memory()[0]
+        del state
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        tables = D.conflicts.build_conflict_index(numbering, variant, rule_ids)
+        gc.collect()  # a full collection also empties the free lists the build filled
+        index = tracemalloc.get_traced_memory()[0] - before
+        del tables
     finally:
         tracemalloc.stop()
-    return {"prepare-peak-kb": peak / 1024, "state-kb/rule": held / 1024 / len(state.labels)}
+    return {
+        "prepare-peak-kb": peak / 1024,
+        "state-kb/rule": held / 1024 / len(numbering.labels),
+        "index-kb": index / 1024,
+    }
 
 
 def compare(
@@ -130,17 +145,20 @@ def compare(
             theories = {
                 side: D.generate.generate_theory(family, int(size)) for side, D in packages.items()
             }
-            for reading in READINGS:
-                best = {side: dict.fromkeys(LAYERS, float("inf")) for side in SIDES}
-                for n in range(rounds):
-                    for side in SIDES if n % 2 == 0 else SIDES[::-1]:
+            best = {
+                (reading, side): dict.fromkeys(LAYERS, float("inf"))
+                for reading in READINGS
+                for side in SIDES
+            }
+            for n in range(rounds):
+                for reading in READINGS if n % 2 == 0 else READINGS[::-1]:
+                    for side in SIDES if n // 2 % 2 == 0 else SIDES[::-1]:
                         times = measure(packages[side], spent[side], theories[side], reading)
                         for layer, seconds in times.items():
-                            best[side][layer] = min(best[side][layer], seconds)
-                rows += [
-                    (key, reading, layer, best["parent"][layer], best["change"][layer])
-                    for layer in LAYERS
-                ]
+                            best[reading, side][layer] = min(best[reading, side][layer], seconds)
+            for reading in READINGS:
+                old, new = best[reading, "parent"], best[reading, "change"]
+                rows += [(key, reading, layer, old[layer], new[layer]) for layer in LAYERS]
                 if memory:
                     old, new = (footprint(packages[s], theories[s], reading) for s in SIDES)
                     kept += [(key, reading, f, old[f], new[f]) for f in MEMORY]
@@ -163,7 +181,7 @@ def main(argv=None) -> int:
     print(f"best of {args.rounds} rounds, in ms")
     _table("layer", [(*row[:3], row[3] * 1e3, row[4] * 1e3) for row in rows])
     if args.memory:
-        print("tracemalloc, in KB: the peak of prepare, and the state after run per rule")
+        print("tracemalloc, in KB: the peak of prepare, the state after run per rule, the index")
         _table("figure", kept)
     return 0
 
